@@ -9,70 +9,9 @@ caching.  Every enumeration is guarded: results are exact or a
 :class:`GuardExceeded` is raised, never silently truncated.
 """
 
-from .actions import (FiniteGroup, GraphAction, PosetAction, PosetQuotient,
-                      TwistedProduct, action_from_json, action_to_json,
-                      as_left, as_right, assert_valid_action,
-                      atom_graph_action, chain_poset_action,
-                      check_chain_discontinuity, cyclic_group,
-                      equivariant_poset_maps, face_poset_action,
-                      fixed_subposet, is_d_discontinuous, is_free,
-                      is_strongly_regular, left_regular_maps, make_group,
-                      orbits, quotient_by_action, quotient_graph_by_action,
-                      quotient_poset_by_action, right_regular_maps,
-                      subposet_action, symmetric_group, trivial_action,
-                      trivial_group, twisted_product, validate_action,
-                      z2_group)
-from .families import (CoindexCertificate, CrossPolytope, CycleFacePoset,
-                       EquivariantColoring, FamilySpec, IndexBound,
-                       SphericalGraph, SubdivisionColoring, SystemMap,
-                       ToroidalGraph, coindex_certificate,
-                       cross_polytope_complex, csorba_graph, cycle_face_poset,
-                       equivariant_coloring_step, family_graph,
-                       index_upper_bound, iterated_mycielski, mycielski,
-                       spherical_graph, subdivision_coloring, system_map,
-                       twisted_toroidal, universality_graph)
-from .graphs import (Graph, GraphStats, Partition, bits, check_homomorphism,
-                     chromatic_number, clique_graph_B, common_neighbors,
-                     complete_graph, cycle_graph, exponential,
-                     exponential_vertex_maps, find_homomorphism,
-                     graph_from_json, graph_stats, graph_to_json,
-                     is_colorable, is_dismantlable, is_fine, is_isomorphic,
-                     looped_path, looped_subgraph_S, mask_of,
-                     min_diameter_spanning_tree, nu_mask, odd_girth,
-                     one_graph, product, quotient, reflexive_closure,
-                     reflexive_cycle, standard_graph)
-from .harness import (Cache, CacheCorrupt, Experiment, RunContext, RunReport,
-                      cached_hom_poset, cached_poset_homology,
-                      canonical_json, content_key, experiment_ids,
-                      get_experiment, guards_from_dict, hom_cache_key,
-                      homology_cache_key, list_experiments, load_guard_config,
-                      load_reports, render_report, report_from_json,
-                      run_experiment, run_experiments)
-from .homology import (ChainComplex, HomologyResult, chain_complex,
-                       chain_complex_of_poset, closure_reduce, gf2_rank,
-                       homology_connectivity, homology_from_json,
-                       homology_gf2, homology_integral, homology_of_complex,
-                       klein_bottle_complex, poset_homology, simplex_boundary,
-                       smith_invariants, suspension_check, torus_complex,
-                       universal_coefficients_ok)
-from .homposets import (AdjunctionReport, HomPoset, LoopAddition,
-                        PosetAdjunctionReport, QuotientCompare,
-                        TwistedHomReport, adjunction_report, curry,
-                        equivariant_atoms, exponential_action, hom_poset,
-                        induced_hom_action, induced_index_maps,
-                        loop_addition_maps, poset_adjunction_report,
-                        poset_curry, poset_uncurry, pullback_multihom,
-                        quotient_compare, rank_of, twisted_hom_report,
-                        uncurry)
-from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
-from .posets import (Poset, PosetMap, SimplicialComplex, atom_graph,
-                     chain_poset, chain_power, closure_image,
-                     complex_from_json, complex_to_json,
-                     enumerate_poset_maps, face_poset,
-                     from_leq_pairs, has_atom_lub, identity_map,
-                     induced_subposet, is_closure_map, iter_chains,
-                     make_complex, maximal_chains, order_complex,
-                     pointwise_leq, poset_from_json, poset_maps,
-                     poset_to_json, support_map)
+from .graphs import complete_graph
+from .homology import poset_homology
+from .homposets import hom_poset
+from .limits import DEFAULT_GUARDS
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["complete_graph", "hom_poset", "poset_homology", "DEFAULT_GUARDS"]

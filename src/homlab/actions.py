@@ -15,7 +15,8 @@ from typing import Optional, Sequence, Union
 
 from .graphs import Graph, Partition, bits, product, quotient
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
-from .posets import (Poset, atom_graph, chain_poset, induced_subposet)
+from .posets import (Poset, atom_graph, chain_poset, induced_subposet,
+                     pointwise_poset)
 
 
 def compose_perm(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -605,24 +606,7 @@ def equivariant_poset_maps(pa: PosetAction, qa: PosetAction,
                 f[y] = -1
 
     rec(0)
-    found.sort()
-    m = len(found)
-    if m > guards.poset_relation:
-        raise GuardExceeded("poset_relation", guards.poset_relation, m)
-    geq = [[0] * q.m for _ in range(p.m)]
-    for j, mp in enumerate(found):
-        bit = 1 << j
-        for x in range(p.m):
-            for v in bits(q.below[mp[x]]):
-                geq[x][v] |= bit
-    full = (1 << m) - 1
-    above = []
-    for mp in found:
-        acc = full
-        for x in range(p.m):
-            acc &= geq[x][mp[x]]
-        above.append(acc)
-    return Poset(m, tuple(above), tuple(found))
+    return pointwise_poset(sorted(found), q.leq, guards)
 
 
 # ---------------------------------------------------------------------------

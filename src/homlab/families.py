@@ -40,45 +40,15 @@ from .posets import (Poset, SimplicialComplex, atom_graph, chain_poset,
                      face_poset, make_complex, order_complex)
 
 __all__ = [
-    "FamilySpec", "CrossPolytope", "CycleFacePoset", "SphericalGraph",
+    "CrossPolytope", "CycleFacePoset", "SphericalGraph",
     "SystemMap", "ToroidalGraph", "SubdivisionColoring",
     "EquivariantColoring", "CoindexCertificate", "IndexBound",
     "cross_polytope_complex", "cycle_face_poset", "spherical_graph",
     "system_map", "twisted_toroidal", "mycielski", "iterated_mycielski",
     "subdivision_coloring", "equivariant_coloring_step",
     "coindex_certificate", "index_upper_bound", "csorba_graph",
-    "universality_graph", "family_graph",
+    "universality_graph",
 ]
-
-
-_FAMILIES = ("spherical", "toroidal", "mycielski", "csorba", "universal_n")
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family instance; parameter ranges are validated per family."""
-
-    family: str
-    k: Optional[int] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
-
-    def __post_init__(self):
-        f = self.family
-        if f not in _FAMILIES:
-            raise ValueError(f"unknown family '{f}'")
-        if f == "spherical":
-            if self.k is None or self.m is None or self.k < 0 or self.m < 0:
-                raise ValueError("spherical family needs k >= 0 and m >= 0")
-        elif f == "toroidal":
-            if self.k is None or self.m is None or self.k < 1 or self.m < 2:
-                raise ValueError("toroidal family needs k >= 1 and m >= 2")
-        elif f == "mycielski":
-            if self.m is None or self.m < 1 or (self.k is not None and self.k < 0):
-                raise ValueError("mycielski family needs m >= 1 and k >= 0")
-        elif f == "universal_n":
-            if self.n is None or self.n < 2:
-                raise ValueError("universality family needs n >= 2")
 
 
 def _flip_action(side: str = "right") -> GraphAction:
@@ -634,19 +604,3 @@ def universality_graph(x: SimplicialComplex, n: int,
     tw = twisted_product(kn_right, ga)
     assert tw.graph.is_loopless()
     return tw.graph
-
-
-# ---------------------------------------------------------------------------
-# dispatch for CLI-facing identifiers
-
-
-def family_graph(spec: FamilySpec, guards: Guards = DEFAULT_GUARDS) -> Graph:
-    """Build the graph named by a parameter-only family specification."""
-    if spec.family == "spherical":
-        return spherical_graph(spec.k, spec.m, guards).graph
-    if spec.family == "toroidal":
-        return twisted_toroidal(spec.k, spec.m, guards).graph
-    if spec.family == "mycielski":
-        return iterated_mycielski(complete_graph(2), spec.m,
-                                  1 if spec.k is None else spec.k)
-    raise ValueError(f"family '{spec.family}' needs an explicit complex")

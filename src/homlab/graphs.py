@@ -21,7 +21,6 @@ __all__ = [
     "Graph",
     "Partition",
     "GraphStats",
-    "standard_graph",
     "complete_graph",
     "cycle_graph",
     "looped_path",
@@ -240,25 +239,6 @@ def reflexive_closure(g: Graph) -> Graph:
 def reflexive_cycle(n: int) -> Graph:
     """Cycle with all loops added."""
     return reflexive_closure(cycle_graph(n))
-
-
-def standard_graph(kind: str, param: int | None = None) -> Graph:
-    """Named family dispatch: complete, cycle, looped_path, one, reflexive_cycle."""
-    if kind == "one":
-        if param not in (None, 1):
-            raise ValueError("'one' takes no size")
-        return one_graph()
-    if param is None or param < 1:
-        raise ValueError(f"'{kind}' needs a positive size")
-    if kind == "complete":
-        return complete_graph(param)
-    if kind == "cycle":
-        return cycle_graph(param)
-    if kind == "reflexive_cycle":
-        return reflexive_cycle(param)
-    if kind == "looped_path":
-        return looped_path(param)
-    raise ValueError(f"unknown graph kind '{kind}'")
 
 
 # ---------------------------------------------------------------------------

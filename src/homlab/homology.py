@@ -18,8 +18,6 @@ from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, PosetMap, SimplicialComplex, closure_image,
                      is_closure_map, iter_chains)
 
-_DDCHECK_CAP = 2000  # faces per dimension fed to the boundary-squared check
-
 
 class ChainComplex:
     """Bases of k-faces (sorted vertex tuples) plus signed boundary maps."""
@@ -36,7 +34,7 @@ class ChainComplex:
             if list(level) != sorted(set(level)):
                 raise ValueError(f"{k}-faces not sorted and unique")
         self._boundaries = [self._boundary(k) for k in range(len(self.faces))]
-        self._check_dd_zero()
+        self.check_boundary_squared()
 
     @property
     def dim(self) -> int:
@@ -67,16 +65,22 @@ class ChainComplex:
             cols.append(col)
         return cols
 
-    def _check_dd_zero(self):
-        for k in range(2, len(self.faces)):
+    def check_boundary_squared(self) -> None:
+        """Raise ValueError unless the boundary of every boundary is zero.
+
+        Every column of every degree k >= 1 is checked, so degree 1 is
+        checked against the augmentation.
+        """
+        for k in range(1, len(self.faces)):
             low = self._boundaries[k - 1]
-            for col in self._boundaries[k][:_DDCHECK_CAP]:
+            for col in self._boundaries[k]:
                 acc: dict[int, int] = {}
                 for r, s in col:
                     for r2, s2 in low[r]:
                         acc[r2] = acc.get(r2, 0) + s * s2
                 if any(acc.values()):
-                    raise ValueError("boundary squared is nonzero")
+                    raise ValueError(
+                        f"boundary squared is nonzero in degree {k}")
 
 
 def chain_complex(x: SimplicialComplex,

@@ -27,7 +27,8 @@ from .graphs import (Graph, bits, exponential, exponential_vertex_maps,
                      is_fine, nu_mask, one_graph, product, reflexive_closure)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, PosetMap, atom_graph, chain_poset,
-                     enumerate_poset_maps, is_closure_map, iter_chains)
+                     enumerate_poset_maps, is_closure_map, iter_chains,
+                     pointwise_poset)
 
 
 def rank_of(element: Sequence[int]) -> int:
@@ -71,6 +72,10 @@ def compose_multihoms(alpha: Sequence[int],
     return tuple(out)
 
 
+def _subset(a: int, b: int) -> bool:
+    return a & ~b == 0
+
+
 @dataclass(frozen=True)
 class HomPoset:
     source: Graph
@@ -101,30 +106,7 @@ class HomPoset:
     @cached_property
     def poset(self) -> Poset:
         """The materialized poset (pointwise containment), guarded."""
-        m = self.m
-        if m > self.guards.poset_relation:
-            raise GuardExceeded("poset_relation", self.guards.poset_relation,
-                                m)
-        n = self.source.n
-        sup = []
-        for v in range(n):
-            col = [e[v] for e in self.elements]
-            table = {}
-            for mask in set(col):
-                acc = 0
-                for j, mv in enumerate(col):
-                    if mask & ~mv == 0:
-                        acc |= 1 << j
-                table[mask] = acc
-            sup.append(table)
-        full = (1 << m) - 1
-        above = []
-        for e in self.elements:
-            acc = full
-            for v in range(n):
-                acc &= sup[v][e[v]]
-            above.append(acc)
-        return Poset(m, tuple(above), self.elements)
+        return pointwise_poset(self.elements, _subset, self.guards)
 
 
 def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
@@ -741,15 +723,8 @@ def twisted_hom_report(tw: TwistedProduct, g: Graph,
     _, maps = induced_index_maps(hom_prod, source_action=tw.diagonal)
     fixed = tuple(i for i in range(hom_prod.m)
                   if all(mp[i] == i for mp in maps))
-    above = []
-    for i in fixed:
-        acc = 0
-        for k, j in enumerate(fixed):
-            if hom_prod.leq(i, j):
-                acc |= 1 << k
-        above.append(acc)
-    fixed_poset = Poset(len(fixed), tuple(above),
-                        tuple(hom_prod.elements[i] for i in fixed))
+    fixed_poset = pointwise_poset([hom_prod.elements[i] for i in fixed],
+                                  _subset, guards)
     minimal = tuple(fixed[i] for i in bits(fixed_poset.minimal_mask))
     fixed_atoms = tuple(i for i in fixed if hom_prod.rank(i) == 0)
     hom_tw = hom_poset(tw.graph, g, guards)

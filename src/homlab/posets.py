@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .graphs import Graph, bits
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
@@ -143,7 +143,31 @@ def from_leq_pairs(m: int, pairs: Sequence[tuple[int, int]],
     return Poset(m, tuple(rows), elements)
 
 
-from_covers = from_leq_pairs
+def pointwise_poset(rows: Sequence[tuple], le: Callable[[Any, Any], Any],
+                    guards: Guards = DEFAULT_GUARDS) -> Poset:
+    """Rows ordered coordinatewise: r <= s iff le(r[x], s[x]) for every x.
+
+    `le` must be a partial order on each coordinate's values; the rows are
+    the payload, in the given order.  Per coordinate, the rows are grouped
+    by value and each value gets the mask of rows whose value lies above
+    it; a row's up-set is the AND of its values' masks.
+    """
+    m = len(rows)
+    if m > guards.poset_relation:
+        raise GuardExceeded("poset_relation", guards.poset_relation, m)
+    above = [(1 << m) - 1] * m
+    for x in range(len(rows[0]) if rows else 0):
+        holders: dict = {}
+        for j, r in enumerate(rows):
+            holders[r[x]] = holders.get(r[x], 0) | 1 << j
+        up = {a: 0 for a in holders}
+        for a in holders:
+            for b, mask in holders.items():
+                if le(a, b):
+                    up[a] |= mask
+        for i, r in enumerate(rows):
+            above[i] &= up[r[x]]
+    return Poset(m, tuple(above), tuple(rows))
 
 
 def induced_subposet(p: Poset, keep: Sequence[int]) -> tuple[Poset, tuple[int, ...]]:
@@ -473,23 +497,7 @@ def enumerate_poset_maps(p: Poset, q: Poset,
 def poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS) -> Poset:
     """Poset of all monotone maps p -> q under the pointwise order."""
     maps = sorted(enumerate_poset_maps(p, q, guards.poset_map_elements))
-    m = len(maps)
-    if m > guards.poset_relation:
-        raise GuardExceeded("poset_relation", guards.poset_relation, m)
-    geq = [[0] * q.m for _ in range(p.m)]
-    for j, g in enumerate(maps):
-        bit = 1 << j
-        for x in range(p.m):
-            for v in bits(q.below[g[x]]):
-                geq[x][v] |= bit
-    full = (1 << m) - 1
-    above = []
-    for f in maps:
-        a = full
-        for x in range(p.m):
-            a &= geq[x][f[x]]
-        above.append(a)
-    return Poset(m, tuple(above), tuple(maps))
+    return pointwise_poset(maps, q.leq, guards)
 
 
 def pointwise_leq(q: Poset, f: Sequence[int], g: Sequence[int]) -> bool:
@@ -518,5 +526,5 @@ def poset_to_json(p: Poset) -> dict:
 
 
 def poset_from_json(data: dict) -> Poset:
-    return from_covers(int(data["m"]),
-                       [(int(a), int(b)) for a, b in data["covers"]])
+    return from_leq_pairs(int(data["m"]),
+                          [(int(a), int(b)) for a, b in data["covers"]])

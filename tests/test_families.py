@@ -7,10 +7,9 @@ import pytest
 
 from homlab.actions import (GraphAction, assert_valid_action, is_free,
                             validate_action, z2_group)
-from homlab.families import (CoindexCertificate, FamilySpec,
-                             coindex_certificate, cross_polytope_complex,
-                             csorba_graph, cycle_face_poset,
-                             equivariant_coloring_step, family_graph,
+from homlab.families import (CoindexCertificate, coindex_certificate,
+                             cross_polytope_complex, csorba_graph,
+                             cycle_face_poset, equivariant_coloring_step,
                              index_upper_bound, iterated_mycielski,
                              mycielski, spherical_graph, subdivision_coloring,
                              system_map, twisted_toroidal,
@@ -40,38 +39,6 @@ def wagner_graph():
 def triangular_prism():
     return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
                                 (3, 5), (0, 3), (1, 4), (2, 5)])
-
-
-# ---------------------------------------------------------------------------
-# family specifications
-
-
-def test_family_spec_validation():
-    FamilySpec("spherical", k=0, m=0)
-    FamilySpec("toroidal", k=1, m=2)
-    FamilySpec("mycielski", k=2, m=1)
-    FamilySpec("universal_n", n=2)
-    with pytest.raises(ValueError, match="unknown family"):
-        FamilySpec("dodecahedral", k=1, m=1)
-    with pytest.raises(ValueError):
-        FamilySpec("toroidal", k=0, m=3)
-    with pytest.raises(ValueError):
-        FamilySpec("toroidal", k=1, m=1)
-    with pytest.raises(ValueError):
-        FamilySpec("spherical", k=-1, m=0)
-    with pytest.raises(ValueError):
-        FamilySpec("mycielski", m=0)
-    with pytest.raises(ValueError):
-        FamilySpec("universal_n", n=1)
-
-
-def test_family_graph_dispatch():
-    assert is_isomorphic(family_graph(FamilySpec("spherical", k=1, m=0)), K4)
-    assert family_graph(FamilySpec("toroidal", k=1, m=3)).n == 6
-    assert is_isomorphic(family_graph(FamilySpec("mycielski", k=1, m=2)),
-                         cycle_graph(5))
-    with pytest.raises(ValueError, match="explicit complex"):
-        family_graph(FamilySpec("universal_n", n=3))
 
 
 # ---------------------------------------------------------------------------

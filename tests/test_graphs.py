@@ -36,7 +36,6 @@ from homlab.graphs import (
     quotient,
     reflexive_closure,
     reflexive_cycle,
-    standard_graph,
     same_structure,
 )
 
@@ -59,23 +58,6 @@ def _all_homomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # constructions
-
-def test_standard_graphs():
-    k4 = standard_graph("complete", 4)
-    assert k4.n == 4 and len(k4.edges()) == 6 and k4.is_loopless()
-    c5 = standard_graph("cycle", 5)
-    assert len(c5.edges()) == 5 and all(c5.degree(v) == 2 for v in range(5))
-    p2 = standard_graph("looped_path", 2)
-    assert sorted(p2.edges()) == [(0, 0), (0, 1), (1, 2)]
-    one = standard_graph("one")
-    assert one.n == 1 and one.edges() == [(0, 0)]
-    with pytest.raises(ValueError):
-        standard_graph("cycle", 2)
-    with pytest.raises(ValueError):
-        standard_graph("complete", 0)
-    with pytest.raises(ValueError):
-        standard_graph("moebius", 4)
-
 
 def test_reflexive_closure_counts_loops_once():
     g = reflexive_closure(cycle_graph(5))

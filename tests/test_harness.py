@@ -249,14 +249,22 @@ def test_parse_graph_id_standard_forms():
     assert parse_graph_id("L3").adj == looped_path(3).adj
     assert parse_graph_id("one").n == 1
     assert parse_graph_id("T(1,3)").n == 6
-    assert parse_graph_id("S(1,0)").n == 4
+    assert is_isomorphic(parse_graph_id("S(1,0)"), complete_graph(4))
+    assert sorted(parse_graph_id("L2").edges()) == [(0, 0), (0, 1), (1, 2)]
     assert parse_graph_id("M^2_2(K2)").n == 11
     assert is_isomorphic(parse_graph_id("M^1_2(K2)"), cycle_graph(5))
+    # Parameter ranges are the constructors' own: T(0,m) is K2 and L0 is
+    # the looped vertex.
+    assert parse_graph_id("T(0,3)").adj == complete_graph(2).adj
+    assert parse_graph_id("L0").edges() == [(0, 0)]
 
 
 def test_parse_graph_id_rejects_unknown():
     for bad in ("Z9", "K", "S(1)", "M^1_2", ""):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_graph_id(bad)
+    for bad in ("C2", "K0", "T(1,1)", "M^1_0(K2)"):
+        with pytest.raises(ValueError, match="needs"):
             parse_graph_id(bad)
 
 
@@ -273,6 +281,8 @@ def test_parse_graph_id_files(tmp_path):
         "maps": "regular"}))
     assert is_isomorphic(parse_graph_id(f"univ({points},3)"),
                          complete_graph(3))
+    with pytest.raises(ValueError, match="n >= 2"):
+        parse_graph_id(f"univ({points},1)")
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps(graph_to_json(cycle_graph(5))))
     assert is_isomorphic(parse_graph_id(f"@{plain}"), cycle_graph(5))

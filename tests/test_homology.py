@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -79,6 +80,33 @@ def test_chain_complex_shapes():
     assert sorted(cc.boundary(1)[0]) == [(0, -1), (1, 1)]
     with pytest.raises(ValueError):
         ChainComplex([[(0,), (1,)], [(0, 1), (1, 2)]])  # missing vertex face
+
+
+class _FlippedSign(ChainComplex):
+    """Flips the sign of one boundary entry in column `col` of degree `k`."""
+
+    def __init__(self, faces, k, col):
+        self.flip = (k, col)
+        super().__init__(faces)
+
+    def _boundary(self, k):
+        cols = super()._boundary(k)
+        if k == self.flip[0]:
+            (r, s), *rest = cols[self.flip[1]]
+            cols[self.flip[1]] = [(r, -s), *rest]
+        return cols
+
+
+def test_boundary_squared_check_covers_every_column():
+    # 2-skeleton of the simplex on 25 vertices: 2300 triangles, so column
+    # 2100 of degree 2 lies past any sample of the first 2000.  The graph
+    # (1-skeleton) has no degree 2 to expose a bad edge column, so only the
+    # check against the augmentation catches it.
+    faces = [list(itertools.combinations(range(25), d)) for d in (1, 2, 3)]
+    ChainComplex(faces).check_boundary_squared()
+    for levels, k, col in ((faces, 2, 2100), (faces[:2], 1, 0)):
+        with pytest.raises(ValueError, match=f"nonzero in degree {k}"):
+            _FlippedSign(levels, k, col)
 
 
 def test_homology_spheres():

@@ -11,7 +11,9 @@ from homlab.homology import (chain_complex, homology_of_complex,
                              poset_homology, universal_coefficients_ok,
                              closure_reduce)
 from homlab.homposets import adjunction_report, hom_poset, rank_of
-from homlab.posets import atom_graph, chain_poset, from_leq_pairs, make_complex
+from homlab.posets import (atom_graph, chain_poset, enumerate_poset_maps,
+                           from_leq_pairs, make_complex, pointwise_leq,
+                           pointwise_poset)
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -165,6 +167,27 @@ def test_chain_atom_graph_is_the_comparability_graph(p):
 @given(posets())
 def test_subdivision_preserves_homology(p):
     assert poset_homology(chain_poset(p)) == poset_homology(p)
+
+
+@given(graphs(min_n=1, max_n=3, allow_loops=True),
+       graphs(min_n=1, max_n=3, allow_loops=True))
+def test_pointwise_poset_matches_hom_leq(g, h):
+    hp = hom_poset(g, h)
+    p = hp.poset
+    assert p.elements == hp.elements
+    for i in range(hp.m):
+        for j in range(hp.m):
+            assert p.leq(i, j) == hp.leq(i, j)
+
+
+@given(posets(max_n=4), posets(max_n=4))
+def test_pointwise_poset_matches_pointwise_leq(p, q):
+    maps = list(enumerate_poset_maps(p, q))
+    mp = pointwise_poset(maps, q.leq)
+    assert list(mp.elements) == maps
+    for i, f in enumerate(maps):
+        for j, g in enumerate(maps):
+            assert mp.leq(i, j) == pointwise_leq(q, f, g)
 
 
 @settings(deadline=None, max_examples=20)
