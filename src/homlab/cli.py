@@ -36,8 +36,8 @@ from .families import (csorba_graph, iterated_mycielski, spherical_graph,
 from .graphs import (Graph, bits, chromatic_number, complete_graph,
                      cycle_graph, graph_from_json, graph_to_json,
                      graph_stats, looped_path, one_graph, reflexive_cycle)
-from .harness import (Cache, CacheCorrupt, cached_hom_poset,
-                      cached_poset_homology, guards_from_dict,
+from .harness import (Cache, CacheCorrupt, cached_hom_homology,
+                      cached_hom_poset, guards_from_dict,
                       list_experiments, load_reports, render_report,
                       run_experiments)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
@@ -254,9 +254,8 @@ def _cmd_homology(args) -> int:
     cache = Cache(args.cache_dir)
     src = parse_graph_id(args.source, guards)
     dst = parse_graph_id(args.target, guards)
-    hp = cached_hom_poset(src, dst, guards, cache)
-    res = cached_poset_homology(hp.poset, _FIELD_NAMES[args.field], guards,
-                                cache)
+    res = cached_hom_homology(src, dst, _FIELD_NAMES[args.field], guards,
+                              cache)
     _emit(args, res.to_json(),
           f"Hom({args.source},{args.target}) over "
           f"{_FIELD_NAMES[args.field]}: {res}")

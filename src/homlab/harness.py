@@ -8,9 +8,10 @@ guard stopped an enumeration.  Collections of reports render as an aligned
 text table, JSON, or CSV with the fixed header
 ``id,pass,expected,measured,seconds``.
 
-Hom posets and poset homology results can persist in a content-addressed
-cache: keys are SHA-256 digests of the canonical JSON of the inputs, file
-bodies are JSON lines, and a header digest detects corruption.  The cache
+Hom posets, Hom homology (computed on the cellular complex of the Hom
+poset) and poset homology results can persist in a content-addressed cache:
+keys are SHA-256 digests of the canonical JSON of the inputs, file bodies
+are JSON lines, and a header digest detects corruption.  The cache
 directory comes from an explicit path or the ``HOMLAB_CACHE_DIR`` environment
 variable; with neither, every computation runs fresh.
 """
@@ -40,7 +41,7 @@ from .graphs import (Graph, bits, check_homomorphism, chromatic_number,
                      is_fine, is_isomorphic, looped_path, mask_of, odd_girth,
                      product, reflexive_closure, reflexive_cycle)
 from .homology import (HomologyResult, chain_complex, closure_reduce,
-                       homology_from_json, homology_of_complex,
+                       hom_homology, homology_from_json, homology_of_complex,
                        klein_bottle_complex, poset_homology,
                        simplex_boundary, suspension_check, torus_complex)
 from .homposets import (HomPoset, adjunction_report, hom_poset,
@@ -53,7 +54,8 @@ from .posets import (Poset, SimplicialComplex, atom_graph, chain_poset,
 
 __all__ = [
     "Cache", "CacheCorrupt", "Experiment", "RunContext", "RunReport",
-    "cached_hom_poset", "cached_poset_homology", "canonical_json",
+    "cached_hom_homology", "cached_hom_poset", "cached_poset_homology",
+    "canonical_json",
     "content_key", "experiment_ids", "get_experiment", "guards_from_dict",
     "hom_cache_key", "homology_cache_key", "list_experiments",
     "load_guard_config", "load_reports", "render_report", "report_from_json",
@@ -200,6 +202,28 @@ def cached_hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS,
     return hp
 
 
+def cached_hom_homology(g: Graph, h: Graph, field_name: str = "Z",
+                        guards: Guards = DEFAULT_GUARDS,
+                        cache: Optional[Cache] = None) -> HomologyResult:
+    """Cellular homology of Hom(g,h), cached by (source, target, field).
+
+    The Hom poset is read first, so the hom_elements guard fires on a warm
+    call exactly as on a cold one.
+    """
+    hp = cached_hom_poset(g, h, guards, cache)
+    if cache is None or not cache.enabled:
+        return hom_homology(hp, field_name, guards)
+    key = content_key({"kind": "hom-homology", "field": field_name,
+                       "source": graph_to_json(g),
+                       "target": graph_to_json(h)})
+    lines = cache.load(key, "homology")
+    if lines is not None:
+        return homology_from_json(json.loads(lines[0]))
+    res = hom_homology(hp, field_name, guards)
+    cache.store(key, "homology", [canonical_json(res.to_json())])
+    return res
+
+
 def homology_cache_key(p: Poset, field_name: str) -> str:
     return content_key({"kind": "poset-homology", "field": field_name,
                         "poset": poset_to_json(p)})
@@ -233,11 +257,13 @@ class RunContext:
         return cached_hom_poset(g, h, self.guards, self.cache)
 
     def homology(self, p: Poset, field_name: str = "Z") -> HomologyResult:
+        """Order-complex homology of a general poset; Hom(g,h) goes through
+        ``hom_homology``, which needs no order relation."""
         return cached_poset_homology(p, field_name, self.guards, self.cache)
 
     def hom_homology(self, g: Graph, h: Graph,
                      field_name: str = "Z") -> HomologyResult:
-        return self.homology(self.hom(g, h).poset, field_name)
+        return cached_hom_homology(g, h, field_name, self.guards, self.cache)
 
 
 Runner = Callable[[RunContext], "tuple[bool, str]"]
@@ -478,7 +504,7 @@ def _run_universality(ctx: RunContext) -> tuple[bool, str]:
     hp = ctx.hom(complete_graph(3), ug)
     p = hp.poset
     isolated = hp.m == 6 and all(p.above[i] == 1 << i for i in range(p.m))
-    res = ctx.homology(p)
+    res = ctx.hom_homology(complete_graph(3), ug)
     six_points = (not res.empty and res.betti == (5,)
                   and not any(res.torsion))
     ok &= iso and isolated and six_points
@@ -560,9 +586,8 @@ def _closure_invariance_ok(ctx: RunContext) -> bool:
     if not rep.closure_ok:
         return False
     closure = rep.phi.after(rep.psi)
-    p = rep.hom_curried.poset
-    sub, _ = closure_reduce(p, closure)
-    return ctx.homology(sub) == ctx.homology(p)
+    sub, _ = closure_reduce(rep.hom_curried.poset, closure)
+    return ctx.homology(sub) == hom_homology(rep.hom_curried, "Z", ctx.guards)
 
 
 def _comparability_identity_ok(ctx: RunContext, p: Poset) -> bool:

@@ -1,10 +1,13 @@
-"""Simplicial chain complexes and exact reduced homology over Z and GF(2).
+"""Chain complexes and exact reduced homology over Z and GF(2).
 
-Homology is always reduced, computed via the augmented complex, so the
-empty complex gets rank 1 in degree -1 and a one-point complex has no
-homology at all. Integral computation runs a sparse elimination phase on
-unit pivots and finishes any remainder with a dense Smith normal form;
-GF(2) uses bit-packed column elimination.
+Two kinds of complex feed one pair of reduction engines: simplicial
+complexes (including order complexes of posets, one generator per chain)
+and the cellular complex of a Hom poset, one generator per
+multihomomorphism.  Homology is always reduced, computed via the augmented
+complex, so the empty complex gets rank 1 in degree -1 and a one-point
+complex has no homology at all. Integral computation runs a sparse
+elimination phase on unit pivots and finishes any remainder with a dense
+Smith normal form; GF(2) uses bit-packed column elimination.
 """
 
 from __future__ import annotations
@@ -13,26 +16,25 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import INFINITE
+from .graphs import INFINITE, bits
+from .homposets import HomPoset, rank_of
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, PosetMap, SimplicialComplex, closure_image,
                      is_closure_map, iter_chains)
 
 
 class ChainComplex:
-    """Bases of k-faces (sorted vertex tuples) plus signed boundary maps."""
+    """Bases of k-faces plus signed boundary maps, checked on construction.
+
+    The faces here are simplices (sorted vertex tuples); a complex with
+    other cells overrides ``_boundary``.
+    """
 
     def __init__(self, faces: Sequence[Sequence[tuple[int, ...]]]):
         self.faces: tuple[tuple[tuple[int, ...], ...], ...] = \
             tuple(tuple(level) for level in faces)
         while self.faces and not self.faces[-1]:
             self.faces = self.faces[:-1]
-        for k, level in enumerate(self.faces):
-            for f in level:
-                if len(f) != k + 1 or list(f) != sorted(set(f)):
-                    raise ValueError(f"bad {k}-face {f}")
-            if list(level) != sorted(set(level)):
-                raise ValueError(f"{k}-faces not sorted and unique")
         self._boundaries = [self._boundary(k) for k in range(len(self.faces))]
         self.check_boundary_squared()
 
@@ -51,8 +53,14 @@ class ChainComplex:
         return self._boundaries[k]
 
     def _boundary(self, k: int) -> list[list[tuple[int, int]]]:
+        level = self.faces[k]
+        for f in level:
+            if len(f) != k + 1 or list(f) != sorted(set(f)):
+                raise ValueError(f"bad {k}-face {f}")
+        if list(level) != sorted(set(level)):
+            raise ValueError(f"{k}-faces not sorted and unique")
         if k == 0:
-            return [[(0, 1)] for _ in self.faces[0]]
+            return [[(0, 1)] for _ in level]
         index = {f: i for i, f in enumerate(self.faces[k - 1])}
         cols = []
         for f in self.faces[k]:
@@ -91,6 +99,50 @@ def chain_complex(x: SimplicialComplex,
     for f in faces:
         levels[len(f) - 1].append(f)
     return ChainComplex(levels)
+
+
+class _HomCellComplex(ChainComplex):
+    """Cellular chain complex of Hom(G,H) (Babson-Kozlov).
+
+    The k-faces are the multihomomorphisms eta of rank k, each the cell
+    prod_v Delta^(|eta(v)|-1).  Its facets drop one target vertex x from one
+    eta(v) with |eta(v)| >= 2, with the sign (-1)^(sum of |eta(u)|-1 over
+    u < v, plus the position of x in eta(v)): source vertices in index
+    order, the bits of each set increasing.  Dropping a vertex from a set
+    leaves a multihomomorphism (a subset of a looped-complete set is still
+    looped-complete), so every facet is a (k-1)-face.
+    """
+
+    def _boundary(self, k: int) -> list[list[tuple[int, int]]]:
+        if k == 0:
+            return [[(0, 1)] for _ in self.faces[0]]
+        index = {e: i for i, e in enumerate(self.faces[k - 1])}
+        cols = []
+        for eta in self.faces[k]:
+            col = []
+            before = 0
+            for v, mask in enumerate(eta):
+                if mask & (mask - 1):
+                    for pos, x in enumerate(bits(mask), before):
+                        sub = eta[:v] + (mask ^ (1 << x),) + eta[v + 1:]
+                        if sub not in index:
+                            raise ValueError(
+                                f"complex not closed: missing cell {sub}")
+                        col.append((index[sub], -1 if pos % 2 else 1))
+                before += mask.bit_count() - 1
+            cols.append(col)
+        return cols
+
+
+def chain_complex_of_hom(hp: HomPoset) -> ChainComplex:
+    """Cellular chain complex of Hom(G,H): one generator per element."""
+    levels: list[list[tuple[int, ...]]] = []
+    for e in hp.elements:
+        r = rank_of(e)
+        while len(levels) <= r:
+            levels.append([])
+        levels[r].append(e)
+    return _HomCellComplex(levels)
 
 
 def chain_complex_of_poset(p: Poset,
@@ -364,18 +416,31 @@ def homology_gf2(cc: ChainComplex,
     return HomologyResult("GF2", False, betti)
 
 
-def homology_of_complex(x: SimplicialComplex, field_name: str = "Z",
-                        guards: Guards = DEFAULT_GUARDS) -> HomologyResult:
-    cc = chain_complex(x, guards)
+def _homology(cc: ChainComplex, field_name: str,
+              guards: Guards) -> HomologyResult:
     return homology_integral(cc, guards) if field_name == "Z" \
         else homology_gf2(cc, guards)
+
+
+def homology_of_complex(x: SimplicialComplex, field_name: str = "Z",
+                        guards: Guards = DEFAULT_GUARDS) -> HomologyResult:
+    return _homology(chain_complex(x, guards), field_name, guards)
 
 
 def poset_homology(p: Poset, field_name: str = "Z",
                    guards: Guards = DEFAULT_GUARDS) -> HomologyResult:
-    cc = chain_complex_of_poset(p, guards)
-    return homology_integral(cc, guards) if field_name == "Z" \
-        else homology_gf2(cc, guards)
+    """Homology of the order complex of any poset (one generator per chain)."""
+    return _homology(chain_complex_of_poset(p, guards), field_name, guards)
+
+
+def hom_homology(hp: HomPoset, field_name: str = "Z",
+                 guards: Guards = DEFAULT_GUARDS) -> HomologyResult:
+    """Homology of Hom(G,H) from its cellular complex.
+
+    Hom(G,H) is the face poset of that complex, so this equals
+    ``poset_homology(hp.poset)``, without materializing the order.
+    """
+    return _homology(chain_complex_of_hom(hp), field_name, guards)
 
 
 def homology_connectivity(h: HomologyResult):

@@ -5,8 +5,8 @@ graph, triangular prism, odd cycles) and direct invariant recomputation."""
 
 import pytest
 
-from homlab.actions import (GraphAction, assert_valid_action, is_free,
-                            validate_action, z2_group)
+from homlab.actions import (GraphAction, is_free, validate_action,
+                            z2_group)
 from homlab.families import (CoindexCertificate, coindex_certificate,
                              cross_polytope_complex, csorba_graph,
                              cycle_face_poset, equivariant_coloring_step,
@@ -15,9 +15,9 @@ from homlab.families import (CoindexCertificate, coindex_certificate,
                              system_map, twisted_toroidal,
                              universality_graph)
 from homlab.graphs import (Graph, check_homomorphism, chromatic_number,
-                           complete_graph, cycle_graph, find_homomorphism,
-                           graph_to_json, is_isomorphic, looped_path,
-                           odd_girth, product, reflexive_cycle)
+                           complete_graph, cycle_graph, graph_to_json,
+                           is_isomorphic, looped_path, odd_girth, product,
+                           reflexive_cycle)
 from homlab.homposets import hom_poset
 from homlab.homology import poset_homology
 from homlab.posets import atom_graph, make_complex

@@ -1,7 +1,6 @@
 """Experiment harness: cache integrity, registry, reports, and the CLI."""
 
 import json
-import os
 
 import pytest
 
@@ -9,7 +8,8 @@ from homlab.cli import main, parse_graph_id
 from homlab.graphs import (complete_graph, cycle_graph, graph_to_json,
                            is_isomorphic, looped_path, reflexive_cycle)
 from homlab.harness import (Cache, CacheCorrupt, EXPERIMENTS, RunReport,
-                            cached_hom_poset, cached_poset_homology,
+                            cached_hom_homology, cached_hom_poset,
+                            cached_poset_homology,
                             experiment_ids, get_experiment, guards_from_dict,
                             hom_cache_key, list_experiments, load_guard_config,
                             load_reports, render_report, report_from_json,
@@ -117,6 +117,32 @@ def test_cache_hit_still_enforces_element_guard(tmp_path):
         cached_hom_poset(g, h, tight, cache)
     with pytest.raises(GuardExceeded) as cold:
         cached_hom_poset(g, h, tight, Cache())
+    assert str(warm.value) == str(cold.value)
+
+
+def test_hom_homology_cache_round_trip(tmp_path):
+    g, h = complete_graph(2), complete_graph(4)
+    cold = cached_hom_homology(g, h, cache=Cache(tmp_path))
+    cache = Cache(tmp_path)
+    warm = cached_hom_homology(g, h, cache=cache)
+    assert warm == cold == poset_homology(hom_poset(g, h).poset)
+    assert cache.hits == 2 and cache.misses == 0  # Hom poset, homology
+    # different field means a different key
+    gf2 = cached_hom_homology(g, h, "GF2", cache=cache)
+    assert gf2.field == "GF2" and gf2.is_sphere(2)
+    assert cache.hits == 3 and cache.misses == 1
+
+
+def test_hom_homology_cache_hit_still_enforces_element_guard(tmp_path):
+    g, h = complete_graph(2), complete_graph(4)
+    cache = Cache(tmp_path)
+    cached_hom_homology(g, h, cache=cache)
+    tight = DEFAULT_GUARDS.scaled(hom_elements=10)
+    with pytest.raises(GuardExceeded) as warm:
+        cached_hom_homology(g, h, "Z", tight, cache)
+    with pytest.raises(GuardExceeded) as cold:
+        cached_hom_homology(g, h, "Z", tight, Cache())
+    assert warm.value.guard == "hom_elements"
     assert str(warm.value) == str(cold.value)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -10,14 +11,18 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from homlab.graphs import INFINITE
+from homlab.families import (csorba_graph, mycielski, spherical_graph,
+                             twisted_toroidal)
+from homlab.graphs import (INFINITE, Graph, complete_graph, cycle_graph,
+                           exponential, reflexive_closure, reflexive_cycle)
 from homlab.homology import (
     ChainComplex,
-    HomologyResult,
     chain_complex,
+    chain_complex_of_hom,
     chain_complex_of_poset,
     closure_reduce,
     gf2_rank,
+    hom_homology,
     homology_connectivity,
     homology_from_json,
     homology_gf2,
@@ -31,6 +36,7 @@ from homlab.homology import (
     torus_complex,
     universal_coefficients_ok,
 )
+from homlab.homposets import hom_poset
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import (PosetMap, chain_poset, face_poset, from_leq_pairs,
                            make_complex, order_complex)
@@ -249,3 +255,92 @@ def test_random_complex_euler_consistency():
                             for d in range(len(h.betti)))
         assert cc.euler_characteristic() - 1 == reduced_euler
         assert universal_coefficients_ok(h, homology_gf2(cc))
+
+
+# ---------------------------------------------------------------------------
+# cellular homology of Hom posets
+
+K2, K3 = complete_graph(2), complete_graph(3)
+SQUARE = make_complex(4, [[0, 1], [1, 2], [2, 3], [3, 0]])
+
+# Every Hom pair the experiment registry and the benchmark take homology of
+# (or, for the empty Hom(K4,K3), count), checked against the order complex.
+REGISTRY_HOM_PAIRS = {
+    **{f"K2,K{n}": (K2, complete_graph(n)) for n in range(2, 6)},
+    "K3,K5": (K3, complete_graph(5)),
+    "K2o,R8": (reflexive_closure(K2), reflexive_cycle(8)),
+    "K2,R8": (K2, reflexive_cycle(8)),
+    "K2,S(1,1)": (K2, spherical_graph(1, 1).graph),
+    "K2,T(1,5)": (K2, twisted_toroidal(1, 5).graph),
+    "K2,T(1,6)": (K2, twisted_toroidal(1, 6).graph),
+    **{f"K2,M_{m}({name})": (K2, mycielski(g, m))
+       for name, g in (("K2", K2), ("K3", K3)) for m in (2, 3)},
+    "T(1,3),K3": (twisted_toroidal(1, 3).graph, K3),
+    "K2,csorba(square)": (K2, csorba_graph(SQUARE, (2, 3, 0, 1))),
+    "K3,K3": (K3, K3),
+    "K4,K3": (complete_graph(4), K3),
+    "K2,K3^K2": (K2, exponential(K2, K3)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(REGISTRY_HOM_PAIRS))
+def test_cellular_hom_homology_on_registry_pairs(pair):
+    hp = hom_poset(*REGISTRY_HOM_PAIRS[pair])
+    cells = chain_complex_of_hom(hp)
+    assert sum(cells.counts()) == hp.m
+    chains = chain_complex_of_poset(hp.poset)
+    assert cells.euler_characteristic() == chains.euler_characteristic()
+    for field_name in ("Z", "GF2"):
+        assert hom_homology(hp, field_name) \
+            == poset_homology(hp.poset, field_name), field_name
+
+
+def test_cellular_hom_homology_of_the_slow_benchmark_pairs():
+    # The order complex takes seconds on these two, so its answers are
+    # frozen here (as in perfbench/expected.json) instead of recomputed.
+    k6 = hom_poset(K2, complete_graph(6))
+    # rank s-2 cells: disjoint nonempty (A, B) with |A| + |B| = s
+    assert chain_complex_of_hom(k6).counts() == tuple(
+        math.comb(6, s) * (2 ** s - 2) for s in range(2, 7))
+    assert hom_homology(k6).is_sphere(4)
+    c5 = hom_poset(cycle_graph(5), complete_graph(4))
+    z = hom_homology(c5)
+    assert z.betti == (0, 0, 0, 1) and z.torsion == ((), (2,), (), ())
+    f2 = hom_homology(c5, "GF2")
+    assert f2.betti == (0, 1, 1, 1)
+    assert universal_coefficients_ok(z, f2)
+
+
+def test_cellular_boundary_signs():
+    # Hom(K2,K3) is a hexagon: six atoms, six edges (one set of size two)
+    hp = hom_poset(K2, K3)
+    cc = chain_complex_of_hom(hp)
+    assert cc.counts() == (6, 6)
+    atoms, edges = cc.faces
+    for edge, col in zip(edges, cc.boundary(1)):
+        v = 0 if edge[0] & (edge[0] - 1) else 1
+        lo, hi = sorted(1 << x for x in range(3) if edge[v] >> x & 1)
+        # d[lo, hi] = hi - lo, as for a simplicial edge
+        want = {tuple(hi if u == v else m for u, m in enumerate(edge)): 1,
+                tuple(lo if u == v else m for u, m in enumerate(edge)): -1}
+        assert {atoms[r]: s for r, s in col} == want
+    # a square cell {0,1} x {2,3}: the second factor's signs flip by the
+    # first factor's dimension
+    square = hom_poset(Graph(2, (0, 0)), complete_graph(4))
+    cc = chain_complex_of_hom(square)
+    top = cc.faces[2].index((0b0011, 0b1100))
+    got = {cc.faces[1][r]: s for r, s in cc.boundary(2)[top]}
+    assert got == {(0b0010, 0b1100): 1, (0b0001, 0b1100): -1,
+                   (0b0011, 0b1000): -1, (0b0011, 0b0100): 1}
+
+
+def test_cellular_path_reaches_past_the_order_guards():
+    # Hom(K2,K8) ~ S^6: 6050 elements, past poset_relation (4000), so the
+    # order-complex path cannot even materialize the order.
+    hp = hom_poset(K2, complete_graph(8))
+    assert hp.m == 6050
+    with pytest.raises(GuardExceeded) as exc:
+        hp.poset
+    assert exc.value.guard == "poset_relation"
+    res = hom_homology(hp, "Z", DEFAULT_GUARDS)
+    assert res.is_sphere(6) and res.field == "Z"

@@ -12,16 +12,15 @@ from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
                            exponential, is_isomorphic, looped_path, one_graph,
                            product, reflexive_closure, reflexive_cycle)
 from homlab.homology import poset_homology
-from homlab.homposets import (AdjunctionReport, HomPoset, adjunction_report,
-                              compose_multihoms, curry, equivariant_atoms,
-                              exponential_action, hom_poset,
-                              identity_multihom, induced_hom_action,
-                              is_multihom, loop_addition_maps,
-                              multihom_violation, poset_adjunction_report,
-                              poset_curry, poset_uncurry, product_merge,
-                              product_split, pullback_multihom,
-                              quotient_compare, rank_of, split_report,
-                              twisted_hom_report, uncurry)
+from homlab.homposets import (adjunction_report, compose_multihoms, curry,
+                              equivariant_atoms, exponential_action,
+                              hom_poset, identity_multihom,
+                              induced_hom_action, is_multihom,
+                              loop_addition_maps, multihom_violation,
+                              poset_adjunction_report, poset_curry,
+                              poset_uncurry, product_merge, product_split,
+                              pullback_multihom, quotient_compare, rank_of,
+                              split_report, twisted_hom_report, uncurry)
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import face_poset, make_complex
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from homlab.graphs import cycle_graph, is_isomorphic, reflexive_cycle
+from homlab.graphs import is_isomorphic, reflexive_cycle
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import (
     Poset,

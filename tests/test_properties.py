@@ -2,12 +2,12 @@
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from homlab.graphs import (Graph, bits, chromatic_number, complete_graph,
                            check_homomorphism, exponential, nu_mask, product,
                            quotient, Partition)
-from homlab.homology import (chain_complex, homology_of_complex,
+from homlab.homology import (chain_complex, hom_homology, homology_of_complex,
                              poset_homology, universal_coefficients_ok,
                              closure_reduce)
 from homlab.homposets import adjunction_report, hom_poset, rank_of
@@ -178,6 +178,21 @@ def test_pointwise_poset_matches_hom_leq(g, h):
     for i in range(hp.m):
         for j in range(hp.m):
             assert p.leq(i, j) == hp.leq(i, j)
+
+
+@settings(max_examples=200)
+@given(graphs(min_n=1, max_n=3, allow_loops=True),
+       graphs(min_n=1, max_n=4, allow_loops=True))
+@example(complete_graph(3), complete_graph(2))                # empty
+@example(Graph(1, (1,)), complete_graph(3))                   # empty, looped
+@example(Graph(1, (1,)), Graph(3, (0b011, 0b111, 0b110)))     # looped path
+@example(Graph(2, (0b11, 0b11)), Graph(3, (0b111,) * 3))      # all looped
+def test_cellular_hom_homology_matches_order_complex(g, h):
+    hp = hom_poset(g, h)
+    assume(hp.m <= 200)  # keeps the order-complex oracle to a few seconds
+    for field_name in ("Z", "GF2"):
+        assert hom_homology(hp, field_name) \
+            == poset_homology(hp.poset, field_name)
 
 
 @given(posets(max_n=4), posets(max_n=4))
