@@ -13,10 +13,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .graphs import Graph, Partition, bits, product, quotient
+from .graphs import Graph, Partition, bfs_dist, bits, product, quotient
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
-from .posets import (Poset, atom_graph, chain_poset, induced_subposet,
-                     pointwise_poset)
+from .posets import (Poset, atom_graph, chain_poset, enumerate_poset_maps,
+                     induced_subposet, pointwise_poset)
 
 
 def compose_perm(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -259,29 +259,14 @@ def orbits(a: Action) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _distances(g: Graph, start: int) -> list:
-    dist = [None] * g.n
-    dist[start] = 0
-    dq = deque([start])
-    while dq:
-        u = dq.popleft()
-        for v in bits(g.adj[u]):
-            if dist[v] is None:
-                dist[v] = dist[u] + 1
-                dq.append(v)
-    return dist
-
-
 def is_d_discontinuous(a: GraphAction, d: int) -> bool:
     """No vertex within graph distance d-1 of another point of its orbit."""
     if d < 1:
         raise ValueError("d must be >= 1")
     for v in range(a.graph.n):
-        dist = _distances(a.graph, v)
-        for i in range(1, a.group.order):
-            w = a.maps[i][v]
-            if dist[w] is not None and dist[w] <= d - 1:
-                return False
+        dist = bfs_dist(a.graph, 1 << v)
+        if any(dist[a.maps[i][v]] <= d - 1 for i in range(1, a.group.order)):
+            return False
     return True
 
 
@@ -291,12 +276,7 @@ def is_d_discontinuous(a: GraphAction, d: int) -> bool:
 
 def chain_poset_action(cp: Poset, a: PosetAction) -> PosetAction:
     """Transport an action on P to Chain(P) (elements of cp are chains)."""
-    idx = cp.index
-    maps = []
-    for mp in a.maps:
-        maps.append(tuple(idx[tuple(sorted(mp[e] for e in chain))]
-                          for chain in cp.elements))
-    return PosetAction(a.group, cp, a.side, tuple(maps))
+    return face_poset_action(cp, a.group, a.maps, a.side)
 
 
 def face_poset_action(fp: Poset, group: FiniteGroup,
@@ -478,31 +458,12 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
         diag.append(tuple(tm[x // nh] * nh + hm[x % nh]
                           for x in range(npairs)))
     diag_action = GraphAction(g, prod, "left", tuple(diag))
-    seen = [False] * npairs
-    orbit_of = [0] * npairs
-    pairs = []
-    for x in range(npairs):
-        if seen[x]:
-            continue
-        block = sorted({mp[x] for mp in diag} | {x})
-        for y in block:
-            if seen[y]:
-                raise ValueError("diagonal orbits are inconsistent")
-            seen[y] = True
-            orbit_of[y] = len(pairs)
-        pairs.append((x // nh, x % nh))
+    part = Partition(npairs, orbits(diag_action))
+    orbit_of = part.block_of
+    pairs = tuple((b[0] // nh, b[0] % nh) for b in part.blocks)
     nq = len(pairs)
-    adj = [0] * nq
-    for (tu, hu) in ((x // nh, x % nh) for x in range(npairs)):
-        u = orbit_of[tu * nh + hu]
-        for tv in bits(t.adj[tu]):
-            for hv in bits(h.adj[hu]):
-                adj[u] |= 1 << orbit_of[tv * nh + hv]
-    for u in range(nq):
-        for v in bits(adj[u]):
-            adj[v] |= 1 << u
-    labels = tuple(f"[{tt},{hh}]" for tt, hh in pairs)
-    graph = Graph(nq, tuple(adj), labels)
+    graph = quotient(prod, part).relabel(
+        [f"[{tt},{hh}]" for tt, hh in pairs])
 
     carried = None
     if h_right is not None:
@@ -530,8 +491,8 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
                 img[u] = target
             rmaps.append(tuple(img))
         carried = GraphAction(g, graph, "right", tuple(rmaps))
-    return TwistedProduct(graph, g, tuple(pairs), tuple(orbit_of),
-                          prod, diag_action, carried)
+    return TwistedProduct(graph, g, pairs, orbit_of, prod, diag_action,
+                          carried)
 
 
 # ---------------------------------------------------------------------------
@@ -540,73 +501,17 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
 
 def equivariant_poset_maps(pa: PosetAction, qa: PosetAction,
                            guards: Guards = DEFAULT_GUARDS) -> Poset:
-    """Subposet of Poset(P,Q) of equivariant maps, f(g.x) = g.f(x).
-
-    Enumeration assigns orbit representatives only (sorted by height then
-    index) and propagates along the action; a representative value must be
-    fixed by the representative's stabilizer.
-    """
+    """Subposet of Poset(P,Q) of equivariant maps, f(g.x) = g.f(x)."""
     if pa.group != qa.group:
         raise ValueError("actions use different groups")
+    assert_valid_action(pa)
+    assert_valid_action(qa)
     pa = as_left(pa)
     qa = as_left(qa)
     p, q = pa.poset, qa.poset
-    g = pa.group
-    orbs = orbits(pa)
-    reps = sorted((min(b) for b in orbs),
-                  key=lambda r: (p.heights[r], r))
-    stab = {r: [i for i in range(g.order) if pa.maps[i][r] == r]
-            for r in reps}
-    f = [-1] * p.m
-    found: list[tuple[int, ...]] = []
-
-    def assign(r: int, v: int) -> Optional[list[int]]:
-        placed = []
-        for i in range(g.order):
-            x = pa.maps[i][r]
-            val = qa.maps[i][v]
-            if f[x] >= 0:
-                if f[x] != val:
-                    for y in placed:
-                        f[y] = -1
-                    return None
-                continue
-            for z in range(p.m):
-                if f[z] < 0 or z == x:
-                    continue
-                if p.leq(z, x) and not q.leq(f[z], val):
-                    break
-                if p.leq(x, z) and not q.leq(val, f[z]):
-                    break
-            else:
-                f[x] = val
-                placed.append(x)
-                continue
-            for y in placed:
-                f[y] = -1
-            return None
-        return placed
-
-    def rec(t: int):
-        if t == len(reps):
-            found.append(tuple(f))
-            if len(found) > guards.poset_map_elements:
-                raise GuardExceeded("poset_map_elements",
-                                    guards.poset_map_elements, len(found))
-            return
-        r = reps[t]
-        for v in range(q.m):
-            if any(qa.maps[i][v] != v for i in stab[r]):
-                continue
-            placed = assign(r, v)
-            if placed is None:
-                continue
-            rec(t + 1)
-            for y in placed:
-                f[y] = -1
-
-    rec(0)
-    return pointwise_poset(sorted(found), q.leq, guards)
+    maps = enumerate_poset_maps(p, q, guards.poset_map_elements,
+                                pa.maps, qa.maps)
+    return pointwise_poset(sorted(maps), q.leq, guards)
 
 
 # ---------------------------------------------------------------------------

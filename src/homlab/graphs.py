@@ -463,7 +463,8 @@ def odd_girth(g: Graph) -> int | float:
     return best
 
 
-def _bfs_dist(g: Graph, source_mask: int) -> list[int | float]:
+def bfs_dist(g: Graph, source_mask: int) -> list[int | float]:
+    """Edge distance from the nearest vertex of the mask; INFINITE if none."""
     dist: list[int | float] = [INFINITE] * g.n
     queue: deque[int] = deque()
     for v in bits(source_mask):
@@ -493,7 +494,7 @@ def graph_stats(g: Graph) -> GraphStats:
     diam: int | float = 0
     connected = True
     for v in range(g.n):
-        dist = _bfs_dist(g, 1 << v)
+        dist = bfs_dist(g, 1 << v)
         ecc = max(dist)
         if ecc is INFINITE:
             connected = False
@@ -512,7 +513,7 @@ def min_diameter_spanning_tree(g: Graph) -> int:
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    dist = [_bfs_dist(g, 1 << v) for v in range(g.n)]
+    dist = [bfs_dist(g, 1 << v) for v in range(g.n)]
     if any(d is INFINITE for d in dist[0]):
         raise ValueError("graph is disconnected")
     if g.n == 1:

@@ -207,20 +207,31 @@ def cached_hom_homology(g: Graph, h: Graph, field_name: str = "Z",
                         cache: Optional[Cache] = None) -> HomologyResult:
     """Cellular homology of Hom(g,h), cached by (source, target, field).
 
-    The Hom poset is read first, so the hom_elements guard fires on a warm
-    call exactly as on a cold one.
+    The entry stores the number of Hom elements next to the result, so a
+    hit enforces the hom_elements guard exactly as a cold call does without
+    reading the Hom poset.
     """
-    hp = cached_hom_poset(g, h, guards, cache)
     if cache is None or not cache.enabled:
-        return hom_homology(hp, field_name, guards)
-    key = content_key({"kind": "hom-homology", "field": field_name,
+        return hom_homology(hom_poset(g, h, guards), field_name, guards)
+    key = content_key({"kind": "hom-cell-homology", "field": field_name,
                        "source": graph_to_json(g),
                        "target": graph_to_json(h)})
     lines = cache.load(key, "homology")
     if lines is not None:
-        return homology_from_json(json.loads(lines[0]))
+        try:
+            count = json.loads(lines[0]) if len(lines) == 2 else None
+        except json.JSONDecodeError:
+            count = None
+        if type(count) is not int or count < 0:
+            raise CacheCorrupt(f"malformed Hom homology entry {key}")
+        if count > guards.hom_elements:
+            raise GuardExceeded("hom_elements", guards.hom_elements,
+                                guards.hom_elements + 1)
+        return homology_from_json(json.loads(lines[1]))
+    hp = cached_hom_poset(g, h, guards, cache)
     res = hom_homology(hp, field_name, guards)
-    cache.store(key, "homology", [canonical_json(res.to_json())])
+    cache.store(key, "homology", [canonical_json(hp.m),
+                                  canonical_json(res.to_json())])
     return res
 
 

@@ -21,9 +21,6 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from .graphs import Graph, bits
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 
-# full consistency checks are O(sum of up-set sizes); skipped above this size
-_VALIDATE_LIMIT = 1024
-
 
 @dataclass(frozen=True)
 class Poset:
@@ -44,13 +41,18 @@ class Poset:
                 raise ValueError("above mask out of range")
             if not a >> i & 1:
                 raise ValueError(f"relation not reflexive at {i}")
-        if self.m <= _VALIDATE_LIMIT:
-            for i in range(self.m):
-                for j in bits(self.above[i]):
-                    if j != i and self.above[j] >> i & 1:
-                        raise ValueError(f"antisymmetry fails at {i},{j}")
-                    if self.above[j] & ~self.above[i]:
-                        raise ValueError(f"transitivity fails at {i},{j}")
+        for i, a in enumerate(self.above):
+            up = 0
+            for j in bits(a):
+                up |= self.above[j]
+            if up & ~a:
+                j = next(j for j in bits(a) if self.above[j] & ~a)
+                raise ValueError(f"transitivity fails at {i},{j}")
+        # reflexive and transitive: i <= j <= i forces equal up-sets
+        first: dict = {}
+        for i, a in enumerate(self.above):
+            if first.setdefault(a, i) != i:
+                raise ValueError(f"antisymmetry fails at {first[a]},{i}")
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.above[i] >> j & 1)
@@ -136,11 +138,7 @@ def from_leq_pairs(m: int, pairs: Sequence[tuple[int, int]],
         for i in range(m):
             if rows[i] >> k & 1:
                 rows[i] |= rk
-    for i in range(m):
-        for j in bits(rows[i]):
-            if j != i and rows[j] >> i & 1:
-                raise ValueError(f"relations create a cycle through {i},{j}")
-    return Poset(m, tuple(rows), elements)
+    return Poset(m, tuple(rows), elements)  # a cycle fails antisymmetry
 
 
 def pointwise_poset(rows: Sequence[tuple], le: Callable[[Any, Any], Any],
@@ -206,12 +204,16 @@ class SimplicialComplex:
             if f in seen:
                 raise ValueError(f"duplicate facet: {f}")
             seen.add(f)
-        if len(self.facets) <= 2000:
-            masks = [sum(1 << v for v in f) for f in self.facets]
-            for i, a in enumerate(masks):
-                for j, b in enumerate(masks):
-                    if i != j and a & ~b == 0:
-                        raise ValueError("facet contained in another facet")
+        holders = [0] * self.n  # vertex -> mask of facets containing it
+        for i, f in enumerate(self.facets):
+            for v in f:
+                holders[v] |= 1 << i
+        for i, f in enumerate(self.facets):
+            common = holders[f[0]]
+            for v in f[1:]:
+                common &= holders[v]
+            if common != 1 << i:
+                raise ValueError("facet contained in another facet")
 
     @property
     def dim(self) -> int:
@@ -455,40 +457,66 @@ def _extension_order(p: Poset) -> list[int]:
     return order
 
 
-def enumerate_poset_maps(p: Poset, q: Poset,
-                         limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """All monotone maps p -> q as image tuples; deterministic order.
+def enumerate_poset_maps(p: Poset, q: Poset, limit: Optional[int] = None,
+                         p_maps: Sequence[Sequence[int]] = (),
+                         q_maps: Sequence[Sequence[int]] = ()
+                         ) -> Iterator[tuple[int, ...]]:
+    """Monotone maps p -> q with f(g.x) = g.f(x), as image tuples, in a
+    deterministic order.
 
-    Backtracks along a linear extension of p; the candidate set for x is the
-    intersection of up-sets of the images of already-placed elements below x.
+    The group is data: element i acts on p by the automorphism `p_maps[i]`
+    and on q by the automorphism `q_maps[i]` (a left action, identity
+    first).  Empty lists mean the one-element group: every monotone map.
+
+    Backtracks over orbit representatives in a linear extension of p;
+    assigning v to a representative r sets f(g.r) = g.v for every g.  The
+    candidates for r are the values fixed by r's stabilizer that lie above
+    f(z) for every placed z <= r.  That suffices: an orbit is placed when
+    the extension first reaches it, so z <= g.r with z placed means
+    g^-1.z <= r is placed too, and f(z) = g.f(g^-1.z) <= g.v.
     """
-    if p.m == 0:
-        yield ()
-        return
-    order = _extension_order(p)
-    preds = []
-    for t, x in enumerate(order):
-        preds.append([order[s] for s in range(t) if p.leq(order[s], x)])
+    p_maps = [tuple(mp) for mp in p_maps] or [tuple(range(p.m))]
+    q_maps = [tuple(mq) for mq in q_maps] or [tuple(range(q.m))]
+    if len(p_maps) != len(q_maps):
+        raise ValueError("one carrier map per group element on each side")
     full = (1 << q.m) - 1
+    fixed = [sum(1 << v for v in range(q.m) if mq[v] == v) for mq in q_maps]
+    reps = []  # (r, rest of its orbit as (x, q map), candidates, placed below)
+    placed = 0
+    for r in _extension_order(p):
+        if placed >> r & 1:
+            continue
+        orbit: dict = {}
+        cand = full
+        for mp, mq, fx in zip(p_maps, q_maps, fixed):
+            orbit.setdefault(mp[r], mq)
+            if mp[r] == r:
+                cand &= fx
+        below = tuple(bits(p.below[r] & placed))
+        for x in orbit:
+            placed |= 1 << x
+        del orbit[r]  # the identity sends r to v
+        reps.append((r, tuple(orbit.items()), cand, below))
     image = [0] * p.m
     count = 0
 
     def rec(t: int) -> Iterator[tuple[int, ...]]:
         nonlocal count
-        if t == p.m:
+        if t == len(reps):
             count += 1
             if limit is not None and count > limit:
                 raise GuardExceeded("poset_map_elements", limit, count)
             yield tuple(image)
             return
-        x = order[t]
-        cand = full
-        for y in preds[t]:
-            cand &= q.above[image[y]]
+        r, orbit, cand, below = reps[t]
+        for z in below:
+            cand &= q.above[image[z]]
             if not cand:
                 return
         for v in bits(cand):
-            image[x] = v
+            image[r] = v
+            for x, mq in orbit:
+                image[x] = mq[v]
             yield from rec(t + 1)
 
     yield from rec(0)

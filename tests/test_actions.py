@@ -2,6 +2,7 @@
 equivariant monotone maps.  Counting oracles are brute force."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from homlab.actions import (FiniteGroup, GraphAction, PosetAction,
                             action_from_json, action_to_json,
@@ -314,6 +315,53 @@ def test_equivariant_stabilizer_condition():
     em = equivariant_poset_maps(act_p, act_q)
     assert em.m == 0  # nothing can receive the fixed top point
     assert brute_equivariant(act_p, act_q) == []
+
+
+@st.composite
+def permuted_copies(draw, group, max_base):
+    """A random poset copied once per point the group permutes, the group
+    moving the copies; sometimes with a fixed bottom or top, whose
+    stabilizer is the whole group."""
+    k = len(group.elements[0])
+    n = draw(st.integers(1, max_base))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rel = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    ends = draw(st.sampled_from(["", "top", "bottom"]))
+    m = k * n + bool(ends)
+    leq = [(c * n + i, c * n + j) for c in range(k) for i, j in rel]
+    if ends == "top":
+        leq += [(x, m - 1) for x in range(m - 1)]
+    elif ends == "bottom":
+        leq += [(m - 1, x) for x in range(m - 1)]
+    maps = tuple(tuple([g[x // n] * n + x % n for x in range(k * n)]
+                       + [m - 1] * bool(ends)) for g in group.elements)
+    return PosetAction(group, from_leq_pairs(m, leq), "left", maps)
+
+
+@st.composite
+def fixed_poset(draw, group, max_n):
+    """A random poset on which the whole group acts trivially."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rel = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return trivial_action(from_leq_pairs(n, rel), group)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_equivariant_poset_maps_match_brute_filter(data):
+    group = data.draw(st.sampled_from([z2_group(), cyclic_group(3)]))
+    base = 3 if group.order == 2 else 2
+    pa = data.draw(permuted_copies(group, base))
+    qa = data.draw(st.one_of(permuted_copies(group, base),
+                             fixed_poset(group, 4)))
+    assume(qa.poset.m ** pa.poset.m <= 40_000)  # keeps the brute filter fast
+    if data.draw(st.booleans()):
+        pa = as_right(pa)
+    if data.draw(st.booleans()):
+        qa = as_right(qa)
+    em = equivariant_poset_maps(pa, qa)
+    assert list(em.elements) == brute_equivariant(pa, qa)
 
 
 def test_action_json_roundtrip():

@@ -126,11 +126,11 @@ def test_hom_homology_cache_round_trip(tmp_path):
     cache = Cache(tmp_path)
     warm = cached_hom_homology(g, h, cache=cache)
     assert warm == cold == poset_homology(hom_poset(g, h).poset)
-    assert cache.hits == 2 and cache.misses == 0  # Hom poset, homology
-    # different field means a different key
+    assert cache.hits == 1 and cache.misses == 0  # homology only
+    # different field means a different key; the Hom poset is then reused
     gf2 = cached_hom_homology(g, h, "GF2", cache=cache)
     assert gf2.field == "GF2" and gf2.is_sphere(2)
-    assert cache.hits == 3 and cache.misses == 1
+    assert cache.hits == 2 and cache.misses == 1
 
 
 def test_hom_homology_cache_hit_still_enforces_element_guard(tmp_path):
@@ -144,6 +144,20 @@ def test_hom_homology_cache_hit_still_enforces_element_guard(tmp_path):
         cached_hom_homology(g, h, "Z", tight, Cache())
     assert warm.value.guard == "hom_elements"
     assert str(warm.value) == str(cold.value)
+
+
+def test_hom_homology_cache_rejects_a_malformed_element_count(tmp_path):
+    g, h = complete_graph(2), complete_graph(3)
+    cache = Cache(tmp_path)
+    cached_hom_homology(g, h, cache=cache)
+    (key,) = [p.stem for p in tmp_path.glob("*.jsonl")
+              if json.loads(p.read_text().partition("\n")[0])["kind"]
+              == "homology"]
+    result = cache.load(key, "homology")[1]
+    for bad in (["-1", result], ["true", result], ["x", result], ["6"]):
+        cache.store(key, "homology", bad)
+        with pytest.raises(CacheCorrupt, match="malformed Hom homology"):
+            cached_hom_homology(g, h, cache=cache)
 
 
 def test_cold_cache_recomputes_identical_values(tmp_path):

@@ -9,6 +9,8 @@ imports always count.
 from __future__ import annotations
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,3 +88,21 @@ def test_scan_flags_an_unused_import(tmp_path):
                       "print(sys.argv)\n", encoding="utf-8")
     assert unused_imports([sample]) == ["sample.py:2: os",
                                         "sample.py:4: parse"]
+
+
+def test_benchmark_tracer_finds_every_wrapped_name():
+    """perfbench/tracing.py wraps homlab functions by name; a rename or a
+    deletion fails here rather than in a benchmark run.  Wrapped functions
+    must stay plain functions: wrapping a generator would time only its
+    creation."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    found = tracing.originals()
+    wrapped = {f"{mod}:{name}" for mod, table in tracing.FUNCTIONS.items()
+               for name in table}
+    assert wrapped <= set(found)
+    for key in wrapped:
+        assert inspect.isfunction(found[key]), key
+        assert not inspect.isgeneratorfunction(found[key]), key

@@ -73,6 +73,27 @@ def test_poset_validation():
     assert p.maximal_mask == 0b100
 
 
+def test_poset_validation_is_complete_on_large_posets():
+    m = 1100
+    chain = [((1 << m) - 1) >> i << i for i in range(m)]
+    assert Poset(m, tuple(chain)).leq(0, m - 1)
+    broken = list(chain)
+    broken[3] &= ~(1 << 900)  # 3 <= 4 <= 900 but not 3 <= 900
+    with pytest.raises(ValueError, match="transitivity fails at 3,"):
+        Poset(m, tuple(broken))
+    cycle = list(chain)
+    cycle[1050] |= 1 << 1049  # 1049 <= 1050 <= 1049
+    with pytest.raises(ValueError, match="antisymmetry fails at 1049,1050"):
+        Poset(m, tuple(cycle))
+
+
+def test_complex_validation_is_complete_on_many_facets():
+    edges = tuple((2 * i, 2 * i + 1) for i in range(2100))
+    assert SimplicialComplex(4200, edges).dim == 1
+    with pytest.raises(ValueError, match="contained in another"):
+        SimplicialComplex(4200, edges + ((4001,),))
+
+
 def test_dual():
     p = from_leq_pairs(3, [(0, 2), (1, 2)])
     d = p.dual()
