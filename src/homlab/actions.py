@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 from .graphs import Graph, Partition, bfs_dist, bits, product, quotient
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, atom_graph, chain_poset, enumerate_poset_maps,
-                     induced_subposet, pointwise_poset)
+                     induced_subposet, map_poset)
 
 
 def compose_perm(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -511,7 +511,7 @@ def equivariant_poset_maps(pa: PosetAction, qa: PosetAction,
     p, q = pa.poset, qa.poset
     maps = enumerate_poset_maps(p, q, guards.poset_map_elements,
                                 pa.maps, qa.maps)
-    return pointwise_poset(sorted(maps), q.leq, guards)
+    return map_poset(maps, q, guards)
 
 
 # ---------------------------------------------------------------------------

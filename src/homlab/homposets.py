@@ -114,59 +114,81 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
 
     Vertices are processed in descending-degree order; the feasible mask of
     a vertex is the intersection of common-neighborhoods of the sets already
-    fixed on its neighbors.  Looped source vertices additionally require
-    their set to be complete (including loops) in the target.
+    fixed on its neighbors.  Within that mask a vertex's set s grows one
+    target vertex at a time, in increasing index order, keeping
+    nu(s) = AND of h.adj over s.  A partial set is pruned as soon as nu(s)
+    misses the feasible mask of some later neighbor: nu only shrinks as s
+    grows, so every extension fails too.  A looped source vertex needs a
+    looped clique, so it takes only looped target vertices adjacent to all
+    of s; looped cliques are closed under subsets, so that prune is sound
+    as well.  So one vertex's sets no longer cost 2^|V(h)| steps however
+    few survive; what stays exponential is the backtracking across source
+    vertices (deciding whether Hom(g,K3) is empty is 3-colourability).
+
+    Every candidate target vertex tried is one search node; more than
+    `guards.search_nodes` of them raise GuardExceeded("search_nodes"), as
+    more than `guards.hom_elements` elements raise "hom_elements".
     """
     n = g.n
+    adj = h.adj
     full = (1 << h.n) - 1
+    loops = sum(1 << x for x in range(h.n) if adj[x] >> x & 1)
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    neigh = [[w for w in bits(g.adj[v]) if w != v] for v in range(n)]
-    looped = [bool(g.adj[v] >> v & 1) for v in range(n)]
+    later = [tuple(w for w in bits(g.adj[v]) if pos[w] > i)
+             for i, v in enumerate(order)]
+    looped = [bool(g.adj[v] >> v & 1) for v in order]
     assign = [0] * n
     allowed = [full] * n
     out: list[tuple[int, ...]] = []
+    element_limit = guards.hom_elements
+    node_limit = guards.search_nodes
+    nodes = 0
+    last = n - 1
 
     def rec(i: int):
-        if i == n:
-            if len(out) >= guards.hom_elements:
-                raise GuardExceeded("hom_elements", guards.hom_elements,
-                                    len(out) + 1)
-            out.append(tuple(assign))
-            return
+        nonlocal nodes
         v = order[i]
-        base = allowed[v]
-        s = base
-        while s:
-            ok = True
-            if looped[v]:
-                for x in bits(s):
-                    if s & ~h.adj[x]:
-                        ok = False
+        clique = looped[i]
+        # later neighbors with their feasible masks on entry, restored on exit
+        later_masks = tuple((w, allowed[w]) for w in later[i])
+        # (set so far, its nu, target vertices that may still join it)
+        stack = [(0, full, allowed[v] & loops if clique else allowed[v])]
+        while stack:
+            s, nu, cand = stack.pop()
+            nodes += cand.bit_count()
+            if nodes > node_limit:
+                raise GuardExceeded("search_nodes", node_limit, nodes)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                nu_x = nu & adj[low.bit_length() - 1]
+                for w, mask in later_masks:
+                    if not mask & nu_x:
                         break
-            if ok:
-                nu_s = nu_mask(h, s)
-                saved = []
-                good = True
-                for w in neigh[v]:
-                    if pos[w] > i:
-                        saved.append((w, allowed[w]))
-                        allowed[w] &= nu_s
-                        if not allowed[w]:
-                            good = False
-                            break
-                if good:
-                    assign[v] = s
-                    rec(i + 1)
-                for w, old in saved:
-                    allowed[w] = old
-            s = (s - 1) & base
-    if h.n:
+                else:
+                    s_x = assign[v] = s | low
+                    if i == last:
+                        if len(out) >= element_limit:
+                            raise GuardExceeded("hom_elements", element_limit,
+                                                len(out) + 1)
+                        out.append(tuple(assign))
+                    else:
+                        for w, mask in later_masks:
+                            allowed[w] = mask & nu_x
+                        rec(i + 1)
+                    rest = cand & nu_x if clique else cand
+                    if rest:
+                        stack.append((s_x, nu_x, rest))
+        for w, mask in later_masks:
+            allowed[w] = mask
+
+    if n == 0:
+        out.append(())  # the empty map, whatever h is
+    elif h.n:
         rec(0)
-    elif n == 0:
-        out.append(())
     out.sort()
     return HomPoset(g, h, tuple(out), guards)
 
@@ -347,15 +369,25 @@ def exponential_action(t_act: GraphAction, g: Graph,
 # currying against atom graphs of posets
 
 
-def poset_curry(p: Poset, atoms: Sequence[int], alpha: Sequence[int],
+def atoms_below(p: Poset, atoms: Sequence[int]
+                ) -> tuple[tuple[int, ...], ...]:
+    """For each element x of p, the positions in `atoms` of the atoms <= x."""
+    position = {a: k for k, a in enumerate(atoms)}
+    return tuple(tuple(position[a] for a in bits(p.below[x]) if a in position)
+                 for x in range(p.m))
+
+
+def poset_curry(below: Sequence[Sequence[int]], alpha: Sequence[int],
                 hom_single: HomPoset) -> tuple[int, ...]:
-    """Hom(P^1, G) -> Poset(P, Hom(1,G)): x -> union of alpha over atoms <= x."""
+    """Hom(P^1, G) -> Poset(P, Hom(1,G)): x -> union of alpha over atoms <= x.
+
+    `below` is `atoms_below(p, atoms)`, computed once per poset.
+    """
     image = []
-    for x in range(p.m):
+    for ks in below:
         mask = 0
-        for k, a in enumerate(atoms):
-            if p.leq(a, x):
-                mask |= alpha[k]
+        for k in ks:
+            mask |= alpha[k]
         j = hom_single.index.get((mask,))
         if j is None:
             raise ValueError("curried value is not a looped clique")
@@ -385,9 +417,10 @@ def poset_adjunction_report(p: Poset, g: Graph,
     ag, atoms = atom_graph(p)
     hom_ag = hom_poset(ag, g, guards)
     hom_single = hom_poset(one_graph(), g, guards)
+    below = atoms_below(p, atoms)
     roundtrip = True
     for e in hom_ag.elements:
-        f = poset_curry(p, atoms, e, hom_single)
+        f = poset_curry(below, e, hom_single)
         if poset_uncurry(f, atoms, hom_single) != e:
             roundtrip = False
             break
@@ -399,7 +432,7 @@ def poset_adjunction_report(p: Poset, g: Graph,
         alpha = poset_uncurry(f, atoms, hom_single)
         if hom_ag.index.get(alpha) is None:
             raise ValueError("restriction to atoms escaped Hom(P^1,G)")
-        f2 = poset_curry(p, atoms, alpha, hom_single)
+        f2 = poset_curry(below, alpha, hom_single)
         if not all(hs_poset.leq(f2[x], f[x]) for x in range(p.m)):
             decreasing = False
             break

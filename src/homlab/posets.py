@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, bits
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
@@ -524,8 +524,20 @@ def enumerate_poset_maps(p: Poset, q: Poset, limit: Optional[int] = None,
 
 def poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS) -> Poset:
     """Poset of all monotone maps p -> q under the pointwise order."""
-    maps = sorted(enumerate_poset_maps(p, q, guards.poset_map_elements))
-    return pointwise_poset(maps, q.leq, guards)
+    return map_poset(enumerate_poset_maps(p, q, guards.poset_map_elements),
+                     q, guards)
+
+
+def map_poset(maps: Iterable[tuple[int, ...]], q: Poset,
+              guards: Guards = DEFAULT_GUARDS) -> Poset:
+    """Maps into q, sorted, under the pointwise order of q.
+
+    Reading stops at the first map past `guards.poset_relation`, so a set
+    of maps too large to order raises GuardExceeded("poset_relation")
+    before the rest of it is enumerated.
+    """
+    rows = sorted(itertools.islice(maps, guards.poset_relation + 1))
+    return pointwise_poset(rows, q.leq, guards)
 
 
 def pointwise_leq(q: Poset, f: Sequence[int], g: Sequence[int]) -> bool:

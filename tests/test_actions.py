@@ -16,9 +16,11 @@ from homlab.actions import (FiniteGroup, GraphAction, PosetAction,
                             right_regular_maps, subposet_action,
                             symmetric_group, trivial_action, twisted_product,
                             validate_action, z2_group)
+from homlab.families import cycle_face_poset
 from homlab.graphs import (Graph, complete_graph, cycle_graph, is_isomorphic,
                            reflexive_cycle)
 from homlab.homology import poset_homology
+from homlab.homposets import hom_poset, induced_hom_action
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import (atom_graph, chain_poset, enumerate_poset_maps,
                            face_poset, from_leq_pairs, induced_subposet,
@@ -305,6 +307,19 @@ def test_equivariant_poset_maps_oracle():
     with pytest.raises(ValueError, match="different groups"):
         equivariant_poset_maps(act, rot3)
 
+
+
+def test_equivariant_maps_refused_before_full_enumeration():
+    # F(C6) -> Hom(K2,K4) has 5,256 equivariant maps; the order guard must
+    # stop the enumeration at the first map it would refuse to order.
+    k2 = complete_graph(2)
+    flip = GraphAction(z2_group(), k2, "right", ((0, 1), (1, 0)))
+    target = induced_hom_action(hom_poset(k2, complete_graph(4)),
+                                source_action=flip)
+    with pytest.raises(GuardExceeded) as err:
+        equivariant_poset_maps(cycle_face_poset(3).antipodal, target)
+    assert err.value.guard == "poset_relation"
+    assert err.value.attempted == DEFAULT_GUARDS.poset_relation + 1 == 4_001
 
 def test_equivariant_stabilizer_condition():
     # P has a fixed point, so its image must be fixed as well

@@ -357,6 +357,18 @@ def test_cli_hom_and_homology(capsys):
     assert data["field"] == "GF2" and data["betti"] == [0, 0, 1]
 
 
+
+def test_cli_hom_reaches_the_large_spherical_graph(capsys):
+    assert main(["hom", "K2", "S(2,1)"]) == 0
+    assert "10106 elements" in capsys.readouterr().out
+
+
+def test_cli_search_node_guard_from_config(tmp_path, capsys):
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"search_nodes": 100}))
+    assert main(["hom", "K2", "T(2,3)", "--config", str(cfg)]) == 2
+    assert "guard 'search_nodes'" in capsys.readouterr().err
+
 def test_cli_hom_json_lists_assignments(capsys):
     assert main(["hom", "K2", "K2", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -5,14 +5,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from homlab.actions import (GraphAction, trivial_group, twisted_product,
-                            validate_action, z2_group)
+from homlab.actions import (GraphAction, quotient_graph_by_action,
+                            trivial_group, twisted_product, validate_action,
+                            z2_group)
+from homlab.families import (csorba_graph, cycle_face_poset, mycielski,
+                             spherical_graph, twisted_toroidal)
 from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
-                           exponential, is_isomorphic, looped_path, one_graph,
-                           product, reflexive_closure, reflexive_cycle)
+                           exponential, is_isomorphic, looped_path, nu_mask,
+                           one_graph, product, reflexive_closure,
+                           reflexive_cycle)
+from homlab.harness import _diagonal_flip_shift
 from homlab.homology import poset_homology
-from homlab.homposets import (adjunction_report, compose_multihoms, curry,
+from homlab.homposets import (adjunction_report, atoms_below,
+                              compose_multihoms, curry,
                               equivariant_atoms, exponential_action,
                               hom_poset, identity_multihom,
                               induced_hom_action, is_multihom,
@@ -22,7 +29,7 @@ from homlab.homposets import (adjunction_report, compose_multihoms, curry,
                               pullback_multihom, quotient_compare, rank_of,
                               split_report, twisted_hom_report, uncurry)
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
-from homlab.posets import face_poset, make_complex
+from homlab.posets import atom_graph, face_poset, make_complex
 
 SQUARE = make_complex(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
 
@@ -98,6 +105,152 @@ def test_hom_poset_relation_and_guards():
     with pytest.raises(GuardExceeded):
         small.poset
 
+
+
+# ---------------------------------------------------------------------------
+# output-sensitive enumeration against the subset walk it replaced
+
+def _subset_walk_hom_elements(g, h):
+    """Hom(g,h) by walking every subset of each vertex's feasible mask.
+
+    The enumerator hom_poset used before it grew sets one target vertex at
+    a time; exponential in |V(h)|, kept here as an independent oracle.
+    """
+    n = g.n
+    full = (1 << h.n) - 1
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    neigh = [[w for w in bits(g.adj[v]) if w != v] for v in range(n)]
+    looped = [bool(g.adj[v] >> v & 1) for v in range(n)]
+    assign = [0] * n
+    allowed = [full] * n
+    out = []
+
+    def rec(i):
+        if i == n:
+            out.append(tuple(assign))
+            return
+        v = order[i]
+        base = allowed[v]
+        s = base
+        while s:
+            if not looped[v] or all(s & ~h.adj[x] == 0 for x in bits(s)):
+                nu_s = nu_mask(h, s)
+                saved = []
+                good = True
+                for w in neigh[v]:
+                    if pos[w] > i:
+                        saved.append((w, allowed[w]))
+                        allowed[w] &= nu_s
+                        if not allowed[w]:
+                            good = False
+                            break
+                if good:
+                    assign[v] = s
+                    rec(i + 1)
+                for w, old in saved:
+                    allowed[w] = old
+            s = (s - 1) & base
+    if h.n:
+        rec(0)
+    elif n == 0:
+        out.append(())
+    return tuple(sorted(out))
+
+
+@st.composite
+def looped_graphs(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+        if pairs else []
+    return Graph.from_edges(n, chosen)
+
+
+@settings(deadline=None, max_examples=300)
+@given(looped_graphs(0, 4), looped_graphs(0, 8))
+@example(Graph(0, ()), complete_graph(3))
+@example(complete_graph(2), Graph(0, ()))
+@example(Graph.from_edges(3, []), Graph.from_edges(4, []))
+@example(reflexive_closure(complete_graph(3)), reflexive_closure(
+    complete_graph(5)))
+@example(one_graph(), reflexive_cycle(8))
+def test_hom_poset_matches_subset_walk(g, h):
+    # Isolated source vertices multiply the output by 2^|V(h)| - 1 each;
+    # the oracle's cost grows with the output, so huge cases are skipped.
+    try:
+        hp = hom_poset(g, h, DEFAULT_GUARDS.scaled(hom_elements=5_000))
+    except GuardExceeded:
+        assume(False)
+    assert hp.elements == _subset_walk_hom_elements(g, h)
+
+
+def _registry_hom_pairs():
+    """Every Hom pair the registry enumerates, plus the benchmark's."""
+    k2, k3 = complete_graph(2), complete_graph(3)
+    r6, r8 = reflexive_cycle(6), reflexive_cycle(8)
+    pairs = {f"K2,K{n}": (k2, complete_graph(n)) for n in range(2, 7)}
+    pairs.update({
+        "K3,K3": (k3, k3),
+        "K3,K5": (k3, complete_graph(5)),
+        "K4,K3": (complete_graph(4), k3),
+        "C5,K4": (cycle_graph(5), complete_graph(4)),
+        "K2,S(1,1)": (k2, spherical_graph(1, 1).graph),
+        "K2,S(1,2)": (k2, spherical_graph(1, 2).graph),
+        "K2,T(1,5)": (k2, twisted_toroidal(1, 5).graph),
+        "K2,T(1,6)": (k2, twisted_toroidal(1, 6).graph),
+        "K2,T(2,3)": (k2, twisted_toroidal(2, 3).graph),
+        "T(1,3),K3": (twisted_toroidal(1, 3).graph, k3),
+        "K2o,R8": (reflexive_closure(k2), r8),
+        "K2,R8": (k2, r8),
+        "K2xR6,K3": (product(k2, r6), k3),
+        "R6,K3^K2": (r6, exponential(k2, k3)),
+        "K2,K3^K2": (k2, exponential(k2, k3)),
+        "K2xK2,K3": (product(k2, k2), k3),
+        "F(C6)^1,R6": (atom_graph(cycle_face_poset(3).poset)[0], r6),
+        "1,R6": (one_graph(), r6),
+        "K2,csorba(square)": (k2, csorba_graph(SQUARE, (2, 3, 0, 1))),
+    })
+    for name, g in (("K2", k2), ("K3", k3)):
+        for m in (2, 3):
+            pairs[f"K2,M_{m}({name})"] = (k2, mycielski(g, m))
+    for m in (3, 4, 5):
+        g, act = _diagonal_flip_shift(m)
+        pairs[f"K2,K2xR{2 * m}"] = (k2, g)
+        pairs[f"K2,K2xR{2 * m}/Z2"] = (k2, quotient_graph_by_action(act))
+    return pairs
+
+
+HOM_PAIRS = _registry_hom_pairs()
+
+
+@pytest.mark.parametrize("pair", sorted(HOM_PAIRS))
+def test_hom_poset_matches_subset_walk_on_registry_pairs(pair):
+    g, h = HOM_PAIRS[pair]
+    assert h.n <= 20
+    assert hom_poset(g, h).elements == _subset_walk_hom_elements(g, h)
+
+
+def test_hom_poset_reaches_the_large_spherical_graph():
+    # 10,106 is the count the subset walk gave after about 300 s.
+    k2, s21 = complete_graph(2), spherical_graph(2, 1).graph
+    hp = hom_poset(k2, s21)
+    assert hp.m == 10_106
+    assert all(multihom_violation(k2, s21, e) is None for e in hp.elements)
+
+
+def test_search_node_guard_bounds_work():
+    k2 = complete_graph(2)
+    hp = hom_poset(k2, cycle_graph(64),
+                   DEFAULT_GUARDS.scaled(search_nodes=10_000))
+    assert hp.m == 4 * 64
+    with pytest.raises(GuardExceeded) as err:
+        hom_poset(k2, twisted_toroidal(2, 3).graph,
+                  DEFAULT_GUARDS.scaled(search_nodes=100))
+    assert err.value.guard == "search_nodes"
+    assert err.value.limit == 100 and err.value.attempted > 100
 
 def test_multihom_violations():
     g, h = complete_graph(2), complete_graph(3)
@@ -218,12 +371,12 @@ def test_poset_adjunction():
     rep2 = poset_adjunction_report(two_chain, lp)
     assert rep2.roundtrip_identity and rep2.decreasing
     # hand-run one curry/uncurry pair on that instance
-    from homlab.posets import atom_graph
     ag, atoms = atom_graph(two_chain)
     hom_ag = hom_poset(ag, lp)
     h1 = hom_poset(one_graph(), lp)
+    below = atoms_below(two_chain, atoms)
     for e in hom_ag.elements:
-        f = poset_curry(two_chain, atoms, e, h1)
+        f = poset_curry(below, e, h1)
         assert poset_uncurry(f, atoms, h1) == e
 
 
