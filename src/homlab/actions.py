@@ -93,10 +93,6 @@ def make_group(generators: Sequence[Sequence[int]],
     return FiniteGroup(tuple(elements), table, inverse)
 
 
-def cyclic_group(n: int) -> FiniteGroup:
-    return make_group([tuple((i + 1) % n for i in range(n))])
-
-
 def symmetric_group(n: int) -> FiniteGroup:
     if n == 1:
         return make_group([(0,)])
@@ -108,10 +104,6 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def z2_group() -> FiniteGroup:
     return make_group([(1, 0)])
-
-
-def trivial_group() -> FiniteGroup:
-    return make_group([(0,)])
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +176,6 @@ def action_violation(a: Action) -> Optional[str]:
     return None
 
 
-def validate_action(a: Action) -> bool:
-    return action_violation(a) is None
-
-
 def assert_valid_action(a: Action):
     msg = action_violation(a)
     if msg is not None:
@@ -201,21 +189,6 @@ def as_left(a: Action) -> Action:
     maps = tuple(a.maps[a.group.inv(i)] for i in range(a.group.order))
     cls = type(a)
     return cls(a.group, _carrier(a), "left", maps)
-
-
-def as_right(a: Action) -> Action:
-    if a.side == "right":
-        return a
-    maps = tuple(a.maps[a.group.inv(i)] for i in range(a.group.order))
-    return type(a)(a.group, _carrier(a), "right", maps)
-
-
-def trivial_action(carrier, group: Optional[FiniteGroup] = None) -> Action:
-    group = group or trivial_group()
-    n = carrier.n if isinstance(carrier, Graph) else carrier.m
-    maps = tuple(tuple(range(n)) for _ in range(group.order))
-    cls = GraphAction if isinstance(carrier, Graph) else PosetAction
-    return cls(group, carrier, "left", maps)
 
 
 def is_free(a: Action) -> bool:
@@ -296,11 +269,6 @@ def left_regular_maps(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
                  for i in range(g.order))
 
 
-def right_regular_maps(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(g.table[j][i] for j in range(g.order))
-                 for i in range(g.order))
-
-
 def atom_graph_action(g: Graph, atoms: Sequence[int],
                       a: PosetAction) -> GraphAction:
     """Restrict a poset action to the atom graph (automorphisms fix atoms)."""
@@ -308,19 +276,6 @@ def atom_graph_action(g: Graph, atoms: Sequence[int],
     maps = tuple(tuple(pos[mp[atoms[i]]] for i in range(len(atoms)))
                  for mp in a.maps)
     return GraphAction(a.group, g, a.side, maps)
-
-
-def subposet_action(sub: Poset, kept: Sequence[int],
-                    a: PosetAction) -> PosetAction:
-    """Restrict to an invariant subposet given by its kept indices."""
-    pos = {v: i for i, v in enumerate(kept)}
-    maps = []
-    for mp in a.maps:
-        try:
-            maps.append(tuple(pos[mp[v]] for v in kept))
-        except KeyError:
-            raise ValueError("subposet is not invariant under the action")
-    return PosetAction(a.group, sub, a.side, tuple(maps))
 
 
 def check_chain_discontinuity(a: PosetAction, k: int,
@@ -402,12 +357,6 @@ def quotient_poset_by_action(a: PosetAction) -> PosetQuotient:
     quot = Poset(len(groups), tuple(above), blocks)
     return PosetQuotient(quot, blocks, to_block,
                          is_free(a) and is_strongly_regular(a))
-
-
-def quotient_by_action(a: Action):
-    if isinstance(a, GraphAction):
-        return quotient_graph_by_action(a)
-    return quotient_poset_by_action(a)
 
 
 def fixed_subposet(a: PosetAction) -> tuple[Poset, tuple[int, ...]]:
@@ -512,23 +461,3 @@ def equivariant_poset_maps(pa: PosetAction, qa: PosetAction,
     maps = enumerate_poset_maps(p, q, guards.poset_map_elements,
                                 pa.maps, qa.maps)
     return map_poset(maps, q, guards)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def action_to_json(a: Action) -> dict:
-    return {"group": {"perms": [list(p) for p in a.group.elements]},
-            "side": a.side,
-            "on": "graph" if isinstance(a, GraphAction) else "poset",
-            "maps": [list(m) for m in a.maps]}
-
-
-def action_from_json(data: dict, carrier) -> Action:
-    group = make_group([tuple(p) for p in data["group"]["perms"]])
-    maps = tuple(tuple(m) for m in data["maps"])
-    cls = GraphAction if data["on"] == "graph" else PosetAction
-    if (data["on"] == "graph") != isinstance(carrier, Graph):
-        raise ValueError("carrier kind mismatch")
-    return cls(group, carrier, data["side"], maps)

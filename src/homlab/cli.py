@@ -37,7 +37,7 @@ from .graphs import (Graph, bits, chromatic_number, complete_graph,
                      cycle_graph, graph_from_json, graph_to_json,
                      graph_stats, looped_path, one_graph, reflexive_cycle)
 from .harness import (Cache, CacheCorrupt, cached_hom_homology,
-                      cached_hom_poset, guards_from_dict,
+                      cached_hom_poset, guard_overrides, guards_from_dict,
                       list_experiments, load_reports, render_report,
                       run_experiments)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
@@ -188,11 +188,7 @@ def _override_dict(args: argparse.Namespace) -> Optional[dict]:
     """
     overrides: dict = {}
     if args.config:
-        data = _load_json(args.config)
-        if "guards" in data and isinstance(data["guards"], dict):
-            data = data["guards"]
-        guards_from_dict(data)  # validates field names and values
-        overrides.update(data)
+        overrides.update(guard_overrides(_load_json(args.config)))
     if args.guard_elements is not None:
         overrides["hom_elements"] = args.guard_elements
     return overrides or None

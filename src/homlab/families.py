@@ -4,14 +4,12 @@ The constructions here combine subdivided spheres and polygons with the
 twisted-product machinery of :mod:`homlab.actions`:
 
 * spherical graphs ``S(k,m)`` from barycentric subdivisions of cross-polytope
-  boundaries, together with the support maps that chain them into a direct
-  system;
+  boundaries;
 * twisted toroidal graphs ``T(k,m)`` from iterated twisted products with
   reflexive even cycles;
 * generalized Mycielski graphs ``M^k_m(G)``;
 * explicit proper colorings (subdivision coloring, equivariant coloring step)
   that realize the chromatic-number upper bounds constructively;
-* coindex certificates and index upper bounds for Hom posets;
 * the Csorba and universality constructions that realize a prescribed
   complex as a Hom poset.
 
@@ -22,31 +20,26 @@ identical serialized graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .actions import (FiniteGroup, GraphAction, PosetAction,
-                      TwistedProduct, as_left, assert_valid_action, as_right,
+                      TwistedProduct, as_left, assert_valid_action,
                       atom_graph_action, chain_poset_action,
                       face_poset_action, is_free, left_regular_maps, orbits,
                       symmetric_group, twisted_product, z2_group)
-from .graphs import (Graph, Partition, check_homomorphism, chromatic_number,
-                     clique_graph_B, complete_graph,
-                     exponential, exponential_vertex_maps, find_homomorphism,
-                     looped_path, looped_subgraph_S, product, quotient,
-                     reflexive_cycle)
-from .homposets import exponential_action
+from .graphs import (Graph, Partition, check_homomorphism, complete_graph,
+                     exponential, exponential_vertex_maps, looped_path,
+                     product, quotient, reflexive_cycle)
 from .limits import DEFAULT_GUARDS, Guards
 from .posets import (Poset, SimplicialComplex, atom_graph, chain_poset,
                      face_poset, make_complex, order_complex)
 
 __all__ = [
-    "CrossPolytope", "CycleFacePoset", "SphericalGraph",
-    "SystemMap", "ToroidalGraph", "SubdivisionColoring",
-    "EquivariantColoring", "CoindexCertificate", "IndexBound",
+    "CrossPolytope", "CycleFacePoset", "SphericalGraph", "ToroidalGraph",
+    "SubdivisionColoring", "EquivariantColoring",
     "cross_polytope_complex", "cycle_face_poset", "spherical_graph",
-    "system_map", "twisted_toroidal", "mycielski", "iterated_mycielski",
-    "subdivision_coloring", "equivariant_coloring_step",
-    "coindex_certificate", "index_upper_bound", "csorba_graph",
+    "twisted_toroidal", "mycielski", "iterated_mycielski",
+    "subdivision_coloring", "equivariant_coloring_step", "csorba_graph",
     "universality_graph",
 ]
 
@@ -151,7 +144,7 @@ def cycle_face_poset(m: int) -> CycleFacePoset:
 
 
 # ---------------------------------------------------------------------------
-# spherical graphs S(k,m) and their direct system
+# spherical graphs S(k,m)
 
 
 @dataclass(frozen=True)
@@ -176,52 +169,6 @@ def spherical_graph(k: int, m: int,
     if not tw.graph.is_loopless():
         raise ValueError("spherical graph acquired a loop")
     return SphericalGraph(k, m, tw.graph, tw.right_action, tw, cp)
-
-
-@dataclass(frozen=True)
-class SystemMap:
-    """The support-induced homomorphism S(k,m+1) -> S(k,m)."""
-
-    k: int
-    m: int
-    source: SphericalGraph  # S(k, m+1)
-    target: SphericalGraph  # S(k, m)
-    mapping: tuple[int, ...]
-
-
-def system_map(k: int, m: int, guards: Guards = DEFAULT_GUARDS) -> SystemMap:
-    """Connecting map of the direct system, induced by chain -> max element.
-
-    Atom-graph vertices of the source are the elements of the previous face
-    poset; sending each element (an index-sorted tuple whose last entry is
-    its maximum) to its maximum lands in the atoms of that poset, which are
-    the atom-graph vertices of the target.  The map descends through the
-    twisted product because taking maxima commutes with both actions.
-    """
-    src = spherical_graph(k, m + 1, guards)
-    dst = spherical_graph(k, m, guards)
-    p_src, p_dst = src.cross.poset, dst.cross.poset
-    _, src_atoms = atom_graph(p_src)
-    dst_ag, dst_atoms = atom_graph(p_dst)
-    dst_pos = {a: i for i, a in enumerate(dst_atoms)}
-    vertex_map = []
-    for a in src_atoms:
-        (x,) = p_src.elements[a]  # singleton chain over the previous poset
-        y = p_dst.elements[x][-1]  # maximum entry = poset maximum
-        vertex_map.append(dst_pos[p_dst.index[(y,)]])
-    nh_src = len(src_atoms)
-    nh_dst = dst_ag.n
-    mapping = [-1] * src.graph.n
-    for t in range(2):
-        for a in range(nh_src):
-            v = src.twisted.orbit_of[t * nh_src + a]
-            w = dst.twisted.orbit_of[t * nh_dst + vertex_map[a]]
-            if mapping[v] not in (-1, w):
-                raise ValueError("support map is not constant on orbits")
-            mapping[v] = w
-    if not check_homomorphism(mapping, src.graph, dst.graph):
-        raise ValueError("support map failed to induce a homomorphism")
-    return SystemMap(k, m, src, dst, tuple(mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -447,87 +394,6 @@ def equivariant_coloring_step(t_act: GraphAction, coloring: Sequence[int],
     rho = tw.right_action.maps[1]
     assert all(out[rho[v]] == sw3[out[v]] for v in range(tw.graph.n))
     return EquivariantColoring(tw, tuple(out), target)
-
-
-# ---------------------------------------------------------------------------
-# coindex certificates and index upper bounds
-
-
-@dataclass(frozen=True)
-class CoindexCertificate:
-    """A homomorphism S(k,m) -> G witnessing coindex >= k."""
-
-    k: int
-    m: int
-    mapping: tuple[int, ...]
-    source: SphericalGraph
-
-
-def coindex_certificate(g: Graph, k: int, m_max: int,
-                        guards: Guards = DEFAULT_GUARDS
-                        ) -> Optional[CoindexCertificate]:
-    """Search for a homomorphism from S(k,m) into g for m <= m_max.
-
-    A hit certifies that the coindex of the edge Hom poset of g is at
-    least k; absence up to m_max proves nothing.
-    """
-    if k < 0 or m_max < 0:
-        raise ValueError("need k >= 0 and m_max >= 0")
-    for m in range(m_max + 1):
-        s = spherical_graph(k, m, guards)
-        f = find_homomorphism(s.graph, g)
-        if f is not None:
-            return CoindexCertificate(k, m, tuple(f), s)
-    return None
-
-
-@dataclass(frozen=True)
-class IndexBound:
-    """Truncated minimum of chromatic numbers of twisted clique-graph iterates."""
-
-    value: Optional[int]
-    terms: tuple[int, ...]
-
-
-def index_upper_bound(t_act: GraphAction, g: Graph, i_max: int,
-                      guards: Guards = DEFAULT_GUARDS) -> IndexBound:
-    """min over 0 <= i <= i_max of the chromatic number of the edge-twist of
-    the i-th clique-graph iterate of the looped part of g^T.
-
-    ``t_act`` must be a right involution on T flipping at least one edge.
-    When T has no homomorphism into g the bound is undefined (value None).
-    """
-    if i_max < 0:
-        raise ValueError("need i_max >= 0")
-    if t_act.side != "right" or t_act.group.order != 2:
-        raise ValueError("need a right involution on the base graph")
-    t = t_act.graph
-    tau = t_act.maps[1]
-    if not any(t.has_edge(v, tau[v]) for v in range(t.n)):
-        raise ValueError("the involution must flip an edge")
-    assert_valid_action(t_act)
-    ex = exponential(t, g, guards)
-    act = exponential_action(t_act, g, ex)
-    sub, verts = looped_subgraph_S(ex)
-    if sub.n == 0:
-        return IndexBound(None, ())
-    pos = {v: i for i, v in enumerate(verts)}
-    cur = sub
-    cur_maps = tuple(tuple(pos[mp[v]] for v in verts) for mp in act.maps)
-    k2_left = _flip_action("left")
-    terms = []
-    for i in range(i_max + 1):
-        cur_act = GraphAction(z2_group(), cur, "left", cur_maps)
-        tw = twisted_product(as_right(cur_act), k2_left)
-        terms.append(chromatic_number(tw.graph))
-        if i == i_max:
-            break
-        bg, members = clique_graph_B(cur, guards)
-        midx = {mem: j for j, mem in enumerate(members)}
-        cur_maps = tuple(tuple(midx[tuple(sorted(mp[v] for v in mem))]
-                               for mem in members) for mp in cur_maps)
-        cur = bg
-    return IndexBound(min(terms), tuple(terms))
 
 
 # ---------------------------------------------------------------------------

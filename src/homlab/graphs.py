@@ -36,15 +36,9 @@ __all__ = [
     "chromatic_number",
     "odd_girth",
     "graph_stats",
-    "min_diameter_spanning_tree",
-    "common_neighbors",
     "nu_mask",
     "is_fine",
-    "is_dismantlable",
-    "clique_graph_B",
-    "looped_subgraph_S",
     "is_isomorphic",
-    "same_structure",
     "graph_to_json",
     "graph_from_json",
     "INFINITE",
@@ -135,28 +129,11 @@ class Graph:
                 m |= 1 << v
         return m
 
-    def is_reflexive(self) -> bool:
-        return self.looped_mask == (1 << self.n) - 1
-
     def is_loopless(self) -> bool:
         return self.looped_mask == 0
 
     def relabel(self, labels: Sequence[str]) -> "Graph":
         return Graph(self.n, self.adj, tuple(labels))
-
-    def induced(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph on the given vertices, in the given order."""
-        pos = {v: i for i, v in enumerate(vertices)}
-        if len(pos) != len(vertices):
-            raise ValueError("duplicate vertices")
-        adj = [0] * len(vertices)
-        for i, v in enumerate(vertices):
-            for w in bits(self.adj[v]):
-                j = pos.get(w)
-                if j is not None:
-                    adj[i] |= 1 << j
-        return Graph(len(vertices), tuple(adj),
-                     tuple(self.labels[v] for v in vertices))
 
 
 @dataclass(frozen=True)
@@ -186,13 +163,6 @@ class Partition:
     def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
         bs = sorted(tuple(sorted(b)) for b in blocks)
         return Partition(n, tuple(bs))
-
-    @staticmethod
-    def from_labels(labels: Sequence[int]) -> "Partition":
-        groups: dict[int, list[int]] = {}
-        for v, g in enumerate(labels):
-            groups.setdefault(g, []).append(v)
-        return Partition.from_blocks(len(labels), groups.values())
 
     @cached_property
     def block_of(self) -> tuple[int, ...]:
@@ -504,31 +474,8 @@ def graph_stats(g: Graph) -> GraphStats:
     return GraphStats(maxdeg, connected, diam)
 
 
-def min_diameter_spanning_tree(g: Graph) -> int:
-    """Minimum diameter over spanning trees, via the absolute 1-centre.
-
-    For unit edge lengths the optimum tree is a BFS tree from either a vertex
-    (diameter 2*ecc) or an edge midpoint (diameter 1 + 2*max_w min(d(u,w),d(v,w)));
-    loops are ignored.
-    """
-    if g.n == 0:
-        raise ValueError("empty graph")
-    dist = [bfs_dist(g, 1 << v) for v in range(g.n)]
-    if any(d is INFINITE for d in dist[0]):
-        raise ValueError("graph is disconnected")
-    if g.n == 1:
-        return 0
-    best = min(2 * max(dist[v][w] for w in range(g.n)) for v in range(g.n))
-    for u, v in g.edges():
-        if u == v:
-            continue
-        ecc = max(min(dist[u][w], dist[v][w]) for w in range(g.n))
-        best = min(best, 1 + 2 * ecc)
-    return int(best)
-
-
 # ---------------------------------------------------------------------------
-# common neighbours, fineness, dismantling, clique structures
+# common neighbours and fineness
 
 def nu_mask(g: Graph, mask: int) -> int:
     """Bitmask of vertices adjacent to everything in ``mask`` (all if empty)."""
@@ -536,10 +483,6 @@ def nu_mask(g: Graph, mask: int) -> int:
     for v in bits(mask):
         out &= g.adj[v]
     return out
-
-
-def common_neighbors(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    return frozenset(bits(nu_mask(g, mask_of(vertices))))
 
 
 def is_fine(g: Graph, guards: Guards = DEFAULT_GUARDS) -> bool:
@@ -562,76 +505,8 @@ def is_fine(g: Graph, guards: Guards = DEFAULT_GUARDS) -> bool:
     return True
 
 
-def is_dismantlable(g: Graph) -> bool:
-    """Greedy vertex folding for reflexive graphs.
-
-    Repeatedly removes any v dominated by some other vertex w
-    (N[v] subset of N[w] within the remaining graph); True iff one vertex is
-    left.  The fold order is index-greedy; dismantlability does not depend on
-    the removal order.
-    """
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if not g.is_reflexive():
-        raise ValueError("dismantlability is defined for reflexive graphs")
-    alive = (1 << g.n) - 1
-    while alive.bit_count() > 1:
-        removed = False
-        for v in bits(alive):
-            nv = g.adj[v] & alive
-            for w in bits(alive & ~(1 << v)):
-                if nv & ~(g.adj[w] & alive) == 0:
-                    alive &= ~(1 << v)
-                    removed = True
-                    break
-            if removed:
-                break
-        if not removed:
-            return False
-    return True
-
-
-def looped_subgraph_S(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on looped vertices, with the vertex selection."""
-    verts = tuple(bits(g.looped_mask))
-    return g.induced(verts), verts
-
-
-def clique_graph_B(g: Graph, guards: Guards = DEFAULT_GUARDS
-                   ) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
-    """Reflexive graph of nonempty cliques of looped vertices, adjacency = containment."""
-    sub, verts = looped_subgraph_S(g)
-    cliques: list[int] = []
-
-    def extend(s_mask: int, cand: int) -> None:
-        if len(cliques) > guards.clique_count:
-            raise GuardExceeded("clique_count", guards.clique_count)
-        for w in bits(cand):
-            m = s_mask | (1 << w)
-            cliques.append(m)
-            extend(m, cand & sub.adj[w] & ~((1 << (w + 1)) - 1))
-
-    extend(0, (1 << sub.n) - 1)
-    cliques.sort(key=lambda m: tuple(bits(m)))
-    k = len(cliques)
-    adj = [0] * k
-    for i, a in enumerate(cliques):
-        for j in range(i, k):
-            b = cliques[j]
-            if a & ~b == 0 or b & ~a == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    members = tuple(tuple(verts[x] for x in bits(m)) for m in cliques)
-    labels = tuple("{" + ",".join(g.labels[v] for v in mem) + "}" for mem in members)
-    return Graph(k, tuple(adj), labels), members
-
-
 # ---------------------------------------------------------------------------
 # isomorphism (desk scale)
-
-def same_structure(g: Graph, h: Graph) -> bool:
-    """Equal vertex count and adjacency (labels ignored)."""
-    return g.n == h.n and g.adj == h.adj
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

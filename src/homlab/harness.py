@@ -56,10 +56,9 @@ __all__ = [
     "Cache", "CacheCorrupt", "Experiment", "RunContext", "RunReport",
     "cached_hom_homology", "cached_hom_poset", "cached_poset_homology",
     "canonical_json",
-    "content_key", "experiment_ids", "get_experiment", "guards_from_dict",
-    "hom_cache_key", "homology_cache_key", "list_experiments",
-    "load_guard_config", "load_reports", "render_report", "report_from_json",
-    "run_experiment", "run_experiments",
+    "content_key", "get_experiment", "guard_overrides", "guards_from_dict",
+    "hom_cache_key", "homology_cache_key", "list_experiments", "load_reports",
+    "render_report", "report_from_json", "run_experiment", "run_experiments",
 ]
 
 
@@ -69,24 +68,26 @@ __all__ = [
 _GUARD_FIELDS = frozenset(f.name for f in fields(Guards))
 
 
-def guards_from_dict(data: Mapping, base: Guards = DEFAULT_GUARDS) -> Guards:
-    """Overlay guard values from a mapping; accepts a {"guards": ...} wrapper."""
+def guard_overrides(data: Mapping) -> dict[str, int]:
+    """The guard fields a config object sets, as ints.
+
+    A {"guards": ...} wrapper is removed; unknown field names are refused.
+    The result stays sparse: a field it leaves out keeps the value of the
+    guards it is laid over, such as an experiment's own raised defaults.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError("guard config must be a JSON object")
     if "guards" in data and isinstance(data["guards"], Mapping):
         data = data["guards"]
     unknown = sorted(set(data) - _GUARD_FIELDS)
     if unknown:
         raise ValueError(f"unknown guard fields: {', '.join(unknown)}")
-    return base.scaled(**{k: int(v) for k, v in data.items()})
+    return {k: int(v) for k, v in data.items()}
 
 
-def load_guard_config(path: Union[str, os.PathLike],
-                      base: Guards = DEFAULT_GUARDS) -> Guards:
-    """Read a JSON config file whose (possibly nested) keys are guard names."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("guard config must be a JSON object")
-    return guards_from_dict(data, base)
+def guards_from_dict(data: Mapping, base: Guards = DEFAULT_GUARDS) -> Guards:
+    """Overlay guard values from a mapping; accepts a {"guards": ...} wrapper."""
+    return base.scaled(**guard_overrides(data))
 
 
 # ---------------------------------------------------------------------------
@@ -798,10 +799,6 @@ def _build_registry() -> dict[str, Experiment]:
 
 
 EXPERIMENTS: dict[str, Experiment] = _build_registry()
-
-
-def experiment_ids() -> tuple[str, ...]:
-    return tuple(EXPERIMENTS)
 
 
 def list_experiments() -> tuple[Experiment, ...]:

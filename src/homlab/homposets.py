@@ -8,9 +8,8 @@ singletons) are exactly the graph homomorphisms.
 
 The second half implements the comparison maps between such posets:
 currying against an exponential graph, currying against atom graphs of
-posets, splitting over categorical products, comparing a quotient of
-Hom(T,G) with Hom(T,G/the action), and the loop-addition maps for fine
-target graphs.
+posets, comparing a quotient of Hom(T,G) with Hom(T,G/the action), and the
+loop-addition maps for fine target graphs.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .actions import (GraphAction, PosetAction, as_left, fixed_subposet,
-                      is_free, is_strongly_regular, orbits,
-                      quotient_graph_by_action, quotient_poset_by_action,
-                      PosetQuotient, TwistedProduct)
+from .actions import (GraphAction, PosetAction, as_left, is_free,
+                      is_strongly_regular, orbits, quotient_graph_by_action,
+                      quotient_poset_by_action, PosetQuotient)
 from .graphs import (Graph, bits, exponential, exponential_vertex_maps,
                      is_fine, nu_mask, one_graph, product, reflexive_closure)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
@@ -33,10 +31,6 @@ from .posets import (Poset, PosetMap, atom_graph, chain_poset,
 
 def rank_of(element: Sequence[int]) -> int:
     return sum(mask.bit_count() - 1 for mask in element)
-
-
-def identity_multihom(g: Graph) -> tuple[int, ...]:
-    return tuple(1 << v for v in range(g.n))
 
 
 def multihom_violation(g: Graph, h: Graph,
@@ -54,22 +48,6 @@ def multihom_violation(g: Graph, h: Graph,
             if element[v] & ~h.adj[x]:
                 return f"edge ({u},{v}) not sent to complete adjacency"
     return None
-
-
-def is_multihom(g: Graph, h: Graph, element: Sequence[int]) -> bool:
-    return multihom_violation(g, h, element) is None
-
-
-def compose_multihoms(alpha: Sequence[int],
-                      beta: Sequence[int]) -> tuple[int, ...]:
-    """(beta o alpha)(v) = union of beta over alpha(v)."""
-    out = []
-    for mask in alpha:
-        acc = 0
-        for x in bits(mask):
-            acc |= beta[x]
-        out.append(acc)
-    return tuple(out)
 
 
 def _subset(a: int, b: int) -> bool:
@@ -90,9 +68,6 @@ class HomPoset:
     @cached_property
     def index(self) -> dict:
         return {e: i for i, e in enumerate(self.elements)}
-
-    def rank(self, i: int) -> int:
-        return rank_of(self.elements[i])
 
     @cached_property
     def atoms(self) -> tuple[int, ...]:
@@ -258,20 +233,6 @@ def induced_hom_action(hp: HomPoset,
     return PosetAction(group, hp.poset, "left", maps)
 
 
-def equivariant_atoms(hp: HomPoset, act: PosetAction
-                      ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(fixed atoms of Hom, minimal elements of the fixed subposet).
-
-    The first set is the equivariant homomorphisms; in general it is only
-    part of the second.
-    """
-    fixed_atoms = tuple(i for i in hp.atoms
-                        if all(mp[i] == i for mp in act.maps))
-    sub, kept = fixed_subposet(act)
-    minimal = tuple(kept[i] for i in bits(sub.minimal_mask))
-    return fixed_atoms, minimal
-
-
 # ---------------------------------------------------------------------------
 # currying against the exponential graph
 
@@ -350,21 +311,6 @@ def adjunction_report(t: Graph, h: Graph, g: Graph,
                             increasing, closure_ok)
 
 
-def exponential_action(t_act: GraphAction, g: Graph,
-                       expo: Graph) -> GraphAction:
-    """Left action on G^T from a right action on T: (gamma.f)(t) = f(t.gamma)."""
-    if t_act.side != "right":
-        raise ValueError("need a right action on the exponent")
-    emaps = exponential_vertex_maps(t_act.graph, g)
-    eidx = {f: i for i, f in enumerate(emaps)}
-    maps = []
-    for i in range(t_act.group.order):
-        tm = t_act.maps[i]
-        maps.append(tuple(eidx[tuple(f[tm[t]] for t in range(t_act.graph.n))]
-                          for f in emaps))
-    return GraphAction(t_act.group, expo, "left", tuple(maps))
-
-
 # ---------------------------------------------------------------------------
 # currying against atom graphs of posets
 
@@ -438,73 +384,6 @@ def poset_adjunction_report(p: Poset, g: Graph,
             break
     return PosetAdjunctionReport(hom_ag, hom_single, tuple(atoms),
                                  roundtrip, decreasing, checked)
-
-
-# ---------------------------------------------------------------------------
-# product splitting
-
-
-def product_split(alpha: Sequence[int], h_n: int
-                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Hom(T, GxH) -> Hom(T,G) x Hom(T,H) by coordinate projections."""
-    ag, ah = [], []
-    for mask in alpha:
-        mg = mh = 0
-        for x in bits(mask):
-            mg |= 1 << (x // h_n)
-            mh |= 1 << (x % h_n)
-        ag.append(mg)
-        ah.append(mh)
-    return tuple(ag), tuple(ah)
-
-
-def product_merge(alpha_g: Sequence[int], alpha_h: Sequence[int],
-                  h_n: int) -> tuple[int, ...]:
-    """rho(a,b)(v) = a(v) x b(v) inside V(G) x V(H)."""
-    out = []
-    for mg, mh in zip(alpha_g, alpha_h):
-        mask = 0
-        for x in bits(mg):
-            mask |= mh << (x * h_n)
-        out.append(mask)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class SplitReport:
-    hom_pair: HomPoset         # Hom(T, G x H)
-    hom_g: HomPoset
-    hom_h: HomPoset
-    identity_on_pairs: bool    # split o merge = id
-    increasing: bool           # merge o split >= id
-    atom_preserving: bool
-
-
-def split_report(t: Graph, g: Graph, h: Graph,
-                 guards: Guards = DEFAULT_GUARDS) -> SplitReport:
-    hom_pair = hom_poset(t, product(g, h), guards)
-    hom_g = hom_poset(t, g, guards)
-    hom_h = hom_poset(t, h, guards)
-    ident = True
-    atom_ok = True
-    for a in hom_g.elements:
-        for b in hom_h.elements:
-            merged = product_merge(a, b, h.n)
-            if hom_pair.index.get(merged) is None:
-                raise ValueError("merged pair is not a multihomomorphism")
-            if product_split(merged, h.n) != (a, b):
-                ident = False
-            if rank_of(a) == 0 and rank_of(b) == 0 and rank_of(merged) != 0:
-                atom_ok = False
-    increasing = True
-    for e in hom_pair.elements:
-        a, b = product_split(e, h.n)
-        if hom_g.index.get(a) is None or hom_h.index.get(b) is None:
-            raise ValueError("projection is not a multihomomorphism")
-        back = product_merge(a, b, h.n)
-        if any(x & ~y for x, y in zip(e, back)):
-            increasing = False
-    return SplitReport(hom_pair, hom_g, hom_h, ident, increasing, atom_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -721,52 +600,3 @@ def loop_addition_maps(t: Graph, g: Graph,
             break
     return LoopAddition(hom_t, hom_t0, cp, incl, j_map, h_map,
                         j_dom, i_j_below, h_dom)
-
-
-# ---------------------------------------------------------------------------
-# fixed subposet against the twisted product
-
-
-def pullback_multihom(orbit_of: Sequence[int],
-                      beta: Sequence[int]) -> tuple[int, ...]:
-    """Precompose a multihom on the quotient with the orbit projection."""
-    return tuple(beta[orbit_of[x]] for x in range(len(orbit_of)))
-
-
-@dataclass(frozen=True)
-class TwistedHomReport:
-    hom_product: HomPoset      # Hom(T x H, G)
-    hom_twisted: HomPoset      # Hom(T x_. H, G)
-    fixed: tuple[int, ...]     # indices of diagonal-fixed elements
-    fixed_poset: Poset         # order among the fixed elements
-    image: tuple[int, ...]     # pullback hom_twisted -> hom_product
-    iso: bool                  # pullback is a bijection onto the fixed part
-    fixed_atoms: tuple[int, ...]
-    minimal_fixed: tuple[int, ...]
-
-
-def twisted_hom_report(tw: TwistedProduct, g: Graph,
-                       guards: Guards = DEFAULT_GUARDS) -> TwistedHomReport:
-    """Hom_fixed(T x H, G) compared with Hom(twisted product, G).
-
-    The ambient Hom(T x H, G) can be large, so only the fixed subposet is
-    ever ordered; fixedness and the pullback are mask-level computations.
-    """
-    hom_prod = hom_poset(tw.product_graph, g, guards)
-    _, maps = induced_index_maps(hom_prod, source_action=tw.diagonal)
-    fixed = tuple(i for i in range(hom_prod.m)
-                  if all(mp[i] == i for mp in maps))
-    fixed_poset = pointwise_poset([hom_prod.elements[i] for i in fixed],
-                                  _subset, guards)
-    minimal = tuple(fixed[i] for i in bits(fixed_poset.minimal_mask))
-    fixed_atoms = tuple(i for i in fixed if hom_prod.rank(i) == 0)
-    hom_tw = hom_poset(tw.graph, g, guards)
-    image = []
-    for e in hom_tw.elements:
-        j = hom_prod.index.get(pullback_multihom(tw.orbit_of, e))
-        if j is None:
-            raise ValueError("pullback is not a multihomomorphism")
-        image.append(j)
-    iso = sorted(image) == list(fixed)
-    return TwistedHomReport(hom_prod, hom_tw, fixed, fixed_poset,
-                            tuple(image), iso, fixed_atoms, minimal)

@@ -34,7 +34,6 @@ class Guards:
     poset_map_elements: int = 400_000      # monotone maps enumerated
     group_order: int = 5_040               # closure of a generated permutation group
     fine_vertices: int = 20                # vertices for the 2^n fineness sweep
-    clique_count: int = 200_000            # cliques enumerated for a clique graph
     snf_nonzeros: int = 20_000             # nonzeros for the integral homology path
     complex_faces: int = 2_000_000         # faces of a simplicial complex
 

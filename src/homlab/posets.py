@@ -105,10 +105,6 @@ class Poset:
         return sum(1 << i for i in range(self.m) if self.below[i] == 1 << i)
 
     @cached_property
-    def maximal_mask(self) -> int:
-        return sum(1 << i for i in range(self.m) if self.above[i] == 1 << i)
-
-    @cached_property
     def atoms(self) -> tuple[int, ...]:
         """Minimal elements, ascending."""
         return tuple(bits(self.minimal_mask))
@@ -120,9 +116,6 @@ class Poset:
             low = self.lower_covers[i]
             h[i] = 1 + max(h[j] for j in bits(low)) if low else 0
         return tuple(h)
-
-    def dual(self) -> "Poset":
-        return Poset(self.m, self.below, self.elements)
 
 
 def from_leq_pairs(m: int, pairs: Sequence[tuple[int, int]],
@@ -249,15 +242,6 @@ def make_complex(n: int, faces: Sequence[Sequence[int]]) -> SimplicialComplex:
     return SimplicialComplex(n, tuple(sorted(facets, key=lambda t: (len(t), t))))
 
 
-def complex_to_json(x: SimplicialComplex) -> dict:
-    return {"n": x.n, "facets": [list(f) for f in x.facets]}
-
-
-def complex_from_json(data: dict) -> SimplicialComplex:
-    return SimplicialComplex(int(data["n"]),
-                             tuple(tuple(f) for f in data["facets"]))
-
-
 # ---------------------------------------------------------------------------
 # chains and the face/chain posets
 
@@ -318,14 +302,6 @@ def chain_poset(p: Poset, guards: Guards = DEFAULT_GUARDS) -> Poset:
     """Nonempty chains of p ordered by containment (barycentric subdivision)."""
     chains = [tuple(sorted(c)) for c in iter_chains(p, guards.chain_elements)]
     return _containment_poset(chains)
-
-
-def chain_power(p: Poset, k: int, guards: Guards = DEFAULT_GUARDS) -> Poset:
-    if k < 0:
-        raise ValueError("negative chain power")
-    for _ in range(k):
-        p = chain_poset(p, guards)
-    return p
 
 
 def face_poset(x: SimplicialComplex) -> Poset:
@@ -393,25 +369,6 @@ class PosetMap:
             raise ValueError("composition domain mismatch")
         return PosetMap(other.domain, self.codomain,
                         tuple(self.image[v] for v in other.image))
-
-
-def identity_map(p: Poset) -> PosetMap:
-    return PosetMap(p, p, tuple(range(p.m)))
-
-
-def support_map(p: Poset, cp: Optional[Poset] = None,
-                guards: Guards = DEFAULT_GUARDS) -> PosetMap:
-    """Chain poset -> p, sending a chain to its maximum element."""
-    if cp is None:
-        cp = chain_poset(p, guards)
-    tops = []
-    for c in cp.elements:
-        t = c[0]
-        for e in c[1:]:
-            if p.leq(t, e):
-                t = e
-        tops.append(t)
-    return PosetMap(cp, p, tuple(tops))
 
 
 def is_closure_map(c: PosetMap, direction: str = "up") -> bool:
@@ -544,18 +501,6 @@ def pointwise_leq(q: Poset, f: Sequence[int], g: Sequence[int]) -> bool:
     return all(q.leq(a, b) for a, b in zip(f, g))
 
 
-def has_atom_lub(p: Poset) -> bool:
-    """True iff for every x the atoms below x have a least upper bound."""
-    amask = p.minimal_mask
-    for x in range(p.m):
-        ub = (1 << p.m) - 1
-        for a in bits(p.below[x] & amask):
-            ub &= p.above[a]
-        if not any(ub & ~p.above[u] == 0 for u in bits(ub)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -563,8 +508,3 @@ def has_atom_lub(p: Poset) -> bool:
 def poset_to_json(p: Poset) -> dict:
     pairs = [[i, j] for i in range(p.m) for j in bits(p.covers[i])]
     return {"m": p.m, "covers": pairs}
-
-
-def poset_from_json(data: dict) -> Poset:
-    return from_leq_pairs(int(data["m"]),
-                          [(int(a), int(b)) for a, b in data["covers"]])

@@ -10,9 +10,8 @@ from homlab.graphs import (complete_graph, cycle_graph, graph_to_json,
 from homlab.harness import (Cache, CacheCorrupt, EXPERIMENTS, RunReport,
                             cached_hom_homology, cached_hom_poset,
                             cached_poset_homology,
-                            experiment_ids, get_experiment, guards_from_dict,
-                            hom_cache_key, list_experiments, load_guard_config,
-                            load_reports, render_report, report_from_json,
+                            get_experiment, guard_overrides, guards_from_dict,
+                            hom_cache_key, list_experiments, load_reports, render_report, report_from_json,
                             run_experiment, run_experiments)
 from homlab.homposets import hom_poset
 from homlab.homology import poset_homology
@@ -37,12 +36,14 @@ def test_guards_from_dict_accepts_wrapper_and_rejects_unknown():
 
 def test_load_guard_config(tmp_path):
     path = tmp_path / "guards.json"
-    path.write_text(json.dumps({"guards": {"chain_elements": 123}}))
-    assert load_guard_config(path).chain_elements == 123
-    bad = tmp_path / "bad.json"
-    bad.write_text("[1,2]")
-    with pytest.raises(ValueError):
-        load_guard_config(bad)
+    path.write_text(json.dumps({"guards": {"chain_elements": "123"}}))
+    overrides = guard_overrides(json.loads(path.read_text()))
+    assert overrides == {"chain_elements": 123}  # sparse, values int
+    assert guards_from_dict(overrides).chain_elements == 123
+    with pytest.raises(ValueError, match="JSON object"):
+        guard_overrides([1, 2])
+    with pytest.raises(ValueError, match="unknown guard fields: clique_count"):
+        guard_overrides({"clique_count": 5})
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ def test_every_acceptance_criterion_has_exactly_one_experiment():
 
 
 def test_registry_ids_are_stable():
-    assert experiment_ids() == (
+    assert tuple(EXPERIMENTS) == (
         "hom-k2-kn-sphere", "tkm-invariants", "spherical-graphs",
         "hom-k2-t1m-circle", "mycielski-suite", "quotient-commutation",
         "adjunction-roundtrips", "equivariant-poset-maps",
@@ -369,6 +370,17 @@ def test_cli_search_node_guard_from_config(tmp_path, capsys):
     assert main(["hom", "K2", "T(2,3)", "--config", str(cfg)]) == 2
     assert "guard 'search_nodes'" in capsys.readouterr().err
 
+
+def test_cli_config_unwraps_guards_and_refuses_unknown_fields(tmp_path,
+                                                              capsys):
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"guards": {"search_nodes": 100}}))
+    assert main(["hom", "K2", "T(2,3)", "--config", str(cfg)]) == 2
+    assert "guard 'search_nodes'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"clique_count": 5}))
+    assert main(["hom", "K2", "K3", "--config", str(cfg)]) == 2
+    assert "unknown guard fields: clique_count" in capsys.readouterr().err
+
 def test_cli_hom_json_lists_assignments(capsys):
     assert main(["hom", "K2", "K2", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -436,7 +448,7 @@ def test_cli_report_without_reports_fails(tmp_path, capsys):
 def test_cli_list_experiments(capsys):
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out
-    for exp_id in experiment_ids():
+    for exp_id in EXPERIMENTS:
         assert exp_id in out
     assert main(["list-experiments", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -1,5 +1,5 @@
 """Hom posets: enumeration against brute force, induced actions, and the
-structural comparison maps (currying, splitting, quotients, loop addition)."""
+structural comparison maps (currying, quotients, loop addition)."""
 
 import itertools
 import random
@@ -7,8 +7,8 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from homlab.actions import (GraphAction, quotient_graph_by_action,
-                            trivial_group, twisted_product, validate_action,
+from homlab.actions import (GraphAction, action_violation, make_group,
+                            quotient_graph_by_action, twisted_product,
                             z2_group)
 from homlab.families import (csorba_graph, cycle_face_poset, mycielski,
                              spherical_graph, twisted_toroidal)
@@ -18,16 +18,12 @@ from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
                            reflexive_cycle)
 from homlab.harness import _diagonal_flip_shift
 from homlab.homology import poset_homology
-from homlab.homposets import (adjunction_report, atoms_below,
-                              compose_multihoms, curry,
-                              equivariant_atoms, exponential_action,
-                              hom_poset, identity_multihom,
-                              induced_hom_action, is_multihom,
+from homlab.homposets import (adjunction_report, atoms_below, curry,
+                              hom_poset, induced_hom_action,
                               loop_addition_maps, multihom_violation,
                               poset_adjunction_report, poset_curry,
-                              poset_uncurry, product_merge, product_split,
-                              pullback_multihom, quotient_compare, rank_of,
-                              split_report, twisted_hom_report, uncurry)
+                              poset_uncurry, quotient_compare, rank_of,
+                              uncurry)
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import atom_graph, face_poset, make_complex
 
@@ -43,7 +39,7 @@ def brute_hom_elements(g, h):
     full = range(1, 1 << h.n)
     out = []
     for combo in itertools.product(full, repeat=g.n):
-        if is_multihom(g, h, combo):
+        if multihom_violation(g, h, combo) is None:
             out.append(tuple(combo))
     return sorted(out)
 
@@ -60,15 +56,20 @@ def brute_hom_count(g, h):
 def test_hom_poset_known_counts():
     hp = hom_poset(complete_graph(2), complete_graph(3))
     assert hp.m == 12 and len(hp.atoms) == 6
-    assert all(hp.rank(i) == 0 for i in hp.atoms)
+    assert all(rank_of(hp.elements[i]) == 0 for i in hp.atoms)
     assert hom_poset(complete_graph(4), complete_graph(3)).m == 0
     # Hom(1,G) is the poset of cliques of looped vertices
-    from homlab.graphs import clique_graph_B
-    c6 = reflexive_cycle(6)
-    h1 = hom_poset(one_graph(), c6)
-    _, members = clique_graph_B(c6)
-    assert sorted(tuple(sorted(mem)) for mem in members) == \
-        sorted(tuple(bits(e[0])) for e in h1.elements)
+    g = Graph.from_edges(5, [(0, 0), (1, 1), (2, 2), (4, 4),
+                             (0, 1), (1, 2), (0, 2), (2, 3), (2, 4)])
+    for h in (reflexive_cycle(6), g):
+        looped = [v for v in range(h.n) if h.has_edge(v, v)]
+        cliques = [c for r in range(1, h.n + 1)
+                   for c in itertools.combinations(looped, r)
+                   if all(h.has_edge(u, v)
+                          for u, v in itertools.combinations(c, 2))]
+        h1 = hom_poset(one_graph(), h)
+        assert sorted(cliques) == sorted(tuple(bits(e[0]))
+                                         for e in h1.elements)
 
 
 def test_hom_poset_brute_force():
@@ -260,63 +261,28 @@ def test_multihom_violations():
     assert "edge" in multihom_violation(g, h, (0b011, 0b010))
 
 
-def test_compose_multihoms():
-    g, h = complete_graph(2), complete_graph(3)
-    hp = hom_poset(g, h)
-    hq = hom_poset(h, h)
-    ident = identity_multihom(h)
-    for e in hp.elements:
-        assert compose_multihoms(e, ident) == e
-        for b in hq.elements:
-            c = compose_multihoms(e, b)
-            assert is_multihom(g, h, c)
-            for v in range(2):
-                acc = 0
-                for x in bits(e[v]):
-                    acc |= b[x]
-                assert c[v] == acc
-    # atoms compose as plain functions
-    a1 = hp.elements[hp.atoms[0]]
-    for bi in hq.atoms:
-        b = hq.elements[bi]
-        comp = compose_multihoms(a1, b)
-        assert rank_of(comp) == 0
-
-
 def test_induced_action_flip_on_source():
     k2, k3 = complete_graph(2), complete_graph(3)
     hp = hom_poset(k2, k3)
     flip = z2_graph_action(k2, (1, 0))
     act = induced_hom_action(hp, source_action=flip)
-    assert validate_action(act)
+    assert action_violation(act) is None
     from homlab.actions import is_free, orbits
     assert is_free(act)
     assert len(orbits(act)) == 6
     # trivial action is the identity action
-    triv = GraphAction(trivial_group(), k3, "left", (tuple(range(3)),))
+    triv = GraphAction(make_group([(0,)]), k3, "left", (tuple(range(3)),))
     ia = induced_hom_action(hp, target_action=triv)
     assert ia.maps == (tuple(range(hp.m)),)
     # a looped target creates fixed points
     lp = looped_path(2)
     hp2 = hom_poset(k2, lp)
     act2 = induced_hom_action(hp2, source_action=flip)
-    assert validate_action(act2) and not is_free(act2)
+    assert action_violation(act2) is None and not is_free(act2)
     with pytest.raises(ValueError):
         induced_hom_action(hp)
     with pytest.raises(ValueError):
         induced_hom_action(hp, source_action=z2_graph_action(k3, (1, 0, 2)))
-
-
-def test_equivariant_atoms_gap():
-    """Fixed atoms can be strictly fewer than minimal fixed elements."""
-    k2, c4 = complete_graph(2), reflexive_cycle(4)
-    hp = hom_poset(k2, c4)
-    anti = z2_graph_action(c4, (2, 3, 0, 1))
-    act = induced_hom_action(hp, target_action=anti)
-    fixed_atoms, minimal_fixed = equivariant_atoms(hp, act)
-    assert fixed_atoms == ()
-    assert len(minimal_fixed) > 0
-    assert all(hp.rank(i) > 0 for i in minimal_fixed)
 
 
 def test_adjunction_small():
@@ -346,11 +312,14 @@ def test_adjunction_equivariance():
     tw = twisted_product(t_flip, h_anti)
     act_prod = induced_hom_action(rep.hom_product,
                                   source_action=tw.diagonal)
-    expo = exponential(k2, k3)
-    e_act = exponential_action(t_flip, k3, expo)
+    # the flip acts on K3^K2 by (f0, f1) -> (f1, f0)
+    emaps = list(itertools.product(range(3), repeat=2))
+    e_act = z2_graph_action(exponential(k2, k3),
+                            [emaps.index((f1, f0)) for f0, f1 in emaps])
     act_cur = induced_hom_action(rep.hom_curried,
                                  source_action=h_anti, target_action=e_act)
-    assert validate_action(act_prod) and validate_action(act_cur)
+    assert action_violation(act_prod) is None
+    assert action_violation(act_cur) is None
     phi = rep.phi.image
     for i in range(rep.hom_product.m):
         assert phi[act_prod.maps[1][i]] == act_cur.maps[1][phi[i]]
@@ -380,20 +349,6 @@ def test_poset_adjunction():
         assert poset_uncurry(f, atoms, h1) == e
 
 
-def test_product_split():
-    k2 = complete_graph(2)
-    rep = split_report(k2, k2, k2)
-    assert rep.hom_pair.m == 4
-    assert rep.identity_on_pairs and rep.increasing and rep.atom_preserving
-    rep2 = split_report(k2, complete_graph(3), k2)
-    assert rep2.identity_on_pairs and rep2.increasing
-    assert rep2.hom_pair.m >= rep2.hom_g.m  # merge is injective
-    # merge formula spot check
-    merged = product_merge((0b01, 0b10), (0b11, 0b01), 2)
-    assert merged == (0b0011, 0b0100)
-    assert product_split(merged, 2) == ((0b01, 0b10), (0b11, 0b01))
-
-
 def test_quotient_compare_prism():
     k2 = complete_graph(2)
     g = product(complete_graph(2), reflexive_cycle(6))
@@ -414,7 +369,7 @@ def test_quotient_compare_prism():
 
 def test_quotient_compare_trivial_group():
     k2, k3 = complete_graph(2), complete_graph(3)
-    triv = GraphAction(trivial_group(), k3, "left", (tuple(range(3)),))
+    triv = GraphAction(make_group([(0,)]), k3, "left", (tuple(range(3)),))
     rep = quotient_compare(k2, k3, triv)
     assert rep.hypothesis_ok and rep.iso and rep.rank_preserved
     assert rep.map.image == tuple(range(rep.hom_source.m))
@@ -469,24 +424,3 @@ def test_loop_addition_requirements():
     assert rep.hom_plain.elements == rep.hom_reflexive.elements
     assert rep.i.image == tuple(range(rep.hom_plain.m))
 
-
-def test_twisted_hom_report():
-    t_flip = z2_graph_action(complete_graph(2), (1, 0), side="right")
-    c6 = reflexive_cycle(6)
-    anti = z2_graph_action(c6, (3, 4, 5, 0, 1, 2))
-    tw = twisted_product(t_flip, anti)
-    rep = twisted_hom_report(tw, complete_graph(3))
-    assert rep.iso
-    assert sorted(rep.image) == list(rep.fixed)
-    assert set(rep.fixed_atoms) <= set(rep.minimal_fixed)
-    # the pullback matches the orders elementwise
-    pos = {i: k for k, i in enumerate(rep.fixed)}
-    tw_poset = rep.hom_twisted.poset
-    for a in range(rep.hom_twisted.m):
-        for b in range(rep.hom_twisted.m):
-            assert tw_poset.leq(a, b) == rep.fixed_poset.leq(
-                pos[rep.image[a]], pos[rep.image[b]])
-    # pullback of an atom stays an atom
-    for i in rep.hom_twisted.atoms:
-        e = rep.hom_twisted.elements[i]
-        assert rank_of(pullback_multihom(tw.orbit_of, e)) == 0

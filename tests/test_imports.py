@@ -1,9 +1,15 @@
-"""No module-level import in the package or the tests goes unused.
+"""No module-level import goes unused, and no package name lacks a caller.
 
 Stdlib-only stand-in for a linter's unused-import rule.  An imported name
 counts as used when its module references it, lists it in ``__all__``, or
 when another scanned module imports it from there; ``from __future__``
 imports always count.
+
+The second scan keeps the package's surface to what runs: every top-level
+definition in ``src/homlab`` must be reachable from the CLI, the experiment
+registry, the package exports or the benchmark (the names ``perfbench``
+imports, and the functions and attributes ``perfbench/tracing.py`` wraps).
+A name only the tests call is dead code, unless :data:`KEPT` says why not.
 """
 
 from __future__ import annotations
@@ -15,11 +21,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "homlab"
+BENCH = ROOT / "perfbench"
 SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+# Names no root reaches that stay anyway, each with its reason.
+KEPT = {
+    ("homlab.posets", "pointwise_leq"):
+        "the independent oracle for pointwise_poset",
+    ("homlab.homology", "universal_coefficients_ok"):
+        "the Z-versus-GF(2) cross-check of the two reductions",
+    ("homlab.homology", "homology_connectivity"):
+        "the connectivity bound of the planned chromatic lower bound",
+}
 
 
 def _module_name(path: Path) -> str:
-    if path.parent == PACKAGE:
+    if path.parent.name == "homlab":
         return "homlab" if path.stem == "__init__" else f"homlab.{path.stem}"
     return f"tests.{path.stem}"
 
@@ -75,6 +92,115 @@ def unused_imports(paths=SCANNED) -> list[str]:
     return out
 
 
+def _definitions(tree: ast.Module) -> dict[str, list[ast.AST]]:
+    """Top-level name -> the statements that bind it (imports excluded)."""
+    out: dict[str, list[ast.AST]] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [n.id for t in node.targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name != "__all__":
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def _module_roots(tree: ast.Module) -> list[ast.AST]:
+    """Top-level statements that run on import and bind no name."""
+    return [node for node in tree.body
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef, ast.Assign, ast.AnnAssign,
+                                     ast.Import, ast.ImportFrom))]
+
+
+def _table(tree: ast.Module, name: str):
+    """The literal value assigned to ``name`` at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return {}
+
+
+def benchmark_roots(bench: Path = BENCH) -> set[tuple[str, str]]:
+    """Every homlab name perfbench imports, and every name its tracer wraps
+    (a method or property counts as a use of its class)."""
+    out = set()
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("homlab")):
+                out |= {(node.module, alias.name) for alias in node.names}
+        if path.name == "tracing.py":
+            out |= {(mod, name) for mod, table in
+                    _table(tree, "FUNCTIONS").items() for name in table}
+            out |= {(mod, cls) for mod, cls, _ in _table(tree, "ATTRIBUTES")}
+    return out
+
+
+def unreached_names(package: Path = PACKAGE,
+                    bench: Path = BENCH) -> list[str]:
+    """Top-level package names that no root reaches, as ``module:name``.
+
+    Roots: ``cli.main``, the experiment registry, the package exports,
+    everything module-level code runs on import, and
+    :func:`benchmark_roots`.  A reached definition reaches every name its
+    statement mentions, resolved through the package's own imports.
+    """
+    parsed = {_module_name(p): ast.parse(p.read_text(encoding="utf-8"))
+              for p in sorted(package.glob("*.py"))}
+    defs = {mod: _definitions(tree) for mod, tree in parsed.items()}
+    imported = {mod: {name: read for name, read, _ in _imports(tree, mod)}
+                for mod, tree in parsed.items()}
+
+    def resolve(mod: str, name: str):
+        seen = set()
+        while (mod, name) not in seen:
+            seen.add((mod, name))
+            if name in defs.get(mod, {}):
+                return mod, name
+            read = imported.get(mod, {}).get(name)
+            if read is None or read[1] is None:
+                return None
+            mod, name = read
+        return None
+
+    def mentioned(mod: str, nodes):
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    target = resolve(mod, sub.id)
+                    if target:
+                        yield target
+
+    init = parsed["homlab"]
+    roots = [("homlab.cli", "main"), ("homlab.harness", "EXPERIMENTS")]
+    roots += [("homlab", name) for name in _table(init, "__all__")]
+    roots += sorted(benchmark_roots(bench))
+    for mod, tree in parsed.items():
+        roots += mentioned(mod, _module_roots(tree))
+    reached = set()
+    todo = [r for r in (resolve(*root) for root in roots) if r]
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        todo += mentioned(key[0], defs[key[0]][key[1]])
+    return sorted(f"{mod}:{name}" for mod, names in defs.items()
+                  for name in names if (mod, name) not in reached)
+
+
 def test_no_unused_module_level_imports():
     assert unused_imports() == []
 
@@ -88,6 +214,35 @@ def test_scan_flags_an_unused_import(tmp_path):
                       "print(sys.argv)\n", encoding="utf-8")
     assert unused_imports([sample]) == ["sample.py:2: os",
                                         "sample.py:4: parse"]
+
+
+def test_every_public_name_has_a_caller():
+    kept = {f"{mod}:{name}" for mod, name in KEPT}
+    unreached = set(unreached_names())
+    assert sorted(unreached - kept) == []  # delete these, or say in KEPT why not
+    assert sorted(kept - unreached) == []  # these have callers now: unlist them
+
+
+def test_scan_flags_an_uncalled_function(tmp_path):
+    package, bench = tmp_path / "homlab", tmp_path / "perfbench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "__init__.py").write_text(
+        "from .core import api\n__all__ = ['api']\n", encoding="utf-8")
+    (package / "cli.py").write_text("def main():\n    return 0\n",
+                                    encoding="utf-8")
+    (package / "core.py").write_text(
+        "LIMIT = 3\n\n"
+        "def api():\n    return _helper()\n\n"
+        "def _helper():\n    return LIMIT\n\n"
+        "def traced():\n    return 1\n\n"
+        "class Store:\n    def load(self):\n        return None\n\n"
+        "def orphan():\n    return api()\n", encoding="utf-8")
+    (bench / "tracing.py").write_text(
+        "FUNCTIONS = {'homlab.core': {'traced': 'core.self'}}\n"
+        "ATTRIBUTES = {('homlab.core', 'Store', 'load'): 'core.load'}\n",
+        encoding="utf-8")
+    assert unreached_names(package, bench) == ["homlab.core:orphan"]
 
 
 def test_benchmark_tracer_finds_every_wrapped_name():
