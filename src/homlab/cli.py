@@ -261,7 +261,7 @@ def _cmd_homology(args) -> int:
 def _cmd_chromatic(args) -> int:
     guards = _guards_from_args(args)
     g = parse_graph_id(args.graph, guards)
-    chi = chromatic_number(g)
+    chi = chromatic_number(g, guards)
     finite = chi != float("inf")
     data = {"id": args.graph, "chromatic": int(chi) if finite else None}
     _emit(args, data,

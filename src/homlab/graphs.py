@@ -282,24 +282,24 @@ def check_homomorphism(f: Sequence[int], g: Graph, h: Graph) -> bool:
     return all((h.adj[f[u]] >> f[v]) & 1 for u, v in g.directed_edges())
 
 
-def _search_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-
-
-def find_homomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
+def find_homomorphism(g: Graph, h: Graph,
+                      guards: Guards = DEFAULT_GUARDS) -> tuple[int, ...] | None:
     """First homomorphism g -> h in the canonical search order, or None.
 
     Variables are processed by descending degree (ties by index), values by
     ascending index; forward checking and unit propagation only prune values
     that cannot extend the current prefix, so the result is the
     lexicographically first homomorphism in that variable order.
+
+    Every value tried is one search node; more than `guards.search_nodes`
+    of them raise GuardExceeded("search_nodes").
     """
     if g.n == 0:
         return ()
     if h.n == 0:
         return None
     full = (1 << h.n) - 1
-    order = _search_order(g)
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     domains = [full] * g.n
     for v in range(g.n):
         if (g.adj[v] >> v) & 1:
@@ -307,6 +307,8 @@ def find_homomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
         if domains[v] == 0:
             return None
     assignment: list[int | None] = [None] * g.n
+    node_limit = guards.search_nodes
+    nodes = 0
 
     def propagate(domains: list[int], queue: deque[int]) -> bool:
         """Propagate singleton domains in place; False on wipeout."""
@@ -323,6 +325,7 @@ def find_homomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
         return True
 
     def solve(pos: int, domains: list[int]) -> bool:
+        nonlocal nodes
         while pos < g.n and domains[order[pos]].bit_count() == 1:
             v = order[pos]
             assignment[v] = domains[v].bit_length() - 1
@@ -331,6 +334,9 @@ def find_homomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
             return True
         v = order[pos]
         for value in bits(domains[v]):
+            nodes += 1
+            if nodes > node_limit:
+                raise GuardExceeded("search_nodes", node_limit, nodes)
             nd = domains[:]
             nd[v] = 1 << value
             if propagate(nd, deque([v])):
@@ -348,60 +354,99 @@ def find_homomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def is_colorable(g: Graph, k: int) -> bool:
-    """Exact k-colorability (loops make this False for every k)."""
+def is_colorable(g: Graph, k: int, guards: Guards = DEFAULT_GUARDS) -> bool:
+    """Exact k-colorability (loops make this False for every k).
+
+    DSATUR branching (Brelaz 1979): each node branches on the uncoloured
+    vertex with the fewest colours left, ties broken by most uncoloured
+    neighbours, then by lowest index.  Colouring a vertex removes its colour
+    from its uncoloured neighbours (forward checking) and fails the branch
+    when a domain empties.  Colours above the first unused one are
+    interchangeable, so a vertex tries colours up to ``used + 1`` only.
+    Only these two prunes cut the tree, so the answer is exact.
+
+    Every colour tried is one search node; more than `guards.search_nodes`
+    of them raise GuardExceeded("search_nodes").
+    """
+    return _dsatur(g, k, guards.search_nodes, 0)[0]
+
+
+def _dsatur(g: Graph, k: int, node_limit: int, nodes: int) -> tuple[bool, int]:
+    """`is_colorable` with a node count carried in and out."""
     if g.looped_mask:
-        return False
+        return False, nodes
     if g.n == 0:
-        return True
+        return True, nodes
     if k <= 0:
-        return False
-    order = _search_order(g)
-    full = (1 << k) - 1
-    domains = [full] * g.n
-
-    def solve(pos: int, domains: list[int], used: int) -> bool:
-        while pos < g.n and domains[order[pos]].bit_count() == 1:
-            v = order[pos]
-            c = domains[v].bit_length() - 1
-            used = max(used, c + 1)
-            for w in bits(g.adj[v]):
-                if domains[w] & (1 << c):
-                    domains[w] &= ~(1 << c)
-                    if domains[w] == 0:
-                        return False
-            pos += 1
-        if pos == g.n:
-            return True
-        v = order[pos]
-        # colours above the first unused one are interchangeable: cap at used+1
-        cap = min(k, used + 1)
-        for c in bits(domains[v] & ((1 << cap) - 1)):
+        return False, nodes
+    adj = g.adj
+    n = g.n
+    width = n.bit_length()
+    low_bits = (1 << width) - 1
+    domains = [(1 << k) - 1] * n
+    uncoloured = (1 << n) - 1
+    # by_left[c]: mask of the uncoloured vertices with exactly c colours left
+    by_left = [0] * k + [uncoloured]
+    used = 0
+    # one frame per branching vertex: [vertex, colours left to try, and the
+    # domains, uncoloured, by_left and used from before it was coloured]
+    frames: list[list] = []
+    while True:
+        if not uncoloured:
+            return True, nodes
+        saturated = next(mask for mask in by_left if mask)
+        # most uncoloured neighbours, then lowest index, packed in one int
+        v = min((n - (adj[u] & uncoloured).bit_count()) << width | u
+                for u in bits(saturated)) & low_bits
+        cap = (1 << min(k, used + 1)) - 1
+        frames.append([v, domains[v] & cap, domains, uncoloured, by_left, used])
+        while frames:
+            frame = frames[-1]
+            v, colours, domains, uncoloured, by_left, used = frame
+            if not colours:
+                frames.pop()
+                continue
+            low = colours & -colours
+            frame[1] = colours ^ low
+            nodes += 1
+            if nodes > node_limit:
+                raise GuardExceeded("search_nodes", node_limit, nodes)
+            rest = uncoloured ^ (1 << v)
             nd = domains[:]
-            nd[v] = 1 << c
-            ok = True
-            for w in bits(g.adj[v]):
-                nd[w] &= ~(1 << c)
-                if nd[w] == 0:
-                    ok = False
-                    break
-            if ok and solve(pos + 1, nd, max(used, c + 1)):
-                return True
-        return False
+            nl = by_left[:]
+            nl[nd[v].bit_count()] ^= 1 << v
+            for w in bits(adj[v] & rest):
+                if nd[w] & low:
+                    left = nd[w].bit_count()
+                    if left == 1:
+                        break
+                    nd[w] ^= low
+                    nl[left] ^= 1 << w
+                    nl[left - 1] |= 1 << w
+            else:
+                domains, uncoloured, by_left = nd, rest, nl
+                used = max(used, low.bit_length())
+                break
+        else:
+            return False, nodes
 
-    return solve(0, domains, 0)
 
+def chromatic_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int | float:
+    """Exact chromatic number; INFINITE when a loop is present.
 
-def chromatic_number(g: Graph) -> int | float:
-    """Exact chromatic number; INFINITE when a loop is present."""
+    Tries k = 2, 3, ... with `is_colorable`; one `guards.search_nodes`
+    budget covers all of them.
+    """
     if g.looped_mask:
         return INFINITE
     if g.n == 0:
         return 0
     if all(a == 0 for a in g.adj):
         return 1
+    nodes = 0
     for k in range(2, g.n + 1):
-        if is_colorable(g, k):
+        colorable, nodes = _dsatur(g, k, guards.search_nodes, nodes)
+        if colorable:
             return k
     return g.n  # complete graph fallthrough (is_colorable(g, n) is always True)
 

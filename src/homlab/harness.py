@@ -345,7 +345,7 @@ def _run_toroidal_invariants(ctx: RunContext) -> tuple[bool, str]:
     for k in (1, 2):
         for m in (2, 3, 5):
             g = twisted_toroidal(k, m, ctx.guards).graph
-            chi = chromatic_number(g)
+            chi = chromatic_number(g, ctx.guards)
             ok &= chi == k + 2
             parts.append(f"chi(T({k},{m}))={chi}")
             if m in (3, 5):
@@ -359,7 +359,8 @@ def _run_toroidal_invariants(ctx: RunContext) -> tuple[bool, str]:
 def _run_spherical_graphs(ctx: RunContext) -> tuple[bool, str]:
     parts, ok = [], True
     for m in (1, 2):
-        chi = chromatic_number(spherical_graph(1, m, ctx.guards).graph)
+        chi = chromatic_number(spherical_graph(1, m, ctx.guards).graph,
+                               ctx.guards)
         ok &= chi == 3
         parts.append(f"chi(S(1,{m}))={chi}")
     iso = is_isomorphic(spherical_graph(1, 0, ctx.guards).graph,
@@ -390,7 +391,7 @@ def _run_mycielski_suite(ctx: RunContext) -> tuple[bool, str]:
     ok &= iso
     parts.append(f"M_2(K2)~=C5:{iso}")
     for k in (0, 1, 2):
-        chi = chromatic_number(iterated_mycielski(k2, 2, k))
+        chi = chromatic_number(iterated_mycielski(k2, 2, k), ctx.guards)
         ok &= chi == k + 2
         parts.append(f"chi(M^{k}_2(K2))={chi}")
     for name, g in (("K2", k2), ("K3", complete_graph(3))):
@@ -676,7 +677,8 @@ def _run_property_sweeps(ctx: RunContext) -> tuple[bool, str]:
                  f"posets:{comp}")
     small = [g for g in graphs
              if g.n <= 8 and not any(g.adj[v] >> v & 1 for v in range(g.n))]
-    chi = all(chromatic_number(g) == _chromatic_brute(g) for g in small)
+    chi = all(chromatic_number(g, ctx.guards) == _chromatic_brute(g)
+              for g in small)
     ok &= chi
     parts.append(f"chromatic number matches brute force on {len(small)} "
                  f"graphs:{chi}")

@@ -370,17 +370,22 @@ def poset_adjunction_report(p: Poset, g: Graph,
         if poset_uncurry(f, atoms, hom_single) != e:
             roundtrip = False
             break
-    hs_poset = hom_single.poset
+    # Hom(1,G) is ordered by containment of its one looped-clique mask
+    masks = [e[0] for e in hom_single.elements]
     decreasing = True
     checked = 0
-    for f in enumerate_poset_maps(p, hs_poset, guards.poset_map_elements):
+    for f in enumerate_poset_maps(p, hom_single.poset,
+                                  guards.poset_map_elements):
         checked += 1
         alpha = poset_uncurry(f, atoms, hom_single)
         if hom_ag.index.get(alpha) is None:
             raise ValueError("restriction to atoms escaped Hom(P^1,G)")
         f2 = poset_curry(below, alpha, hom_single)
-        if not all(hs_poset.leq(f2[x], f[x]) for x in range(p.m)):
-            decreasing = False
+        for x in range(p.m):
+            if masks[f2[x]] & ~masks[f[x]]:
+                decreasing = False
+                break
+        if not decreasing:
             break
     return PosetAdjunctionReport(hom_ag, hom_single, tuple(atoms),
                                  roundtrip, decreasing, checked)

@@ -6,11 +6,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from homlab.cli import parse_graph_id
 from homlab.graphs import (
     INFINITE,
     Graph,
     Partition,
+    bits,
     check_homomorphism,
     chromatic_number,
     complete_graph,
@@ -33,6 +36,8 @@ from homlab.graphs import (
     reflexive_closure,
     reflexive_cycle,
 )
+from homlab.harness import _chromatic_brute
+from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 
 
 def _random_graph(rng: random.Random, n: int, p: float = 0.4, loops: float = 0.2) -> Graph:
@@ -171,23 +176,109 @@ def test_chromatic_known_values():
     assert is_colorable(cycle_graph(7), 3) and not is_colorable(cycle_graph(7), 2)
 
 
-def _brute_chromatic(g: Graph) -> int | float:
-    if g.looped_mask:
-        return INFINITE
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
-        for colours in itertools.product(range(k), repeat=g.n):
-            if all(colours[u] != colours[v] for u, v in g.edges()):
-                return k
-    return g.n
-
-
 def test_chromatic_matches_brute_force_small():
     rng = random.Random(5)
     for _ in range(25):
         g = _random_graph(rng, rng.randint(1, 7), p=0.5, loops=0.0)
-        assert chromatic_number(g) == _brute_chromatic(g)
+        assert chromatic_number(g) == _chromatic_brute(g)
+
+
+def _static_order_colorable(g: Graph, k: int) -> bool:
+    """The former solver: descending-degree order, fixed for the whole search.
+
+    Same forward checking and ``used + 1`` colour cap as ``is_colorable``,
+    but it never reorders, so it is an independent oracle for the DSATUR
+    branching (and exponentially slower on the twisted toroidal graphs).
+    """
+    if g.looped_mask:
+        return False
+    if g.n == 0:
+        return True
+    if k <= 0:
+        return False
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    full = (1 << k) - 1
+    domains = [full] * g.n
+
+    def solve(pos: int, domains: list[int], used: int) -> bool:
+        while pos < g.n and domains[order[pos]].bit_count() == 1:
+            v = order[pos]
+            c = domains[v].bit_length() - 1
+            used = max(used, c + 1)
+            for w in bits(g.adj[v]):
+                if domains[w] & (1 << c):
+                    domains[w] &= ~(1 << c)
+                    if domains[w] == 0:
+                        return False
+            pos += 1
+        if pos == g.n:
+            return True
+        v = order[pos]
+        cap = min(k, used + 1)
+        for c in bits(domains[v] & ((1 << cap) - 1)):
+            nd = domains[:]
+            nd[v] = 1 << c
+            ok = True
+            for w in bits(g.adj[v]):
+                nd[w] &= ~(1 << c)
+                if nd[w] == 0:
+                    ok = False
+                    break
+            if ok and solve(pos + 1, nd, max(used, c + 1)):
+                return True
+        return False
+
+    return solve(0, domains, 0)
+
+
+@st.composite
+def _loopless_graphs(draw, max_n=9):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_loopless_graphs(), st.integers(0, 5))
+def test_dsatur_matches_static_order_solver(g, k):
+    assert is_colorable(g, k) == _static_order_colorable(g, k)
+
+
+# every T(k,m), S(1,m) and Mycielski graph a registry experiment builds
+_REGISTRY_GRAPHS = ["T(1,2)", "T(1,3)", "T(1,5)", "T(1,6)", "T(2,2)", "T(2,3)",
+                    "T(2,5)", "S(1,0)", "S(1,1)", "S(1,2)", "M^0_2(K2)",
+                    "M^1_2(K2)", "M^2_2(K2)", "M^1_3(K2)", "M^1_2(K3)",
+                    "M^1_3(K3)"]
+
+
+@pytest.mark.parametrize("ident", _REGISTRY_GRAPHS)
+def test_dsatur_matches_static_order_solver_on_registry_graphs(ident):
+    g = parse_graph_id(ident)
+    chi = chromatic_number(g)
+    for k in (chi - 1, chi):
+        assert is_colorable(g, k) == _static_order_colorable(g, k) == (k == chi)
+
+
+def test_chromatic_number_beyond_static_order_reach():
+    # the static-order search did not finish T(2,7) in 300 s
+    assert chromatic_number(parse_graph_id("T(2,7)")) == 4
+    assert chromatic_number(parse_graph_id("M^3_2(K2)")) == 5
+
+
+def test_colouring_and_hom_search_obey_the_node_guard():
+    t25 = parse_graph_id("T(2,5)")
+    small = DEFAULT_GUARDS.scaled(search_nodes=50)
+    with pytest.raises(GuardExceeded) as err:
+        chromatic_number(t25, small)
+    assert err.value.guard == "search_nodes" and err.value.attempted == 51
+    with pytest.raises(GuardExceeded) as err:
+        is_colorable(t25, 3, small)
+    assert err.value.guard == "search_nodes"
+    with pytest.raises(GuardExceeded) as err:
+        find_homomorphism(t25, complete_graph(3), small)
+    assert err.value.guard == "search_nodes"
+    assert find_homomorphism(t25, complete_graph(4), small) is not None
 
 
 def test_chromatic_equals_min_hom_target():

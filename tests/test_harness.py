@@ -371,6 +371,18 @@ def test_cli_search_node_guard_from_config(tmp_path, capsys):
     assert "guard 'search_nodes'" in capsys.readouterr().err
 
 
+def test_cli_chromatic_search_node_guard_from_config(tmp_path, capsys):
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"search_nodes": 50}))
+    assert main(["chromatic", "T(2,5)", "--config", str(cfg)]) == 2
+    assert "guard 'search_nodes'" in capsys.readouterr().err
+
+
+def test_cli_chromatic_twisted_toroidal_t27(capsys):
+    assert main(["chromatic", "T(2,7)"]) == 0
+    assert "chi(T(2,7)) = 4" in capsys.readouterr().out
+
+
 def test_cli_config_unwraps_guards_and_refuses_unknown_fields(tmp_path,
                                                               capsys):
     cfg = tmp_path / "guards.json"

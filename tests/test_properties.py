@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from homlab.graphs import (Graph, bits, chromatic_number, complete_graph,
                            check_homomorphism, exponential, nu_mask, product,
                            quotient, Partition)
+from homlab.harness import _chromatic_brute
 from homlab.homology import (chain_complex, hom_homology, homology_of_complex,
                              poset_homology, universal_coefficients_ok,
                              closure_reduce)
@@ -73,15 +74,6 @@ def test_exponential_adjacency_symmetric(g, h):
     for v in range(e.n):
         for w in bits(e.adj[v]):
             assert e.adj[w] >> v & 1
-
-
-def _chromatic_brute(g):
-    edges = [(v, w) for v in range(g.n) for w in bits(g.adj[v]) if w > v]
-    for k in range(1, g.n + 1):
-        for col in itertools.product(range(k), repeat=g.n):
-            if all(col[v] != col[w] for v, w in edges):
-                return k
-    return g.n
 
 
 @given(graphs(max_n=7))
