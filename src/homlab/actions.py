@@ -2,7 +2,9 @@
 
 Groups store explicit permutations of a reference set with the identity
 at index 0; actions attach one carrier permutation per group element.
-Left actions satisfy a(gh) = a(g)a(h), right actions a(gh) = a(h)a(g).
+Every action is stored as a left action, maps[g.mul(i, j)] ==
+maps[i] o maps[j].  A right action x.g, which the paper pairs with a left
+one in a twisted product, is stored as the left action g^-1 . x.
 Orbit representatives and quotient labels always use the minimum index,
 so every quotient object is reproducible.
 """
@@ -114,7 +116,6 @@ def z2_group() -> FiniteGroup:
 class GraphAction:
     group: FiniteGroup
     graph: Graph
-    side: str
     maps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -125,7 +126,6 @@ class GraphAction:
 class PosetAction:
     group: FiniteGroup
     poset: Poset
-    side: str
     maps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -136,8 +136,6 @@ Action = Union[GraphAction, PosetAction]
 
 
 def _shape_check(a: Action, n: int):
-    if a.side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     if len(a.maps) != a.group.order:
         raise ValueError("one carrier map per group element required")
     for i, p in enumerate(a.maps):
@@ -145,30 +143,21 @@ def _shape_check(a: Action, n: int):
             raise ValueError(f"carrier map {i} is not a permutation")
 
 
-def _carrier(a: Action):
-    return a.graph if isinstance(a, GraphAction) else a.poset
-
-
 def _preserves(a: Action, p: Sequence[int]) -> bool:
-    c = _carrier(a)
-    if isinstance(a, GraphAction):
-        return all(c.has_edge(p[u], p[v]) == c.has_edge(u, v)
-                   for u in range(c.n) for v in range(c.n))
-    return all(c.leq(p[u], p[v]) == c.leq(u, v)
-               for u in range(c.m) for v in range(c.m))
+    rel = a.graph.has_edge if isinstance(a, GraphAction) else a.poset.leq
+    n = len(p)
+    return all(rel(p[u], p[v]) == rel(u, v)
+               for u in range(n) for v in range(n))
 
 
 def action_violation(a: Action) -> Optional[str]:
     """First violated action axiom, or None if the action is valid."""
-    n = _carrier(a).n if isinstance(a, GraphAction) else _carrier(a).m
-    if a.maps[0] != tuple(range(n)):
+    if a.maps[0] != tuple(range(len(a.maps[0]))):
         return "identity acts nontrivially"
     g = a.group
     for i in range(g.order):
         for j in range(g.order):
-            want = compose_perm(a.maps[i], a.maps[j]) if a.side == "left" \
-                else compose_perm(a.maps[j], a.maps[i])
-            if a.maps[g.mul(i, j)] != want:
+            if a.maps[g.mul(i, j)] != compose_perm(a.maps[i], a.maps[j]):
                 return f"compatibility fails at elements {i},{j}"
     for i, p in enumerate(a.maps):
         if not _preserves(a, p):
@@ -180,15 +169,6 @@ def assert_valid_action(a: Action):
     msg = action_violation(a)
     if msg is not None:
         raise ValueError(msg)
-
-
-def as_left(a: Action) -> Action:
-    """The same action with a left-action indexing (x <- g.x = x.g^-1)."""
-    if a.side == "left":
-        return a
-    maps = tuple(a.maps[a.group.inv(i)] for i in range(a.group.order))
-    cls = type(a)
-    return cls(a.group, _carrier(a), "left", maps)
 
 
 def is_free(a: Action) -> bool:
@@ -249,19 +229,18 @@ def is_d_discontinuous(a: GraphAction, d: int) -> bool:
 
 def chain_poset_action(cp: Poset, a: PosetAction) -> PosetAction:
     """Transport an action on P to Chain(P) (elements of cp are chains)."""
-    return face_poset_action(cp, a.group, a.maps, a.side)
+    return face_poset_action(cp, a.group, a.maps)
 
 
 def face_poset_action(fp: Poset, group: FiniteGroup,
-                      vertex_maps: Sequence[Sequence[int]],
-                      side: str = "left") -> PosetAction:
+                      vertex_maps: Sequence[Sequence[int]]) -> PosetAction:
     """Transport simplicial vertex permutations to the face poset
     (fp elements must be the face tuples)."""
     idx = fp.index
     maps = tuple(tuple(idx[tuple(sorted(vm[v] for v in face))]
                        for face in fp.elements)
                  for vm in vertex_maps)
-    return PosetAction(group, fp, side, maps)
+    return PosetAction(group, fp, maps)
 
 
 def left_regular_maps(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -275,7 +254,7 @@ def atom_graph_action(g: Graph, atoms: Sequence[int],
     pos = {v: i for i, v in enumerate(atoms)}
     maps = tuple(tuple(pos[mp[atoms[i]]] for i in range(len(atoms)))
                  for mp in a.maps)
-    return GraphAction(a.group, g, a.side, maps)
+    return GraphAction(a.group, g, maps)
 
 
 def check_chain_discontinuity(a: PosetAction, k: int,
@@ -286,8 +265,7 @@ def check_chain_discontinuity(a: PosetAction, k: int,
     if k < 0:
         raise ValueError("negative chain power")
     for _ in range(k):
-        cp = chain_poset(a.poset, guards)
-        a = chain_poset_action(cp, a)
+        a = chain_poset_action(chain_poset(a.poset, guards), a)
     g, atoms = atom_graph(a.poset)
     return is_d_discontinuous(atom_graph_action(g, atoms, a), 2 ** k)
 
@@ -377,20 +355,19 @@ class TwistedProduct:
     pairs: tuple[tuple[int, int], ...]  # lex-min representative per vertex
     orbit_of: tuple[int, ...]  # product-pair index (t*nh + h) -> vertex
     product_graph: Graph
-    diagonal: GraphAction  # left action g.(t,h) = (t.g^-1, g.h) on the product
-    right_action: Optional[GraphAction] = None
+    diagonal: GraphAction  # g.(t,h) = (t.g^-1, g.h) on the product
+    right_action: Optional[GraphAction] = None  # stored as g^-1 . x
 
 
 def twisted_product(t_act: GraphAction, h_act: GraphAction,
                     h_right: Optional[GraphAction] = None) -> TwistedProduct:
     """Quotient of T x H by the diagonal action g.(t,h) = (t.g^-1, g.h).
 
-    `t_act` must be a right action on T and `h_act` a left action on H.
-    A right action on H commuting with `h_act` descends to the quotient
+    `t_act` is the right action t.g on T, stored as the left action
+    g^-1 . t, and `h_act` the left action on H.  A right action on H
+    commuting with `h_act`, stored the same way, descends to the quotient
     and is returned as the carried right action.
     """
-    if t_act.side != "right" or h_act.side != "left":
-        raise ValueError("need a right action on T and a left action on H")
     if t_act.group != h_act.group:
         raise ValueError("actions use different groups")
     assert_valid_action(t_act)
@@ -402,11 +379,11 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
     prod = product(t, h)
     diag = []
     for i in range(g.order):
-        tm = t_act.maps[g.inv(i)]
+        tm = t_act.maps[i]
         hm = h_act.maps[i]
         diag.append(tuple(tm[x // nh] * nh + hm[x % nh]
                           for x in range(npairs)))
-    diag_action = GraphAction(g, prod, "left", tuple(diag))
+    diag_action = GraphAction(g, prod, tuple(diag))
     part = Partition(npairs, orbits(diag_action))
     orbit_of = part.block_of
     pairs = tuple((b[0] // nh, b[0] % nh) for b in part.blocks)
@@ -416,9 +393,8 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
 
     carried = None
     if h_right is not None:
-        if h_right.side != "right" or h_right.group != g:
-            raise ValueError("carried action must be a right action "
-                             "of the same group")
+        if h_right.group != g:
+            raise ValueError("carried action uses a different group")
         if h_right.graph.adj != h.adj:
             raise ValueError("carried action lives on a different graph")
         for i in range(g.order):
@@ -439,7 +415,7 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
                     raise ValueError("carried action is not well defined")
                 img[u] = target
             rmaps.append(tuple(img))
-        carried = GraphAction(g, graph, "right", tuple(rmaps))
+        carried = GraphAction(g, graph, tuple(rmaps))
     return TwistedProduct(graph, g, pairs, orbit_of, prod, diag_action,
                           carried)
 
@@ -455,8 +431,6 @@ def equivariant_poset_maps(pa: PosetAction, qa: PosetAction,
         raise ValueError("actions use different groups")
     assert_valid_action(pa)
     assert_valid_action(qa)
-    pa = as_left(pa)
-    qa = as_left(qa)
     p, q = pa.poset, qa.poset
     maps = enumerate_poset_maps(p, q, guards.poset_map_elements,
                                 pa.maps, qa.maps)

@@ -65,7 +65,13 @@ def _load_json(path: str) -> dict:
 
 def _complex_from_data(data: dict) -> SimplicialComplex:
     """Complex from {"n", "facets"}, normalizing face order and closure."""
-    return make_complex(int(data["n"]), [list(f) for f in data["facets"]])
+    try:
+        n = int(data["n"])
+        facets = [list(f) for f in data["facets"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("complex JSON needs 'n' and 'facets' as vertex "
+                         f"lists: {exc!r}") from None
+    return make_complex(n, facets)
 
 
 def parse_graph_id(ident: str, guards: Guards = DEFAULT_GUARDS) -> Graph:

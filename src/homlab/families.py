@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .actions import (FiniteGroup, GraphAction, PosetAction,
-                      TwistedProduct, as_left, assert_valid_action,
-                      atom_graph_action, chain_poset_action,
-                      face_poset_action, is_free, left_regular_maps, orbits,
-                      symmetric_group, twisted_product, z2_group)
+from .actions import (GraphAction, PosetAction, TwistedProduct,
+                      assert_valid_action, atom_graph_action,
+                      chain_poset_action, face_poset_action, is_free,
+                      left_regular_maps, orbits, symmetric_group,
+                      twisted_product, z2_group)
 from .graphs import (Graph, Partition, check_homomorphism, complete_graph,
                      exponential, exponential_vertex_maps, looped_path,
                      product, quotient, reflexive_cycle)
@@ -44,18 +44,18 @@ __all__ = [
 ]
 
 
-def _flip_action(side: str = "right") -> GraphAction:
-    return GraphAction(z2_group(), complete_graph(2), side, ((0, 1), (1, 0)))
+def _flip_action() -> GraphAction:
+    return GraphAction(z2_group(), complete_graph(2), ((0, 1), (1, 0)))
 
 
 def _cycle_actions(m: int) -> tuple[Graph, GraphAction, GraphAction]:
-    """Reflexive 2m-cycle with the left antipodal and right reflection actions."""
+    """Reflexive 2m-cycle with the antipodal and reflection actions."""
     cyc = reflexive_cycle(2 * m)
     n = 2 * m
     ident = tuple(range(n))
-    anti = GraphAction(z2_group(), cyc, "left",
+    anti = GraphAction(z2_group(), cyc,
                        (ident, tuple((i + m) % n for i in range(n))))
-    refl = GraphAction(z2_group(), cyc, "right",
+    refl = GraphAction(z2_group(), cyc,
                        (ident, tuple(n - 1 - i for i in range(n))))
     return cyc, anti, refl
 
@@ -72,8 +72,8 @@ class CrossPolytope:
     m: int
     complex: SimplicialComplex
     poset: Poset  # face poset of `complex`
-    antipodal: PosetAction  # left, free
-    reflection: PosetAction  # right: negates the first coordinate
+    antipodal: PosetAction  # free
+    reflection: PosetAction  # right action (stored as left): negates x_1
 
 
 def cross_polytope_complex(k: int, m: int,
@@ -82,7 +82,8 @@ def cross_polytope_complex(k: int, m: int,
 
     Vertices of the unsubdivided boundary are 2i (the +e_{i+1} pole) and
     2i+1 (the -e_{i+1} pole).  The free antipodal action swaps the poles of
-    every coordinate; the right reflection action swaps only the first pair.
+    every coordinate; the reflection, an involution and so its own inverse,
+    swaps only the first pair and plays the right action in twisted products.
     Subdivision is the chain poset of the face poset, with both actions
     transported through each step.
     """
@@ -99,8 +100,8 @@ def cross_polytope_complex(k: int, m: int,
     ident = tuple(range(nv))
     anti_v = tuple(v ^ 1 for v in range(nv))
     refl_v = tuple((v ^ 1 if v < 2 else v) for v in range(nv))
-    anti = face_poset_action(p, z2, (ident, anti_v), "left")
-    refl = face_poset_action(p, z2, (ident, refl_v), "right")
+    anti = face_poset_action(p, z2, (ident, anti_v))
+    refl = face_poset_action(p, z2, (ident, refl_v))
     for _ in range(m):
         x = order_complex(p, guards)
         cp = chain_poset(p, guards)
@@ -120,8 +121,8 @@ class CycleFacePoset:
 
     m: int
     poset: Poset  # 4m elements: 2m vertices and 2m edges
-    antipodal: PosetAction  # left: vertex i -> i+m
-    reflection: PosetAction  # right: vertex i -> 2m-1-i
+    antipodal: PosetAction  # vertex i -> i+m
+    reflection: PosetAction  # right action (stored as left): i -> 2m-1-i
 
 
 def cycle_face_poset(m: int) -> CycleFacePoset:
@@ -133,11 +134,9 @@ def cycle_face_poset(m: int) -> CycleFacePoset:
     z2 = z2_group()
     ident = tuple(range(n))
     anti = face_poset_action(p, z2,
-                             (ident, tuple((i + m) % n for i in range(n))),
-                             "left")
+                             (ident, tuple((i + m) % n for i in range(n))))
     refl = face_poset_action(p, z2,
-                             (ident, tuple(n - 1 - i for i in range(n))),
-                             "right")
+                             (ident, tuple(n - 1 - i for i in range(n))))
     assert_valid_action(anti)
     assert_valid_action(refl)
     return CycleFacePoset(m, p, anti, refl)
@@ -154,7 +153,7 @@ class SphericalGraph:
     k: int
     m: int
     graph: Graph
-    right_action: GraphAction
+    right_action: GraphAction  # reflection, stored as left (g^-1 . x)
     twisted: TwistedProduct
     cross: CrossPolytope
 
@@ -182,7 +181,7 @@ class ToroidalGraph:
     k: int
     m: int
     graph: Graph
-    right_action: GraphAction  # reflection on the last cycle factor
+    right_action: GraphAction  # last cycle's reflection, stored as g^-1 . x
 
 
 def twisted_toroidal(k: int, m: int,
@@ -258,13 +257,12 @@ def subdivision_coloring(p: Poset, action: PosetAction,
     """
     if action.group.order != 2:
         raise ValueError("the action must be an involution")
-    act = as_left(action)
-    assert_valid_action(act)
-    if not is_free(act):
+    assert_valid_action(action)
+    if not is_free(action):
         raise ValueError("the action is not free")
     heights = p.heights
     n = max(heights)
-    reps = {block[0] for block in orbits(act)}
+    reps = {block[0] for block in orbits(action)}
 
     cp = chain_poset(p, guards)
     phi = []
@@ -272,7 +270,7 @@ def subdivision_coloring(p: Poset, action: PosetAction,
         picked = [heights[q] for q in chain if q in reps]
         phi.append(max(picked) if picked else n + 1)
 
-    cact = chain_poset_action(cp, act)
+    cact = chain_poset_action(cp, action)
     cp2 = chain_poset(cp, guards)
     c2act = chain_poset_action(cp2, cact)
     ag, atoms = atom_graph(cp2)
@@ -356,18 +354,18 @@ def equivariant_coloring_step(t_act: GraphAction, coloring: Sequence[int],
                               ) -> EquivariantColoring:
     """Extend an equivariant (n+2)-coloring of T to one of T x_Z2 C(2m) with n+3.
 
-    ``t_act`` is a right involution on T; ``coloring`` must be a proper
-    homomorphism T -> K_{n+2} intertwining the involution with the swap of
-    colors 0 and 1.  The result composes the squeeze of the 2m-cycle onto a
-    hexagon, the identification of that hexagon with the looped part of
-    K3^K2, the extension of such functions by x -> x+1 on colors above 2,
-    and evaluation at the given coloring.  Both properness and equivariance
-    of the output are validated.
+    ``t_act`` is an involution on T in the role of the right action;
+    ``coloring`` must be a proper homomorphism T -> K_{n+2} intertwining
+    the involution with the swap of colors 0 and 1.  The result composes
+    the squeeze of the 2m-cycle onto a hexagon, the identification of that
+    hexagon with the looped part of K3^K2, the extension of such functions
+    by x -> x+1 on colors above 2, and evaluation at the given coloring.
+    Both properness and equivariance of the output are validated.
     """
     if m < 3:
         raise ValueError("coloring step needs m >= 3")
-    if t_act.side != "right" or t_act.group.order != 2:
-        raise ValueError("need a right involution on the base graph")
+    if t_act.group.order != 2:
+        raise ValueError("need an involution on the base graph")
     t = t_act.graph
     source = complete_graph(n + 2)
     col = list(coloring)
@@ -400,19 +398,25 @@ def equivariant_coloring_step(t_act: GraphAction, coloring: Sequence[int],
 # Csorba and universality constructions
 
 
-def _validated_free_face_action(x: SimplicialComplex, group: FiniteGroup,
-                                vertex_maps: Sequence[Sequence[int]]
-                                ) -> tuple[Poset, PosetAction]:
-    fp = face_poset(x)
+def _twisted_skeleton(t_act: GraphAction, x: SimplicialComplex,
+                      vertex_maps: Sequence[Sequence[int]], times: int,
+                      guards: Guards) -> Graph:
+    """``t_act`` twisted with the atom graph of Chain^times(F(x)), on which
+    the group of ``t_act`` acts through the given free vertex maps."""
     try:
-        act = face_poset_action(fp, group, [tuple(vm) for vm in vertex_maps],
-                                "left")
+        act = face_poset_action(face_poset(x), t_act.group,
+                                [tuple(vm) for vm in vertex_maps])
     except KeyError:
         raise ValueError("the maps are not simplicial automorphisms")
     assert_valid_action(act)
     if not is_free(act):
         raise ValueError("the action is not free")
-    return fp, act
+    for _ in range(times):
+        act = chain_poset_action(chain_poset(act.poset, guards), act)
+    ag, atoms = atom_graph(act.poset)
+    tw = twisted_product(t_act, atom_graph_action(ag, atoms, act))
+    assert tw.graph.is_loopless()
+    return tw.graph
 
 
 def csorba_graph(x: SimplicialComplex, involution: Sequence[int],
@@ -423,15 +427,8 @@ def csorba_graph(x: SimplicialComplex, involution: Sequence[int],
     resulting loopless graph.
     """
     ident = tuple(range(x.n))
-    fp, act = _validated_free_face_action(x, z2_group(),
-                                          (ident, tuple(involution)))
-    cp = chain_poset(fp, guards)
-    cact = chain_poset_action(cp, act)
-    ag, atoms = atom_graph(cp)
-    gact = atom_graph_action(ag, atoms, cact)
-    tw = twisted_product(_flip_action(), gact)
-    assert tw.graph.is_loopless()
-    return tw.graph
+    return _twisted_skeleton(_flip_action(), x, (ident, tuple(involution)),
+                             1, guards)
 
 
 def universality_graph(x: SimplicialComplex, n: int,
@@ -456,17 +453,5 @@ def universality_graph(x: SimplicialComplex, n: int,
         maps: Sequence[Sequence[int]] = left_regular_maps(group)
     else:
         maps = vertex_maps
-    fp, act = _validated_free_face_action(x, group, maps)
-    p, a = fp, act
-    for _ in range(3):
-        p2 = chain_poset(p, guards)
-        a = chain_poset_action(p2, a)
-        p = p2
-    ag, atoms = atom_graph(p)
-    ga = atom_graph_action(ag, atoms, a)
-    kn_right = GraphAction(group, complete_graph(n), "right",
-                           tuple(group.elements[group.inv(i)]
-                                 for i in range(group.order)))
-    tw = twisted_product(kn_right, ga)
-    assert tw.graph.is_loopless()
-    return tw.graph
+    kn = GraphAction(group, complete_graph(n), group.elements)
+    return _twisted_skeleton(kn, x, maps, 3, guards)

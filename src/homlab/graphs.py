@@ -609,7 +609,10 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    labels = data.get("labels") or None
-    return Graph.from_edges(int(data["n"]),
-                            [(int(u), int(v)) for u, v in data["edges"]],
-                            labels)
+    try:
+        n = int(data["n"])
+        edges = [(int(u), int(v)) for u, v in data["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("graph JSON needs 'n' and 'edges' as [u, v] pairs: "
+                         f"{exc!r}") from None
+    return Graph.from_edges(n, edges, data.get("labels") or None)

@@ -71,7 +71,9 @@ _GUARD_FIELDS = frozenset(f.name for f in fields(Guards))
 def guard_overrides(data: Mapping) -> dict[str, int]:
     """The guard fields a config object sets, as ints.
 
-    A {"guards": ...} wrapper is removed; unknown field names are refused.
+    A {"guards": ...} wrapper is removed; unknown field names are refused,
+    and so are values that are not non-negative integers (null, booleans,
+    fractions); integral floats and decimal strings such as "123" are read.
     The result stays sparse: a field it leaves out keeps the value of the
     guards it is laid over, such as an experiment's own raised defaults.
     """
@@ -82,7 +84,17 @@ def guard_overrides(data: Mapping) -> dict[str, int]:
     unknown = sorted(set(data) - _GUARD_FIELDS)
     if unknown:
         raise ValueError(f"unknown guard fields: {', '.join(unknown)}")
-    return {k: int(v) for k, v in data.items()}
+    out = {}
+    for k, v in data.items():
+        if isinstance(v, str) and v.strip().isdecimal():
+            v = int(v)
+        elif isinstance(v, float) and v.is_integer():
+            v = int(v)
+        if type(v) is not int or v < 0:
+            raise ValueError(f"guard field {k} must be a non-negative "
+                             f"integer, got {v!r}")
+        out[k] = v
+    return out
 
 
 def guards_from_dict(data: Mapping, base: Guards = DEFAULT_GUARDS) -> Guards:
@@ -410,8 +422,7 @@ def _diagonal_flip_shift(m: int) -> tuple[Graph, GraphAction]:
     g = product(complete_graph(2), c)
     perm = tuple((1 - v // c.n) * c.n + (v % c.n + m) % c.n
                  for v in range(g.n))
-    return g, GraphAction(z2_group(), g, "left",
-                          (tuple(range(g.n)), perm))
+    return g, GraphAction(z2_group(), g, (tuple(range(g.n)), perm))
 
 
 def _run_quotient_commutation(ctx: RunContext) -> tuple[bool, str]:
@@ -446,7 +457,7 @@ def _run_adjunctions(ctx: RunContext) -> tuple[bool, str]:
 
 def _run_equivariant_maps(ctx: RunContext) -> tuple[bool, str]:
     k2, k3 = complete_graph(2), complete_graph(3)
-    flip = GraphAction(z2_group(), k2, "right", ((0, 1), (1, 0)))
+    flip = GraphAction(z2_group(), k2, ((0, 1), (1, 0)))
     target = induced_hom_action(ctx.hom(k2, k3), source_action=flip)
     eq6 = equivariant_poset_maps(cycle_face_poset(3).antipodal, target,
                                  ctx.guards)
@@ -535,7 +546,7 @@ def _run_discontinuity(ctx: RunContext) -> tuple[bool, str]:
         parts.append(f"(Chain^{k} of octagon faces)^1 "
                      f"{2 ** k}-discontinuous:{good}")
     c10 = reflexive_cycle(10)
-    act = GraphAction(z2_group(), c10, "left",
+    act = GraphAction(z2_group(), c10,
                       (tuple(range(10)),
                        tuple((i + 5) % 10 for i in range(10))))
     good = is_d_discontinuous(act, 5)
@@ -563,8 +574,7 @@ def _run_colorings(ctx: RunContext) -> tuple[bool, str]:
         parts.append(f"{name}: {sc.target.n} colors on "
                      f"{sc.twisted.graph.n} vertices, proper={proper}")
     coloring: Sequence[int] = (0, 1)
-    act = GraphAction(z2_group(), complete_graph(2), "right",
-                      ((0, 1), (1, 0)))
+    act = GraphAction(z2_group(), complete_graph(2), ((0, 1), (1, 0)))
     for k in (1, 2):
         ec = equivariant_coloring_step(act, coloring, k - 1, 3, ctx.guards)
         same = ec.twisted.graph.adj == twisted_toroidal(k, 3,
@@ -896,16 +906,15 @@ def run_experiments(ids: Optional[Iterable[str]] = None,
         cache = Cache()
     if jobs is None:
         jobs = min(len(id_list), os.cpu_count() or 1)
-    run_serial = jobs <= 1 or len(id_list) <= 1
-    if not run_serial:
+    if jobs > 1 and len(id_list) > 1:
         cache_dir = str(cache.directory) if cache.enabled else None
         rdir = None if report_dir is None else str(report_dir)
         args = [(exp_id, overrides, cache_dir, rdir) for exp_id in id_list]
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 return list(pool.map(_pool_worker, args))
-        except (OSError, PermissionError):
-            run_serial = True
+        except OSError:
+            pass  # no process pool on this platform: run serially
     return [run_experiment(exp_id, overrides, cache=cache,
                            report_dir=report_dir) for exp_id in id_list]
 
@@ -917,8 +926,11 @@ def load_reports(directory: Union[str, os.PathLike]) -> list[RunReport]:
         return []
     reports = []
     for path in sorted(directory.glob("*.json")):
-        reports.append(report_from_json(json.loads(
-            path.read_text(encoding="utf-8"))))
+        try:
+            reports.append(report_from_json(json.loads(
+                path.read_text(encoding="utf-8"))))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed report: {exc!r}") from None
     order = {exp_id: i for i, exp_id in enumerate(EXPERIMENTS)}
     reports.sort(key=lambda r: (order.get(r.id, len(order)), r.id))
     return reports

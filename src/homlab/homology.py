@@ -321,7 +321,9 @@ class HomologyResult:
             raise ValueError("field must be 'Z' or 'GF2'")
         if self.field == "GF2" and any(self.torsion):
             raise ValueError("GF(2) homology carries no torsion")
-        if len(self.torsion) != len(self.betti):
+        if len(self.torsion) > len(self.betti):
+            raise ValueError("torsion listed past the last betti degree")
+        if len(self.torsion) < len(self.betti):
             object.__setattr__(
                 self, "torsion",
                 self.torsion + ((),) * (len(self.betti) - len(self.torsion)))

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .actions import (GraphAction, PosetAction, as_left, is_free,
+from .actions import (GraphAction, PosetAction, is_free,
                       is_strongly_regular, orbits, quotient_graph_by_action,
                       quotient_poset_by_action, PosetQuotient)
-from .graphs import (Graph, bits, exponential, exponential_vertex_maps,
-                     is_fine, nu_mask, one_graph, product, reflexive_closure)
+from .graphs import (Graph, Partition, bits, exponential,
+                     exponential_vertex_maps, is_fine, nu_mask, one_graph,
+                     product, reflexive_closure)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, PosetMap, atom_graph, chain_poset,
                      enumerate_poset_maps, is_closure_map, iter_chains,
@@ -181,9 +182,9 @@ def induced_index_maps(hp: HomPoset,
     """Element-index permutations of the induced left action on Hom(G,H),
     (gamma.a)(v) = t_gamma(a(s_gamma(v))), without materializing the order.
 
-    The source contributes through a right action (or the inverse of a left
-    one), the target through a left action (or the inverse of a right one);
-    with both sides abelian this is the usual gamma . a(gamma^-1 . _).
+    Both actions are stored as left actions, so the source contributes
+    s_gamma = source.maps[gamma^-1] and the target t_gamma =
+    target.maps[gamma]: this is the usual gamma . a(gamma^-1 . _).
     """
     given = [a for a in (source_action, target_action) if a is not None]
     if not given:
@@ -199,18 +200,9 @@ def induced_index_maps(hp: HomPoset,
     ident_t = tuple(range(hp.target.n))
     maps = []
     for i in range(group.order):
-        if source_action is None:
-            smap = ident_s
-        elif source_action.side == "right":
-            smap = source_action.maps[i]
-        else:
-            smap = source_action.maps[group.inv(i)]
-        if target_action is None:
-            tmap = ident_t
-        elif target_action.side == "left":
-            tmap = target_action.maps[i]
-        else:
-            tmap = target_action.maps[group.inv(i)]
+        smap = ident_s if source_action is None \
+            else source_action.maps[group.inv(i)]
+        tmap = ident_t if target_action is None else target_action.maps[i]
         row = []
         for e in hp.elements:
             image = tuple(_permute_mask(e[smap[v]], tmap)
@@ -230,7 +222,7 @@ def induced_hom_action(hp: HomPoset,
                        ) -> PosetAction:
     """The induced left action as an action on the materialized poset."""
     group, maps = induced_index_maps(hp, source_action, target_action)
-    return PosetAction(group, hp.poset, "left", maps)
+    return PosetAction(group, hp.poset, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +454,6 @@ def quotient_compare(t: Graph, g: Graph, act: GraphAction,
     The comparison itself is computed either way; a violated hypothesis
     only produces a warning.
     """
-    act = as_left(act)
     if act.graph.adj != g.adj:
         raise ValueError("action lives on a different graph")
     lengths = tuple(sorted(set(_tree_cycle_lengths(t)) | {4}))
@@ -491,10 +482,7 @@ def quotient_compare(t: Graph, g: Graph, act: GraphAction,
     regular = is_strongly_regular(pact)
     quot = quotient_poset_by_action(pact)
     gq = quotient_graph_by_action(act)
-    block_of = [0] * g.n
-    for bi, block in enumerate(orbits(act)):
-        for v in block:
-            block_of[v] = bi
+    block_of = Partition(g.n, orbits(act)).block_of
     hom_q = hom_poset(t, gq, guards)
     image = []
     for block in quot.blocks:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from homlab.actions import (FiniteGroup, GraphAction, PosetAction,
-                            action_violation, as_left, atom_graph_action,
+                            action_violation, atom_graph_action,
                             chain_poset_action, check_chain_discontinuity,
                             equivariant_poset_maps, face_poset_action,
                             fixed_subposet, is_d_discontinuous, is_free,
@@ -33,25 +33,18 @@ def reflection(n):
     return tuple((-i) % n for i in range(n))
 
 
-def z2_action(carrier, perm, side="left"):
+def z2_action(carrier, perm):
     cls = GraphAction if isinstance(carrier, Graph) else PosetAction
     n = len(perm)
-    return cls(z2_group(), carrier, side, (tuple(range(n)), tuple(perm)))
+    return cls(z2_group(), carrier, (tuple(range(n)), tuple(perm)))
 
 
 def cyclic(n):
     return make_group([rotation(n)])
 
 
-def to_right(a):
-    """A left action re-indexed as a right one: the inverse of as_left."""
-    maps = tuple(a.maps[a.group.inv(i)] for i in range(a.group.order))
-    carrier = a.graph if isinstance(a, GraphAction) else a.poset
-    return type(a)(a.group, carrier, "right", maps)
-
-
 def trivial_action(poset, group):
-    return PosetAction(group, poset, "left",
+    return PosetAction(group, poset,
                        tuple(tuple(range(poset.m)) for _ in group.elements))
 
 
@@ -79,11 +72,16 @@ def test_group_construction():
 def test_regular_maps():
     s3 = symmetric_group(3)
     left = left_regular_maps(s3)
-    right = tuple(tuple(s3.table[j][i] for j in range(6)) for i in range(6))
+    # the right regular action j.i = ji, stored as the left action j i^-1
+    right = tuple(tuple(s3.table[j][s3.inv(i)] for j in range(6))
+                  for i in range(6))
     disc = Graph(6, tuple(1 << i for i in range(6)))  # six looped points
-    assert action_violation(GraphAction(s3, disc, "left", left)) is None
-    assert action_violation(GraphAction(s3, disc, "right", right)) is None
-    assert is_free(GraphAction(s3, disc, "left", left))
+    assert action_violation(GraphAction(s3, disc, left)) is None
+    assert action_violation(GraphAction(s3, disc, right)) is None
+    assert is_free(GraphAction(s3, disc, left))
+    # the same right action passed without the inverse is no left action
+    as_given = tuple(tuple(s3.table[j][i] for j in range(6)) for i in range(6))
+    assert "compatibility" in action_violation(GraphAction(s3, disc, as_given))
 
 
 def test_action_validation_messages():
@@ -97,34 +95,20 @@ def test_action_validation_messages():
 
     c4 = reflexive_cycle(4)
     z4 = cyclic(4)
-    bad_compat = GraphAction(z4, c4, "left",
+    bad_compat = GraphAction(z4, c4,
                              (rotation(4, 0), rotation(4, 1),
                               rotation(4, 2), rotation(4, 1)))
     assert "compatibility" in action_violation(bad_compat)
 
-    bad_ident = GraphAction(z4, c4, "left",
+    bad_ident = GraphAction(z4, c4,
                             (rotation(4, 1), rotation(4, 2),
                              rotation(4, 3), rotation(4, 0)))
     assert action_violation(bad_ident) == "identity acts nontrivially"
 
     with pytest.raises(ValueError):
         z2_action(c6, (0, 0, 1, 2, 3, 4))  # not a permutation
-    with pytest.raises(ValueError):
-        GraphAction(z2_group(), c6, "middle",
-                    (tuple(range(6)), rotation(6, 3)))
-
-
-def test_sides_and_conversion():
-    c4 = reflexive_cycle(4)
-    z4 = cyclic(4)
-    right = GraphAction(z4, c4, "right",
-                        tuple(rotation(4, k) for k in range(4)))
-    assert action_violation(right) is None
-    left = as_left(right)
-    assert left.side == "left" and action_violation(left) is None
-    assert left.maps[1] == rotation(4, 3)
-    assert to_right(left).maps == right.maps
-    assert as_left(left) is left
+    with pytest.raises(ValueError, match="one carrier map"):
+        GraphAction(z2_group(), c6, (tuple(range(6)),))
 
 
 def test_free_orbits_discontinuity():
@@ -143,7 +127,7 @@ def test_free_orbits_discontinuity():
 
 def test_twisted_product_prism_and_k4():
     k2 = complete_graph(2)
-    flip = z2_action(k2, (1, 0), side="right")
+    flip = z2_action(k2, (1, 0))
     for m, expect in ((2, complete_graph(4)),
                       (3, Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
                                                (3, 4), (4, 5), (3, 5),
@@ -166,23 +150,70 @@ def test_twisted_product_prism_and_k4():
 
 def test_twisted_product_carried_action():
     k2 = complete_graph(2)
-    flip = z2_action(k2, (1, 0), side="right")
+    flip = z2_action(k2, (1, 0))
     c6 = reflexive_cycle(6)
     antipodal = z2_action(c6, rotation(6, 3))
-    mirror = z2_action(c6, reflection(6), side="right")
+    mirror = z2_action(c6, reflection(6))
     tw = twisted_product(flip, antipodal, mirror)
     assert tw.right_action is not None
     assert action_violation(tw.right_action) is None
-    assert tw.right_action.side == "right"
 
     # a non-commuting pair is rejected
     sq = cycle_graph(4)
     diag_refl = z2_action(sq, (0, 3, 2, 1))
-    edge_refl = z2_action(sq, (1, 0, 3, 2), side="right")
+    edge_refl = z2_action(sq, (1, 0, 3, 2))
     with pytest.raises(ValueError, match="commute"):
         twisted_product(flip, diag_refl, edge_refl)
-    with pytest.raises(ValueError):
-        twisted_product(diag_refl, antipodal)  # wrong side
+
+
+def _cayley_graph(group, gen):
+    """Vertices are group elements, j ~ j*gen: left multiplication acts."""
+    return Graph.from_edges(group.order, [(j, group.mul(j, gen))
+                                          for j in range(group.order)])
+
+
+def test_twisted_product_s3_matches_brute_orbits():
+    # S_3 is not abelian, so an inverse in the wrong place changes the orbits
+    s3 = symmetric_group(3)
+    k3 = complete_graph(3)
+    # the right action t.g = g^-1(t) on K3, stored as the left action g(t)
+    t_act = GraphAction(s3, k3, s3.elements)
+    transposition = s3.elements.index((1, 0, 2))
+    h = _cayley_graph(s3, transposition)
+    h_act = GraphAction(s3, h, left_regular_maps(s3))
+    tw = twisted_product(t_act, h_act)
+
+    def right(t, g):
+        return s3.elements[g].index(t)
+
+    parent = list(range(k3.n * h.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+    # (t.g, h) ~ (t, g.h) for every g
+    for t in range(k3.n):
+        for v in range(h.n):
+            for g in range(s3.order):
+                a = find(right(t, g) * h.n + v)
+                b = find(t * h.n + s3.mul(g, v))
+                parent[max(a, b)] = min(a, b)
+    blocks = {}
+    for x in range(k3.n * h.n):
+        blocks.setdefault(find(x), []).append(x)
+    brute = sorted(tuple(b) for b in blocks.values())
+    assert brute == sorted(orbits(tw.diagonal))
+    assert tw.graph.n == len(brute) == 3
+
+
+def test_induced_hom_action_s3_both_sides():
+    s3 = symmetric_group(3)
+    k3, k4 = complete_graph(3), complete_graph(4)
+    source = GraphAction(s3, k3, s3.elements)
+    target = GraphAction(s3, k4, tuple(p + (3,) for p in s3.elements))
+    act = induced_hom_action(hom_poset(k3, k4), source, target)
+    assert action_violation(act) is None
 
 
 def test_quotient_graph():
@@ -216,8 +247,7 @@ def test_quotient_poset_flags_and_merge():
     # mechanically exercise the class-merge branch with maps that are
     # deliberately not order automorphisms (shape-valid only)
     two_chains = from_leq_pairs(4, [(0, 1), (2, 3)])
-    bad = PosetAction(z2_group(), two_chains, "left",
-                      ((0, 1, 2, 3), (3, 2, 1, 0)))
+    bad = PosetAction(z2_group(), two_chains, ((0, 1, 2, 3), (3, 2, 1, 0)))
     res = quotient_poset_by_action(bad)
     assert res.poset.m == 1 and res.blocks == ((0, 1, 2, 3),)
 
@@ -233,8 +263,7 @@ def test_strong_regularity_boundary():
     tri = from_leq_pairs(3, [(0, 1), (1, 2)])
     ident = trivial_action(tri, make_group([(0,)]))
     assert is_strongly_regular(ident)  # trivial group: vacuous
-    z2_trivial = PosetAction(z2_group(), tri, "left",
-                             ((0, 1, 2), (0, 1, 2)))
+    z2_trivial = PosetAction(z2_group(), tri, ((0, 1, 2), (0, 1, 2)))
     assert not is_strongly_regular(z2_trivial)
 
 
@@ -269,7 +298,6 @@ def test_transport_and_chain_discontinuity():
 
 
 def brute_equivariant(pa, qa):
-    pa, qa = as_left(pa), as_left(qa)
     out = []
     for f in enumerate_poset_maps(pa.poset, qa.poset):
         if all(f[pa.maps[i][x]] == qa.maps[i][f[x]]
@@ -297,14 +325,9 @@ def test_equivariant_poset_maps_oracle():
     assert em.elements == ((0, 1), (1, 0))
     assert not em.comparable(0, 1)
 
-    # mixed sides are normalized before matching
-    right_act = to_right(act)
-    assert list(equivariant_poset_maps(right_act, act).elements) == \
-        list(maps.elements)
-
     z3 = cyclic(3)
     three = from_leq_pairs(3, [])
-    rot3 = PosetAction(z3, three, "left",
+    rot3 = PosetAction(z3, three,
                        ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
     with pytest.raises(ValueError, match="different groups"):
         equivariant_poset_maps(act, rot3)
@@ -315,7 +338,7 @@ def test_equivariant_maps_refused_before_full_enumeration():
     # F(C6) -> Hom(K2,K4) has 5,256 equivariant maps; the order guard must
     # stop the enumeration at the first map it would refuse to order.
     k2 = complete_graph(2)
-    flip = GraphAction(z2_group(), k2, "right", ((0, 1), (1, 0)))
+    flip = GraphAction(z2_group(), k2, ((0, 1), (1, 0)))
     target = induced_hom_action(hom_poset(k2, complete_graph(4)),
                                 source_action=flip)
     with pytest.raises(GuardExceeded) as err:
@@ -352,7 +375,7 @@ def permuted_copies(draw, group, max_base):
         leq += [(m - 1, x) for x in range(m - 1)]
     maps = tuple(tuple([g[x // n] * n + x % n for x in range(k * n)]
                        + [m - 1] * bool(ends)) for g in group.elements)
-    return PosetAction(group, from_leq_pairs(m, leq), "left", maps)
+    return PosetAction(group, from_leq_pairs(m, leq), maps)
 
 
 @st.composite
@@ -373,10 +396,6 @@ def test_equivariant_poset_maps_match_brute_filter(data):
     qa = data.draw(st.one_of(permuted_copies(group, base),
                              fixed_poset(group, 4)))
     assume(qa.poset.m ** pa.poset.m <= 40_000)  # keeps the brute filter fast
-    if data.draw(st.booleans()):
-        pa = to_right(pa)
-    if data.draw(st.booleans()):
-        qa = to_right(qa)
     em = equivariant_poset_maps(pa, qa)
     assert list(em.elements) == brute_equivariant(pa, qa)
 

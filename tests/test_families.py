@@ -3,9 +3,13 @@ Mycielski graphs, explicit colorings, and the complex-realizing
 constructions.  Oracles are independently built comparison graphs (Wagner
 graph, triangular prism, odd cycles) and direct invariant recomputation."""
 
+import hashlib
+import json
+
 import pytest
 
-from homlab.actions import GraphAction, action_violation, is_free, z2_group
+from homlab.actions import (GraphAction, action_violation, is_free,
+                            make_group, z2_group)
 from homlab.families import (cross_polytope_complex, csorba_graph,
                              cycle_face_poset, equivariant_coloring_step,
                              iterated_mycielski, mycielski, spherical_graph,
@@ -23,8 +27,8 @@ K2, K3, K4 = complete_graph(2), complete_graph(3), complete_graph(4)
 SQUARE = make_complex(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
 
 
-def flip_action(side="right"):
-    return GraphAction(z2_group(), K2, side, ((0, 1), (1, 0)))
+def flip_action():
+    return GraphAction(z2_group(), K2, ((0, 1), (1, 0)))
 
 
 def wagner_graph():
@@ -71,7 +75,6 @@ def test_cross_polytope_shapes():
 def test_cross_polytope_actions():
     for (k, m) in ((1, 0), (1, 1), (2, 0), (2, 1)):
         cp = cross_polytope_complex(k, m)
-        assert cp.antipodal.side == "left" and cp.reflection.side == "right"
         assert action_violation(cp.antipodal) is None
         assert action_violation(cp.reflection) is None
         assert is_free(cp.antipodal)
@@ -118,7 +121,6 @@ def test_spherical_graphs():
 
     for s in (s10, s11, s21):
         assert s.graph.is_loopless()
-        assert s.right_action.side == "right"
         assert action_violation(s.right_action) is None
 
 
@@ -128,6 +130,50 @@ def test_spherical_determinism():
     assert graph_to_json(a) == graph_to_json(b)
     t = twisted_toroidal(2, 3).graph
     assert t.adj == twisted_toroidal(2, 3).graph.adj
+
+
+# SHA-256 of the sorted-key compact JSON of each graph, recorded before the
+# actions were stored in one (left) convention; any reindexing that changes
+# a twisted product shows here.
+FAMILY_DIGESTS = {
+    "T(0,2)": "020f1c698533d25a02f67a95d2d7b8ada2b8159c226f3f7c03fe59c601a313c5",
+    "T(0,3)": "020f1c698533d25a02f67a95d2d7b8ada2b8159c226f3f7c03fe59c601a313c5",
+    "T(0,4)": "020f1c698533d25a02f67a95d2d7b8ada2b8159c226f3f7c03fe59c601a313c5",
+    "T(0,5)": "020f1c698533d25a02f67a95d2d7b8ada2b8159c226f3f7c03fe59c601a313c5",
+    "T(1,2)": "a5f60d56886605ae3382fe6f1040496b7465a4cd9109d7d1926f11dd3f3554cc",
+    "T(1,3)": "7976cbecfb3f230446d73f99d63e3eb0d7035659dbc315eaeeeec5f53b6f3ad6",
+    "T(1,4)": "17ee6a5a251af5f6f880a82ee6b7c59ffff5d421de04975575f56dfd37641896",
+    "T(1,5)": "e3bec95504518e8905eb6b5056e25d08843606fc645e72c813098aca80fca2ba",
+    "T(2,2)": "5dec358815a7db8433ad1ba6863f68e089f8f48f9ba585cfe6a14eda1c61956f",
+    "T(2,3)": "1e21c0f7da3b19998ab1e2cee1542ed71b15a7d55ccb357788f95aebddaa4283",
+    "T(2,4)": "1a4060765a56ef9d0f391e652084ce7c84fd013ae437a84d685fc26904abc037",
+    "S(1,0)": "a5f60d56886605ae3382fe6f1040496b7465a4cd9109d7d1926f11dd3f3554cc",
+    "S(1,1)": "3000ebd1dbaf77708327198fa1b05080cb5bff3c94ad856e81929f4d54935699",
+    "S(1,2)": "f52307be2c0f5ca656c821175668e5f1a398e5048d82e97fefc5d9fb6a78a1a4",
+    "S(2,0)": "4d00014d93a3d1e2b6031398df8aa37425301435e04938b2f750f8f596a28fad",
+    "S(2,1)": "5d182602d4225a7e51b574e8e3090a04e41225494c654311ba0a437ff3589524",
+    "csorba(square)": "e85972f38fa7be316a5d91c038e8e265e4970b84752a018d5fa5234c7caa79cb",
+    "univ(6 points,3)": "dd6094754ed5753d411b8ad6cf3b17de9cf24313cf6dfaa866bc265748bc5fc2",
+}
+
+
+def _family_graph(name):
+    if name == "csorba(square)":
+        square = make_complex(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        return csorba_graph(square, (2, 3, 0, 1))
+    if name == "univ(6 points,3)":
+        points = make_complex(6, [(i,) for i in range(6)])
+        return universality_graph(points, 3, "regular")
+    build = {"T": twisted_toroidal, "S": spherical_graph}[name[0]]
+    k, m = name[2:-1].split(",")
+    return build(int(k), int(m)).graph
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))
+def test_family_graph_golden_digest(name):
+    text = json.dumps(graph_to_json(_family_graph(name)), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +317,7 @@ def test_coloring_step_wider_cycle():
 
 def test_coloring_step_odd_cycle_base():
     c5 = cycle_graph(5)
-    refl = GraphAction(z2_group(), c5, "right",
+    refl = GraphAction(z2_group(), c5,
                        (tuple(range(5)), tuple((5 - i) % 5 for i in range(5))))
     ec = equivariant_coloring_step(refl, (2, 1, 0, 1, 0), 1, 3)
     assert ec.twisted.graph.n == 15
@@ -285,11 +331,12 @@ def test_coloring_step_rejections():
         equivariant_coloring_step(flip_action(), (0, 1), 0, 2)
     with pytest.raises(ValueError, match="proper"):
         equivariant_coloring_step(flip_action(), (0, 0), 0, 3)
-    with pytest.raises(ValueError, match="right involution"):
-        equivariant_coloring_step(flip_action("left"), (0, 1), 0, 3)
+    trivial = GraphAction(make_group([(0, 1)]), K2, ((0, 1),))
+    with pytest.raises(ValueError, match="involution"):
+        equivariant_coloring_step(trivial, (0, 1), 0, 3)
     # proper but breaks the color swap: needs at least 3 colors on a path
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    swap_ends = GraphAction(z2_group(), path, "right",
+    swap_ends = GraphAction(z2_group(), path,
                             ((0, 1, 2), (2, 1, 0)))
     with pytest.raises(ValueError, match="equivariant"):
         equivariant_coloring_step(swap_ends, (0, 2, 0), 1, 3)

@@ -39,11 +39,24 @@ def test_load_guard_config(tmp_path):
     path.write_text(json.dumps({"guards": {"chain_elements": "123"}}))
     overrides = guard_overrides(json.loads(path.read_text()))
     assert overrides == {"chain_elements": 123}  # sparse, values int
+    assert guard_overrides({"hom_elements": 0, "search_nodes": 7.0}) == \
+        {"hom_elements": 0, "search_nodes": 7}
     assert guards_from_dict(overrides).chain_elements == 123
     with pytest.raises(ValueError, match="JSON object"):
         guard_overrides([1, 2])
     with pytest.raises(ValueError, match="unknown guard fields: clique_count"):
         guard_overrides({"clique_count": 5})
+
+
+@pytest.mark.parametrize("value", [None, True, False, 2.9, -1, "-3", "7.5",
+                                   "lots", [5], {"n": 5}, float("nan")])
+def test_guard_config_refuses_non_counts(value, tmp_path, capsys):
+    with pytest.raises(ValueError, match="guard field hom_elements"):
+        guard_overrides({"hom_elements": value})
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"hom_elements": value}))
+    assert main(["hom", "K2", "K3", "--config", str(cfg)]) == 2
+    assert "error: guard field hom_elements" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +293,18 @@ def test_load_reports_orders_by_registry(tmp_path):
     assert load_reports(tmp_path / "absent") == []
 
 
+def test_cli_report_names_a_malformed_report_file(tmp_path, capsys):
+    bad = tmp_path / "broken.json"
+    bad.write_text(json.dumps({"id": "x", "expected": "e", "measured": "m",
+                               "seconds": 1.0}))
+    with pytest.raises(ValueError, match="broken.json"):
+        load_reports(tmp_path)
+    assert main(["report", "--report-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "broken.json" in err
+    assert "outcome" in err
+
+
 # ---------------------------------------------------------------------------
 # CLI identifiers
 
@@ -392,6 +417,23 @@ def test_cli_config_unwraps_guards_and_refuses_unknown_fields(tmp_path,
     cfg.write_text(json.dumps({"clique_count": 5}))
     assert main(["hom", "K2", "K3", "--config", str(cfg)]) == 2
     assert "unknown guard fields: clique_count" in capsys.readouterr().err
+
+@pytest.mark.parametrize("ident,data,needs", [
+    ("@", {"n": 3}, "'edges'"),
+    ("@", {"n": 3, "edges": 5}, "'edges'"),
+    ("csorba", {"complex": {"n": 4}, "involution": [2, 3, 0, 1]},
+     "'facets'"),
+])
+def test_cli_malformed_input_file_is_an_error(ident, data, needs, tmp_path,
+                                              capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    arg = f"@{path}" if ident == "@" else f"{ident}({path})"
+    assert main(["construct", arg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needs in err
+    assert "Traceback" not in err
+
 
 def test_cli_hom_json_lists_assignments(capsys):
     assert main(["hom", "K2", "K2", "--json"]) == 0

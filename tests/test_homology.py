@@ -229,6 +229,15 @@ def test_result_json_round_trip():
     assert "Z/2" in str(h)
 
 
+def test_result_refuses_torsion_past_betti():
+    # a Z/2 in degree 1 with no degree-1 betti entry would print as H~0=Z
+    data = {"field": "Z", "empty": False, "betti": [1], "torsion": [[], [2]]}
+    with pytest.raises(ValueError, match="torsion"):
+        homology_from_json(data)
+    data["betti"] = [1, 0]
+    assert "Z/2" in str(homology_from_json(data))
+
+
 def test_snf_guard():
     # the simplex boundary reduces fully on unit pivots: no dense leftover
     cc = chain_complex(simplex_boundary(3))

@@ -30,8 +30,8 @@ from homlab.posets import atom_graph, face_poset, make_complex
 SQUARE = make_complex(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
 
 
-def z2_graph_action(g, perm, side="left"):
-    return GraphAction(z2_group(), g, side,
+def z2_graph_action(g, perm):
+    return GraphAction(z2_group(), g,
                        (tuple(range(g.n)), tuple(perm)))
 
 
@@ -271,7 +271,7 @@ def test_induced_action_flip_on_source():
     assert is_free(act)
     assert len(orbits(act)) == 6
     # trivial action is the identity action
-    triv = GraphAction(make_group([(0,)]), k3, "left", (tuple(range(3)),))
+    triv = GraphAction(make_group([(0,)]), k3, (tuple(range(3)),))
     ia = induced_hom_action(hp, target_action=triv)
     assert ia.maps == (tuple(range(hp.m)),)
     # a looped target creates fixed points
@@ -306,7 +306,7 @@ def test_adjunction_equivariance():
     """phi commutes with the induced actions on both sides."""
     k2, k3 = complete_graph(2), complete_graph(3)
     h = reflexive_cycle(4)
-    t_flip = z2_graph_action(k2, (1, 0), side="right")
+    t_flip = z2_graph_action(k2, (1, 0))
     h_anti = z2_graph_action(h, (2, 3, 0, 1))
     rep = adjunction_report(k2, h, k3)
     tw = twisted_product(t_flip, h_anti)
@@ -369,7 +369,7 @@ def test_quotient_compare_prism():
 
 def test_quotient_compare_trivial_group():
     k2, k3 = complete_graph(2), complete_graph(3)
-    triv = GraphAction(make_group([(0,)]), k3, "left", (tuple(range(3)),))
+    triv = GraphAction(make_group([(0,)]), k3, (tuple(range(3)),))
     rep = quotient_compare(k2, k3, triv)
     assert rep.hypothesis_ok and rep.iso and rep.rank_preserved
     assert rep.map.image == tuple(range(rep.hom_source.m))
