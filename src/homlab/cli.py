@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -34,12 +35,12 @@ from typing import Optional, Sequence
 from .families import (csorba_graph, iterated_mycielski, spherical_graph,
                        twisted_toroidal, universality_graph)
 from .graphs import (Graph, bits, chromatic_number, complete_graph,
-                     cycle_graph, graph_from_json, graph_to_json,
-                     graph_stats, looped_path, one_graph, reflexive_cycle)
+                     count_from_json, cycle_graph, graph_from_json,
+                     graph_to_json, graph_stats, looped_path, one_graph,
+                     reflexive_cycle)
 from .harness import (Cache, CacheCorrupt, cached_hom_homology,
-                      cached_hom_poset, guard_overrides, guards_from_dict,
-                      list_experiments, load_reports, render_report,
-                      run_experiments)
+                      cached_hom_poset, guard_overrides, list_experiments,
+                      load_reports, render_report, run_experiments)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import SimplicialComplex, make_complex
 
@@ -63,11 +64,17 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _vertices(values, what: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of vertices, got {values!r}")
+    return tuple(count_from_json(v, f"{what} vertex") for v in values)
+
+
 def _complex_from_data(data: dict) -> SimplicialComplex:
     """Complex from {"n", "facets"}, normalizing face order and closure."""
     try:
-        n = int(data["n"])
-        facets = [list(f) for f in data["facets"]]
+        n = count_from_json(data["n"], "n")
+        facets = [_vertices(f, "facet") for f in data["facets"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("complex JSON needs 'n' and 'facets' as vertex "
                          f"lists: {exc!r}") from None
@@ -105,7 +112,7 @@ def parse_graph_id(ident: str, guards: Guards = DEFAULT_GUARDS) -> Graph:
             raise ValueError(
                 f"{m.group(1)}: need keys 'complex' and 'involution'")
         return csorba_graph(_complex_from_data(data["complex"]),
-                            tuple(int(v) for v in data["involution"]),
+                            _vertices(data["involution"], "involution"),
                             guards)
     m = _UNIV.match(ident)
     if m:
@@ -113,8 +120,11 @@ def parse_graph_id(ident: str, guards: Guards = DEFAULT_GUARDS) -> Graph:
         if "complex" not in data:
             raise ValueError(f"{m.group(1)}: need key 'complex'")
         maps = data.get("maps", "regular")
-        if maps != "regular":
-            maps = tuple(tuple(int(v) for v in perm) for perm in maps)
+        if isinstance(maps, list):
+            maps = tuple(_vertices(perm, "map") for perm in maps)
+        elif maps != "regular":
+            raise ValueError(f"{m.group(1)}: 'maps' must be \"regular\" or "
+                             "a list of vertex maps")
         return universality_graph(_complex_from_data(data["complex"]),
                                   int(m.group(2)), maps, guards)
     raise ValueError(
@@ -124,19 +134,27 @@ def parse_graph_id(ident: str, guards: Guards = DEFAULT_GUARDS) -> Graph:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--guard-elements", type=int, metavar="N",
-                        help="cap on Hom poset elements per enumeration")
-    parser.add_argument("--config", metavar="PATH",
-                        help="JSON file of guard settings")
-    parser.add_argument("--field", choices=("gf2", "z"), default="z",
-                        help="homology coefficients (default: z)")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable JSON output")
-    parser.add_argument("--cache-dir", metavar="PATH",
-                        help="cache directory (overrides HOMLAB_CACHE_DIR)")
-    parser.add_argument("--seedless", action="store_true",
-                        help="no-op: everything is deterministic already")
+_OPTIONS = {
+    "--json": dict(action="store_true", help="machine-readable JSON output"),
+    "--config": dict(metavar="PATH", help="JSON file of guard settings"),
+    "--guard-elements": dict(type=int, metavar="N",
+                             help="cap on Hom poset elements per enumeration"),
+    "--cache-dir": dict(metavar="PATH",
+                        help="cache directory (overrides HOMLAB_CACHE_DIR)"),
+    "--field": dict(choices=("gf2", "z"), default="z",
+                    help="homology coefficients (default: z)"),
+    "--report-dir": dict(metavar="PATH",
+                         help="report directory (default: <cache-dir>/reports,"
+                              " else ./homlab-reports)"),
+    "--seedless": dict(action="store_true",
+                       help="no-op: everything is deterministic already"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """The named options plus ``--seedless``, which every verb accepts."""
+    for name in names + ("--seedless",):
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,66 +166,65 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a graph and print it")
     p.add_argument("graph", help="graph identifier")
-    _add_common(p)
+    _add_options(p, "--json", "--config")
 
     p = sub.add_parser("hom", help="enumerate Hom(source, target)")
     p.add_argument("source")
     p.add_argument("target")
-    _add_common(p)
+    _add_options(p, "--json", "--config", "--guard-elements", "--cache-dir")
 
     p = sub.add_parser("homology",
                        help="reduced homology of Hom(source, target)")
     p.add_argument("source")
     p.add_argument("target")
-    _add_common(p)
+    _add_options(p, "--json", "--config", "--guard-elements", "--cache-dir",
+                 "--field")
 
     p = sub.add_parser("chromatic", help="exact chromatic number")
     p.add_argument("graph")
-    _add_common(p)
+    _add_options(p, "--json", "--config")
 
     p = sub.add_parser("verify", help="run registered experiments")
     p.add_argument("ids", nargs="*", metavar="ID",
                    help="experiment ids (default: all)")
     p.add_argument("--jobs", type=int, help="parallel worker count")
-    p.add_argument("--report-dir", metavar="PATH",
-                   help="where to persist reports")
-    _add_common(p)
+    _add_options(p, "--json", "--config", "--guard-elements", "--cache-dir",
+                 "--report-dir")
 
     p = sub.add_parser("report", help="render persisted reports")
     p.add_argument("--format", choices=("text", "json", "csv"),
                    default="text")
-    p.add_argument("--report-dir", metavar="PATH",
-                   help="where reports were persisted")
-    _add_common(p)
+    _add_options(p, "--cache-dir", "--report-dir")
 
     p = sub.add_parser("list-experiments", help="show the registry")
-    _add_common(p)
+    _add_options(p, "--json")
 
     return parser
 
 
-def _override_dict(args: argparse.Namespace) -> Optional[dict]:
-    """Only the guard fields the user explicitly set, or None.
+def _override_dict(args: argparse.Namespace) -> dict:
+    """Only the guard fields the user explicitly set.
 
     Passing a sparse dict (rather than a full Guards value) keeps each
     experiment's own elevated defaults for the fields left untouched.
     """
-    overrides: dict = {}
-    if args.config:
-        overrides.update(guard_overrides(_load_json(args.config)))
-    if args.guard_elements is not None:
-        overrides["hom_elements"] = args.guard_elements
-    return overrides or None
+    overrides = guard_overrides(_load_json(args.config)) if args.config else {}
+    if getattr(args, "guard_elements", None) is not None:
+        overrides |= guard_overrides({"hom_elements": args.guard_elements})
+    return overrides
 
 
-def _guards_from_args(args: argparse.Namespace,
-                      base: Guards = DEFAULT_GUARDS) -> Guards:
-    overrides = _override_dict(args)
-    return guards_from_dict(overrides, base) if overrides else base
+def _guards_from_args(args: argparse.Namespace) -> Guards:
+    return DEFAULT_GUARDS.scaled(**_override_dict(args))
+
+
+def _cache(args: argparse.Namespace) -> Cache:
+    """``--cache-dir``, else ``HOMLAB_CACHE_DIR``, else no cache."""
+    return Cache(args.cache_dir or os.environ.get("HOMLAB_CACHE_DIR") or None)
 
 
 def _report_dir(args: argparse.Namespace, cache: Cache) -> Path:
-    if getattr(args, "report_dir", None):
+    if args.report_dir:
         return Path(args.report_dir)
     if cache.enabled:
         return cache.directory / "reports"
@@ -238,7 +255,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_hom(args) -> int:
     guards = _guards_from_args(args)
-    cache = Cache(args.cache_dir)
+    cache = _cache(args)
     src = parse_graph_id(args.source, guards)
     dst = parse_graph_id(args.target, guards)
     hp = cached_hom_poset(src, dst, guards, cache)
@@ -253,7 +270,7 @@ def _cmd_hom(args) -> int:
 
 def _cmd_homology(args) -> int:
     guards = _guards_from_args(args)
-    cache = Cache(args.cache_dir)
+    cache = _cache(args)
     src = parse_graph_id(args.source, guards)
     dst = parse_graph_id(args.target, guards)
     res = cached_hom_homology(src, dst, _FIELD_NAMES[args.field], guards,
@@ -277,7 +294,7 @@ def _cmd_chromatic(args) -> int:
 
 def _cmd_verify(args) -> int:
     overrides = _override_dict(args)
-    cache = Cache(args.cache_dir)
+    cache = _cache(args)
     report_dir = _report_dir(args, cache)
     ids = args.ids or None
     reports = run_experiments(ids, overrides, cache=cache,
@@ -295,13 +312,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cache = Cache(args.cache_dir)
-    reports = load_reports(_report_dir(args, cache))
+    reports = load_reports(_report_dir(args, _cache(args)))
     if not reports:
         print("no persisted reports found", file=sys.stderr)
         return 1
-    fmt = "json" if args.json and args.format == "text" else args.format
-    print(render_report(reports, fmt), end="")
+    print(render_report(reports, args.format), end="")
     return 0
 
 

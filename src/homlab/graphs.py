@@ -41,6 +41,7 @@ __all__ = [
     "is_isomorphic",
     "graph_to_json",
     "graph_from_json",
+    "count_from_json",
     "INFINITE",
 ]
 
@@ -498,25 +499,12 @@ def bfs_dist(g: Graph, source_mask: int) -> list[int | float]:
 class GraphStats:
     max_degree: int
     connected: bool
-    diameter: int | float
 
 
 def graph_stats(g: Graph) -> GraphStats:
-    """Max degree (loops add 1), connectivity, diameter (INFINITE if disconnected)."""
+    """Max degree (loops add 1) and connectivity (one BFS from vertex 0)."""
     maxdeg = max((g.degree(v) for v in range(g.n)), default=0)
-    if g.n == 0:
-        return GraphStats(0, True, 0)
-    diam: int | float = 0
-    connected = True
-    for v in range(g.n):
-        dist = bfs_dist(g, 1 << v)
-        ecc = max(dist)
-        if ecc is INFINITE:
-            connected = False
-            diam = INFINITE
-            break
-        diam = max(diam, ecc)
-    return GraphStats(maxdeg, connected, diam)
+    return GraphStats(maxdeg, g.n == 0 or INFINITE not in bfs_dist(g, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +596,28 @@ def graph_to_json(g: Graph) -> dict:
             "edges": [[u, v] for u, v in g.edges()]}
 
 
+def count_from_json(value, what: str) -> int:
+    """A non-negative integer read from JSON input.
+
+    Integral floats (``7.0``) and decimal strings (``"123"``) are read;
+    null, booleans, fractions, negative values and other strings are
+    refused with a ``ValueError`` naming ``what``.
+    """
+    if isinstance(value, str) and value.strip().isdecimal():
+        value = int(value)
+    elif isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, "
+                         f"got {value!r}")
+    return value
+
+
 def graph_from_json(data: dict) -> Graph:
     try:
-        n = int(data["n"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        n = count_from_json(data["n"], "n")
+        edges = [(count_from_json(u, "edge end"),
+                  count_from_json(v, "edge end")) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("graph JSON needs 'n' and 'edges' as [u, v] pairs: "
                          f"{exc!r}") from None

@@ -12,8 +12,9 @@ Hom posets, Hom homology (computed on the cellular complex of the Hom
 poset) and poset homology results can persist in a content-addressed cache:
 keys are SHA-256 digests of the canonical JSON of the inputs, file bodies
 are JSON lines, and a header digest detects corruption.  The cache
-directory comes from an explicit path or the ``HOMLAB_CACHE_DIR`` environment
-variable; with neither, every computation runs fresh.
+directory is an explicit path; without one, every computation runs fresh.
+Nothing here reads the environment: guards, cache and report directory are
+all passed in.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -37,7 +39,8 @@ from .families import (cross_polytope_complex, csorba_graph, cycle_face_poset,
                        mycielski, spherical_graph, subdivision_coloring,
                        twisted_toroidal, universality_graph)
 from .graphs import (Graph, bits, check_homomorphism, chromatic_number,
-                     complete_graph, cycle_graph, exponential, graph_to_json,
+                     complete_graph, count_from_json, cycle_graph,
+                     exponential, graph_to_json,
                      is_fine, is_isomorphic, looped_path, mask_of, odd_girth,
                      product, reflexive_closure, reflexive_cycle)
 from .homology import (HomologyResult, chain_complex, closure_reduce,
@@ -56,7 +59,7 @@ __all__ = [
     "Cache", "CacheCorrupt", "Experiment", "RunContext", "RunReport",
     "cached_hom_homology", "cached_hom_poset", "cached_poset_homology",
     "canonical_json",
-    "content_key", "get_experiment", "guard_overrides", "guards_from_dict",
+    "content_key", "get_experiment", "guard_overrides",
     "hom_cache_key", "homology_cache_key", "list_experiments", "load_reports",
     "render_report", "report_from_json", "run_experiment", "run_experiments",
 ]
@@ -72,8 +75,7 @@ def guard_overrides(data: Mapping) -> dict[str, int]:
     """The guard fields a config object sets, as ints.
 
     A {"guards": ...} wrapper is removed; unknown field names are refused,
-    and so are values that are not non-negative integers (null, booleans,
-    fractions); integral floats and decimal strings such as "123" are read.
+    and each value is read by ``count_from_json``.
     The result stays sparse: a field it leaves out keeps the value of the
     guards it is laid over, such as an experiment's own raised defaults.
     """
@@ -84,22 +86,7 @@ def guard_overrides(data: Mapping) -> dict[str, int]:
     unknown = sorted(set(data) - _GUARD_FIELDS)
     if unknown:
         raise ValueError(f"unknown guard fields: {', '.join(unknown)}")
-    out = {}
-    for k, v in data.items():
-        if isinstance(v, str) and v.strip().isdecimal():
-            v = int(v)
-        elif isinstance(v, float) and v.is_integer():
-            v = int(v)
-        if type(v) is not int or v < 0:
-            raise ValueError(f"guard field {k} must be a non-negative "
-                             f"integer, got {v!r}")
-        out[k] = v
-    return out
-
-
-def guards_from_dict(data: Mapping, base: Guards = DEFAULT_GUARDS) -> Guards:
-    """Overlay guard values from a mapping; accepts a {"guards": ...} wrapper."""
-    return base.scaled(**guard_overrides(data))
+    return {k: count_from_json(v, f"guard field {k}") for k, v in data.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +114,6 @@ class Cache:
     """
 
     def __init__(self, directory: Union[str, os.PathLike, None] = None):
-        if directory is None:
-            directory = os.environ.get("HOMLAB_CACHE_DIR") or None
         self.directory = Path(directory) if directory is not None else None
         self.hits = 0
         self.misses = 0
@@ -335,7 +320,7 @@ class RunReport:
 def report_from_json(data: dict) -> RunReport:
     return RunReport(data["id"], data["outcome"], data["expected"],
                      data["measured"], float(data["seconds"]),
-                     int(data.get("cache_hits", 0)))
+                     count_from_json(data.get("cache_hits", 0), "cache_hits"))
 
 
 # ---------------------------------------------------------------------------
@@ -828,44 +813,20 @@ def get_experiment(exp_id: str) -> Experiment:
 # ---------------------------------------------------------------------------
 # running and reporting
 
-GuardOverrides = Union[Guards, Mapping, None]
-
-
-def _resolve_guards(base: Guards, overrides: GuardOverrides) -> Guards:
-    if overrides is None:
-        return base
-    if isinstance(overrides, Guards):
-        return overrides
-    return guards_from_dict(overrides, base)
-
-
-def _persist_report(rep: RunReport, cache: Cache,
-                    report_dir: Union[str, os.PathLike, None]) -> None:
-    if report_dir is not None:
-        directory = Path(report_dir)
-    elif cache.enabled:
-        directory = cache.directory / "reports"
-    else:
-        return
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{rep.id}.json"
-    path.write_text(json.dumps(rep.to_json(), indent=2) + "\n",
-                    encoding="utf-8")
-
-
-def run_experiment(exp_id: str, overrides: GuardOverrides = None,
+def run_experiment(exp_id: str, overrides: Optional[Mapping] = None,
                    cache: Optional[Cache] = None,
                    report_dir: Union[str, os.PathLike, None] = None
                    ) -> RunReport:
     """Run one registered experiment and persist its report.
 
-    Guard overflows are soft: a ``GuardExceeded`` from any enumeration turns
-    into the outcome ``"skipped (guard)"`` rather than an exception.  The
-    report lands in ``report_dir`` when given, else under ``reports/`` inside
-    the cache directory when one is configured, else nowhere.
+    ``overrides`` is a sparse guard mapping, read by ``guard_overrides`` and
+    laid over the experiment's own guards.  Guard overflows are soft: a
+    ``GuardExceeded`` from any enumeration turns into the outcome
+    ``"skipped (guard)"`` rather than an exception.  The report is written
+    to ``report_dir`` when one is given, else nowhere.
     """
     exp = get_experiment(exp_id)
-    guards = _resolve_guards(exp.guards, overrides)
+    guards = exp.guards.scaled(**guard_overrides(overrides or {}))
     if cache is None:
         cache = Cache()
     hits_before = cache.hits
@@ -879,18 +840,16 @@ def run_experiment(exp_id: str, overrides: GuardOverrides = None,
     seconds = round(time.perf_counter() - start, 3)
     rep = RunReport(exp.id, outcome, exp.expected, measured, seconds,
                     cache.hits - hits_before)
-    _persist_report(rep, cache, report_dir)
+    if report_dir is not None:
+        directory = Path(report_dir)
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{rep.id}.json").write_text(
+            json.dumps(rep.to_json(), indent=2) + "\n", encoding="utf-8")
     return rep
 
 
-def _pool_worker(args) -> RunReport:
-    exp_id, overrides, cache_dir, report_dir = args
-    return run_experiment(exp_id, overrides, cache=Cache(cache_dir),
-                          report_dir=report_dir)
-
-
 def run_experiments(ids: Optional[Iterable[str]] = None,
-                    overrides: GuardOverrides = None,
+                    overrides: Optional[Mapping] = None,
                     cache: Optional[Cache] = None,
                     report_dir: Union[str, os.PathLike, None] = None,
                     jobs: Optional[int] = None) -> list[RunReport]:
@@ -902,21 +861,17 @@ def run_experiments(ids: Optional[Iterable[str]] = None,
     id_list = list(EXPERIMENTS) if ids is None else list(ids)
     for exp_id in id_list:
         get_experiment(exp_id)
-    if cache is None:
-        cache = Cache()
+    run_one = partial(run_experiment, overrides=overrides, cache=cache,
+                      report_dir=report_dir)
     if jobs is None:
         jobs = min(len(id_list), os.cpu_count() or 1)
     if jobs > 1 and len(id_list) > 1:
-        cache_dir = str(cache.directory) if cache.enabled else None
-        rdir = None if report_dir is None else str(report_dir)
-        args = [(exp_id, overrides, cache_dir, rdir) for exp_id in id_list]
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_pool_worker, args))
+                return list(pool.map(run_one, id_list))
         except OSError:
             pass  # no process pool on this platform: run serially
-    return [run_experiment(exp_id, overrides, cache=cache,
-                           report_dir=report_dir) for exp_id in id_list]
+    return [run_one(exp_id) for exp_id in id_list]
 
 
 def load_reports(directory: Union[str, os.PathLike]) -> list[RunReport]:

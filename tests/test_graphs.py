@@ -304,12 +304,12 @@ def test_odd_girth():
 
 def test_graph_stats():
     s = graph_stats(cycle_graph(6))
-    assert s.max_degree == 2 and s.connected and s.diameter == 3
+    assert s.max_degree == 2 and s.connected
     s = graph_stats(reflexive_cycle(6))
-    assert s.max_degree == 3 and s.diameter == 3
+    assert s.max_degree == 3 and s.connected
     two = Graph.from_edges(4, [(0, 1), (2, 3)])
     s = graph_stats(two)
-    assert not s.connected and s.diameter == INFINITE
+    assert not s.connected
 
 
 def test_common_neighbors():

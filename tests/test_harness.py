@@ -7,10 +7,10 @@ import pytest
 from homlab.cli import main, parse_graph_id
 from homlab.graphs import (complete_graph, cycle_graph, graph_to_json,
                            is_isomorphic, looped_path, reflexive_cycle)
-from homlab.harness import (Cache, CacheCorrupt, EXPERIMENTS, RunReport,
-                            cached_hom_homology, cached_hom_poset,
+from homlab.harness import (Cache, CacheCorrupt, EXPERIMENTS, Experiment,
+                            RunReport, cached_hom_homology, cached_hom_poset,
                             cached_poset_homology,
-                            get_experiment, guard_overrides, guards_from_dict,
+                            get_experiment, guard_overrides,
                             hom_cache_key, list_experiments, load_reports, render_report, report_from_json,
                             run_experiment, run_experiments)
 from homlab.homposets import hom_poset
@@ -21,19 +21,6 @@ from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 # ---------------------------------------------------------------------------
 # guard configuration
 
-def test_guards_from_dict_overlays_named_fields():
-    g = guards_from_dict({"hom_elements": 7, "fine_vertices": 9})
-    assert g.hom_elements == 7
-    assert g.fine_vertices == 9
-    assert g.poset_relation == DEFAULT_GUARDS.poset_relation
-
-
-def test_guards_from_dict_accepts_wrapper_and_rejects_unknown():
-    assert guards_from_dict({"guards": {"hom_elements": 3}}).hom_elements == 3
-    with pytest.raises(ValueError, match="unknown guard"):
-        guards_from_dict({"htm_elements": 3})
-
-
 def test_load_guard_config(tmp_path):
     path = tmp_path / "guards.json"
     path.write_text(json.dumps({"guards": {"chain_elements": "123"}}))
@@ -41,7 +28,6 @@ def test_load_guard_config(tmp_path):
     assert overrides == {"chain_elements": 123}  # sparse, values int
     assert guard_overrides({"hom_elements": 0, "search_nodes": 7.0}) == \
         {"hom_elements": 0, "search_nodes": 7}
-    assert guards_from_dict(overrides).chain_elements == 123
     with pytest.raises(ValueError, match="JSON object"):
         guard_overrides([1, 2])
     with pytest.raises(ValueError, match="unknown guard fields: clique_count"):
@@ -62,18 +48,23 @@ def test_guard_config_refuses_non_counts(value, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # cache
 
-def test_cache_disabled_without_directory(monkeypatch):
-    monkeypatch.delenv("HOMLAB_CACHE_DIR", raising=False)
+def test_cache_disabled_without_directory(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOMLAB_CACHE_DIR", str(tmp_path))  # CLI-only setting
     cache = Cache()
     assert not cache.enabled
     assert cache.load("deadbeef", "hom") is None
+    run_experiment("csorba-square")
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_cache_directory_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOMLAB_CACHE_DIR", str(tmp_path))
-    cache = Cache()
-    assert cache.enabled
-    assert cache.directory == tmp_path
+def test_cli_cache_directory_from_environment(tmp_path, monkeypatch):
+    env, flag = tmp_path / "env", tmp_path / "flag"
+    monkeypatch.setenv("HOMLAB_CACHE_DIR", str(env))
+    assert main(["hom", "K2", "K3"]) == 0
+    assert len(list(env.glob("*.jsonl"))) == 1
+    assert main(["hom", "K2", "K4", "--cache-dir", str(flag)]) == 0
+    assert len(list(env.glob("*.jsonl"))) == 1
+    assert len(list(flag.glob("*.jsonl"))) == 1
 
 
 def test_hom_cache_round_trip_is_bit_identical(tmp_path):
@@ -211,6 +202,9 @@ def test_run_experiment_outcomes_and_persistence(tmp_path):
     assert rep.outcome == "pass"
     assert "H~1=Z" in rep.measured
     assert rep.seconds >= 0
+    assert {p.suffix for p in tmp_path.iterdir()} == {".jsonl"}  # no report
+    rep = run_experiment("csorba-square", cache=Cache(tmp_path),
+                         report_dir=tmp_path / "reports")
     persisted = load_reports(tmp_path / "reports")
     assert [r.id for r in persisted] == ["csorba-square"]
     assert persisted[0] == rep
@@ -222,10 +216,17 @@ def test_guard_overflow_is_a_skip_not_a_crash():
     assert "hom_elements" in rep.measured
 
 
-def test_full_guards_object_as_override():
-    rep = run_experiment("csorba-square",
-                         overrides=DEFAULT_GUARDS.scaled(hom_elements=5))
-    assert rep.outcome == "skipped (guard)"
+def test_guard_mapping_overlays_the_experiment_guards(monkeypatch):
+    raised = DEFAULT_GUARDS.scaled(poset_relation=20_000)
+    monkeypatch.setitem(EXPERIMENTS, "probe", Experiment(
+        "probe", 0, "guards seen by the runner", "", "test",
+        lambda ctx: (True, f"{ctx.guards.hom_elements} "
+                           f"{ctx.guards.poset_relation}"), raised))
+    assert run_experiment("probe").measured == "1000000 20000"
+    for overrides in ({"hom_elements": 5}, {"guards": {"hom_elements": "5"}}):
+        assert run_experiment("probe", overrides).measured == "5 20000"
+    with pytest.raises(ValueError, match="unknown guard fields"):
+        run_experiment("probe", {"hom_elments": 5})
 
 
 def test_run_experiments_serial_order_and_unknown_id(tmp_path):
@@ -285,10 +286,9 @@ def test_invalid_outcome_rejected():
 
 
 def test_load_reports_orders_by_registry(tmp_path):
-    run_experiment("discontinuity", cache=Cache(tmp_path))
-    run_experiment("csorba-square", cache=Cache(tmp_path))
-    run_experiment("spherical-graphs", cache=Cache(tmp_path))
-    got = [r.id for r in load_reports(tmp_path / "reports")]
+    for exp_id in ("discontinuity", "csorba-square", "spherical-graphs"):
+        run_experiment(exp_id, report_dir=tmp_path)
+    got = [r.id for r in load_reports(tmp_path)]
     assert got == ["spherical-graphs", "discontinuity", "csorba-square"]
     assert load_reports(tmp_path / "absent") == []
 
@@ -303,6 +303,11 @@ def test_cli_report_names_a_malformed_report_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "broken.json" in err
     assert "outcome" in err
+    bad.write_text(json.dumps({"id": "x", "outcome": "pass", "expected": "e",
+                               "measured": "m", "seconds": 1.0,
+                               "cache_hits": 2.7}))
+    with pytest.raises(ValueError, match="cache_hits must be"):
+        load_reports(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +428,12 @@ def test_cli_config_unwraps_guards_and_refuses_unknown_fields(tmp_path,
     ("@", {"n": 3, "edges": 5}, "'edges'"),
     ("csorba", {"complex": {"n": 4}, "involution": [2, 3, 0, 1]},
      "'facets'"),
+    ("@", {"n": 3, "edges": [[0, 1.5]]}, "got 1.5"),
+    ("csorba", {"complex": {"n": 4, "facets": [["a", "b"]]},
+                "involution": [2, 3, 0, 1]}, "got 'a'"),
+    ("csorba", {"complex": {"n": 4, "facets": [[0, 1], [1, 2], [2, 3],
+                                               [0, 3]]},
+                "involution": [2.7, 3, 0, 1]}, "got 2.7"),
 ])
 def test_cli_malformed_input_file_is_an_error(ident, data, needs, tmp_path,
                                               capsys):
@@ -445,6 +456,8 @@ def test_cli_hom_json_lists_assignments(capsys):
 def test_cli_guard_errors_are_exit_code_2(capsys):
     assert main(["hom", "K2", "K5", "--guard-elements", "10"]) == 2
     assert "guard" in capsys.readouterr().err
+    assert main(["hom", "K2", "K3", "--guard-elements", "-1"]) == 2
+    assert "guard field hom_elements" in capsys.readouterr().err
     assert main(["construct", "Z9"]) == 2
     assert "cannot parse" in capsys.readouterr().err
 
@@ -508,6 +521,19 @@ def test_cli_list_experiments(capsys):
     data = json.loads(capsys.readouterr().out)
     assert len(data) == len(EXPERIMENTS)
     assert {d["criterion"] for d in data} == set(range(14))
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "K3", "--field", "gf2"],
+    ["chromatic", "K3", "--guard-elements", "1"],
+    ["report", "--json"],
+    ["list-experiments", "--config", "guards.json"],
+])
+def test_cli_refuses_options_a_verb_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_seedless_is_accepted(capsys):

@@ -10,10 +10,14 @@ definition in ``src/homlab`` must be reachable from the CLI, the experiment
 registry, the package exports or the benchmark (the names ``perfbench``
 imports, and the functions and attributes ``perfbench/tracing.py`` wraps).
 A name only the tests call is dead code, unless :data:`KEPT` says why not.
+
+The third scan keeps the command line to what runs: every option a verb
+accepts must be read by that verb, unless :data:`UNREAD` says why not.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib.util
 import inspect
@@ -35,6 +39,12 @@ KEPT = {
     ("homlab.graphs", "is_colorable"):
         "the one-k decision the static-order oracle checks, and the exact "
         "search the planned chromatic_bounds runs between its two bounds",
+}
+
+# Options a verb accepts without reading them, each with its reason.
+UNREAD = {
+    "seedless": "documented as an interface-compatibility no-op: nothing "
+                "in homlab is random, so there is no seed to set",
 }
 
 
@@ -264,3 +274,57 @@ def test_benchmark_tracer_finds_every_wrapped_name():
     for key in wrapped:
         assert inspect.isfunction(found[key]), key
         assert not inspect.isgeneratorfunction(found[key]), key
+
+
+def args_reads(tree: ast.Module, entry: str) -> set[str]:
+    """Names ``entry`` and the module functions it calls, transitively, read
+    off ``args``: ``args.<name>`` and ``getattr(args, "<name>", ...)``."""
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    reads, seen, todo = set(), set(), [entry]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func,
+                                                           ast.Name):
+                if (node.func.id == "getattr" and len(node.args) >= 2
+                        and isinstance(node.args[0], ast.Name)
+                        and node.args[0].id == "args"
+                        and isinstance(node.args[1], ast.Constant)):
+                    reads.add(node.args[1].value)
+                elif node.func.id in functions:
+                    todo.append(node.func.id)
+    return reads
+
+
+def test_every_cli_option_is_read():
+    from homlab import cli
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    (verbs,) = [action for action in cli._build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    assert set(verbs.choices) == set(cli._VERBS)
+    unread = set()
+    for verb, parser in verbs.choices.items():
+        accepted = {action.dest for action in parser._actions
+                    if not isinstance(action, argparse._HelpAction)}
+        missing = accepted - args_reads(tree, cli._VERBS[verb].__name__)
+        unread |= {(verb, name) for name in missing}
+    # drop these options, or say in UNREAD why not
+    assert sorted(pair for pair in unread if pair[1] not in UNREAD) == []
+    # these are read now: unlist them
+    assert sorted(set(UNREAD) - {name for _, name in unread}) == []
+
+
+def test_scan_collects_args_reads():
+    tree = ast.parse("def _cmd(args):\n    return _helper(args), args.a\n\n"
+                     "def _helper(args):\n"
+                     "    return getattr(args, 'b', None)\n\n"
+                     "def _other(args):\n    return args.c\n")
+    assert args_reads(tree, "_cmd") == {"a", "b"}
