@@ -5,6 +5,11 @@ subsets and neighbourhoods are arbitrary-precision int bitmasks, so every
 set-level operation (common neighbours, fineness sweeps, domain pruning) is a
 few machine-word ops per 64 vertices.  A loop is stored as bit ``v`` of
 ``adj[v]`` and adds 1 to the degree.
+
+One exact search, `_hom_search` (DSATUR over target-vertex domains), serves
+every homomorphism question: `find_homomorphism`, `chromatic_number` (maps
+into K_k, from a greedy clique's size upwards) and the emptiness test of
+`homposets.hom_poset`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "quotient",
     "check_homomorphism",
     "find_homomorphism",
-    "is_colorable",
     "chromatic_number",
     "odd_girth",
     "graph_stats",
@@ -285,158 +289,99 @@ def check_homomorphism(f: Sequence[int], g: Graph, h: Graph) -> bool:
 
 def find_homomorphism(g: Graph, h: Graph,
                       guards: Guards = DEFAULT_GUARDS) -> tuple[int, ...] | None:
-    """First homomorphism g -> h in the canonical search order, or None.
+    """A homomorphism g -> h, or None when there is none.
 
-    Variables are processed by descending degree (ties by index), values by
-    ascending index; forward checking and unit propagation only prune values
-    that cannot extend the current prefix, so the result is the
-    lexicographically first homomorphism in that variable order.
-
-    Every value tried is one search node; more than `guards.search_nodes`
-    of them raise GuardExceeded("search_nodes").
+    Runs `_hom_search`; every value tried is one search node, and more than
+    `guards.search_nodes` of them raise GuardExceeded("search_nodes").
     """
-    if g.n == 0:
-        return ()
-    if h.n == 0:
-        return None
-    full = (1 << h.n) - 1
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    domains = [full] * g.n
-    for v in range(g.n):
-        if (g.adj[v] >> v) & 1:
-            domains[v] &= h.looped_mask
-        if domains[v] == 0:
-            return None
-    assignment: list[int | None] = [None] * g.n
-    node_limit = guards.search_nodes
-    nodes = 0
-
-    def propagate(domains: list[int], queue: deque[int]) -> bool:
-        """Propagate singleton domains in place; False on wipeout."""
-        while queue:
-            u = queue.popleft()
-            x = domains[u].bit_length() - 1
-            for w in bits(g.adj[u]):
-                if domains[w] & ~h.adj[x]:
-                    domains[w] &= h.adj[x]
-                    if domains[w] == 0:
-                        return False
-                    if domains[w] & (domains[w] - 1) == 0:
-                        queue.append(w)
-        return True
-
-    def solve(pos: int, domains: list[int]) -> bool:
-        nonlocal nodes
-        while pos < g.n and domains[order[pos]].bit_count() == 1:
-            v = order[pos]
-            assignment[v] = domains[v].bit_length() - 1
-            pos += 1
-        if pos == g.n:
-            return True
-        v = order[pos]
-        for value in bits(domains[v]):
-            nodes += 1
-            if nodes > node_limit:
-                raise GuardExceeded("search_nodes", node_limit, nodes)
-            nd = domains[:]
-            nd[v] = 1 << value
-            if propagate(nd, deque([v])):
-                assignment[v] = value
-                if solve(pos + 1, nd):
-                    return True
-        assignment[v] = None
-        return False
-
-    seeds = deque(v for v in range(g.n) if domains[v].bit_count() == 1)
-    if not propagate(domains, seeds):
-        return None
-    if solve(0, domains):
-        return tuple(assignment)  # type: ignore[arg-type]
-    return None
+    return _hom_search(g, h, guards.search_nodes, 0)[0]
 
 
-def is_colorable(g: Graph, k: int, guards: Guards = DEFAULT_GUARDS) -> bool:
-    """Exact k-colorability (loops make this False for every k).
+def _hom_search(g: Graph, h: Graph, node_limit: int,
+                nodes: int) -> tuple[tuple[int, ...] | None, int]:
+    """A homomorphism g -> h or None, with a node count carried in and out.
 
-    DSATUR branching (Brelaz 1979): each node branches on the uncoloured
-    vertex with the fewest colours left, ties broken by most uncoloured
-    neighbours, then by lowest index.  Colouring a vertex removes its colour
-    from its uncoloured neighbours (forward checking) and fails the branch
-    when a domain empties.  Colours above the first unused one are
-    interchangeable, so a vertex tries colours up to ``used + 1`` only.
-    Only these two prunes cut the tree, so the answer is exact.
-
-    Every colour tried is one search node; more than `guards.search_nodes`
-    of them raise GuardExceeded("search_nodes").
+    Each source vertex has a domain: the mask of target vertices it may
+    still take (only looped ones for a looped vertex).  DSATUR branching
+    (Brelaz 1979): each node branches on the unassigned vertex with the
+    smallest domain, ties broken by most unassigned neighbours, then by
+    lowest index.  Assigning v -> x cuts every unassigned neighbour's domain
+    to h.adj[x] (forward checking) and fails the branch when a domain
+    empties.  On a loopless complete target the colours above the first
+    unused one are interchangeable, so a vertex tries values up to
+    ``used + 1`` only.  Only these prunes cut the tree, so the answer is
+    exact.
     """
-    return _dsatur(g, k, guards.search_nodes, 0)[0]
-
-
-def _dsatur(g: Graph, k: int, node_limit: int, nodes: int) -> tuple[bool, int]:
-    """`is_colorable` with a node count carried in and out."""
-    if g.looped_mask:
-        return False, nodes
-    if g.n == 0:
-        return True, nodes
-    if k <= 0:
-        return False, nodes
-    adj = g.adj
     n = g.n
+    adj, target = g.adj, h.adj
+    full = (1 << h.n) - 1
+    domains = [h.looped_mask if adj[v] >> v & 1 else full for v in range(n)]
+    if not all(domains):
+        return None, nodes
+    complete = all(target[x] == full ^ (1 << x) for x in range(h.n))
     width = n.bit_length()
     low_bits = (1 << width) - 1
-    domains = [(1 << k) - 1] * n
-    uncoloured = (1 << n) - 1
-    # by_left[c]: mask of the uncoloured vertices with exactly c colours left
-    by_left = [0] * k + [uncoloured]
+    unassigned = (1 << n) - 1
+    # by_left[c]: mask of the unassigned vertices with exactly c values left
+    by_left = [0] * (h.n + 1)
+    for v in range(n):
+        by_left[domains[v].bit_count()] |= 1 << v
     used = 0
-    # one frame per branching vertex: [vertex, colours left to try, and the
-    # domains, uncoloured, by_left and used from before it was coloured]
+    assignment = [0] * n
+    # one frame per branching vertex: [vertex, values left to try, and the
+    # domains, unassigned, by_left and used from before it was assigned]
     frames: list[list] = []
     while True:
-        if not uncoloured:
-            return True, nodes
+        if not unassigned:
+            return tuple(assignment), nodes
         saturated = next(mask for mask in by_left if mask)
-        # most uncoloured neighbours, then lowest index, packed in one int
-        v = min((n - (adj[u] & uncoloured).bit_count()) << width | u
+        # most unassigned neighbours, then lowest index, packed in one int
+        v = min((n - (adj[u] & unassigned).bit_count()) << width | u
                 for u in bits(saturated)) & low_bits
-        cap = (1 << min(k, used + 1)) - 1
-        frames.append([v, domains[v] & cap, domains, uncoloured, by_left, used])
+        values = domains[v] & ((1 << used + 1) - 1) if complete else domains[v]
+        frames.append([v, values, domains, unassigned, by_left, used])
         while frames:
             frame = frames[-1]
-            v, colours, domains, uncoloured, by_left, used = frame
-            if not colours:
+            v, values, domains, unassigned, by_left, used = frame
+            if not values:
                 frames.pop()
                 continue
-            low = colours & -colours
-            frame[1] = colours ^ low
+            low = values & -values
+            frame[1] = values ^ low
             nodes += 1
             if nodes > node_limit:
                 raise GuardExceeded("search_nodes", node_limit, nodes)
-            rest = uncoloured ^ (1 << v)
+            x = low.bit_length() - 1
+            row = target[x]
+            rest = unassigned ^ (1 << v)
             nd = domains[:]
             nl = by_left[:]
             nl[nd[v].bit_count()] ^= 1 << v
             for w in bits(adj[v] & rest):
-                if nd[w] & low:
-                    left = nd[w].bit_count()
-                    if left == 1:
+                before = nd[w]
+                after = before & row
+                if after != before:
+                    if not after:
                         break
-                    nd[w] ^= low
-                    nl[left] ^= 1 << w
-                    nl[left - 1] |= 1 << w
+                    nd[w] = after
+                    nl[before.bit_count()] ^= 1 << w
+                    nl[after.bit_count()] |= 1 << w
             else:
-                domains, uncoloured, by_left = nd, rest, nl
-                used = max(used, low.bit_length())
+                assignment[v] = x
+                domains, unassigned, by_left = nd, rest, nl
+                used = max(used, x + 1)
                 break
         else:
-            return False, nodes
+            return None, nodes
 
 
 def chromatic_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int | float:
     """Exact chromatic number; INFINITE when a loop is present.
 
-    Tries k = 2, 3, ... with `is_colorable`; one `guards.search_nodes`
-    budget covers all of them.
+    Starts at the size of a greedy clique (each step keeps the candidate
+    with the most neighbours among the candidates, then only its
+    neighbours), a sound lower bound, and tries k upwards with
+    `_hom_search` into K_k; one `guards.search_nodes` budget covers all k.
     """
     if g.looped_mask:
         return INFINITE
@@ -444,12 +389,19 @@ def chromatic_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int | float:
         return 0
     if all(a == 0 for a in g.adj):
         return 1
+    clique, candidates = 0, (1 << g.n) - 1
+    while candidates:
+        v = max(bits(candidates),
+                key=lambda u: (g.adj[u] & candidates).bit_count())
+        candidates &= g.adj[v]
+        clique += 1
     nodes = 0
-    for k in range(2, g.n + 1):
-        colorable, nodes = _dsatur(g, k, guards.search_nodes, nodes)
-        if colorable:
+    for k in range(max(2, clique), g.n):
+        found, nodes = _hom_search(g, complete_graph(k), guards.search_nodes,
+                                   nodes)
+        if found is not None:
             return k
-    return g.n  # complete graph fallthrough (is_colorable(g, n) is always True)
+    return g.n  # every loopless graph maps to K_n
 
 
 def odd_girth(g: Graph) -> int | float:
@@ -621,4 +573,8 @@ def graph_from_json(data: dict) -> Graph:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("graph JSON needs 'n' and 'edges' as [u, v] pairs: "
                          f"{exc!r}") from None
-    return Graph.from_edges(n, edges, data.get("labels") or None)
+    labels = data.get("labels", [])
+    if type(labels) is not list or not all(type(s) is str for s in labels):
+        raise ValueError(f"graph JSON 'labels' must be a list of strings, "
+                         f"got {labels!r}")
+    return Graph.from_edges(n, edges, labels)

@@ -111,6 +111,8 @@ class Cache:
     kind and the SHA-256 of the body, then one JSON line per record.  A load
     recomputes the body digest and raises :class:`CacheCorrupt` on mismatch,
     so a tampered or truncated file can never masquerade as a result.
+    ``Cache()``, with no directory, is the one spelling of "no cache": it
+    stores nothing and counts no hits or misses, so one can be shared.
     """
 
     def __init__(self, directory: Union[str, os.PathLike, None] = None):
@@ -178,9 +180,9 @@ def hom_cache_key(g: Graph, h: Graph) -> str:
 
 
 def cached_hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS,
-                     cache: Optional[Cache] = None) -> HomPoset:
+                     cache: Cache = Cache()) -> HomPoset:
     """hom_poset with cache read-through; round trips are bit-identical."""
-    if cache is None or not cache.enabled:
+    if not cache.enabled:
         return hom_poset(g, h, guards)
     key = hom_cache_key(g, h)
     lines = cache.load(key, "hom")
@@ -202,14 +204,14 @@ def cached_hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS,
 
 def cached_hom_homology(g: Graph, h: Graph, field_name: str = "Z",
                         guards: Guards = DEFAULT_GUARDS,
-                        cache: Optional[Cache] = None) -> HomologyResult:
+                        cache: Cache = Cache()) -> HomologyResult:
     """Cellular homology of Hom(g,h), cached by (source, target, field).
 
     The entry stores the number of Hom elements next to the result, so a
     hit enforces the hom_elements guard exactly as a cold call does without
     reading the Hom poset.
     """
-    if cache is None or not cache.enabled:
+    if not cache.enabled:
         return hom_homology(hom_poset(g, h, guards), field_name, guards)
     key = content_key({"kind": "hom-cell-homology", "field": field_name,
                        "source": graph_to_json(g),
@@ -240,8 +242,8 @@ def homology_cache_key(p: Poset, field_name: str) -> str:
 
 def cached_poset_homology(p: Poset, field_name: str = "Z",
                           guards: Guards = DEFAULT_GUARDS,
-                          cache: Optional[Cache] = None) -> HomologyResult:
-    if cache is None or not cache.enabled:
+                          cache: Cache = Cache()) -> HomologyResult:
+    if not cache.enabled:
         return poset_homology(p, field_name, guards)
     key = homology_cache_key(p, field_name)
     lines = cache.load(key, "homology")
@@ -814,7 +816,7 @@ def get_experiment(exp_id: str) -> Experiment:
 # running and reporting
 
 def run_experiment(exp_id: str, overrides: Optional[Mapping] = None,
-                   cache: Optional[Cache] = None,
+                   cache: Cache = Cache(),
                    report_dir: Union[str, os.PathLike, None] = None
                    ) -> RunReport:
     """Run one registered experiment and persist its report.
@@ -827,8 +829,6 @@ def run_experiment(exp_id: str, overrides: Optional[Mapping] = None,
     """
     exp = get_experiment(exp_id)
     guards = exp.guards.scaled(**guard_overrides(overrides or {}))
-    if cache is None:
-        cache = Cache()
     hits_before = cache.hits
     ctx = RunContext(guards, cache)
     start = time.perf_counter()
@@ -850,7 +850,7 @@ def run_experiment(exp_id: str, overrides: Optional[Mapping] = None,
 
 def run_experiments(ids: Optional[Iterable[str]] = None,
                     overrides: Optional[Mapping] = None,
-                    cache: Optional[Cache] = None,
+                    cache: Cache = Cache(),
                     report_dir: Union[str, os.PathLike, None] = None,
                     jobs: Optional[int] = None) -> list[RunReport]:
     """Run several experiments, in a process pool when jobs allows.

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .actions import (GraphAction, PosetAction, is_free,
                       is_strongly_regular, orbits, quotient_graph_by_action,
                       quotient_poset_by_action, PosetQuotient)
-from .graphs import (Graph, Partition, bits, exponential,
+from .graphs import (Graph, Partition, _hom_search, bits, exponential,
                      exponential_vertex_maps, is_fine, nu_mask, one_graph,
                      product, reflexive_closure)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
@@ -99,16 +99,24 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     of s; looped cliques are closed under subsets, so that prune is sound
     as well.  So one vertex's sets no longer cost 2^|V(h)| steps however
     few survive; what stays exponential is the backtracking across source
-    vertices (deciding whether Hom(g,K3) is empty is 3-colourability).
+    vertices.  Every element lies above an atom, so the poset is empty
+    exactly when there is no homomorphism: the DSATUR search of
+    `graphs._hom_search` decides that first (Hom(g,K3) is empty exactly
+    when g is not 3-colourable), and only a nonempty poset is enumerated.
 
-    Every candidate target vertex tried is one search node; more than
-    `guards.search_nodes` of them raise GuardExceeded("search_nodes"), as
-    more than `guards.hom_elements` elements raise "hom_elements".
+    Every value that search tries and every candidate target vertex the
+    enumeration tries is one search node; more than `guards.search_nodes`
+    of them raise GuardExceeded("search_nodes"), as more than
+    `guards.hom_elements` elements raise "hom_elements".
     """
+    node_limit = guards.search_nodes
+    atom, nodes = _hom_search(g, h, node_limit, 0)
+    if atom is None:
+        return HomPoset(g, h, (), guards)
     n = g.n
     adj = h.adj
     full = (1 << h.n) - 1
-    loops = sum(1 << x for x in range(h.n) if adj[x] >> x & 1)
+    loops = h.looped_mask
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     pos = [0] * n
     for i, v in enumerate(order):
@@ -120,8 +128,6 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     allowed = [full] * n
     out: list[tuple[int, ...]] = []
     element_limit = guards.hom_elements
-    node_limit = guards.search_nodes
-    nodes = 0
     last = n - 1
 
     def rec(i: int):
@@ -163,7 +169,7 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
 
     if n == 0:
         out.append(())  # the empty map, whatever h is
-    elif h.n:
+    else:
         rec(0)
     out.sort()
     return HomPoset(g, h, tuple(out), guards)

@@ -24,7 +24,6 @@ from homlab.graphs import (
     graph_from_json,
     graph_stats,
     graph_to_json,
-    is_colorable,
     is_fine,
     is_isomorphic,
     looped_path,
@@ -146,19 +145,27 @@ def test_find_homomorphism_basics():
     assert find_homomorphism(complete_graph(1), k2) == (0,)
 
 
-def test_find_homomorphism_is_lex_first_in_search_order():
-    rng = random.Random(23)
-    for _ in range(20):
-        g = _random_graph(rng, rng.randint(1, 4))
-        h = _random_graph(rng, rng.randint(1, 3))
-        order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-        homs = _all_homomorphisms(g, h)
-        got = find_homomorphism(g, h)
-        if not homs:
-            assert got is None
-        else:
-            best = min(homs, key=lambda f: tuple(f[v] for v in order))
-            assert got == best
+@st.composite
+def _graphs(draw, max_n, loops=True):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u if loops else u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+# the capped path runs on loopless complete targets, K_0 (no vertex) included
+_targets = st.one_of(_graphs(4), st.integers(0, 4).map(
+    lambda k: complete_graph(k) if k else Graph(0, ())))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_graphs(5), _graphs(6, loops=False)), _targets)
+def test_find_homomorphism_matches_exhaustive_search(g, h):
+    got = find_homomorphism(g, h)
+    if _all_homomorphisms(g, h):
+        assert got is not None and check_homomorphism(got, g, h)
+    else:
+        assert got is None
 
 
 def test_find_homomorphism_respects_loops():
@@ -173,7 +180,8 @@ def test_chromatic_known_values():
     assert chromatic_number(cycle_graph(6)) == 2
     assert chromatic_number(Graph.from_edges(3, [])) == 1
     assert chromatic_number(Graph.from_edges(1, [(0, 0)])) == INFINITE
-    assert is_colorable(cycle_graph(7), 3) and not is_colorable(cycle_graph(7), 2)
+    assert find_homomorphism(cycle_graph(7), complete_graph(3)) is not None
+    assert find_homomorphism(cycle_graph(7), complete_graph(2)) is None
 
 
 def test_chromatic_matches_brute_force_small():
@@ -186,9 +194,10 @@ def test_chromatic_matches_brute_force_small():
 def _static_order_colorable(g: Graph, k: int) -> bool:
     """The former solver: descending-degree order, fixed for the whole search.
 
-    Same forward checking and ``used + 1`` colour cap as ``is_colorable``,
-    but it never reorders, so it is an independent oracle for the DSATUR
-    branching (and exponentially slower on the twisted toroidal graphs).
+    Same forward checking and ``used + 1`` colour cap as the DSATUR search
+    behind ``find_homomorphism``, but it never reorders, so it is an
+    independent oracle for the DSATUR branching (and exponentially slower
+    on the twisted toroidal graphs).
     """
     if g.looped_mask:
         return False
@@ -231,18 +240,16 @@ def _static_order_colorable(g: Graph, k: int) -> bool:
     return solve(0, domains, 0)
 
 
-@st.composite
-def _loopless_graphs(draw, max_n=9):
-    n = draw(st.integers(0, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph.from_edges(n, edges)
+def _colorable(g: Graph, k: int, guards=DEFAULT_GUARDS) -> bool:
+    """k-colourability as a homomorphism into K_k (K_0 has no vertex)."""
+    target = complete_graph(k) if k else Graph(0, ())
+    return find_homomorphism(g, target, guards) is not None
 
 
 @settings(deadline=None, max_examples=200)
-@given(_loopless_graphs(), st.integers(0, 5))
+@given(_graphs(9, loops=False), st.integers(0, 5))
 def test_dsatur_matches_static_order_solver(g, k):
-    assert is_colorable(g, k) == _static_order_colorable(g, k)
+    assert _colorable(g, k) == _static_order_colorable(g, k)
 
 
 # every T(k,m), S(1,m) and Mycielski graph a registry experiment builds
@@ -257,7 +264,7 @@ def test_dsatur_matches_static_order_solver_on_registry_graphs(ident):
     g = parse_graph_id(ident)
     chi = chromatic_number(g)
     for k in (chi - 1, chi):
-        assert is_colorable(g, k) == _static_order_colorable(g, k) == (k == chi)
+        assert _colorable(g, k) == _static_order_colorable(g, k) == (k == chi)
 
 
 def test_chromatic_number_beyond_static_order_reach():
@@ -273,12 +280,15 @@ def test_colouring_and_hom_search_obey_the_node_guard():
         chromatic_number(t25, small)
     assert err.value.guard == "search_nodes" and err.value.attempted == 51
     with pytest.raises(GuardExceeded) as err:
-        is_colorable(t25, 3, small)
+        _colorable(t25, 3, small)
     assert err.value.guard == "search_nodes"
-    with pytest.raises(GuardExceeded) as err:
-        find_homomorphism(t25, complete_graph(3), small)
-    assert err.value.guard == "search_nodes"
-    assert find_homomorphism(t25, complete_graph(4), small) is not None
+    assert _colorable(t25, 4, small)
+
+
+def test_chromatic_number_starts_at_a_clique():
+    # counting up from k = 2 would refute k = 2..149 first: 11,324 nodes
+    small = DEFAULT_GUARDS.scaled(search_nodes=1_000)
+    assert chromatic_number(complete_graph(150), small) == 150
 
 
 def test_chromatic_equals_min_hom_target():

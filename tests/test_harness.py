@@ -434,6 +434,7 @@ def test_cli_config_unwraps_guards_and_refuses_unknown_fields(tmp_path,
     ("csorba", {"complex": {"n": 4, "facets": [[0, 1], [1, 2], [2, 3],
                                                [0, 3]]},
                 "involution": [2.7, 3, 0, 1]}, "got 2.7"),
+    ("@", {"n": 2, "edges": [[0, 1]], "labels": 5}, "'labels'"),
 ])
 def test_cli_malformed_input_file_is_an_error(ident, data, needs, tmp_path,
                                               capsys):

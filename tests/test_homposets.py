@@ -253,6 +253,14 @@ def test_search_node_guard_bounds_work():
     assert err.value.guard == "search_nodes"
     assert err.value.limit == 100 and err.value.attempted > 100
 
+
+def test_empty_hom_poset_is_refuted_before_enumeration():
+    # T(2,5) is 4-chromatic; enumerating Hom(T(2,5),K3) runs past 20 M nodes
+    hp = hom_poset(twisted_toroidal(2, 5).graph, complete_graph(3),
+                   DEFAULT_GUARDS.scaled(search_nodes=10_000))
+    assert hp.m == 0
+
+
 def test_multihom_violations():
     g, h = complete_graph(2), complete_graph(3)
     assert "length" in multihom_violation(g, h, (1,))

@@ -36,9 +36,6 @@ KEPT = {
         "the Z-versus-GF(2) cross-check of the two reductions",
     ("homlab.homology", "homology_connectivity"):
         "the connectivity bound of the planned chromatic lower bound",
-    ("homlab.graphs", "is_colorable"):
-        "the one-k decision the static-order oracle checks, and the exact "
-        "search the planned chromatic_bounds runs between its two bounds",
 }
 
 # Options a verb accepts without reading them, each with its reason.
