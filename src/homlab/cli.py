@@ -187,7 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run registered experiments")
     p.add_argument("ids", nargs="*", metavar="ID",
                    help="experiment ids (default: all)")
-    p.add_argument("--jobs", type=int, help="parallel worker count")
+    p.add_argument("--jobs", type=int,
+                   help="parallel worker count, at least 1 (default: one per "
+                   "CPU, at most one per experiment)")
     _add_options(p, "--json", "--config", "--guard-elements", "--cache-dir",
                  "--report-dir")
 

@@ -51,9 +51,9 @@ from .homposets import (HomPoset, adjunction_report, hom_poset,
                         induced_hom_action, loop_addition_maps,
                         poset_adjunction_report, quotient_compare)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
-from .posets import (Poset, SimplicialComplex, atom_graph, chain_poset,
-                     face_poset, from_leq_pairs, make_complex, order_complex,
-                     poset_to_json)
+from .posets import (Poset, PosetMap, SimplicialComplex, atom_graph,
+                     chain_poset, face_poset, from_leq_pairs, make_complex,
+                     order_complex, poset_to_json)
 
 __all__ = [
     "Cache", "CacheCorrupt", "Experiment", "RunContext", "RunReport",
@@ -595,8 +595,9 @@ def _closure_invariance_ok(ctx: RunContext) -> bool:
                             complete_graph(3), ctx.guards)
     if not rep.closure_ok:
         return False
-    closure = rep.phi.after(rep.psi)
-    sub, _ = closure_reduce(rep.hom_curried.poset, closure)
+    p = rep.hom_curried.poset  # closure_reduce needs the order; it is small
+    closure = PosetMap(p, p, tuple(rep.phi[j] for j in rep.psi))
+    sub, _ = closure_reduce(p, closure)
     return ctx.homology(sub) == hom_homology(rep.hom_curried, "Z", ctx.guards)
 
 
@@ -855,17 +856,20 @@ def run_experiments(ids: Optional[Iterable[str]] = None,
                     jobs: Optional[int] = None) -> list[RunReport]:
     """Run several experiments, in a process pool when jobs allows.
 
-    Each experiment is internally deterministic, so reports do not depend on
-    the worker count; assembly back into registry order is single-threaded.
+    `jobs` (default: the CPU count) must be at least 1; the pool never gets
+    more workers than there are experiments.  Each experiment is internally
+    deterministic, so reports do not depend on the worker count; assembly
+    back into registry order is single-threaded.
     """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     id_list = list(EXPERIMENTS) if ids is None else list(ids)
     for exp_id in id_list:
         get_experiment(exp_id)
     run_one = partial(run_experiment, overrides=overrides, cache=cache,
                       report_dir=report_dir)
-    if jobs is None:
-        jobs = min(len(id_list), os.cpu_count() or 1)
-    if jobs > 1 and len(id_list) > 1:
+    jobs = min(len(id_list), jobs or os.cpu_count() or 1)
+    if jobs > 1:
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 return list(pool.map(run_one, id_list))

@@ -26,8 +26,7 @@ from .graphs import (Graph, Partition, _hom_search, bits, exponential,
                      product, reflexive_closure)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, PosetMap, atom_graph, chain_poset,
-                     enumerate_poset_maps, is_closure_map, iter_chains,
-                     pointwise_poset)
+                     enumerate_poset_maps, iter_chains, pointwise_poset)
 
 
 def rank_of(element: Sequence[int]) -> int:
@@ -75,13 +74,56 @@ class HomPoset:
         return tuple(i for i, e in enumerate(self.elements)
                      if all(mask & (mask - 1) == 0 for mask in e))
 
+    @cached_property
+    def _packed(self) -> tuple[int, ...]:
+        """Each element as one integer, vertex v's set shifted by v times
+        the target's vertex count, so pointwise containment is one test."""
+        w = self.target.n
+        return tuple(sum(mask << v * w for v, mask in enumerate(e))
+                     for e in self.elements)
+
     def leq(self, i: int, j: int) -> bool:
-        a, b = self.elements[i], self.elements[j]
-        return all(x & ~y == 0 for x, y in zip(a, b))
+        packed = self._packed
+        return not packed[i] & ~packed[j]
+
+    def is_up_closure(self, image: Sequence[int]) -> bool:
+        """Whether element i -> image[i] is monotone, idempotent and has
+        image[i] >= i, read off the element masks.
+
+        Monotonicity is checked on lower-cover pairs: element i against i
+        with one target vertex dropped from one of its sets of size >= 2.
+        Hom(G,H) is closed under nonempty pointwise subsets, so these pairs
+        generate the order; a missing subset raises ValueError.
+        """
+        m, packed, w = self.m, self._packed, self.target.n
+        if len(image) != m or any(not 0 <= c < m for c in image):
+            raise ValueError("closure test requires an endomap")
+        where = {k: i for i, k in enumerate(packed)}
+        for i, e in enumerate(self.elements):
+            c = image[i]
+            up = packed[c]
+            if image[c] != c or packed[i] & ~up:
+                return False
+            for v, mask in enumerate(e):
+                if not mask & (mask - 1):
+                    continue
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    j = where.get(packed[i] ^ (low << v * w))
+                    if j is None:
+                        raise ValueError("a pointwise subset of an element "
+                                         "is missing from the poset")
+                    if packed[image[j]] & ~up:
+                        return False
+        return True
 
     @cached_property
     def poset(self) -> Poset:
-        """The materialized poset (pointwise containment), guarded."""
+        """The materialized poset (pointwise containment), guarded by
+        `poset_relation`.  `leq` and `is_up_closure` read the element masks
+        instead; this is for general poset machinery (chains, homology of
+        the order complex, poset actions)."""
         return pointwise_poset(self.elements, _subset, self.guards)
 
 
@@ -235,18 +277,39 @@ def induced_hom_action(hp: HomPoset,
 # currying against the exponential graph
 
 
+def _vertex_fibres(t: Graph, g: Graph) -> tuple[tuple[int, ...], ...]:
+    """fibres[s][x]: the mask of exponential vertices f with f(s) = x."""
+    fibres = [[0] * g.n for _ in range(t.n)]
+    for fi, f in enumerate(exponential_vertex_maps(t, g)):
+        for s, x in enumerate(f):
+            fibres[s][x] |= 1 << fi
+    return tuple(map(tuple, fibres))
+
+
 def curry(t: Graph, h: Graph, g: Graph, alpha: Sequence[int],
-          expo_maps: Optional[list] = None) -> tuple[int, ...]:
-    """Hom(T x H, G) -> Hom(H, G^T): beta(y) = {f : f(s) in alpha(s,y)}."""
-    if expo_maps is None:
-        expo_maps = exponential_vertex_maps(t, g)
+          fibres: Optional[Sequence[Sequence[int]]] = None
+          ) -> tuple[int, ...]:
+    """Hom(T x H, G) -> Hom(H, G^T): beta(y) = {f : f(s) in alpha(s,y)}.
+
+    With fibres[s][x] the exponential vertices f with f(s) = x (see
+    `_vertex_fibres`, computed once per report), beta(y) is the AND over s
+    of the OR of fibres[s][x] over x in alpha(s,y).
+    """
+    if fibres is None:
+        fibres = _vertex_fibres(t, g)
     nh = h.n
+    full = (1 << g.n ** t.n) - 1
     beta = []
     for y in range(nh):
-        mask = 0
-        for fi, f in enumerate(expo_maps):
-            if all(alpha[s * nh + y] >> f[s] & 1 for s in range(t.n)):
-                mask |= 1 << fi
+        mask = full
+        for s, fib in enumerate(fibres):
+            a = alpha[s * nh + y]
+            union = 0
+            while a:
+                low = a & -a
+                union |= fib[low.bit_length() - 1]
+                a ^= low
+            mask &= union
         beta.append(mask)
     return tuple(beta)
 
@@ -271,8 +334,8 @@ def uncurry(t: Graph, h: Graph, g: Graph, beta: Sequence[int],
 class AdjunctionReport:
     hom_product: HomPoset      # Hom(T x H, G)
     hom_curried: HomPoset      # Hom(H, G^T)
-    phi: PosetMap
-    psi: PosetMap
+    phi: tuple[int, ...]       # curry, as element indices
+    psi: tuple[int, ...]       # uncurry, as element indices
     roundtrip_identity: bool   # psi o phi = id
     increasing: bool           # phi o psi >= id
     closure_ok: bool           # phi o psi is an up-closure map
@@ -280,33 +343,36 @@ class AdjunctionReport:
 
 def adjunction_report(t: Graph, h: Graph, g: Graph,
                       guards: Guards = DEFAULT_GUARDS) -> AdjunctionReport:
+    """Curry every element of Hom(T x H, G) and uncurry every element of
+    Hom(H, G^T), then check the round trips.
+
+    Every order test reads the element masks (`HomPoset.leq` and
+    `HomPoset.is_up_closure`), so neither Hom order is materialized.
+    """
     prod = product(t, h)
     expo = exponential(t, g, guards)
     emaps = exponential_vertex_maps(t, g)
+    fibres = _vertex_fibres(t, g)
     hom_th = hom_poset(prod, g, guards)
     hom_cur = hom_poset(h, expo, guards)
-    phi_img = []
+    phi = []
     for e in hom_th.elements:
-        j = hom_cur.index.get(curry(t, h, g, e, emaps))
+        j = hom_cur.index.get(curry(t, h, g, e, fibres))
         if j is None:
             raise ValueError("curried element is not a multihomomorphism")
-        phi_img.append(j)
-    psi_img = []
+        phi.append(j)
+    psi = []
     for e in hom_cur.elements:
         j = hom_th.index.get(uncurry(t, h, g, e, emaps))
         if j is None:
             raise ValueError("uncurried element is not a multihomomorphism")
-        psi_img.append(j)
-    phi = PosetMap(hom_th.poset, hom_cur.poset, tuple(phi_img))
-    psi = PosetMap(hom_cur.poset, hom_th.poset, tuple(psi_img))
-    roundtrip = all(psi_img[phi_img[i]] == i for i in range(hom_th.m))
-    increasing = all(hom_cur.leq(i, phi_img[psi_img[i]])
-                     for i in range(hom_cur.m))
-    closure = phi.after(psi)
-    closure_ok = (roundtrip and increasing and
-                  is_closure_map(closure, "up"))
-    return AdjunctionReport(hom_th, hom_cur, phi, psi, roundtrip,
-                            increasing, closure_ok)
+        psi.append(j)
+    roundtrip = all(psi[phi[i]] == i for i in range(hom_th.m))
+    closure = tuple(phi[j] for j in psi)
+    increasing = all(hom_cur.leq(i, closure[i]) for i in range(hom_cur.m))
+    closure_ok = roundtrip and increasing and hom_cur.is_up_closure(closure)
+    return AdjunctionReport(hom_th, hom_cur, tuple(phi), tuple(psi),
+                            roundtrip, increasing, closure_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -358,32 +424,35 @@ class PosetAdjunctionReport:
 def poset_adjunction_report(p: Poset, g: Graph,
                             guards: Guards = DEFAULT_GUARDS
                             ) -> PosetAdjunctionReport:
+    """Round trips of the atom-graph adjunction on every element of
+    Hom(P^1, G) and on every monotone map P -> Hom(1, G).
+
+    Hom(1,G) is ordered by containment of its one looped-clique mask, so
+    each map f is checked on those masks: its restriction to the atoms must
+    lie in Hom(P^1,G), and currying that restriction back must give masks
+    contained in f's own.  The curried value depends on f only through the
+    restriction, so it is computed once per element of Hom(P^1,G).
+    """
     ag, atoms = atom_graph(p)
     hom_ag = hom_poset(ag, g, guards)
     hom_single = hom_poset(one_graph(), g, guards)
     below = atoms_below(p, atoms)
-    roundtrip = True
-    for e in hom_ag.elements:
-        f = poset_curry(below, e, hom_single)
-        if poset_uncurry(f, atoms, hom_single) != e:
-            roundtrip = False
-            break
-    # Hom(1,G) is ordered by containment of its one looped-clique mask
+    curried = [poset_curry(below, e, hom_single) for e in hom_ag.elements]
+    roundtrip = all(poset_uncurry(f, atoms, hom_single) == e
+                    for f, e in zip(curried, hom_ag.elements))
     masks = [e[0] for e in hom_single.elements]
+    curried_masks = [tuple(masks[v] for v in f) for f in curried]
+    members = hom_ag.index
     decreasing = True
     checked = 0
     for f in enumerate_poset_maps(p, hom_single.poset,
                                   guards.poset_map_elements):
         checked += 1
-        alpha = poset_uncurry(f, atoms, hom_single)
-        if hom_ag.index.get(alpha) is None:
+        j = members.get(tuple([masks[f[a]] for a in atoms]))
+        if j is None:
             raise ValueError("restriction to atoms escaped Hom(P^1,G)")
-        f2 = poset_curry(below, alpha, hom_single)
-        for x in range(p.m):
-            if masks[f2[x]] & ~masks[f[x]]:
-                decreasing = False
-                break
-        if not decreasing:
+        if any(c & ~masks[v] for c, v in zip(curried_masks[j], f)):
+            decreasing = False
             break
     return PosetAdjunctionReport(hom_ag, hom_single, tuple(atoms),
                                  roundtrip, decreasing, checked)

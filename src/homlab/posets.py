@@ -362,14 +362,6 @@ class PosetMap:
                     return False
         return True
 
-    def after(self, other: "PosetMap") -> "PosetMap":
-        """self ∘ other."""
-        if (other.codomain.m, other.codomain.above) != \
-                (self.domain.m, self.domain.above):
-            raise ValueError("composition domain mismatch")
-        return PosetMap(other.domain, self.codomain,
-                        tuple(self.image[v] for v in other.image))
-
 
 def is_closure_map(c: PosetMap, direction: str = "up") -> bool:
     """Monotone idempotent endomap with c(x) >= x ("up") or <= x ("down")."""
@@ -430,7 +422,10 @@ def enumerate_poset_maps(p: Poset, q: Poset, limit: Optional[int] = None,
     candidates for r are the values fixed by r's stabilizer that lie above
     f(z) for every placed z <= r.  That suffices: an orbit is placed when
     the extension first reaches it, so z <= g.r with z placed means
-    g^-1.z <= r is placed too, and f(z) = g.f(g^-1.z) <= g.v.
+    g^-1.z <= r is placed too, and f(z) = g.f(g^-1.z) <= g.v.  The search
+    keeps one mask of untried candidates per representative and tries
+    them in ascending order, so maps come out in lexicographic order of
+    their values along the extension.
     """
     p_maps = [tuple(mp) for mp in p_maps] or [tuple(range(p.m))]
     q_maps = [tuple(mq) for mq in q_maps] or [tuple(range(q.m))]
@@ -454,29 +449,43 @@ def enumerate_poset_maps(p: Poset, q: Poset, limit: Optional[int] = None,
             placed |= 1 << x
         del orbit[r]  # the identity sends r to v
         reps.append((r, tuple(orbit.items()), cand, below))
+    if not reps:  # p is empty: the one empty map
+        if limit is not None and limit < 1:
+            raise GuardExceeded("poset_map_elements", limit, 1)
+        yield ()
+        return
     image = [0] * p.m
+    last = len(reps) - 1
     count = 0
-
-    def rec(t: int) -> Iterator[tuple[int, ...]]:
-        nonlocal count
-        if t == len(reps):
+    # untried[t]: candidates for reps[t] not yet tried, given levels < t
+    untried = [0] * len(reps)
+    untried[0] = reps[0][2]
+    t = 0
+    while t >= 0:
+        cand = untried[t]
+        if not cand:
+            t -= 1
+            continue
+        low = cand & -cand
+        untried[t] = cand ^ low
+        v = low.bit_length() - 1
+        r, orbit, _, _ = reps[t]
+        image[r] = v
+        for x, mq in orbit:
+            image[x] = mq[v]
+        if t == last:
             count += 1
             if limit is not None and count > limit:
                 raise GuardExceeded("poset_map_elements", limit, count)
             yield tuple(image)
-            return
-        r, orbit, cand, below = reps[t]
-        for z in below:
+            continue
+        t += 1
+        cand = reps[t][2]
+        for z in reps[t][3]:
             cand &= q.above[image[z]]
             if not cand:
-                return
-        for v in bits(cand):
-            image[r] = v
-            for x, mq in orbit:
-                image[x] = mq[v]
-            yield from rec(t + 1)
-
-    yield from rec(0)
+                break
+        untried[t] = cand
 
 
 def poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS) -> Poset:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from homlab import harness
 from homlab.cli import main, parse_graph_id
 from homlab.graphs import (complete_graph, cycle_graph, graph_to_json,
                            is_isomorphic, looped_path, reflexive_cycle)
@@ -236,6 +237,51 @@ def test_run_experiments_serial_order_and_unknown_id(tmp_path):
     assert all(r.outcome == "pass" for r in reports)
     with pytest.raises(ValueError):
         run_experiments(["nope"], jobs=1)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    work in this process, so no worker is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_run_experiments_clamps_the_pool_to_the_experiments(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    ids = ["csorba-square", "discontinuity"]
+    reports = run_experiments(ids, jobs=64)
+    assert RecordingPool.sizes == [2]
+    assert [r.id for r in reports] == ids
+    assert run_experiments(ids[:1], jobs=64)[0].id == ids[0]
+    assert RecordingPool.sizes == [2]  # one experiment runs in process
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_experiments(ids, jobs=jobs)
+    assert RecordingPool.sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_verify_refuses_jobs_below_one(jobs, monkeypatch, tmp_path,
+                                          capsys):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    assert main(["verify", "csorba-square", "discontinuity", "--jobs", jobs,
+                 "--report-dir", str(tmp_path)]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert RecordingPool.sizes == [] and not any(tmp_path.iterdir())
 
 
 def test_run_experiments_parallel_matches_serial(tmp_path):

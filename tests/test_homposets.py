@@ -13,19 +13,21 @@ from homlab.actions import (GraphAction, action_violation, make_group,
 from homlab.families import (csorba_graph, cycle_face_poset, mycielski,
                              spherical_graph, twisted_toroidal)
 from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
-                           exponential, is_isomorphic, looped_path, nu_mask,
-                           one_graph, product, reflexive_closure,
-                           reflexive_cycle)
+                           exponential, exponential_vertex_maps,
+                           is_isomorphic, looped_path, nu_mask, one_graph,
+                           product, reflexive_closure, reflexive_cycle)
 from homlab.harness import _diagonal_flip_shift
 from homlab.homology import poset_homology
-from homlab.homposets import (adjunction_report, atoms_below, curry,
-                              hom_poset, induced_hom_action,
+from homlab.homposets import (HomPoset, _vertex_fibres, adjunction_report,
+                              atoms_below, curry, hom_poset,
+                              induced_hom_action,
                               loop_addition_maps, multihom_violation,
                               poset_adjunction_report, poset_curry,
                               poset_uncurry, quotient_compare, rank_of,
                               uncurry)
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
-from homlab.posets import atom_graph, face_poset, make_complex
+from homlab.posets import (PosetMap, atom_graph, face_poset, is_closure_map,
+                           make_complex)
 
 SQUARE = make_complex(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
 
@@ -297,7 +299,9 @@ def test_adjunction_small():
     k2, k3 = complete_graph(2), complete_graph(3)
     rep = adjunction_report(k2, k2, k3)
     assert rep.roundtrip_identity and rep.increasing and rep.closure_ok
-    assert rep.phi.is_monotone() and rep.psi.is_monotone()
+    prod, cur = rep.hom_product.poset, rep.hom_curried.poset
+    assert PosetMap(prod, cur, rep.phi).is_monotone()
+    assert PosetMap(cur, prod, rep.psi).is_monotone()
     # explicit element: curry of an atom consists of the section functions
     alpha = rep.hom_product.elements[rep.hom_product.atoms[0]]
     beta = curry(k2, k2, k3, alpha)
@@ -308,6 +312,101 @@ def test_adjunction_small():
         for fi in bits(beta[y]):
             f = emaps[fi]
             assert all(alpha[s * nh + y] >> f[s] & 1 for s in range(2))
+
+
+def curry_by_definition(t, h, g, alpha):
+    """beta(y) = {f : f(s) in alpha(s,y) for every s}, tested map by map."""
+    nh, emaps = h.n, exponential_vertex_maps(t, g)
+    return tuple(sum(1 << fi for fi, f in enumerate(emaps)
+                     if all(alpha[s * nh + y] >> f[s] & 1 for s in range(t.n)))
+                 for y in range(nh))
+
+
+# the graph side of the adjunction-roundtrips experiment, Hom(K2 x C6°, K3)
+REGISTRY_ADJUNCTION = (complete_graph(2), reflexive_cycle(6),
+                       complete_graph(3))
+
+
+@pytest.fixture(scope="module")
+def registry_adjunction():
+    return adjunction_report(*REGISTRY_ADJUNCTION,
+                             DEFAULT_GUARDS.scaled(poset_relation=20_000))
+
+
+def test_curry_matches_definition_on_registry_instance(registry_adjunction):
+    t, h, g = REGISTRY_ADJUNCTION
+    fibres = _vertex_fibres(t, g)
+    elements = registry_adjunction.hom_product.elements
+    assert len(elements) == 8412
+    for alpha in elements:
+        assert curry(t, h, g, alpha, fibres) == \
+            curry_by_definition(t, h, g, alpha)
+
+
+@st.composite
+def small_graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    adj = [0] * n
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_graphs(2), small_graphs(3), small_graphs(4))
+def test_curry_matches_definition_on_small_targets(t, h, g):
+    try:
+        hp = hom_poset(product(t, h), g,
+                       DEFAULT_GUARDS.scaled(hom_elements=500))
+    except GuardExceeded:
+        assume(False)
+    fibres = _vertex_fibres(t, g)
+    for alpha in hp.elements:
+        assert curry(t, h, g, alpha, fibres) == \
+            curry_by_definition(t, h, g, alpha)
+
+
+def swap_comparable_pair(p, image):
+    """image with its values at some i < j swapped, where they differ."""
+    for i in range(p.m):
+        for j in bits(p.above[i] & ~(1 << i)):
+            if image[i] != image[j]:
+                broken = list(image)
+                broken[i], broken[j] = image[j], image[i]
+                return tuple(broken)
+    return None
+
+
+def test_cover_closure_check_matches_materialized_order(registry_adjunction):
+    hp = registry_adjunction.hom_curried
+    p = hp.poset
+    closure = tuple(registry_adjunction.phi[j]
+                    for j in registry_adjunction.psi)
+    assert hp.is_up_closure(closure)
+    assert is_closure_map(PosetMap(p, p, closure), "up")
+    swapped = swap_comparable_pair(p, closure)
+    assert not hp.is_up_closure(swapped)
+    assert not is_closure_map(PosetMap(p, p, swapped), "up")
+    # increasing and idempotent, but not monotone: move an atom y to an
+    # upper cover z of it while y's other upper cover x stays put
+    assert closure == tuple(range(hp.m))  # phi and psi are inverse here
+    y = hp.atoms[0]
+    x, z = list(bits(p.covers[y]))[:2]
+    moved = list(closure)
+    moved[y] = z
+    assert not hp.is_up_closure(moved)
+    assert not is_closure_map(PosetMap(p, p, tuple(moved)), "up")
+
+
+def test_cover_closure_check_refuses_a_poset_missing_a_subset():
+    k2, k3 = complete_graph(2), complete_graph(3)
+    hp = HomPoset(k2, k3, ((0b011, 0b100),))
+    with pytest.raises(ValueError, match="subset"):
+        hp.is_up_closure((0,))
+    with pytest.raises(ValueError, match="endomap"):
+        hom_poset(k2, k3).is_up_closure((0,))
 
 
 def test_adjunction_equivariance():
@@ -328,7 +427,7 @@ def test_adjunction_equivariance():
                                  source_action=h_anti, target_action=e_act)
     assert action_violation(act_prod) is None
     assert action_violation(act_cur) is None
-    phi = rep.phi.image
+    phi = rep.phi
     for i in range(rep.hom_product.m):
         assert phi[act_prod.maps[1][i]] == act_cur.maps[1][phi[i]]
 

@@ -7,9 +7,14 @@ import random
 
 import pytest
 
-from homlab.graphs import is_isomorphic, reflexive_cycle
+from homlab.actions import GraphAction, z2_group
+from homlab.families import cycle_face_poset, face_poset_action
+from homlab.graphs import (complete_graph, is_isomorphic, one_graph,
+                           reflexive_cycle)
+from homlab.homposets import hom_poset, induced_hom_action
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import (
+    _extension_order,
     Poset,
     PosetMap,
     SimplicialComplex,
@@ -251,6 +256,112 @@ def test_enumerate_poset_maps_deterministic_and_guarded():
     assert first == second and len(first) == len(set(first))
     with pytest.raises(GuardExceeded):
         list(enumerate_poset_maps(p, p, limit=5))
+
+
+def brute_poset_maps(p, q, p_maps=(), q_maps=()):
+    """Every map p -> q with f monotone and f(g.x) = g.f(x), ordered
+    lexicographically along `_extension_order(p)`.
+
+    Every value of q is tried at every element, in extension order; a
+    partial map is dropped as soon as two placed elements break
+    monotonicity or equivariance, which no completion can mend.
+    """
+    order = _extension_order(p)
+    group = list(zip(p_maps, q_maps))
+    related = [[y for y in range(p.m) if y != x and p.comparable(x, y)]
+               for x in range(p.m)]
+    f = [None] * p.m
+    out = []
+
+    def consistent(x):  # pairs placed earlier were checked already
+        fx = f[x]
+        for y in related[x]:
+            if f[y] is not None and not (q.leq(fx, f[y]) if p.leq(x, y)
+                                         else q.leq(f[y], fx)):
+                return False
+        for mp, mq in group:
+            y = mp[x]  # f(g.x) = g.f(x)
+            if f[y] is not None and f[y] != mq[fx]:
+                return False
+            y = mp.index(x)  # f(x) = g.f(g^-1.x)
+            if f[y] is not None and fx != mq[f[y]]:
+                return False
+        return True
+
+    def place(k):
+        if k == p.m:
+            out.append(tuple(f))
+            return
+        x = order[k]
+        for v in range(q.m):
+            f[x] = v
+            if consistent(x):
+                place(k + 1)
+        f[x] = None
+
+    place(0)
+    return out
+
+
+def filter_all_maps(p, q):
+    """The monotone maps among all q.m ** p.m maps, in the same order."""
+    order = _extension_order(p)
+    maps = [f for f in itertools.product(range(q.m), repeat=p.m)
+            if all(q.leq(f[x], f[y]) for x in range(p.m)
+                   for y in bits_above(p, x))]
+    return sorted(maps, key=lambda f: [f[x] for x in order])
+
+
+def test_enumerate_poset_maps_matches_brute_filter():
+    square = face_poset(SQUARE)
+    chain3 = from_leq_pairs(3, [(0, 1), (1, 2)])
+    vee = from_leq_pairs(3, [(0, 2), (1, 2)])
+    for q in (chain3, vee):
+        want = filter_all_maps(square, q)
+        assert brute_poset_maps(square, q) == want
+        assert list(enumerate_poset_maps(square, q)) == want
+    # F(C6) into the looped cliques of C6°: every map is enumerated
+    fc6 = cycle_face_poset(3)
+    single = hom_poset(one_graph(), reflexive_cycle(6)).poset
+    want = brute_poset_maps(fc6.poset, single)
+    assert len(want) == 64044
+    assert list(enumerate_poset_maps(fc6.poset, single)) == want
+
+
+def test_enumerate_equivariant_poset_maps_matches_brute_filter():
+    k2, k3 = complete_graph(2), complete_graph(3)
+    flip = GraphAction(z2_group(), k2, ((0, 1), (1, 0)))
+    target = induced_hom_action(hom_poset(k2, k3), source_action=flip)
+    square = face_poset(SQUARE)
+    half_turn = face_poset_action(square, z2_group(),
+                                  ((0, 1, 2, 3), (2, 3, 0, 1)))
+    hexagon = cycle_face_poset(3).antipodal
+    sizes = []
+    for source, goal in ((hexagon, target), (half_turn, target),
+                         (half_turn, half_turn)):
+        p, q = source.poset, goal.poset
+        want = brute_poset_maps(p, q, source.maps, goal.maps)
+        got = list(enumerate_poset_maps(p, q, None, source.maps, goal.maps))
+        assert got == want
+        sizes.append(len(want))
+    assert sizes[0] > 0 and sizes[1] == 0 and sizes[2] > 0
+
+
+def test_enumerate_poset_maps_guard_trips_at_limit_plus_one():
+    p = face_poset(SQUARE)
+    total = sum(1 for _ in enumerate_poset_maps(p, p))
+    assert len(list(enumerate_poset_maps(p, p, limit=total))) == total
+    for limit in (0, 5, total - 1):
+        maps = enumerate_poset_maps(p, p, limit=limit)
+        assert len([next(maps) for _ in range(limit)]) == limit
+        with pytest.raises(GuardExceeded) as exc:
+            next(maps)
+        assert exc.value.guard == "poset_map_elements"
+        assert (exc.value.limit, exc.value.attempted) == (limit, limit + 1)
+    empty = from_leq_pairs(0, [])
+    assert list(enumerate_poset_maps(empty, p, limit=1)) == [()]
+    with pytest.raises(GuardExceeded):
+        next(enumerate_poset_maps(empty, p, limit=0))
 
 
 def test_induced_subposet_keeps_payload():

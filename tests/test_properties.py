@@ -12,8 +12,9 @@ from homlab.homology import (chain_complex, hom_homology, homology_of_complex,
                              poset_homology, universal_coefficients_ok,
                              closure_reduce)
 from homlab.homposets import adjunction_report, hom_poset, rank_of
-from homlab.posets import (atom_graph, chain_poset, enumerate_poset_maps,
-                           from_leq_pairs, make_complex, pointwise_leq,
+from homlab.posets import (PosetMap, atom_graph, chain_poset,
+                           enumerate_poset_maps, from_leq_pairs,
+                           is_closure_map, make_complex, pointwise_leq,
                            pointwise_poset)
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -204,8 +205,22 @@ def test_adjunction_closure_preserves_homology(g):
     assert rep.roundtrip_identity
     assert rep.increasing
     assert rep.closure_ok
-    p = rep.hom_curried.poset
+    hp = rep.hom_curried
+    p = hp.poset
     if p.m == 0:
         return
-    sub, _ = closure_reduce(p, rep.phi.after(rep.psi))
+    closure = tuple(rep.phi[j] for j in rep.psi)
+    # the cover-based check agrees with the one on the materialized order
+    assert hp.is_up_closure(closure)
+    assert is_closure_map(PosetMap(p, p, closure), "up")
+    pair = next(((i, j) for i in range(p.m)
+                 for j in bits(p.above[i] & ~(1 << i))
+                 if closure[i] != closure[j]), None)
+    if pair is not None:  # swapping two comparable values breaks it
+        i, j = pair
+        broken = list(closure)
+        broken[i], broken[j] = closure[j], closure[i]
+        assert not hp.is_up_closure(broken)
+        assert not is_closure_map(PosetMap(p, p, tuple(broken)), "up")
+    sub, _ = closure_reduce(p, PosetMap(p, p, closure))
     assert poset_homology(sub) == poset_homology(p)
