@@ -8,14 +8,16 @@ from homlab.graphs import (Graph, bits, chromatic_number, complete_graph,
                            check_homomorphism, exponential, nu_mask, product,
                            quotient, Partition)
 from homlab.harness import _chromatic_brute
-from homlab.homology import (chain_complex, hom_homology, homology_of_complex,
-                             poset_homology, universal_coefficients_ok,
-                             closure_reduce)
+from homlab.homology import (chain_complex, chain_complex_of_hom,
+                             chain_complex_of_poset, hom_homology,
+                             homology_of_complex, poset_homology,
+                             universal_coefficients_ok, closure_reduce)
 from homlab.homposets import adjunction_report, hom_poset, rank_of
 from homlab.posets import (PosetMap, atom_graph, chain_poset,
                            enumerate_poset_maps, from_leq_pairs,
                            is_closure_map, make_complex, pointwise_leq,
                            pointwise_poset)
+from test_homology import assert_coreduction_exact, unreduced_homology
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -138,6 +140,12 @@ def test_euler_characteristic_matches_betti_numbers(x):
     assert cc.euler_characteristic() == 1 + reduced
 
 
+@given(complexes(), posets())
+def test_coreduction_matches_unreduced_elimination(x, p):
+    assert_coreduction_exact(chain_complex(x))
+    assert_coreduction_exact(chain_complex_of_poset(p))
+
+
 @given(complexes())
 def test_universal_coefficients(x):
     z = homology_of_complex(x, "Z")
@@ -183,9 +191,11 @@ def test_pointwise_poset_matches_hom_leq(g, h):
 def test_cellular_hom_homology_matches_order_complex(g, h):
     hp = hom_poset(g, h)
     assume(hp.m <= 200)  # keeps the order-complex oracle to a few seconds
+    cells = chain_complex_of_hom(hp)
     for field_name in ("Z", "GF2"):
         assert hom_homology(hp, field_name) \
-            == poset_homology(hp.poset, field_name)
+            == poset_homology(hp.poset, field_name) \
+            == unreduced_homology(cells, field_name)
 
 
 @given(posets(max_n=4), posets(max_n=4))
