@@ -39,8 +39,9 @@ from .graphs import (Graph, bits, chromatic_number, complete_graph,
                      graph_to_json, graph_stats, looped_path, one_graph,
                      reflexive_cycle)
 from .harness import (Cache, CacheCorrupt, cached_hom_homology,
-                      cached_hom_poset, guard_overrides, list_experiments,
-                      load_reports, render_report, run_experiments)
+                      guard_overrides, list_experiments, load_reports,
+                      render_report, run_experiments)
+from .homposets import hom_poset
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import SimplicialComplex, make_complex
 
@@ -171,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hom", help="enumerate Hom(source, target)")
     p.add_argument("source")
     p.add_argument("target")
-    _add_options(p, "--json", "--config", "--guard-elements", "--cache-dir")
+    _add_options(p, "--json", "--config", "--guard-elements")
 
     p = sub.add_parser("homology",
                        help="reduced homology of Hom(source, target)")
@@ -257,10 +258,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_hom(args) -> int:
     guards = _guards_from_args(args)
-    cache = _cache(args)
     src = parse_graph_id(args.source, guards)
     dst = parse_graph_id(args.target, guards)
-    hp = cached_hom_poset(src, dst, guards, cache)
+    hp = hom_poset(src, dst, guards)
     elements = [[sorted(bits(mask)) for mask in e] for e in hp.elements]
     data = {"source": graph_to_json(src), "target": graph_to_json(dst),
             "count": hp.m, "atoms": len(hp.atoms), "elements": elements}
@@ -353,11 +353,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _VERBS[args.verb](args)
-    except (GuardExceeded, CacheCorrupt) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GuardExceeded, CacheCorrupt, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # JSON errors are ValueErrors
         return 2
 
 

@@ -52,13 +52,6 @@ __all__ = [
 INFINITE = float("inf")
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def bits(mask: int) -> Iterator[int]:
     """Indices of set bits, ascending."""
     while mask:

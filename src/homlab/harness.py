@@ -8,13 +8,14 @@ guard stopped an enumeration.  Collections of reports render as an aligned
 text table, JSON, or CSV with the fixed header
 ``id,pass,expected,measured,seconds``.
 
-Hom posets, Hom homology (computed on the cellular complex of the Hom
-poset) and poset homology results can persist in a content-addressed cache:
-keys are SHA-256 digests of the canonical JSON of the inputs, file bodies
-are JSON lines, and a header digest detects corruption.  The cache
-directory is an explicit path; without one, every computation runs fresh.
-Nothing here reads the environment: guards, cache and report directory are
-all passed in.
+Hom homology (on the cellular complex of the Hom poset) and poset homology
+results can persist in a content-addressed cache: keys are SHA-256 digests
+of the canonical JSON of the inputs, file bodies are JSON lines, a header
+digest detects corruption, and a hit is refused unless it holds a result
+over the requested field.  Hom posets are not cached: enumerating one is
+faster than decoding it.  The cache directory is an explicit path; without
+one, every computation runs fresh.  Nothing here reads the environment:
+guards, cache and report directory are all passed in.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .families import (cross_polytope_complex, csorba_graph, cycle_face_poset,
                        twisted_toroidal, universality_graph)
 from .graphs import (Graph, bits, check_homomorphism, chromatic_number,
                      complete_graph, count_from_json, cycle_graph,
-                     exponential, graph_to_json,
-                     is_fine, is_isomorphic, looped_path, mask_of, odd_girth,
-                     product, reflexive_closure, reflexive_cycle)
+                     exponential, graph_to_json, is_fine, is_isomorphic,
+                     looped_path, odd_girth, product, reflexive_closure,
+                     reflexive_cycle)
 from .homology import (HomologyResult, chain_complex, closure_reduce,
                        hom_homology, homology_from_json, homology_of_complex,
                        klein_bottle_complex, poset_homology,
@@ -57,8 +58,7 @@ from .posets import (Poset, PosetMap, SimplicialComplex, atom_graph,
 
 __all__ = [
     "Cache", "CacheCorrupt", "Experiment", "RunContext", "RunReport",
-    "cached_hom_homology", "cached_hom_poset", "cached_poset_homology",
-    "canonical_json",
+    "cached_hom_homology", "cached_poset_homology", "canonical_json",
     "content_key", "get_experiment", "guard_overrides",
     "hom_cache_key", "homology_cache_key", "list_experiments", "load_reports",
     "render_report", "report_from_json", "run_experiment", "run_experiments",
@@ -105,7 +105,7 @@ def content_key(payload: dict) -> str:
 
 
 class Cache:
-    """Content-addressed JSON-lines store for Hom posets and homology.
+    """Content-addressed JSON-lines store for homology results.
 
     Every entry is one file ``<key>.jsonl``: a header line carrying the entry
     kind and the SHA-256 of the body, then one JSON line per record.  A load
@@ -173,33 +173,18 @@ class Cache:
         return lines
 
 
-def hom_cache_key(g: Graph, h: Graph) -> str:
-    return content_key({"kind": "hom",
+def hom_cache_key(g: Graph, h: Graph, field_name: str) -> str:
+    """Key of the entry holding the homology of Hom(g,h) over a field."""
+    return content_key({"kind": "hom-cell-homology", "field": field_name,
                         "source": graph_to_json(g),
                         "target": graph_to_json(h)})
 
 
-def cached_hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS,
-                     cache: Cache = Cache()) -> HomPoset:
-    """hom_poset with cache read-through; round trips are bit-identical."""
-    if not cache.enabled:
-        return hom_poset(g, h, guards)
-    key = hom_cache_key(g, h)
-    lines = cache.load(key, "hom")
-    if lines is not None:
-        # Enforce the ceiling on hits too, so cache state never changes
-        # whether an enumeration is allowed (same error as the cold path).
-        if len(lines) > guards.hom_elements:
-            raise GuardExceeded("hom_elements", guards.hom_elements,
-                                guards.hom_elements + 1)
-        elements = tuple(tuple(mask_of(part) for part in json.loads(line))
-                         for line in lines)
-        return HomPoset(g, h, elements, guards)
-    hp = hom_poset(g, h, guards)
-    cache.store(key, "hom",
-                [canonical_json([sorted(bits(mask)) for mask in e])
-                 for e in hp.elements])
-    return hp
+def cached_hom_poset(g: Graph, h: Graph,
+                     guards: Guards = DEFAULT_GUARDS) -> HomPoset:
+    # Nothing calls this.  It stays only because perfbench/tracing.py wraps
+    # it by name; delete it when the tracer's table drops it.
+    return hom_poset(g, h, guards)
 
 
 def cached_hom_homology(g: Graph, h: Graph, field_name: str = "Z",
@@ -209,26 +194,23 @@ def cached_hom_homology(g: Graph, h: Graph, field_name: str = "Z",
 
     The entry stores the number of Hom elements next to the result, so a
     hit enforces the hom_elements guard exactly as a cold call does without
-    reading the Hom poset.
+    enumerating the Hom poset.
     """
-    if not cache.enabled:
-        return hom_homology(hom_poset(g, h, guards), field_name, guards)
-    key = content_key({"kind": "hom-cell-homology", "field": field_name,
-                       "source": graph_to_json(g),
-                       "target": graph_to_json(h)})
+    key = hom_cache_key(g, h, field_name)
     lines = cache.load(key, "homology")
     if lines is not None:
         try:
-            count = json.loads(lines[0]) if len(lines) == 2 else None
-        except json.JSONDecodeError:
-            count = None
-        if type(count) is not int or count < 0:
-            raise CacheCorrupt(f"malformed Hom homology entry {key}")
+            count_line, line = lines
+            count = count_from_json(json.loads(count_line), "element count")
+            res = homology_from_json(json.loads(line), field_name)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheCorrupt(
+                f"malformed Hom homology entry {key}: {exc!r}") from None
         if count > guards.hom_elements:
             raise GuardExceeded("hom_elements", guards.hom_elements,
                                 guards.hom_elements + 1)
-        return homology_from_json(json.loads(lines[1]))
-    hp = cached_hom_poset(g, h, guards, cache)
+        return res
+    hp = hom_poset(g, h, guards)
     res = hom_homology(hp, field_name, guards)
     cache.store(key, "homology", [canonical_json(hp.m),
                                   canonical_json(res.to_json())])
@@ -243,12 +225,15 @@ def homology_cache_key(p: Poset, field_name: str) -> str:
 def cached_poset_homology(p: Poset, field_name: str = "Z",
                           guards: Guards = DEFAULT_GUARDS,
                           cache: Cache = Cache()) -> HomologyResult:
-    if not cache.enabled:
-        return poset_homology(p, field_name, guards)
     key = homology_cache_key(p, field_name)
     lines = cache.load(key, "homology")
     if lines is not None:
-        return homology_from_json(json.loads(lines[0]))
+        try:
+            (line,) = lines
+            return homology_from_json(json.loads(line), field_name)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheCorrupt(
+                f"malformed poset homology entry {key}: {exc!r}") from None
     res = poset_homology(p, field_name, guards)
     cache.store(key, "homology", [canonical_json(res.to_json())])
     return res
@@ -265,7 +250,7 @@ class RunContext:
     cache: Cache = field(default_factory=Cache)
 
     def hom(self, g: Graph, h: Graph) -> HomPoset:
-        return cached_hom_poset(g, h, self.guards, self.cache)
+        return hom_poset(g, h, self.guards)
 
     def homology(self, p: Poset, field_name: str = "Z") -> HomologyResult:
         """Order-complex homology of a general poset; Hom(g,h) goes through

@@ -8,8 +8,9 @@ complex, so the empty complex gets rank 1 in degree -1 and a one-point
 complex has no homology at all.
 
 Both engines first coreduce the augmented complex (Mrozek-Batko, DCG 2009):
-they pair the augmentation with a vertex, then repeatedly remove a cell
-that has exactly one face left, at incidence +-1, together with that face.
+they pair the augmentation with a vertex and one vertex of each other
+component with a free summand of H~0, then repeatedly remove a cell that
+has exactly one face left, at incidence +-1, together with that face.
 The cells left carry the original boundary restricted to them, with the
 same homology over Z and GF(2).  On a Hom complex this leaves a few
 percent of the cells.  Integral computation then runs a sparse
@@ -24,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import INFINITE, bits
+from .graphs import INFINITE, bits, count_from_json
 from .homposets import HomPoset, rank_of
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, PosetMap, SimplicialComplex, closure_image,
@@ -387,11 +388,20 @@ class HomologyResult:
         return ", ".join(parts) if parts else f"trivial ({self.field})"
 
 
-def homology_from_json(data: dict) -> HomologyResult:
-    return HomologyResult(data["field"], bool(data["empty"]),
-                          tuple(int(b) for b in data["betti"]),
-                          tuple(tuple(int(v) for v in t)
-                                for t in data["torsion"]))
+def homology_from_json(data: dict, field_name: str) -> HomologyResult:
+    """Strict inverse of ``to_json`` over ``field_name``; anything else
+    raises ValueError, KeyError or TypeError."""
+    if data["field"] != field_name:
+        raise ValueError(f"holds {data['field']!r} homology, not {field_name}")
+    if type(data["empty"]) is not bool:
+        raise ValueError(f"empty must be a JSON bool, got {data['empty']!r}")
+    torsion = tuple(tuple(count_from_json(v, "torsion order") for v in t)
+                    for t in data["torsion"])
+    if any(v < 2 for t in torsion for v in t):
+        raise ValueError(f"torsion orders must be at least 2, got {torsion}")
+    return HomologyResult(field_name, data["empty"],
+                          tuple(count_from_json(b, "betti number")
+                                for b in data["betti"]), torsion)
 
 
 def _coreduce(cc: ChainComplex) -> tuple[list[int],
@@ -399,12 +409,14 @@ def _coreduce(cc: ChainComplex) -> tuple[list[int],
     """Counts and boundary columns of cc's augmented complex after
     coreduction (Mrozek-Batko, DCG 2009).
 
-    The augmentation is paired with vertex 0.  Then, in FIFO order, a cell
-    with exactly one live face, at incidence +-1, is removed together with
-    that face.  Each removed pair is an elementary collapse of a unit
-    entry, so the boundary of the cells left is the original boundary
-    restricted to them, over Z and GF(2) alike, with no fill-in.  No cell
-    of degree -1 is left, so degree 0 has no augmentation column.
+    The augmentation is paired with vertex 0, and the lowest vertex of each
+    other component is a free summand of H~0, put last in degree 0: a chain
+    in a component nothing was removed from has a boundary whose
+    coefficients sum to 0, so it never hits that vertex.  Then, in FIFO
+    order, a cell with exactly one live face, at incidence +-1, is removed
+    together with that face.  Each removed pair is an elementary collapse
+    of a unit entry, so the boundary of the cells left is the original
+    boundary restricted to them, over Z and GF(2) alike, with no fill-in.
     """
     counts = cc.counts()
     cols = [[[] for _ in range(counts[0])]] + \
@@ -428,7 +440,17 @@ def _coreduce(cc: ChainComplex) -> tuple[list[int],
                 if up[j] == 1 and up_live[j]:
                     queue.append((k + 1, j))
 
-    remove(0, 0)  # paired with the augmentation
+    free, seen = -1, [False] * counts[0]
+    for v in range(counts[0]):
+        if not seen[v]:  # the lowest vertex of a component: vertex 0 goes
+            remove(0, v)  # with the augmentation, the others are free
+            free += 1
+            todo = [v]
+            while todo:
+                u = todo.pop()
+                if not seen[u]:
+                    seen[u] = True
+                    todo += [w for j in cofaces[0][u] for w, _ in cols[1][j]]
     while queue:
         k, j = queue.popleft()
         if not live[k][j] or faces_left[k][j] != 1:
@@ -449,6 +471,8 @@ def _coreduce(cc: ChainComplex) -> tuple[list[int],
         for new, j in enumerate(keep):
             pos[j] = new
         left.append(len(keep))
+    left[0] += free
+    out[0] += [[] for _ in range(free)]
     return left, out
 
 

@@ -9,13 +9,15 @@ from homlab.cli import main, parse_graph_id
 from homlab.graphs import (complete_graph, cycle_graph, graph_to_json,
                            is_isomorphic, looped_path, reflexive_cycle)
 from homlab.harness import (Cache, CacheCorrupt, EXPERIMENTS, Experiment,
-                            RunReport, cached_hom_homology, cached_hom_poset,
-                            cached_poset_homology,
-                            get_experiment, guard_overrides,
-                            hom_cache_key, list_experiments, load_reports, render_report, report_from_json,
-                            run_experiment, run_experiments)
+                            RunContext, RunReport, cached_hom_homology,
+                            cached_poset_homology, canonical_json,
+                            content_key, get_experiment, guard_overrides,
+                            hom_cache_key, homology_cache_key,
+                            list_experiments, load_reports, render_report,
+                            report_from_json, run_experiment,
+                            run_experiments)
 from homlab.homposets import hom_poset
-from homlab.homology import poset_homology
+from homlab.homology import hom_homology, poset_homology
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 
 
@@ -53,7 +55,7 @@ def test_cache_disabled_without_directory(tmp_path, monkeypatch):
     monkeypatch.setenv("HOMLAB_CACHE_DIR", str(tmp_path))  # CLI-only setting
     cache = Cache()
     assert not cache.enabled
-    assert cache.load("deadbeef", "hom") is None
+    assert cache.load("deadbeef", "homology") is None
     run_experiment("csorba-square")
     assert list(tmp_path.iterdir()) == []
 
@@ -61,23 +63,41 @@ def test_cache_disabled_without_directory(tmp_path, monkeypatch):
 def test_cli_cache_directory_from_environment(tmp_path, monkeypatch):
     env, flag = tmp_path / "env", tmp_path / "flag"
     monkeypatch.setenv("HOMLAB_CACHE_DIR", str(env))
-    assert main(["hom", "K2", "K3"]) == 0
+    assert main(["homology", "K2", "K3"]) == 0
     assert len(list(env.glob("*.jsonl"))) == 1
-    assert main(["hom", "K2", "K4", "--cache-dir", str(flag)]) == 0
+    assert main(["homology", "K2", "K4", "--cache-dir", str(flag)]) == 0
     assert len(list(env.glob("*.jsonl"))) == 1
     assert len(list(flag.glob("*.jsonl"))) == 1
 
 
+def test_hom_posets_are_never_cached(tmp_path):
+    g, h = complete_graph(2), complete_graph(4)
+    ctx = RunContext(cache=Cache(tmp_path))
+    assert ctx.hom(g, h).m == 50
+    assert list(tmp_path.iterdir()) == [] and ctx.cache.misses == 0
+    cached_hom_homology(g, h, cache=ctx.cache)  # a miss: one entry
+    (entry,) = tmp_path.iterdir()
+    assert json.loads(entry.read_text().partition("\n")[0])["kind"] == \
+        "homology"
+
+
 def test_hom_cache_round_trip_is_bit_identical(tmp_path):
     g, h = complete_graph(2), complete_graph(4)
-    fresh = hom_poset(g, h)
-    first = cached_hom_poset(g, h, cache=Cache(tmp_path))
-    again = cached_hom_poset(g, h, cache=Cache(tmp_path))
-    assert first.elements == fresh.elements
-    assert again.elements == fresh.elements
+    fresh = hom_homology(hom_poset(g, h))
+    # the key an entry written before Hom posets left the cache still has
+    key = hom_cache_key(g, h, "Z")
+    assert key == content_key({"kind": "hom-cell-homology", "field": "Z",
+                               "source": graph_to_json(g),
+                               "target": graph_to_json(h)})
+    assert cached_hom_homology(g, h, cache=Cache(tmp_path)) == fresh
+    path = Cache(tmp_path).path_for(key)
+    stored = path.read_bytes()
+    assert stored.decode().splitlines()[1:] == [
+        "50", canonical_json(fresh.to_json())]
     cache = Cache(tmp_path)
-    cached_hom_poset(g, h, cache=cache)
+    assert cached_hom_homology(g, h, cache=cache) == fresh
     assert cache.hits == 1 and cache.misses == 0
+    assert path.read_bytes() == stored
 
 
 def test_homology_cache_round_trip(tmp_path):
@@ -92,38 +112,37 @@ def test_homology_cache_round_trip(tmp_path):
 
 def test_cache_detects_tampering(tmp_path):
     g, h = complete_graph(2), complete_graph(3)
-    cached_hom_poset(g, h, cache=Cache(tmp_path))
-    path = Cache(tmp_path).path_for(hom_cache_key(g, h))
+    cached_hom_homology(g, h, cache=Cache(tmp_path))
+    path = Cache(tmp_path).path_for(hom_cache_key(g, h, "Z"))
     head, _, body = path.read_text().partition("\n")
     lines = body.splitlines()
-    lines[0] = json.dumps([[0], [2]])
+    lines[0] = "7"  # the element count
     path.write_text(head + "\n" + "\n".join(lines) + "\n")
     with pytest.raises(CacheCorrupt, match="hash mismatch"):
-        cached_hom_poset(g, h, cache=Cache(tmp_path))
+        cached_hom_homology(g, h, cache=Cache(tmp_path))
 
 
 def test_cache_rejects_wrong_kind_and_garbage(tmp_path):
     g, h = complete_graph(2), complete_graph(3)
     cache = Cache(tmp_path)
-    cached_hom_poset(g, h, cache=cache)
-    key = hom_cache_key(g, h)
+    key = hom_cache_key(g, h, "Z")
+    cache.store(key, "hom", ["[[0],[1]]"])  # the retired element kind
     with pytest.raises(CacheCorrupt, match="expected 'homology'"):
-        cache.load(key, "homology")
+        cached_hom_homology(g, h, cache=cache)
     cache.path_for(key).write_text("not json at all")
     with pytest.raises(CacheCorrupt):
-        cache.load(key, "hom")
+        cached_hom_homology(g, h, cache=cache)
 
 
 def test_cache_hit_still_enforces_element_guard(tmp_path):
-    g, h = complete_graph(2), complete_graph(4)
-    cache = Cache(tmp_path)
-    cached_hom_poset(g, h, cache=cache)
-    tight = DEFAULT_GUARDS.scaled(hom_elements=10)
-    with pytest.raises(GuardExceeded) as warm:
-        cached_hom_poset(g, h, tight, cache)
-    with pytest.raises(GuardExceeded) as cold:
-        cached_hom_poset(g, h, tight, Cache())
-    assert str(warm.value) == str(cold.value)
+    # a warm cache never lets an experiment past a guard its cold run hits
+    assert run_experiment("csorba-square",
+                          cache=Cache(tmp_path)).outcome == "pass"
+    tight = {"hom_elements": 5}
+    warm = run_experiment("csorba-square", tight, cache=Cache(tmp_path))
+    cold = run_experiment("csorba-square", tight)
+    assert warm.outcome == cold.outcome == "skipped (guard)"
+    assert warm.measured == cold.measured and warm.cache_hits == 1
 
 
 def test_hom_homology_cache_round_trip(tmp_path):
@@ -132,11 +151,11 @@ def test_hom_homology_cache_round_trip(tmp_path):
     cache = Cache(tmp_path)
     warm = cached_hom_homology(g, h, cache=cache)
     assert warm == cold == poset_homology(hom_poset(g, h).poset)
-    assert cache.hits == 1 and cache.misses == 0  # homology only
-    # different field means a different key; the Hom poset is then reused
+    assert cache.hits == 1 and cache.misses == 0
+    # different field means a different key: one miss, nothing else read
     gf2 = cached_hom_homology(g, h, "GF2", cache=cache)
     assert gf2.field == "GF2" and gf2.is_sphere(2)
-    assert cache.hits == 2 and cache.misses == 1
+    assert cache.hits == 1 and cache.misses == 1
 
 
 def test_hom_homology_cache_hit_still_enforces_element_guard(tmp_path):
@@ -156,14 +175,38 @@ def test_hom_homology_cache_rejects_a_malformed_element_count(tmp_path):
     g, h = complete_graph(2), complete_graph(3)
     cache = Cache(tmp_path)
     cached_hom_homology(g, h, cache=cache)
-    (key,) = [p.stem for p in tmp_path.glob("*.jsonl")
-              if json.loads(p.read_text().partition("\n")[0])["kind"]
-              == "homology"]
+    key = hom_cache_key(g, h, "Z")
     result = cache.load(key, "homology")[1]
     for bad in (["-1", result], ["true", result], ["x", result], ["6"]):
         cache.store(key, "homology", bad)
         with pytest.raises(CacheCorrupt, match="malformed Hom homology"):
             cached_hom_homology(g, h, cache=cache)
+
+
+@pytest.mark.parametrize("entry", ["Hom", "poset"])
+@pytest.mark.parametrize("change", [
+    {"field": "GF2"}, {"betti": [0, -3, 2.7]}, {"empty": "no"},
+    {"torsion": [[], [1], []]}, {"torsion": None},  # None: key dropped
+], ids=["field", "counts", "empty", "torsion", "no-torsion"])
+def test_homology_hit_is_checked_for_meaning(entry, change, tmp_path):
+    """An entry whose digest holds is still refused unless it holds a
+    result over the requested field."""
+    g, h = complete_graph(2), complete_graph(4)
+    p = hom_poset(g, h).poset
+    cache = Cache(tmp_path)
+    load, key = {
+        "Hom": (lambda: cached_hom_homology(g, h, "Z", cache=cache),
+                hom_cache_key(g, h, "Z")),
+        "poset": (lambda: cached_poset_homology(p, "Z", cache=cache),
+                  homology_cache_key(p, "Z")),
+    }[entry]
+    assert load().is_sphere(2)
+    lines = cache.load(key, "homology")
+    data = {k: v for k, v in {**json.loads(lines[-1]), **change}.items()
+            if v is not None}
+    cache.store(key, "homology", lines[:-1] + [canonical_json(data)])
+    with pytest.raises(CacheCorrupt, match=f"malformed {entry} homology"):
+        load()
 
 
 def test_cold_cache_recomputes_identical_values(tmp_path):
@@ -510,21 +553,21 @@ def test_cli_guard_errors_are_exit_code_2(capsys):
 
 
 def test_cli_guard_applies_to_cached_results(tmp_path, capsys):
-    assert main(["hom", "K2", "K5", "--cache-dir", str(tmp_path)]) == 0
+    assert main(["homology", "K2", "K5", "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert main(["hom", "K2", "K5", "--cache-dir", str(tmp_path),
+    assert main(["homology", "K2", "K5", "--cache-dir", str(tmp_path),
                  "--guard-elements", "10"]) == 2
     assert "guard 'hom_elements'" in capsys.readouterr().err
 
 
 def test_cli_reports_tampered_cache_as_error(tmp_path, capsys):
-    assert main(["hom", "K2", "K3", "--cache-dir", str(tmp_path)]) == 0
+    assert main(["homology", "K2", "K3", "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     entry = next(tmp_path.glob("*.jsonl"))
     body = entry.read_text().splitlines(keepends=True)
-    body[1] = body[1].replace("0", "1", 1)
+    body[1] = body[1].replace("2", "3", 1)  # the element count, 12
     entry.write_text("".join(body))
-    assert main(["hom", "K2", "K3", "--cache-dir", str(tmp_path)]) == 2
+    assert main(["homology", "K2", "K3", "--cache-dir", str(tmp_path)]) == 2
     assert "hash mismatch" in capsys.readouterr().err
 
 
@@ -575,6 +618,7 @@ def test_cli_list_experiments(capsys):
     ["chromatic", "K3", "--guard-elements", "1"],
     ["report", "--json"],
     ["list-experiments", "--config", "guards.json"],
+    ["hom", "K2", "K3", "--cache-dir", "X"],
 ])
 def test_cli_refuses_options_a_verb_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

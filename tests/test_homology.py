@@ -246,6 +246,25 @@ def test_coreduction_pairs_only_unit_incidences():
     assert_coreduction_exact(cc)
 
 
+def test_coreduction_sets_aside_one_vertex_per_component():
+    # K2 is connected, so Hom(K2, K5 + K5) is two disjoint copies of
+    # Hom(K2,K5) ~ S^3.  Only the first copy used to be coreduced.
+    k5 = complete_graph(5)
+    twice = Graph(10, k5.adj + tuple(row << 5 for row in k5.adj))
+    one = chain_complex_of_hom(hom_poset(K2, k5))
+    two = chain_complex_of_hom(hom_poset(K2, twice))
+    assert sum(two.counts()) == 2 * sum(one.counts()) == 360
+    # each copy leaves no more than one copy alone, plus the free vertex
+    assert sum(_coreduce(two)[0]) <= 2 * sum(_coreduce(one)[0]) + 1
+    assert_coreduction_exact(two)
+    z = homology_integral(two)
+    assert z.betti == (1, 0, 0, 2) and not any(z.torsion)
+    # Hom(K3,K3): six isolated points, five of them free
+    points = chain_complex_of_hom(hom_poset(K3, K3))
+    assert points.counts() == (6,) and _coreduce(points)[0] == [5]
+    assert_coreduction_exact(points)
+
+
 def test_poset_homology_matches_complex_path():
     p = face_poset(CIRCLE)
     ha = poset_homology(p)
@@ -288,7 +307,7 @@ def test_result_json_round_trip():
     h = homology_integral(chain_complex(klein_bottle_complex()))
     data = h.to_json()
     assert data["field"] == "Z" and data["torsion"][1] == [2]
-    assert homology_from_json(data) == h
+    assert homology_from_json(data, "Z") == h
     assert "Z/2" in str(h)
 
 
@@ -296,9 +315,9 @@ def test_result_refuses_torsion_past_betti():
     # a Z/2 in degree 1 with no degree-1 betti entry would print as H~0=Z
     data = {"field": "Z", "empty": False, "betti": [1], "torsion": [[], [2]]}
     with pytest.raises(ValueError, match="torsion"):
-        homology_from_json(data)
+        homology_from_json(data, "Z")
     data["betti"] = [1, 0]
-    assert "Z/2" in str(homology_from_json(data))
+    assert "Z/2" in str(homology_from_json(data, "Z"))
 
 
 def test_snf_guard():

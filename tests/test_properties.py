@@ -141,6 +141,8 @@ def test_euler_characteristic_matches_betti_numbers(x):
 
 
 @given(complexes(), posets())
+@example(make_complex(6, [[0, 1], [1, 2], [0, 2], [3, 4], [5]]),
+         from_leq_pairs(5, [(0, 1), (2, 3)]))  # several components each
 def test_coreduction_matches_unreduced_elimination(x, p):
     assert_coreduction_exact(chain_complex(x))
     assert_coreduction_exact(chain_complex_of_poset(p))
