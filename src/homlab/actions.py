@@ -227,11 +227,6 @@ def is_d_discontinuous(a: GraphAction, d: int) -> bool:
 # action transport
 
 
-def chain_poset_action(cp: Poset, a: PosetAction) -> PosetAction:
-    """Transport an action on P to Chain(P) (elements of cp are chains)."""
-    return face_poset_action(cp, a.group, a.maps)
-
-
 def face_poset_action(fp: Poset, group: FiniteGroup,
                       vertex_maps: Sequence[Sequence[int]]) -> PosetAction:
     """Transport simplicial vertex permutations to the face poset
@@ -265,7 +260,7 @@ def check_chain_discontinuity(a: PosetAction, k: int,
     if k < 0:
         raise ValueError("negative chain power")
     for _ in range(k):
-        a = chain_poset_action(chain_poset(a.poset, guards), a)
+        a = face_poset_action(chain_poset(a.poset, guards), a.group, a.maps)
     g, atoms = atom_graph(a.poset)
     return is_d_discontinuous(atom_graph_action(g, atoms, a), 2 ** k)
 

@@ -24,9 +24,8 @@ from typing import Sequence
 
 from .actions import (GraphAction, PosetAction, TwistedProduct,
                       assert_valid_action, atom_graph_action,
-                      chain_poset_action, face_poset_action, is_free,
-                      left_regular_maps, orbits, symmetric_group,
-                      twisted_product, z2_group)
+                      face_poset_action, is_free, left_regular_maps, orbits,
+                      symmetric_group, twisted_product, z2_group)
 from .graphs import (Graph, Partition, check_homomorphism, complete_graph,
                      exponential, exponential_vertex_maps, looped_path,
                      product, quotient, reflexive_cycle)
@@ -95,7 +94,7 @@ def cross_polytope_complex(k: int, m: int,
         facets.append(tuple(sorted(2 * i + ((signs >> i) & 1)
                                    for i in range(k + 1))))
     x = make_complex(nv, sorted(facets))
-    p = face_poset(x)
+    p = face_poset(x, guards)
     z2 = z2_group()
     ident = tuple(range(nv))
     anti_v = tuple(v ^ 1 for v in range(nv))
@@ -105,8 +104,8 @@ def cross_polytope_complex(k: int, m: int,
     for _ in range(m):
         x = order_complex(p, guards)
         cp = chain_poset(p, guards)
-        anti = chain_poset_action(cp, anti)
-        refl = chain_poset_action(cp, refl)
+        anti = face_poset_action(cp, anti.group, anti.maps)
+        refl = face_poset_action(cp, refl.group, refl.maps)
         p = cp
     assert_valid_action(anti)
     assert_valid_action(refl)
@@ -270,9 +269,9 @@ def subdivision_coloring(p: Poset, action: PosetAction,
         picked = [heights[q] for q in chain if q in reps]
         phi.append(max(picked) if picked else n + 1)
 
-    cact = chain_poset_action(cp, action)
+    cact = face_poset_action(cp, action.group, action.maps)
     cp2 = chain_poset(cp, guards)
-    c2act = chain_poset_action(cp2, cact)
+    c2act = face_poset_action(cp2, cact.group, cact.maps)
     ag, atoms = atom_graph(cp2)
     gact = atom_graph_action(ag, atoms, c2act)
     tw = twisted_product(_flip_action(), gact)
@@ -404,7 +403,7 @@ def _twisted_skeleton(t_act: GraphAction, x: SimplicialComplex,
     """``t_act`` twisted with the atom graph of Chain^times(F(x)), on which
     the group of ``t_act`` acts through the given free vertex maps."""
     try:
-        act = face_poset_action(face_poset(x), t_act.group,
+        act = face_poset_action(face_poset(x, guards), t_act.group,
                                 [tuple(vm) for vm in vertex_maps])
     except KeyError:
         raise ValueError("the maps are not simplicial automorphisms")
@@ -412,7 +411,8 @@ def _twisted_skeleton(t_act: GraphAction, x: SimplicialComplex,
     if not is_free(act):
         raise ValueError("the action is not free")
     for _ in range(times):
-        act = chain_poset_action(chain_poset(act.poset, guards), act)
+        act = face_poset_action(chain_poset(act.poset, guards), act.group,
+                                act.maps)
     ag, atoms = atom_graph(act.poset)
     tw = twisted_product(t_act, atom_graph_action(ag, atoms, act))
     assert tw.graph.is_loopless()

@@ -13,14 +13,14 @@ component with a free summand of H~0, then repeatedly remove a cell that
 has exactly one face left, at incidence +-1, together with that face.
 The cells left carry the original boundary restricted to them, with the
 same homology over Z and GF(2).  On a Hom complex this leaves a few
-percent of the cells.  Integral computation then runs a sparse
-elimination phase on unit pivots and finishes any remainder with a dense
-Smith normal form; GF(2) uses bit-packed column elimination.
+percent of the cells, so elimination needs no fill-in ordering: integral
+computation sweeps the rows in turn, pivoting on any +-1 entry, until no
+row has one, and finishes any remainder with a dense Smith normal form;
+GF(2) uses bit-packed column elimination.  One body serves both fields.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -246,56 +246,48 @@ def _sparse_rank_divisors(columns: Sequence[Sequence[tuple[int, int]]],
                           guards: Guards) -> tuple[int, list[int]]:
     """Rank and elementary divisors of an integer matrix given by columns.
 
-    Unit-pivot elimination with lazy Markowitz costs; whatever survives
-    (entries all >= 2 in absolute value) goes through the dense SNF,
-    bounded by the snf_nonzeros guard.
+    Unit-pivot elimination with no ordering: the rows are swept in turn,
+    each pivoting on any +-1 entry it holds, until a sweep finds none.
+    Whatever survives (entries all >= 2 in absolute value) goes through
+    the dense SNF, bounded by the snf_nonzeros guard.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    heap: list[tuple[int, int, int]] = []
     for j, entries in enumerate(columns):
         for i, v in entries:
             if v:
                 rows.setdefault(i, {})[j] = v
                 cols.setdefault(j, set()).add(i)
-    for i, r in rows.items():
-        for j, v in r.items():
-            if v in (1, -1):
-                heap.append((0, i, j))
-    heapq.heapify(heap)
     rank = 0
-    while heap:
-        cost, i, j = heapq.heappop(heap)
-        r = rows.get(i)
-        if r is None or j not in r or r[j] not in (1, -1):
-            continue
-        cur = (len(r) - 1) * (len(cols[j]) - 1)
-        if cur > cost:
-            heapq.heappush(heap, (cur, i, j))
-            continue
-        piv = r[j]
-        pivot_row = rows.pop(i)
-        for jj in pivot_row:
-            cols[jj].discard(i)
-        for target in list(cols[j]):
-            tr = rows[target]
-            mult = tr[j] * piv
-            for jj, pv in pivot_row.items():
-                nv = tr.get(jj, 0) - mult * pv
-                if nv:
-                    if jj not in tr:
-                        cols[jj].add(target)
-                    tr[jj] = nv
-                    if nv in (1, -1):
-                        heapq.heappush(heap, (0, target, jj))
-                else:
-                    if jj in tr:
+    swept = False
+    while not swept:
+        swept = True
+        for i in list(rows):
+            r = rows.get(i, {})
+            j = next((j for j, v in r.items() if v in (1, -1)), None)
+            if j is None:
+                continue
+            swept = False
+            piv = r[j]
+            del rows[i]
+            for jj in r:
+                cols[jj].discard(i)
+            for target in list(cols[j]):
+                tr = rows[target]
+                mult = tr[j] * piv
+                for jj, pv in r.items():
+                    nv = tr.get(jj, 0) - mult * pv
+                    if nv:
+                        if jj not in tr:
+                            cols[jj].add(target)
+                        tr[jj] = nv
+                    elif jj in tr:
                         del tr[jj]
                         cols[jj].discard(target)
-            if not tr:
-                del rows[target]
-        del cols[j]
-        rank += 1
+                if not tr:
+                    del rows[target]
+            del cols[j]
+            rank += 1
     divisors = [1] * rank
     nnz = sum(len(r) for r in rows.values())
     if nnz:
@@ -476,34 +468,36 @@ def _coreduce(cc: ChainComplex) -> tuple[list[int],
     return left, out
 
 
-def homology_integral(cc: ChainComplex,
-                      guards: Guards = DEFAULT_GUARDS) -> HomologyResult:
+def _reduced_homology(cc: ChainComplex, field_name: str,
+                      guards: Guards) -> HomologyResult:
+    """Coreduce, then take each boundary's rank over Z (with its elementary
+    divisors) or over GF(2)."""
     if not cc.counts():
-        return HomologyResult("Z", True, ())
+        return HomologyResult(field_name, True, ())
     counts, cols = _coreduce(cc)
     dim = len(counts) - 1
     ranks = [0] * (dim + 2)
     divisors: list[list[int]] = [[] for _ in range(dim + 2)]
     for k in range(1, dim + 1):
-        ranks[k], divisors[k] = _sparse_rank_divisors(cols[k], guards)
+        if field_name == "Z":
+            ranks[k], divisors[k] = _sparse_rank_divisors(cols[k], guards)
+        else:
+            ranks[k] = gf2_rank(sum(1 << i for i, v in col if v % 2)
+                                for col in cols[k])
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
     torsion = tuple(tuple(d for d in divisors[k + 1] if d > 1)
                     for k in range(dim + 1))
-    return HomologyResult("Z", False, betti, torsion)
+    return HomologyResult(field_name, False, betti, torsion)
+
+
+def homology_integral(cc: ChainComplex,
+                      guards: Guards = DEFAULT_GUARDS) -> HomologyResult:
+    return _reduced_homology(cc, "Z", guards)
 
 
 def homology_gf2(cc: ChainComplex,
                  guards: Guards = DEFAULT_GUARDS) -> HomologyResult:
-    if not cc.counts():
-        return HomologyResult("GF2", True, ())
-    counts, cols = _coreduce(cc)
-    dim = len(counts) - 1
-    ranks = [0] * (dim + 2)
-    for k in range(1, dim + 1):
-        ranks[k] = gf2_rank(sum(1 << i for i, v in col if v % 2)
-                            for col in cols[k])
-    betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
-    return HomologyResult("GF2", False, betti)
+    return _reduced_homology(cc, "GF2", guards)
 
 
 def _homology(cc: ChainComplex, field_name: str,

@@ -172,19 +172,25 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     element_limit = guards.hom_elements
     last = n - 1
 
-    def rec(i: int):
-        nonlocal nodes
+    def level(i: int):
+        """The i-th source vertex in order, whether it is looped, its later
+        neighbours with their feasible masks on entry (restored on exit),
+        and its stack of (set so far, its nu, target vertices that may
+        still join it)."""
         v = order[i]
-        clique = looped[i]
-        # later neighbors with their feasible masks on entry, restored on exit
-        later_masks = tuple((w, allowed[w]) for w in later[i])
-        # (set so far, its nu, target vertices that may still join it)
-        stack = [(0, full, allowed[v] & loops if clique else allowed[v])]
-        while stack:
-            s, nu, cand = stack.pop()
-            nodes += cand.bit_count()
-            if nodes > node_limit:
-                raise GuardExceeded("search_nodes", node_limit, nodes)
+        start = allowed[v] & loops if looped[i] else allowed[v]
+        return (v, looped[i], tuple((w, allowed[w]) for w in later[i]),
+                [(0, full, start)])
+
+    if n == 0:
+        out.append(())  # the empty map, whatever h is
+    else:
+        # one frame per source vertex above the current one, so the
+        # descent needs no Python recursion however long g is
+        frames: list[tuple] = []
+        i = s = nu = cand = 0  # no candidates: the first turn pops the stack
+        v, clique, later_masks, stack = level(0)
+        while True:
             while cand:
                 low = cand & -cand
                 cand ^= low
@@ -194,25 +200,35 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
                         break
                 else:
                     s_x = assign[v] = s | low
-                    if i == last:
-                        if len(out) >= element_limit:
-                            raise GuardExceeded("hom_elements", element_limit,
-                                                len(out) + 1)
-                        out.append(tuple(assign))
-                    else:
-                        for w, mask in later_masks:
-                            allowed[w] = mask & nu_x
-                        rec(i + 1)
                     rest = cand & nu_x if clique else cand
                     if rest:
                         stack.append((s_x, nu_x, rest))
-        for w, mask in later_masks:
-            allowed[w] = mask
-
-    if n == 0:
-        out.append(())  # the empty map, whatever h is
-    else:
-        rec(0)
+                    if i < last:
+                        break
+                    if len(out) >= element_limit:
+                        raise GuardExceeded("hom_elements", element_limit,
+                                            len(out) + 1)
+                    out.append(tuple(assign))
+            else:
+                if stack:
+                    s, nu, cand = stack.pop()
+                    nodes += cand.bit_count()
+                    if nodes > node_limit:
+                        raise GuardExceeded("search_nodes", node_limit, nodes)
+                    continue
+                for w, mask in later_masks:
+                    allowed[w] = mask
+                if not frames:
+                    break
+                i -= 1
+                v, clique, later_masks, stack, s, nu, cand = frames.pop()
+                continue
+            for w, mask in later_masks:
+                allowed[w] = mask & nu_x
+            frames.append((v, clique, later_masks, stack, s, nu, cand))
+            i += 1
+            v, clique, later_masks, stack = level(i)
+            cand = 0
     out.sort()
     return HomPoset(g, h, tuple(out), guards)
 
@@ -657,13 +673,9 @@ def loop_addition_maps(t: Graph, g: Graph,
                     for c in range(cp.m))
     j_dom = True
     for chain0 in iter_chains(hom_t0.poset, guards.chain_elements):
-        mapped = tuple(incl_img[x] for x in chain0)
-        acc = [0] * t.n
-        for r in mapped:
-            for v, mask in enumerate(_loop_sets(g, hom_t.elements[r])):
-                acc[v] |= mask
-        top0 = hom_t0.elements[chain0[-1]]
-        if any(x & ~y for x, y in zip(top0, acc)):
+        # incl is an order embedding, so the mapped chain is a chain of cp
+        mapped = cp.index[tuple(sorted(incl_img[x] for x in chain0))]
+        if not hom_t0.leq(chain0[-1], j_img[mapped]):
             j_dom = False
             break
     return LoopAddition(hom_t, hom_t0, cp, incl, j_map, h_map,

@@ -223,9 +223,6 @@ class SimplicialComplex:
                         raise GuardExceeded("complex_faces", limit, len(seen))
         return sorted(seen, key=lambda t: (len(t), t))
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(f) - 1) for f in self.all_faces())
-
 
 def make_complex(n: int, faces: Sequence[Sequence[int]]) -> SimplicialComplex:
     """Complex generated by `faces`; non-maximal entries dropped."""
@@ -304,9 +301,10 @@ def chain_poset(p: Poset, guards: Guards = DEFAULT_GUARDS) -> Poset:
     return _containment_poset(chains)
 
 
-def face_poset(x: SimplicialComplex) -> Poset:
+def face_poset(x: SimplicialComplex,
+               guards: Guards = DEFAULT_GUARDS) -> Poset:
     """Nonempty faces ordered by containment; atoms are the vertices."""
-    faces = x.all_faces()
+    faces = x.all_faces(guards.complex_faces)
     if not faces:
         raise ValueError("face poset of an empty complex")
     return _containment_poset(faces)

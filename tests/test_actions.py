@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from homlab.actions import (FiniteGroup, GraphAction, PosetAction,
                             action_violation, atom_graph_action,
-                            chain_poset_action, check_chain_discontinuity,
+                            check_chain_discontinuity,
                             equivariant_poset_maps, face_poset_action,
                             fixed_subposet, is_d_discontinuous, is_free,
                             is_strongly_regular, left_regular_maps,
@@ -283,7 +283,7 @@ def test_transport_and_chain_discontinuity():
     fp = face_poset(SQUARE)
     act = face_poset_action(fp, z2_group(), ((0, 1, 2, 3), (2, 3, 0, 1)))
     cp = chain_poset(fp)
-    cact = chain_poset_action(cp, act)
+    cact = face_poset_action(cp, act.group, act.maps)
     assert action_violation(cact) is None and is_free(cact)
     g, atoms = atom_graph(fp)
     ga = atom_graph_action(g, atoms, act)

@@ -21,6 +21,7 @@ from homlab.graphs import (Graph, check_homomorphism, chromatic_number,
                            reflexive_cycle)
 from homlab.homposets import hom_poset
 from homlab.homology import poset_homology
+from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import atom_graph, make_complex
 
 K2, K3, K4 = complete_graph(2), complete_graph(3), complete_graph(4)
@@ -369,6 +370,17 @@ def test_csorba_rejections():
     # order-4 permutation: not a Z2 action
     with pytest.raises(ValueError):
         csorba_graph(SQUARE, (2, 3, 1, 0))
+
+
+def test_csorba_face_guard_stops_at_the_limit():
+    # two disjoint 11-simplices have 8,190 faces; unguarded, the face poset
+    # was built in full and the run went on for minutes into the chains
+    x = make_complex(24, [range(12), range(12, 24)])
+    with pytest.raises(GuardExceeded) as err:
+        csorba_graph(x, [(v + 12) % 24 for v in range(24)],
+                     DEFAULT_GUARDS.scaled(complex_faces=1000))
+    assert err.value.guard == "complex_faces"
+    assert err.value.attempted == 1001
 
 
 def test_universality_six_points():

@@ -16,6 +16,7 @@ from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
                            exponential, exponential_vertex_maps,
                            is_isomorphic, looped_path, nu_mask, one_graph,
                            product, reflexive_closure, reflexive_cycle)
+from homlab.cli import main
 from homlab.harness import _diagonal_flip_shift
 from homlab.homology import poset_homology
 from homlab.homposets import (HomPoset, _vertex_fibres, adjunction_report,
@@ -242,6 +243,15 @@ def test_hom_poset_reaches_the_large_spherical_graph():
     hp = hom_poset(k2, s21)
     assert hp.m == 10_106
     assert all(multihom_violation(k2, s21, e) is None for e in hp.elements)
+
+
+def test_hom_poset_of_a_long_cycle_needs_no_recursion(monkeypatch, capsys):
+    # one Python frame per source vertex overflowed the stack here
+    assert hom_poset(cycle_graph(2000), complete_graph(2)).m == 2
+    monkeypatch.delenv("HOMLAB_CACHE_DIR", raising=False)
+    assert main(["hom", "C2000", "K2"]) == 0
+    assert main(["homology", "C2000", "K2"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_search_node_guard_bounds_work():

@@ -13,6 +13,9 @@ A name only the tests call is dead code, unless :data:`KEPT` says why not.
 
 The third scan keeps the command line to what runs: every option a verb
 accepts must be read by that verb, unless :data:`UNREAD` says why not.
+
+The fourth scan keeps every enumeration bounded: each package call to an
+enumerator in :data:`ENUMERATORS` must pass its limit.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ UNREAD = {
     "seedless": "documented as an interface-compatibility no-op: nothing "
                 "in homlab is random, so there is no seed to set",
 }
+
+# Enumerators whose limit is optional -> the limit's positional index
+# (a method's index does not count ``self``).
+ENUMERATORS = {"all_faces": 0, "iter_chains": 1, "maximal_chains": 1,
+               "enumerate_poset_maps": 2}
 
 
 def _module_name(path: Path) -> str:
@@ -271,6 +279,46 @@ def test_benchmark_tracer_finds_every_wrapped_name():
     for key in wrapped:
         assert inspect.isfunction(found[key]), key
         assert not inspect.isgeneratorfunction(found[key]), key
+
+
+def unbounded_enumerations(paths=sorted(PACKAGE.glob("*.py"))) -> list[str]:
+    """Calls to an :data:`ENUMERATORS` name that pass no limit, or None."""
+    out = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name not in ENUMERATORS:
+                continue
+            at = ENUMERATORS[name]
+            limit = node.args[at] if len(node.args) > at else next(
+                (k.value for k in node.keywords if k.arg == "limit"), None)
+            if limit is None or (isinstance(limit, ast.Constant)
+                                 and limit.value is None):
+                out.append(f"{path.name}:{node.lineno}: {name}")
+    return out
+
+
+def test_every_enumeration_passes_a_limit():
+    assert unbounded_enumerations() == []
+
+
+def test_scan_flags_an_unbounded_enumeration(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("x.all_faces()\n"
+                      "x.all_faces(guards.complex_faces)\n"
+                      "iter_chains(p, limit=None)\n"
+                      "iter_chains(p, limit=n)\n"
+                      "maximal_chains(p)\n"
+                      "enumerate_poset_maps(p, q, n)\n"
+                      "enumerate_poset_maps(p, q, p_maps=a)\n",
+                      encoding="utf-8")
+    assert unbounded_enumerations([sample]) == [
+        "sample.py:1: all_faces", "sample.py:3: iter_chains",
+        "sample.py:5: maximal_chains", "sample.py:7: enumerate_poset_maps"]
 
 
 def args_reads(tree: ast.Module, entry: str) -> set[str]:

@@ -8,16 +8,19 @@ from homlab.graphs import (Graph, bits, chromatic_number, complete_graph,
                            check_homomorphism, exponential, nu_mask, product,
                            quotient, Partition)
 from homlab.harness import _chromatic_brute
-from homlab.homology import (chain_complex, chain_complex_of_hom,
+from homlab.homology import (_sparse_rank_divisors, chain_complex,
+                             chain_complex_of_hom,
                              chain_complex_of_poset, hom_homology,
                              homology_of_complex, poset_homology,
                              universal_coefficients_ok, closure_reduce)
+from homlab.limits import DEFAULT_GUARDS
 from homlab.homposets import adjunction_report, hom_poset, rank_of
 from homlab.posets import (PosetMap, atom_graph, chain_poset,
                            enumerate_poset_maps, from_leq_pairs,
                            is_closure_map, make_complex, pointwise_leq,
                            pointwise_poset)
-from test_homology import assert_coreduction_exact, unreduced_homology
+from test_homology import (_sympy_invariants, assert_coreduction_exact,
+                           unreduced_homology)
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -146,6 +149,26 @@ def test_euler_characteristic_matches_betti_numbers(x):
 def test_coreduction_matches_unreduced_elimination(x, p):
     assert_coreduction_exact(chain_complex(x))
     assert_coreduction_exact(chain_complex_of_poset(p))
+
+
+@st.composite
+def sparse_matrices(draw, max_n=8):
+    """Row lists with entries in -3..3, mostly zero."""
+    r, c = draw(st.integers(1, max_n)), draw(st.integers(1, max_n))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, -3])
+    return [[draw(entry) for _ in range(c)] for _ in range(r)]
+
+
+@given(sparse_matrices())
+@example([[2, 0], [0, 3]])  # no unit entry: all of it reaches the dense SNF
+@example([[1, 2, 0], [2, 1, 3], [0, 3, 2]])  # fill-in leaves a non-unit
+def test_sparse_elimination_matches_sympy_smith_form(rows):
+    columns = [[(i, row[j]) for i, row in enumerate(rows)]
+               for j in range(len(rows[0]))]
+    rank, divisors = _sparse_rank_divisors(columns, DEFAULT_GUARDS)
+    expect = _sympy_invariants(rows)
+    assert rank == len(expect)
+    assert sorted(divisors) == sorted(expect)
 
 
 @given(complexes())
