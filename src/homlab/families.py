@@ -386,10 +386,12 @@ def equivariant_coloring_step(t_act: GraphAction, coloring: Sequence[int],
         c = col[tt]
         out.append(f[c] if c < 2 else c + 1)
     target = complete_graph(n + 3)
-    assert check_homomorphism(out, tw.graph, target)
+    if not check_homomorphism(out, tw.graph, target):
+        raise ValueError("extended coloring is not a proper homomorphism")
     sw3 = _swap01(n + 3)
     rho = tw.right_action.maps[1]
-    assert all(out[rho[v]] == sw3[out[v]] for v in range(tw.graph.n))
+    if any(out[rho[v]] != sw3[out[v]] for v in range(tw.graph.n)):
+        raise ValueError("extended coloring is not equivariant")
     return EquivariantColoring(tw, tuple(out), target)
 
 
@@ -415,7 +417,8 @@ def _twisted_skeleton(t_act: GraphAction, x: SimplicialComplex,
                                 act.maps)
     ag, atoms = atom_graph(act.poset)
     tw = twisted_product(t_act, atom_graph_action(ag, atoms, act))
-    assert tw.graph.is_loopless()
+    if not tw.graph.is_loopless():
+        raise ValueError("twisted skeleton acquired a loop")
     return tw.graph
 
 

@@ -1,11 +1,12 @@
 """Chain complexes and exact reduced homology over Z and GF(2).
 
-Two kinds of complex feed one pair of reduction engines: simplicial
-complexes (including order complexes of posets, one generator per chain)
-and the cellular complex of a Hom poset, one generator per
-multihomomorphism.  Homology is always reduced, computed via the augmented
-complex, so the empty complex gets rank 1 in degree -1 and a one-point
-complex has no homology at all.
+Every complex is built from one kind of cell, a tuple of vertex bitmasks
+(a product of simplices), with one boundary rule: a simplicial complex has
+one generator per face and an order complex one per chain, each a
+one-mask cell, and the cellular complex of a Hom poset has one generator
+per multihomomorphism.  Homology is always reduced, computed via the
+augmented complex, so the empty complex gets rank 1 in degree -1 and a
+one-point complex has no homology at all.
 
 Both engines first coreduce the augmented complex (Mrozek-Batko, DCG 2009):
 they pair the augmentation with a vertex and one vertex of each other
@@ -25,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import INFINITE, bits, count_from_json
+from .graphs import INFINITE, count_from_json
 from .homposets import HomPoset, rank_of
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, PosetMap, SimplicialComplex, closure_image,
@@ -33,10 +34,16 @@ from .posets import (Poset, PosetMap, SimplicialComplex, closure_image,
 
 
 class ChainComplex:
-    """Bases of k-faces plus signed boundary maps, checked on construction.
+    """Bases of k-cells plus signed boundary maps, checked on construction.
 
-    The faces here are simplices (sorted vertex tuples); a complex with
-    other cells overrides ``_boundary``.
+    A cell is a tuple of vertex bitmasks, the product of one simplex per
+    mask, and its dimension is ``rank_of(cell)``.  A simplex, or a chain of
+    a poset, is the one-factor cell ``(mask,)``; a multihomomorphism eta of
+    Hom(G,H) is the cell prod_v Delta^(|eta(v)|-1) (Babson-Kozlov).  The
+    facets of a cell drop one vertex x from one mask with at least two
+    bits, with the sign (-1)^(sum of |mask|-1 over earlier masks, plus the
+    position of x in its mask): masks in order, the bits of each mask
+    increasing.  With one factor this is the simplicial sign (-1)^i.
     """
 
     def __init__(self, faces: Sequence[Sequence[tuple[int, ...]]]):
@@ -58,27 +65,30 @@ class ChainComplex:
         return sum((-1) ** k * n for k, n in enumerate(self.counts()))
 
     def boundary(self, k: int) -> list[list[tuple[int, int]]]:
-        """Columns of the boundary map on k-faces; k=0 is the augmentation."""
+        """Columns of the boundary map on k-cells; k=0 is the augmentation."""
         return self._boundaries[k]
 
     def _boundary(self, k: int) -> list[list[tuple[int, int]]]:
-        level = self.faces[k]
-        for f in level:
-            if len(f) != k + 1 or list(f) != sorted(set(f)):
-                raise ValueError(f"bad {k}-face {f}")
-        if list(level) != sorted(set(level)):
-            raise ValueError(f"{k}-faces not sorted and unique")
         if k == 0:
-            return [[(0, 1)] for _ in level]
-        index = {f: i for i, f in enumerate(self.faces[k - 1])}
+            return [[(0, 1)] for _ in self.faces[0]]
+        index = {c: i for i, c in enumerate(self.faces[k - 1])}
         cols = []
-        for f in self.faces[k]:
+        for cell in self.faces[k]:
             col = []
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1:]
-                if sub not in index:
-                    raise ValueError(f"complex not closed: missing face {sub}")
-                col.append((index[sub], -1 if i % 2 else 1))
+            sign = 1
+            for v, mask in enumerate(cell):
+                if mask & (mask - 1):
+                    head, tail, rest = cell[:v], cell[v + 1:], mask
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        sub = head + (mask ^ low,) + tail
+                        if sub not in index:
+                            raise ValueError(
+                                f"complex not closed: missing cell {sub}")
+                        col.append((index[sub], sign))
+                        sign = -sign
+                    sign = -sign  # |mask| + 1 flips: the parity of |mask| - 1
             cols.append(col)
         return cols
 
@@ -100,73 +110,36 @@ class ChainComplex:
                         f"boundary squared is nonzero in degree {k}")
 
 
-def chain_complex(x: SimplicialComplex,
-                  guards: Guards = DEFAULT_GUARDS) -> ChainComplex:
-    faces = x.all_faces(guards.complex_faces)
-    top = len(faces[-1]) if faces else 0
-    levels: list[list[tuple[int, ...]]] = [[] for _ in range(top)]
-    for f in faces:
-        levels[len(f) - 1].append(f)
+def _cell_complex(cells: Iterable[tuple[int, ...]]) -> ChainComplex:
+    """The chain complex on ``cells``, grouped by dimension in input order."""
+    levels: list[list[tuple[int, ...]]] = []
+    for c in cells:
+        r = rank_of(c)
+        while len(levels) <= r:
+            levels.append([])
+        levels[r].append(c)
     return ChainComplex(levels)
 
 
-class _HomCellComplex(ChainComplex):
-    """Cellular chain complex of Hom(G,H) (Babson-Kozlov).
-
-    The k-faces are the multihomomorphisms eta of rank k, each the cell
-    prod_v Delta^(|eta(v)|-1).  Its facets drop one target vertex x from one
-    eta(v) with |eta(v)| >= 2, with the sign (-1)^(sum of |eta(u)|-1 over
-    u < v, plus the position of x in eta(v)): source vertices in index
-    order, the bits of each set increasing.  Dropping a vertex from a set
-    leaves a multihomomorphism (a subset of a looped-complete set is still
-    looped-complete), so every facet is a (k-1)-face.
-    """
-
-    def _boundary(self, k: int) -> list[list[tuple[int, int]]]:
-        if k == 0:
-            return [[(0, 1)] for _ in self.faces[0]]
-        index = {e: i for i, e in enumerate(self.faces[k - 1])}
-        cols = []
-        for eta in self.faces[k]:
-            col = []
-            before = 0
-            for v, mask in enumerate(eta):
-                if mask & (mask - 1):
-                    for pos, x in enumerate(bits(mask), before):
-                        sub = eta[:v] + (mask ^ (1 << x),) + eta[v + 1:]
-                        if sub not in index:
-                            raise ValueError(
-                                f"complex not closed: missing cell {sub}")
-                        col.append((index[sub], -1 if pos % 2 else 1))
-                before += mask.bit_count() - 1
-            cols.append(col)
-        return cols
+def chain_complex(x: SimplicialComplex,
+                  guards: Guards = DEFAULT_GUARDS) -> ChainComplex:
+    """Simplicial chain complex: one generator per face."""
+    return _cell_complex((sum(1 << v for v in f),)
+                         for f in x.all_faces(guards.complex_faces))
 
 
 def chain_complex_of_hom(hp: HomPoset) -> ChainComplex:
-    """Cellular chain complex of Hom(G,H): one generator per element."""
-    levels: list[list[tuple[int, ...]]] = []
-    for e in hp.elements:
-        r = rank_of(e)
-        while len(levels) <= r:
-            levels.append([])
-        levels[r].append(e)
-    return _HomCellComplex(levels)
+    """Cellular chain complex of Hom(G,H): one generator per element.  A
+    subset of a looped-complete set is still looped-complete, so every
+    facet of a cell is a cell."""
+    return _cell_complex(hp.elements)
 
 
 def chain_complex_of_poset(p: Poset,
                            guards: Guards = DEFAULT_GUARDS) -> ChainComplex:
     """Chain complex of the order complex, without materializing facets."""
-    levels: dict[int, list[tuple[int, ...]]] = {}
-    for c in iter_chains(p, guards.chain_elements):
-        levels.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
-    top = max(levels) + 1 if levels else 0
-    out = []
-    for k in range(top):
-        level = levels.get(k, [])
-        level.sort()
-        out.append(level)
-    return ChainComplex(out)
+    return _cell_complex((sum(1 << i for i in c),)
+                         for c in iter_chains(p, guards.chain_elements))
 
 
 # ---------------------------------------------------------------------------

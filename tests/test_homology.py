@@ -13,9 +13,9 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from homlab.families import (csorba_graph, mycielski, spherical_graph,
                              twisted_toroidal)
-from homlab.graphs import (INFINITE, Graph, chromatic_number, complete_graph,
-                           cycle_graph, exponential, reflexive_closure,
-                           reflexive_cycle)
+from homlab.graphs import (INFINITE, Graph, bits, chromatic_number,
+                           complete_graph, cycle_graph, exponential,
+                           reflexive_closure, reflexive_cycle)
 from homlab.homology import (
     ChainComplex,
     HomologyResult,
@@ -82,6 +82,34 @@ def unreduced_homology(cc: ChainComplex, field_name: str) -> HomologyResult:
     return HomologyResult(field_name, False, betti, torsion)
 
 
+def simplicial_boundary(levels, k):
+    """Columns of d_k on levels of sorted vertex tuples: dropping the i-th
+    vertex has sign (-1)^i.  The independent oracle for the one-mask case
+    of ``ChainComplex``'s cell rule."""
+    for f in levels[k]:
+        assert len(f) == k + 1 and list(f) == sorted(set(f)), f
+    index = {f: i for i, f in enumerate(levels[k - 1])}
+    return [[(index[f[:i] + f[i + 1:]], -1 if i % 2 else 1)
+             for i in range(len(f))] for f in levels[k]]
+
+
+def assert_simplicial_boundaries(x) -> None:
+    """Every column of ``chain_complex(x)`` equals the vertex-tuple rule's
+    on the faces of x, matched by vertex set."""
+    cc = chain_complex(x)
+    faces = x.all_faces()
+    levels = [[f for f in faces if len(f) == k + 1]
+              for k in range(cc.dim + 1)]
+    cells = [[tuple(bits(mask)) for (mask,) in level] for level in cc.faces]
+    assert [sorted(level) for level in cells] == levels
+    for k in range(1, cc.dim + 1):
+        want = {f: {levels[k - 1][r]: s for r, s in col}
+                for f, col in zip(levels[k], simplicial_boundary(levels, k))}
+        got = {f: {cells[k - 1][r]: s for r, s in col}
+               for f, col in zip(cells[k], cc.boundary(k))}
+        assert got == want
+
+
 def assert_coreduction_exact(cc: ChainComplex) -> None:
     """Coreduced homology equals the oracle's, over Z and GF(2), and no
     degree gains cells."""
@@ -123,8 +151,9 @@ def test_chain_complex_shapes():
     assert cc.euler_characteristic() == 0
     # d(v0,v1) = (v1) - (v0)
     assert sorted(cc.boundary(1)[0]) == [(0, -1), (1, 1)]
-    with pytest.raises(ValueError):
-        ChainComplex([[(0,), (1,)], [(0, 1), (1, 2)]])  # missing vertex face
+    with pytest.raises(ValueError, match="not closed"):
+        ChainComplex([[(0b001,), (0b010,)],
+                      [(0b011,), (0b110,)]])  # missing vertex face (0b100,)
 
 
 class _FlippedSign(ChainComplex):
@@ -147,11 +176,19 @@ def test_boundary_squared_check_covers_every_column():
     # 2100 of degree 2 lies past any sample of the first 2000.  The graph
     # (1-skeleton) has no degree 2 to expose a bad edge column, so only the
     # check against the augmentation catches it.
-    faces = [list(itertools.combinations(range(25), d)) for d in (1, 2, 3)]
+    faces = [[(sum(1 << v for v in f),)
+              for f in itertools.combinations(range(25), d)]
+             for d in (1, 2, 3)]
     ChainComplex(faces).check_boundary_squared()
     for levels, k, col in ((faces, 2, 2100), (faces[:2], 1, 0)):
         with pytest.raises(ValueError, match=f"nonzero in degree {k}"):
             _FlippedSign(levels, k, col)
+
+
+def test_cell_rule_matches_the_vertex_tuple_rule():
+    for x in (torus_complex(), klein_bottle_complex(), _rp2(), CIRCLE,
+              *(simplex_boundary(k) for k in range(1, 5))):
+        assert_simplicial_boundaries(x)
 
 
 def test_homology_spheres():
@@ -230,7 +267,7 @@ class _MinimalRP2(ChainComplex):
     and 2, with d e1 = 0 and d e2 = 2 e1."""
 
     def __init__(self):
-        super().__init__([[(0,)], [(0, 1)], [(0, 1, 2)]])
+        super().__init__([[(0b1,)], [(0b11,)], [(0b111,)]])
 
     def _boundary(self, k):
         return [[[(0, 1)]], [[]], [[(0, 2)]]][k]

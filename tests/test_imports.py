@@ -16,6 +16,9 @@ accepts must be read by that verb, unless :data:`UNREAD` says why not.
 
 The fourth scan keeps every enumeration bounded: each package call to an
 enumerator in :data:`ENUMERATORS` must pass its limit.
+
+The fifth scan keeps every package check alive under ``python -O``: no
+``assert`` statement in ``src/homlab``, since ``-O`` strips them.
 """
 
 from __future__ import annotations
@@ -319,6 +322,31 @@ def test_scan_flags_an_unbounded_enumeration(tmp_path):
     assert unbounded_enumerations([sample]) == [
         "sample.py:1: all_faces", "sample.py:3: iter_chains",
         "sample.py:5: maximal_chains", "sample.py:7: enumerate_poset_maps"]
+
+
+def package_asserts(paths=sorted(PACKAGE.glob("*.py"))) -> list[str]:
+    """Every ``assert`` statement, which ``python -O`` would skip."""
+    return [f"{path.name}:{node.lineno}"
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)]
+
+
+def test_package_checks_raise_instead_of_asserting():
+    assert package_asserts() == []  # raise ValueError there instead
+
+
+def test_scan_flags_an_assert(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("def f(x):\n"
+                      "    assert x, 'bad'\n"
+                      "    if not x:\n"
+                      "        raise ValueError('bad')\n"
+                      "    return [y for y in x if y]\n\n"
+                      "class C:\n"
+                      "    def g(self):\n"
+                      "        assert self\n", encoding="utf-8")
+    assert package_asserts([sample]) == ["sample.py:2", "sample.py:9"]
 
 
 def args_reads(tree: ast.Module, entry: str) -> set[str]:

@@ -20,7 +20,7 @@ from homlab.posets import (PosetMap, atom_graph, chain_poset,
                            is_closure_map, make_complex, pointwise_leq,
                            pointwise_poset)
 from test_homology import (_sympy_invariants, assert_coreduction_exact,
-                           unreduced_homology)
+                           assert_simplicial_boundaries, unreduced_homology)
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -133,6 +133,11 @@ def test_boundary_squared_is_zero(x):
                 for r2, s2 in low[r]:
                     acc[r2] = acc.get(r2, 0) + s * s2
             assert not any(acc.values())
+
+
+@given(complexes())
+def test_cell_boundary_matches_the_vertex_tuple_rule(x):
+    assert_simplicial_boundaries(x)
 
 
 @given(complexes())
