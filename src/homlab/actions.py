@@ -5,6 +5,9 @@ at index 0; actions attach one carrier permutation per group element.
 Every action is stored as a left action, maps[g.mul(i, j)] ==
 maps[i] o maps[j].  A right action x.g, which the paper pairs with a left
 one in a twisted product, is stored as the left action g^-1 . x.
+`GraphAction` and `PosetAction` check on construction, in one function,
+that they are actions by automorphisms, so every action passed around,
+transported or induced is valid and nothing checks it again.
 Orbit representatives and quotient labels always use the minimum index,
 so every quotient object is reproducible.
 """
@@ -15,7 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .graphs import Graph, Partition, bfs_dist, bits, product, quotient
+from .graphs import (Graph, Partition, bfs_dist, permute_mask, product,
+                     quotient)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, atom_graph, chain_poset, enumerate_poset_maps,
                      induced_subposet, map_poset)
@@ -114,61 +118,51 @@ def z2_group() -> FiniteGroup:
 
 @dataclass(frozen=True)
 class GraphAction:
+    """A left action on a graph by automorphisms, checked on construction."""
+
     group: FiniteGroup
     graph: Graph
     maps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _shape_check(self, self.graph.n)
+        _check_action(self.group, self.graph.adj, self.maps)
 
 
 @dataclass(frozen=True)
 class PosetAction:
+    """A left action on a poset by automorphisms, checked on construction."""
+
     group: FiniteGroup
     poset: Poset
     maps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _shape_check(self, self.poset.m)
+        _check_action(self.group, self.poset.above, self.maps)
 
 
 Action = Union[GraphAction, PosetAction]
 
 
-def _shape_check(a: Action, n: int):
-    if len(a.maps) != a.group.order:
+def _check_action(g: FiniteGroup, rows: Sequence[int],
+                  maps: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError unless ``maps`` is a left action of ``g`` by
+    automorphisms of the relation whose row masks are ``rows``: an
+    automorphism carries every row onto the row of the image."""
+    n = len(rows)
+    if len(maps) != g.order:
         raise ValueError("one carrier map per group element required")
-    for i, p in enumerate(a.maps):
+    for i, p in enumerate(maps):
         if not _is_perm(p, n):
             raise ValueError(f"carrier map {i} is not a permutation")
-
-
-def _preserves(a: Action, p: Sequence[int]) -> bool:
-    rel = a.graph.has_edge if isinstance(a, GraphAction) else a.poset.leq
-    n = len(p)
-    return all(rel(p[u], p[v]) == rel(u, v)
-               for u in range(n) for v in range(n))
-
-
-def action_violation(a: Action) -> Optional[str]:
-    """First violated action axiom, or None if the action is valid."""
-    if a.maps[0] != tuple(range(len(a.maps[0]))):
-        return "identity acts nontrivially"
-    g = a.group
+    if maps[0] != tuple(range(n)):
+        raise ValueError("identity acts nontrivially")
     for i in range(g.order):
         for j in range(g.order):
-            if a.maps[g.mul(i, j)] != compose_perm(a.maps[i], a.maps[j]):
-                return f"compatibility fails at elements {i},{j}"
-    for i, p in enumerate(a.maps):
-        if not _preserves(a, p):
-            return f"element {i} is not an automorphism"
-    return None
-
-
-def assert_valid_action(a: Action):
-    msg = action_violation(a)
-    if msg is not None:
-        raise ValueError(msg)
+            if maps[g.mul(i, j)] != compose_perm(maps[i], maps[j]):
+                raise ValueError(f"compatibility fails at elements {i},{j}")
+    for i, p in enumerate(maps):
+        if any(permute_mask(rows[u], p) != rows[p[u]] for u in range(n)):
+            raise ValueError(f"element {i} is not an automorphism")
 
 
 def is_free(a: Action) -> bool:
@@ -282,53 +276,26 @@ def quotient_graph_by_action(a: GraphAction) -> Graph:
 
 
 def quotient_poset_by_action(a: PosetAction) -> PosetQuotient:
-    """Relational quotient: [x] <= [y] iff some gamma.x <= y, closed up.
+    """Relational quotient: [x] <= [y] iff some gamma.x <= y.
 
-    Without a free strongly regular action the closed relation may fail
-    antisymmetry; mutually related classes are then merged so that a poset
-    is always returned, and `guaranteed` is False (no topological claim).
+    Every action is by automorphisms of a finite group, so this relation is
+    already a partial order, with no closure and no merge: gamma.x <= y and
+    delta.y <= z give delta.gamma.x <= delta.y <= z; gamma.x <= y and
+    delta.y <= x give delta.gamma.x <= x, and an automorphism of finite
+    order that moves x below itself fixes it, so y = gamma.x.  Each orbit's
+    row is the set of orbits meeting one representative's up-set.  Only a
+    free, strongly regular action sets `guaranteed` (the quotient is then
+    homotopy-faithful).
     """
     p = a.poset
     orbs = orbits(a)
-    k = len(orbs)
-    omask = [sum(1 << v for v in b) for b in orbs]
-    rel = [1 << i for i in range(k)]
-    for i, b in enumerate(orbs):
-        for j in range(k):
-            if i != j and any(p.above[u] & omask[j] for u in b):
-                rel[i] |= 1 << j
-    for t in range(k):
-        rt = rel[t]
-        for i in range(k):
-            if rel[i] >> t & 1:
-                rel[i] |= rt
-    # merge mutually related classes (SCC collapse)
-    cls = [-1] * k
-    groups: list[list[int]] = []
-    for i in range(k):
-        if cls[i] >= 0:
-            continue
-        members = [j for j in bits(rel[i]) if rel[j] >> i & 1]
-        for j in members:
-            cls[j] = len(groups)
-        groups.append(members)
-    merged = [tuple(sorted(v for j in g for v in orbs[j])) for g in groups]
-    order = sorted(range(len(groups)), key=lambda c: merged[c][0])
-    rank = {c: i for i, c in enumerate(order)}
-    above = [0] * len(groups)
-    for i in range(k):
-        a_i = 0
-        for j in bits(rel[i]):
-            a_i |= 1 << rank[cls[j]]
-        above[rank[cls[i]]] |= a_i
-    blocks = tuple(merged[c] for c in order)
-    orbit_of = [0] * p.m
+    to_block = [0] * p.m
     for i, b in enumerate(orbs):
         for v in b:
-            orbit_of[v] = i
-    to_block = tuple(rank[cls[orbit_of[v]]] for v in range(p.m))
-    quot = Poset(len(groups), tuple(above), blocks)
-    return PosetQuotient(quot, blocks, to_block,
+            to_block[v] = i
+    above = tuple(permute_mask(p.above[b[0]], to_block) for b in orbs)
+    quot = Poset(len(orbs), above, orbs)
+    return PosetQuotient(quot, orbs, tuple(to_block),
                          is_free(a) and is_strongly_regular(a))
 
 
@@ -349,7 +316,6 @@ class TwistedProduct:
     group: FiniteGroup
     pairs: tuple[tuple[int, int], ...]  # lex-min representative per vertex
     orbit_of: tuple[int, ...]  # product-pair index (t*nh + h) -> vertex
-    product_graph: Graph
     diagonal: GraphAction  # g.(t,h) = (t.g^-1, g.h) on the product
     right_action: Optional[GraphAction] = None  # stored as g^-1 . x
 
@@ -365,8 +331,6 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
     """
     if t_act.group != h_act.group:
         raise ValueError("actions use different groups")
-    assert_valid_action(t_act)
-    assert_valid_action(h_act)
     g = t_act.group
     t, h = t_act.graph, h_act.graph
     nh = h.n
@@ -411,8 +375,7 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
                 img[u] = target
             rmaps.append(tuple(img))
         carried = GraphAction(g, graph, tuple(rmaps))
-    return TwistedProduct(graph, g, pairs, orbit_of, prod, diag_action,
-                          carried)
+    return TwistedProduct(graph, g, pairs, orbit_of, diag_action, carried)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +387,6 @@ def equivariant_poset_maps(pa: PosetAction, qa: PosetAction,
     """Subposet of Poset(P,Q) of equivariant maps, f(g.x) = g.f(x)."""
     if pa.group != qa.group:
         raise ValueError("actions use different groups")
-    assert_valid_action(pa)
-    assert_valid_action(qa)
     p, q = pa.poset, qa.poset
     maps = enumerate_poset_maps(p, q, guards.poset_map_elements,
                                 pa.maps, qa.maps)

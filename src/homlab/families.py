@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .actions import (GraphAction, PosetAction, TwistedProduct,
-                      assert_valid_action, atom_graph_action,
-                      face_poset_action, is_free, left_regular_maps, orbits,
-                      symmetric_group, twisted_product, z2_group)
+                      atom_graph_action, face_poset_action, is_free,
+                      left_regular_maps, orbits, symmetric_group,
+                      twisted_product, z2_group)
 from .graphs import (Graph, Partition, check_homomorphism, complete_graph,
                      exponential, exponential_vertex_maps, looped_path,
                      product, quotient, reflexive_cycle)
@@ -67,7 +67,6 @@ def _cycle_actions(m: int) -> tuple[Graph, GraphAction, GraphAction]:
 class CrossPolytope:
     """The m-th barycentric subdivision of a cross-polytope boundary sphere."""
 
-    k: int
     m: int
     complex: SimplicialComplex
     poset: Poset  # face poset of `complex`
@@ -107,11 +106,9 @@ def cross_polytope_complex(k: int, m: int,
         anti = face_poset_action(cp, anti.group, anti.maps)
         refl = face_poset_action(cp, refl.group, refl.maps)
         p = cp
-    assert_valid_action(anti)
-    assert_valid_action(refl)
     if not is_free(anti):
         raise ValueError("antipodal action failed to be free")
-    return CrossPolytope(k, m, x, p, anti, refl)
+    return CrossPolytope(m, x, p, anti, refl)
 
 
 @dataclass(frozen=True)
@@ -136,8 +133,6 @@ def cycle_face_poset(m: int) -> CycleFacePoset:
                              (ident, tuple((i + m) % n for i in range(n))))
     refl = face_poset_action(p, z2,
                              (ident, tuple(n - 1 - i for i in range(n))))
-    assert_valid_action(anti)
-    assert_valid_action(refl)
     return CycleFacePoset(m, p, anti, refl)
 
 
@@ -149,12 +144,10 @@ def cycle_face_poset(m: int) -> CycleFacePoset:
 class SphericalGraph:
     """S(k,m): the twisted product of an edge with a subdivided sphere skeleton."""
 
-    k: int
     m: int
     graph: Graph
     right_action: GraphAction  # reflection, stored as left (g^-1 . x)
     twisted: TwistedProduct
-    cross: CrossPolytope
 
 
 def spherical_graph(k: int, m: int,
@@ -166,7 +159,7 @@ def spherical_graph(k: int, m: int,
     tw = twisted_product(_flip_action(), anti, refl)
     if not tw.graph.is_loopless():
         raise ValueError("spherical graph acquired a loop")
-    return SphericalGraph(k, m, tw.graph, tw.right_action, tw, cp)
+    return SphericalGraph(m, tw.graph, tw.right_action, tw)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +170,6 @@ def spherical_graph(k: int, m: int,
 class ToroidalGraph:
     """T(k,m): k-fold left-associated twisted product of K2 with 2m-cycles."""
 
-    k: int
     m: int
     graph: Graph
     right_action: GraphAction  # last cycle's reflection, stored as g^-1 . x
@@ -197,7 +189,7 @@ def twisted_toroidal(k: int, m: int,
         graph, act = tw.graph, tw.right_action
         if not graph.is_loopless():
             raise ValueError("toroidal graph acquired a loop")
-    return ToroidalGraph(k, m, graph, act)
+    return ToroidalGraph(m, graph, act)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +248,6 @@ def subdivision_coloring(p: Poset, action: PosetAction,
     """
     if action.group.order != 2:
         raise ValueError("the action must be an involution")
-    assert_valid_action(action)
     if not is_free(action):
         raise ValueError("the action is not free")
     heights = p.heights
@@ -409,7 +400,6 @@ def _twisted_skeleton(t_act: GraphAction, x: SimplicialComplex,
                                 [tuple(vm) for vm in vertex_maps])
     except KeyError:
         raise ValueError("the maps are not simplicial automorphisms")
-    assert_valid_action(act)
     if not is_free(act):
         raise ValueError("the action is not free")
     for _ in range(times):

@@ -60,6 +60,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def permute_mask(mask: int, perm: Sequence[int]) -> int:
+    """Image of the set ``mask`` under the vertex map ``perm``."""
+    out = 0
+    for x in bits(mask):
+        out |= 1 << perm[x]
+    return out
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with loops on vertices 0..n-1."""

@@ -4,9 +4,11 @@ Every complex is built from one kind of cell, a tuple of vertex bitmasks
 (a product of simplices), with one boundary rule: a simplicial complex has
 one generator per face and an order complex one per chain, each a
 one-mask cell, and the cellular complex of a Hom poset has one generator
-per multihomomorphism.  Homology is always reduced, computed via the
-augmented complex, so the empty complex gets rank 1 in degree -1 and a
-one-point complex has no homology at all.
+per multihomomorphism.  `ChainComplex` takes the cells as one flat list
+and groups them by dimension itself, so a cell cannot sit in the wrong
+degree.  Homology is always reduced, computed via the augmented complex,
+so the empty complex gets rank 1 in degree -1 and a one-point complex has
+no homology at all.
 
 Both engines first coreduce the augmented complex (Mrozek-Batko, DCG 2009):
 they pair the augmentation with a vertex and one vertex of each other
@@ -44,13 +46,24 @@ class ChainComplex:
     bits, with the sign (-1)^(sum of |mask|-1 over earlier masks, plus the
     position of x in its mask): masks in order, the bits of each mask
     increasing.  With one factor this is the simplicial sign (-1)^i.
+
+    The cells are grouped by dimension in input order; a repeated cell
+    raises ValueError.
     """
 
-    def __init__(self, faces: Sequence[Sequence[tuple[int, ...]]]):
+    def __init__(self, cells: Iterable[tuple[int, ...]]):
+        index: list[dict[tuple[int, ...], int]] = []
+        for c in cells:
+            r = rank_of(c)
+            while len(index) <= r:
+                index.append({})
+            level = index[r]
+            i = len(level)
+            if level.setdefault(c, i) != i:
+                raise ValueError(f"repeated cell {c}")
+        self._index = index
         self.faces: tuple[tuple[tuple[int, ...], ...], ...] = \
-            tuple(tuple(level) for level in faces)
-        while self.faces and not self.faces[-1]:
-            self.faces = self.faces[:-1]
+            tuple(tuple(level) for level in index)
         self._boundaries = [self._boundary(k) for k in range(len(self.faces))]
         self.check_boundary_squared()
 
@@ -71,7 +84,7 @@ class ChainComplex:
     def _boundary(self, k: int) -> list[list[tuple[int, int]]]:
         if k == 0:
             return [[(0, 1)] for _ in self.faces[0]]
-        index = {c: i for i, c in enumerate(self.faces[k - 1])}
+        index = self._index[k - 1]
         cols = []
         for cell in self.faces[k]:
             col = []
@@ -110,21 +123,10 @@ class ChainComplex:
                         f"boundary squared is nonzero in degree {k}")
 
 
-def _cell_complex(cells: Iterable[tuple[int, ...]]) -> ChainComplex:
-    """The chain complex on ``cells``, grouped by dimension in input order."""
-    levels: list[list[tuple[int, ...]]] = []
-    for c in cells:
-        r = rank_of(c)
-        while len(levels) <= r:
-            levels.append([])
-        levels[r].append(c)
-    return ChainComplex(levels)
-
-
 def chain_complex(x: SimplicialComplex,
                   guards: Guards = DEFAULT_GUARDS) -> ChainComplex:
     """Simplicial chain complex: one generator per face."""
-    return _cell_complex((sum(1 << v for v in f),)
+    return ChainComplex((sum(1 << v for v in f),)
                          for f in x.all_faces(guards.complex_faces))
 
 
@@ -132,13 +134,13 @@ def chain_complex_of_hom(hp: HomPoset) -> ChainComplex:
     """Cellular chain complex of Hom(G,H): one generator per element.  A
     subset of a looped-complete set is still looped-complete, so every
     facet of a cell is a cell."""
-    return _cell_complex(hp.elements)
+    return ChainComplex(hp.elements)
 
 
 def chain_complex_of_poset(p: Poset,
                            guards: Guards = DEFAULT_GUARDS) -> ChainComplex:
     """Chain complex of the order complex, without materializing facets."""
-    return _cell_complex((sum(1 << i for i in c),)
+    return ChainComplex((sum(1 << i for i in c),)
                          for c in iter_chains(p, guards.chain_elements))
 
 

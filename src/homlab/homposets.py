@@ -23,7 +23,7 @@ from .actions import (GraphAction, PosetAction, is_free,
                       quotient_poset_by_action, PosetQuotient)
 from .graphs import (Graph, Partition, _hom_search, bits, exponential,
                      exponential_vertex_maps, is_fine, nu_mask, one_graph,
-                     product, reflexive_closure)
+                     permute_mask, product, reflexive_closure)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, PosetMap, atom_graph, chain_poset,
                      enumerate_poset_maps, iter_chains, pointwise_poset)
@@ -233,13 +233,6 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     return HomPoset(g, h, tuple(out), guards)
 
 
-def _permute_mask(mask: int, perm: Sequence[int]) -> int:
-    out = 0
-    for x in bits(mask):
-        out |= 1 << perm[x]
-    return out
-
-
 def induced_index_maps(hp: HomPoset,
                        source_action: Optional[GraphAction] = None,
                        target_action: Optional[GraphAction] = None):
@@ -248,7 +241,8 @@ def induced_index_maps(hp: HomPoset,
 
     Both actions are stored as left actions, so the source contributes
     s_gamma = source.maps[gamma^-1] and the target t_gamma =
-    target.maps[gamma]: this is the usual gamma . a(gamma^-1 . _).
+    target.maps[gamma]: this is the usual gamma . a(gamma^-1 . _).  The
+    actions are valid by construction, so every image is an element.
     """
     given = [a for a in (source_action, target_action) if a is not None]
     if not given:
@@ -269,13 +263,9 @@ def induced_index_maps(hp: HomPoset,
         tmap = ident_t if target_action is None else target_action.maps[i]
         row = []
         for e in hp.elements:
-            image = tuple(_permute_mask(e[smap[v]], tmap)
+            image = tuple(permute_mask(e[smap[v]], tmap)
                           for v in range(hp.source.n))
-            j = hp.index.get(image)
-            if j is None:
-                raise ValueError("induced image leaves the poset; "
-                                 "the inputs are not valid actions")
-            row.append(j)
+            row.append(hp.index[image])
         maps.append(tuple(row))
     return group, tuple(maps)
 
@@ -429,7 +419,6 @@ def poset_uncurry(f_image: Sequence[int], atoms: Sequence[int],
 
 @dataclass(frozen=True)
 class PosetAdjunctionReport:
-    hom_atom_graph: HomPoset   # Hom(P^1, G)
     hom_single: HomPoset       # Hom(1, G)
     atoms: tuple[int, ...]
     roundtrip_identity: bool   # psi o phi = id on Hom(P^1,G)
@@ -470,7 +459,7 @@ def poset_adjunction_report(p: Poset, g: Graph,
         if any(c & ~masks[v] for c, v in zip(curried_masks[j], f)):
             decreasing = False
             break
-    return PosetAdjunctionReport(hom_ag, hom_single, tuple(atoms),
+    return PosetAdjunctionReport(hom_single, tuple(atoms),
                                  roundtrip, decreasing, checked)
 
 
@@ -578,7 +567,7 @@ def quotient_compare(t: Graph, g: Graph, act: GraphAction,
     image = []
     for block in quot.blocks:
         e = hom_s.elements[block[0]]
-        proj = tuple(_permute_mask(mask, block_of) for mask in e)
+        proj = tuple(permute_mask(mask, block_of) for mask in e)
         j = hom_q.index.get(proj)
         if j is None:
             raise ValueError("projected element is not a multihomomorphism")
@@ -611,7 +600,6 @@ def quotient_compare(t: Graph, g: Graph, act: GraphAction,
 class LoopAddition:
     hom_plain: HomPoset        # Hom(T, G)
     hom_reflexive: HomPoset    # Hom(T°, G)
-    chains: Poset              # Chain(Hom(T,G))
     i: PosetMap                # inclusion Hom(T°,G) -> Hom(T,G)
     j: PosetMap                # Chain(Hom(T,G)) -> Hom(T°,G)
     h: PosetMap                # Chain(Hom(T,G)) -> Hom(T,G)
@@ -678,5 +666,5 @@ def loop_addition_maps(t: Graph, g: Graph,
         if not hom_t0.leq(chain0[-1], j_img[mapped]):
             j_dom = False
             break
-    return LoopAddition(hom_t, hom_t0, cp, incl, j_map, h_map,
+    return LoopAddition(hom_t, hom_t0, incl, j_map, h_map,
                         j_dom, i_j_below, h_dom)

@@ -1,11 +1,18 @@
 """Group actions: validation, orbits, quotients, twisted products,
-equivariant monotone maps.  Counting oracles are brute force."""
+equivariant monotone maps.  Counting oracles are brute force.  The action
+axioms are checked against a test of every ordered pair of points
+(`action_violation`), the poset quotient against a transitive closure with
+merged classes (`closure_quotient`)."""
+
+import itertools
+from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from homlab.actions import (FiniteGroup, GraphAction, PosetAction,
-                            action_violation, atom_graph_action,
+                            PosetQuotient, atom_graph_action,
                             check_chain_discontinuity,
                             equivariant_poset_maps, face_poset_action,
                             fixed_subposet, is_d_discontinuous, is_free,
@@ -14,13 +21,14 @@ from homlab.actions import (FiniteGroup, GraphAction, PosetAction,
                             quotient_poset_by_action, symmetric_group,
                             twisted_product, z2_group)
 from homlab.families import cycle_face_poset
-from homlab.graphs import (Graph, complete_graph, cycle_graph, is_isomorphic,
-                           reflexive_cycle)
+from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
+                           is_isomorphic, reflexive_cycle)
 from homlab.homology import poset_homology
 from homlab.homposets import hom_poset, induced_hom_action
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
-from homlab.posets import (atom_graph, chain_poset, enumerate_poset_maps,
-                           face_poset, from_leq_pairs, make_complex)
+from homlab.posets import (Poset, atom_graph, chain_poset,
+                           enumerate_poset_maps, face_poset, from_leq_pairs,
+                           make_complex)
 
 SQUARE = make_complex(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
 
@@ -46,6 +54,74 @@ def cyclic(n):
 def trivial_action(poset, group):
     return PosetAction(group, poset,
                        tuple(tuple(range(poset.m)) for _ in group.elements))
+
+
+def action_violation(a) -> Optional[str]:
+    """First violated action axiom, or None: the oracle for the checks
+    `GraphAction` and `PosetAction` run on construction.  ``a`` is an
+    action, or any object with its fields, valid or not.  Every element
+    must keep the relation of every ordered pair of points."""
+    if hasattr(a, "graph"):
+        rel, n = a.graph.has_edge, a.graph.n
+    else:
+        rel, n = a.poset.leq, a.poset.m
+    if len(a.maps) != a.group.order:
+        return "one carrier map per group element required"
+    for i, p in enumerate(a.maps):
+        if len(p) != n or sorted(p) != list(range(n)):
+            return f"carrier map {i} is not a permutation"
+    if a.maps[0] != tuple(range(n)):
+        return "identity acts nontrivially"
+    g = a.group
+    for i in range(g.order):
+        for j in range(g.order):
+            if a.maps[g.mul(i, j)] != tuple(a.maps[i][x] for x in a.maps[j]):
+                return f"compatibility fails at elements {i},{j}"
+    for i, p in enumerate(a.maps):
+        if not all(rel(p[u], p[v]) == rel(u, v)
+                   for u in range(n) for v in range(n)):
+            return f"element {i} is not an automorphism"
+    return None
+
+
+def closure_quotient(a) -> PosetQuotient:
+    """The oracle for `quotient_poset_by_action`: relate orbits when some
+    member of one lies below some member of the other, close the relation
+    transitively and merge mutually related orbits, so that any maps give
+    a poset."""
+    p = a.poset
+    orbs = orbits(a)
+    k = len(orbs)
+    omask = [sum(1 << v for v in b) for b in orbs]
+    rel = [1 << i for i in range(k)]
+    for i, b in enumerate(orbs):
+        for j in range(k):
+            if i != j and any(p.above[u] & omask[j] for u in b):
+                rel[i] |= 1 << j
+    for t in range(k):
+        for i in range(k):
+            if rel[i] >> t & 1:
+                rel[i] |= rel[t]
+    cls = [-1] * k
+    groups: list[list[int]] = []
+    for i in range(k):
+        if cls[i] < 0:
+            members = [j for j in bits(rel[i]) if rel[j] >> i & 1]
+            for j in members:
+                cls[j] = len(groups)
+            groups.append(members)
+    merged = [tuple(sorted(v for j in g for v in orbs[j])) for g in groups]
+    order = sorted(range(len(groups)), key=lambda c: merged[c][0])
+    rank = {c: i for i, c in enumerate(order)}
+    above = [0] * len(groups)
+    for i in range(k):
+        for j in bits(rel[i]):
+            above[rank[cls[i]]] |= 1 << rank[cls[j]]
+    blocks = tuple(merged[c] for c in order)
+    orbit_of = {v: i for i, b in enumerate(orbs) for v in b}
+    to_block = tuple(rank[cls[orbit_of[v]]] for v in range(p.m))
+    return PosetQuotient(Poset(len(groups), tuple(above), blocks), blocks,
+                         to_block, is_free(a) and is_strongly_regular(a))
 
 
 def test_group_construction():
@@ -81,7 +157,8 @@ def test_regular_maps():
     assert is_free(GraphAction(s3, disc, left))
     # the same right action passed without the inverse is no left action
     as_given = tuple(tuple(s3.table[j][i] for j in range(6)) for i in range(6))
-    assert "compatibility" in action_violation(GraphAction(s3, disc, as_given))
+    with pytest.raises(ValueError, match="compatibility"):
+        GraphAction(s3, disc, as_given)
 
 
 def test_action_validation_messages():
@@ -90,20 +167,20 @@ def test_action_validation_messages():
     assert action_violation(good) is None
 
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    bad_auto = z2_action(p3, (1, 0, 2))
-    assert action_violation(bad_auto) == "element 1 is not an automorphism"
+    with pytest.raises(ValueError, match="^element 1 is not an automorphism$"):
+        z2_action(p3, (1, 0, 2))
+    vee = from_leq_pairs(3, [(0, 2), (1, 2)])
+    with pytest.raises(ValueError, match="^element 1 is not an automorphism$"):
+        z2_action(vee, (2, 1, 0))
 
     c4 = reflexive_cycle(4)
     z4 = cyclic(4)
-    bad_compat = GraphAction(z4, c4,
-                             (rotation(4, 0), rotation(4, 1),
-                              rotation(4, 2), rotation(4, 1)))
-    assert "compatibility" in action_violation(bad_compat)
-
-    bad_ident = GraphAction(z4, c4,
-                            (rotation(4, 1), rotation(4, 2),
+    with pytest.raises(ValueError, match="^compatibility fails at elements "):
+        GraphAction(z4, c4, (rotation(4, 0), rotation(4, 1),
+                             rotation(4, 2), rotation(4, 1)))
+    with pytest.raises(ValueError, match="^identity acts nontrivially$"):
+        GraphAction(z4, c4, (rotation(4, 1), rotation(4, 2),
                              rotation(4, 3), rotation(4, 0)))
-    assert action_violation(bad_ident) == "identity acts nontrivially"
 
     with pytest.raises(ValueError):
         z2_action(c6, (0, 0, 1, 2, 3, 4))  # not a permutation
@@ -243,13 +320,6 @@ def test_quotient_poset_flags_and_merge():
     res = quotient_poset_by_action(z2_action(vee, (1, 0, 2)))
     assert not res.guaranteed  # the action has a fixed point
     assert res.poset.m == 2 and res.to_block == (0, 0, 1)
-
-    # mechanically exercise the class-merge branch with maps that are
-    # deliberately not order automorphisms (shape-valid only)
-    two_chains = from_leq_pairs(4, [(0, 1), (2, 3)])
-    bad = PosetAction(z2_group(), two_chains, ((0, 1, 2, 3), (3, 2, 1, 0)))
-    res = quotient_poset_by_action(bad)
-    assert res.poset.m == 1 and res.blocks == ((0, 1, 2, 3),)
 
 
 def test_strong_regularity_boundary():
@@ -399,3 +469,90 @@ def test_equivariant_poset_maps_match_brute_filter(data):
     em = equivariant_poset_maps(pa, qa)
     assert list(em.elements) == brute_equivariant(pa, qa)
 
+
+
+def _automorphisms(rows):
+    """Every permutation carrying each row mask onto the row of its image
+    (brute force over all permutations of at most six points)."""
+    n = len(rows)
+    return [p for p in itertools.permutations(range(n))
+            if all(sum(1 << p[v] for v in bits(rows[u])) == rows[p[u]]
+                   for u in range(n))]
+
+
+@st.composite
+def acting_groups(draw, kinds=(GraphAction, PosetAction), automorphic=None):
+    """(class, carrier, group): a graph or poset on at most six points and
+    the group generated by one or two of its automorphisms (the identity
+    only when it has no other), or of any permutations when not
+    ``automorphic`` (drawn when None).  The group acts on the points
+    through its own elements."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    cls = draw(st.sampled_from(kinds))
+    if cls is GraphAction:
+        carrier = Graph.from_edges(n, chosen)
+        rows = carrier.adj
+    else:
+        carrier = from_leq_pairs(n, [(i, j) for i, j in chosen if i != j])
+        rows = carrier.above
+    if automorphic is None:
+        automorphic = draw(st.booleans())
+    autos = _automorphisms(rows)
+    gens = st.sampled_from(autos[1:] or autos) if automorphic \
+        else st.permutations(range(n)).map(tuple)
+    try:
+        group = make_group(draw(st.lists(gens, min_size=1, max_size=2)),
+                           DEFAULT_GUARDS.scaled(group_order=24))
+    except GuardExceeded:
+        assume(False)
+    return cls, carrier, group
+
+
+@st.composite
+def random_actions(draw):
+    """(class, group, carrier, maps) from :func:`acting_groups`, perhaps
+    broken: one map replaced by any permutation, cut short or made
+    constant, two maps swapped, or one map left out."""
+    cls, carrier, group = draw(acting_groups())
+    n = len(group.elements[0])
+    maps = list(group.elements)
+    fault = draw(st.sampled_from(["", "", "replace", "swap", "constant",
+                                  "short", "missing"]))
+    i = draw(st.integers(0, group.order - 1))
+    j = draw(st.integers(0, group.order - 1))
+    if fault == "replace":
+        maps[i] = draw(st.permutations(range(n)).map(tuple))
+    elif fault == "swap":
+        maps[i], maps[j] = maps[j], maps[i]
+    elif fault == "constant":
+        maps[i] = (maps[i][0],) * n
+    elif fault == "short":
+        maps[i] = maps[i][:-1]
+    elif fault == "missing":
+        maps.pop(i)
+    return cls, group, carrier, tuple(maps)
+
+
+@settings(deadline=None, max_examples=300)
+@given(random_actions())
+def test_construction_raises_exactly_what_the_oracle_reports(drawn):
+    cls, group, carrier, maps = drawn
+    field = "graph" if cls is GraphAction else "poset"
+    want = action_violation(SimpleNamespace(group=group, maps=maps,
+                                            **{field: carrier}))
+    if want is None:
+        cls(group, carrier, maps)
+    else:
+        with pytest.raises(ValueError) as err:
+            cls(group, carrier, maps)
+        assert str(err.value) == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(acting_groups(kinds=(PosetAction,), automorphic=True))
+def test_quotient_equals_the_closure_and_merge_quotient(drawn):
+    _, poset, group = drawn
+    act = PosetAction(group, poset, group.elements)
+    assert quotient_poset_by_action(act) == closure_quotient(act)

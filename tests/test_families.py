@@ -8,8 +8,7 @@ import json
 
 import pytest
 
-from homlab.actions import (GraphAction, action_violation, is_free,
-                            make_group, z2_group)
+from homlab.actions import GraphAction, is_free, make_group, z2_group
 from homlab.families import (cross_polytope_complex, csorba_graph,
                              cycle_face_poset, equivariant_coloring_step,
                              iterated_mycielski, mycielski, spherical_graph,
@@ -23,6 +22,7 @@ from homlab.homposets import hom_poset
 from homlab.homology import poset_homology
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import atom_graph, make_complex
+from test_actions import action_violation
 
 K2, K3, K4 = complete_graph(2), complete_graph(3), complete_graph(4)
 SQUARE = make_complex(4, [(0, 2), (0, 3), (1, 2), (1, 3)])

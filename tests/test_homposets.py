@@ -7,9 +7,8 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from homlab.actions import (GraphAction, action_violation, make_group,
-                            quotient_graph_by_action, twisted_product,
-                            z2_group)
+from homlab.actions import (GraphAction, make_group, quotient_graph_by_action,
+                            twisted_product, z2_group)
 from homlab.families import (csorba_graph, cycle_face_poset, mycielski,
                              spherical_graph, twisted_toroidal)
 from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
@@ -29,6 +28,7 @@ from homlab.homposets import (HomPoset, _vertex_fibres, adjunction_report,
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import (PosetMap, atom_graph, face_poset, is_closure_map,
                            make_complex)
+from test_actions import action_violation
 
 SQUARE = make_complex(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
 

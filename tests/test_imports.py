@@ -19,6 +19,10 @@ enumerator in :data:`ENUMERATORS` must pass its limit.
 
 The fifth scan keeps every package check alive under ``python -O``: no
 ``assert`` statement in ``src/homlab``, since ``-O`` strips them.
+
+The sixth scan keeps every dataclass field to what is read: some file in
+``src/homlab``, ``tests`` or ``perfbench`` must read ``.<field>``, unless
+:data:`KEPT` says why not (keyed ``Class.field``).
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ PACKAGE = ROOT / "src" / "homlab"
 BENCH = ROOT / "perfbench"
 SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
-# Names no root reaches that stay anyway, each with its reason.
+# Names no root reaches, or fields nothing reads (``Class.field``), that
+# stay anyway, each with its reason.
 KEPT = {
     ("homlab.posets", "pointwise_leq"):
         "the independent oracle for pointwise_poset",
@@ -238,7 +243,7 @@ def test_scan_flags_an_unused_import(tmp_path):
 
 
 def test_every_public_name_has_a_caller():
-    kept = {f"{mod}:{name}" for mod, name in KEPT}
+    kept = {f"{mod}:{name}" for mod, name in KEPT if "." not in name}
     unreached = set(unreached_names())
     assert sorted(unreached - kept) == []  # delete these, or say in KEPT why not
     assert sorted(kept - unreached) == []  # these have callers now: unlist them
@@ -347,6 +352,62 @@ def test_scan_flags_an_assert(tmp_path):
                       "    def g(self):\n"
                       "        assert self\n", encoding="utf-8")
     assert package_asserts([sample]) == ["sample.py:2", "sample.py:9"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(package: Path = PACKAGE,
+                  readers=SCANNED + sorted(BENCH.glob("*.py"))) -> list[str]:
+    """Dataclass fields of the package, as ``module:Class.field``, whose
+    name no file in ``readers`` reads as an attribute."""
+    read = set()
+    for path in readers:
+        read |= {node.attr for node in ast.walk(ast.parse(
+                     path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+    out = []
+    for path in sorted(package.glob("*.py")):
+        module = _module_name(path)
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                out += [f"{module}:{cls.name}.{node.target.id}"
+                        for node in cls.body
+                        if isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)
+                        and node.target.id not in read]
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    kept = {f"{mod}:{name}" for mod, name in KEPT if "." in name}
+    unread = set(unread_fields())
+    assert sorted(unread - kept) == []  # delete these, or say in KEPT why not
+    assert sorted(kept - unread) == []  # these are read now: unlist them
+
+
+def test_scan_flags_an_unread_field(tmp_path):
+    package = tmp_path / "homlab"
+    package.mkdir()
+    (package / "core.py").write_text(
+        "from dataclasses import dataclass\nimport dataclasses\n\n"
+        "@dataclass(frozen=True)\nclass Point:\n    x: int\n    y: int\n"
+        "    label: str = ''\n\n"
+        "@dataclasses.dataclass\nclass Box:\n    corner: Point\n\n"
+        "class Plain:\n    z: int\n\n"
+        "def norm(p: Point) -> int:\n    return p.x\n", encoding="utf-8")
+    reader = tmp_path / "test_core.py"
+    reader.write_text("def test_label(p, box):\n"
+                      "    box.corner = p\n"
+                      "    assert p.label == ''\n", encoding="utf-8")
+    assert unread_fields(package, sorted(package.glob("*.py")) + [reader]) \
+        == ["homlab.core:Point.y", "homlab.core:Box.corner"]
 
 
 def args_reads(tree: ast.Module, entry: str) -> set[str]:
