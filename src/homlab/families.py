@@ -67,7 +67,6 @@ def _cycle_actions(m: int) -> tuple[Graph, GraphAction, GraphAction]:
 class CrossPolytope:
     """The m-th barycentric subdivision of a cross-polytope boundary sphere."""
 
-    m: int
     complex: SimplicialComplex
     poset: Poset  # face poset of `complex`
     antipodal: PosetAction  # free
@@ -108,14 +107,13 @@ def cross_polytope_complex(k: int, m: int,
         p = cp
     if not is_free(anti):
         raise ValueError("antipodal action failed to be free")
-    return CrossPolytope(m, x, p, anti, refl)
+    return CrossPolytope(x, p, anti, refl)
 
 
 @dataclass(frozen=True)
 class CycleFacePoset:
     """Face poset of a 2m-gon with its antipodal and reflection actions."""
 
-    m: int
     poset: Poset  # 4m elements: 2m vertices and 2m edges
     antipodal: PosetAction  # vertex i -> i+m
     reflection: PosetAction  # right action (stored as left): i -> 2m-1-i
@@ -133,7 +131,7 @@ def cycle_face_poset(m: int) -> CycleFacePoset:
                              (ident, tuple((i + m) % n for i in range(n))))
     refl = face_poset_action(p, z2,
                              (ident, tuple(n - 1 - i for i in range(n))))
-    return CycleFacePoset(m, p, anti, refl)
+    return CycleFacePoset(p, anti, refl)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +142,6 @@ def cycle_face_poset(m: int) -> CycleFacePoset:
 class SphericalGraph:
     """S(k,m): the twisted product of an edge with a subdivided sphere skeleton."""
 
-    m: int
     graph: Graph
     right_action: GraphAction  # reflection, stored as left (g^-1 . x)
     twisted: TwistedProduct
@@ -159,7 +156,7 @@ def spherical_graph(k: int, m: int,
     tw = twisted_product(_flip_action(), anti, refl)
     if not tw.graph.is_loopless():
         raise ValueError("spherical graph acquired a loop")
-    return SphericalGraph(m, tw.graph, tw.right_action, tw)
+    return SphericalGraph(tw.graph, tw.right_action, tw)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +167,6 @@ def spherical_graph(k: int, m: int,
 class ToroidalGraph:
     """T(k,m): k-fold left-associated twisted product of K2 with 2m-cycles."""
 
-    m: int
     graph: Graph
     right_action: GraphAction  # last cycle's reflection, stored as g^-1 . x
 
@@ -189,7 +185,7 @@ def twisted_toroidal(k: int, m: int,
         graph, act = tw.graph, tw.right_action
         if not graph.is_loopless():
             raise ValueError("toroidal graph acquired a loop")
-    return ToroidalGraph(m, graph, act)
+    return ToroidalGraph(graph, act)
 
 
 # ---------------------------------------------------------------------------

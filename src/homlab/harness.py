@@ -2,11 +2,13 @@
 
 This module ties the constructions together into named, reproducible
 experiments.  Each experiment is a deterministic desk-scale computation with
-a machine-comparable expected outcome; running one yields a ``RunReport``
-whose outcome is ``"pass"``, ``"fail"``, or ``"skipped (guard)"`` when a size
-guard stopped an enumeration.  Collections of reports render as an aligned
-text table, JSON, or CSV with the fixed header
-``id,pass,expected,measured,seconds``.
+a machine-comparable expected outcome; its runner yields one
+``(passed, text)`` check per claim, and ``run_experiment`` alone turns the
+checks into a ``RunReport``.  Its outcome is ``"pass"`` when there is at
+least one check and all hold, else ``"fail"``, or ``"skipped (guard)"`` when
+a size guard stopped an enumeration; its measured text joins the check
+texts with ``"; "``.  Collections of reports render as an aligned text
+table, JSON, or CSV with the header ``id,pass,expected,measured,seconds``.
 
 Hom homology (on the cellular complex of the Hom poset) and poset homology
 results can persist in a content-addressed cache: keys are SHA-256 digests
@@ -31,7 +33,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import (Callable, Iterable, Iterator, Mapping, Optional, Sequence,
+                    Union)
 
 from .actions import (GraphAction, check_chain_discontinuity,
                       equivariant_poset_maps, is_d_discontinuous, z2_group)
@@ -262,12 +265,14 @@ class RunContext:
         return cached_hom_homology(g, h, field_name, self.guards, self.cache)
 
 
-Runner = Callable[[RunContext], "tuple[bool, str]"]
+Check = tuple[bool, str]
+Runner = Callable[[RunContext], Iterator[Check]]
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """A registered, deterministic computation with a pinned expectation."""
+    """A registered, deterministic computation with a pinned expectation;
+    its runner is a generator of one ``(passed, text)`` check per claim."""
 
     id: str
     criterion: int        # acceptance criterion number; 0 = extra example
@@ -313,79 +318,59 @@ def report_from_json(data: dict) -> RunReport:
 # ---------------------------------------------------------------------------
 # experiment runners
 
-def _run_sphere_homology(ctx: RunContext) -> tuple[bool, str]:
-    parts, ok = [], True
+def _run_sphere_homology(ctx: RunContext) -> Iterator[Check]:
     k2 = complete_graph(2)
     for n in range(2, 6):
         res = ctx.hom_homology(k2, complete_graph(n))
-        good = res.is_sphere(n - 2)
-        ok &= good
-        parts.append(f"Hom(K2,K{n}): {res}")
-    return ok, "; ".join(parts)
+        yield res.is_sphere(n - 2), f"Hom(K2,K{n}): {res}"
 
 
-def _run_toroidal_invariants(ctx: RunContext) -> tuple[bool, str]:
-    parts, ok = [], True
+def _run_toroidal_invariants(ctx: RunContext) -> Iterator[Check]:
     for k in (1, 2):
         for m in (2, 3, 5):
             g = twisted_toroidal(k, m, ctx.guards).graph
             chi = chromatic_number(g, ctx.guards)
-            ok &= chi == k + 2
-            parts.append(f"chi(T({k},{m}))={chi}")
+            yield chi == k + 2, f"chi(T({k},{m}))={chi}"
             if m in (3, 5):
                 og = odd_girth(g)
                 deg = max(g.degree(v) for v in range(g.n))
-                ok &= og == m and deg == 3 ** k
-                parts.append(f"og(T({k},{m}))={og},maxdeg={deg}")
-    return ok, "; ".join(parts)
+                yield (og == m and deg == 3 ** k,
+                       f"og(T({k},{m}))={og},maxdeg={deg}")
 
 
-def _run_spherical_graphs(ctx: RunContext) -> tuple[bool, str]:
-    parts, ok = [], True
+def _run_spherical_graphs(ctx: RunContext) -> Iterator[Check]:
     for m in (1, 2):
         chi = chromatic_number(spherical_graph(1, m, ctx.guards).graph,
                                ctx.guards)
-        ok &= chi == 3
-        parts.append(f"chi(S(1,{m}))={chi}")
+        yield chi == 3, f"chi(S(1,{m}))={chi}"
     iso = is_isomorphic(spherical_graph(1, 0, ctx.guards).graph,
                         complete_graph(4))
-    ok &= iso
-    parts.append(f"S(1,0)~=K4:{iso}")
+    yield iso, f"S(1,0)~=K4:{iso}"
     res = ctx.hom_homology(complete_graph(2),
                            spherical_graph(1, 1, ctx.guards).graph)
-    ok &= res.is_sphere(1)
-    parts.append(f"Hom(K2,S(1,1)): {res}")
-    return ok, "; ".join(parts)
+    yield res.is_sphere(1), f"Hom(K2,S(1,1)): {res}"
 
 
-def _run_toroidal_circles(ctx: RunContext) -> tuple[bool, str]:
-    parts, ok = [], True
+def _run_toroidal_circles(ctx: RunContext) -> Iterator[Check]:
     for m in (5, 6):
         res = ctx.hom_homology(complete_graph(2),
                                twisted_toroidal(1, m, ctx.guards).graph)
-        ok &= res.is_sphere(1)
-        parts.append(f"Hom(K2,T(1,{m})): {res}")
-    return ok, "; ".join(parts)
+        yield res.is_sphere(1), f"Hom(K2,T(1,{m})): {res}"
 
 
-def _run_mycielski_suite(ctx: RunContext) -> tuple[bool, str]:
-    parts, ok = [], True
+def _run_mycielski_suite(ctx: RunContext) -> Iterator[Check]:
     k2 = complete_graph(2)
     iso = is_isomorphic(mycielski(k2, 2), cycle_graph(5))
-    ok &= iso
-    parts.append(f"M_2(K2)~=C5:{iso}")
+    yield iso, f"M_2(K2)~=C5:{iso}"
     for k in (0, 1, 2):
         chi = chromatic_number(iterated_mycielski(k2, 2, k), ctx.guards)
-        ok &= chi == k + 2
-        parts.append(f"chi(M^{k}_2(K2))={chi}")
+        yield chi == k + 2, f"chi(M^{k}_2(K2))={chi}"
     for name, g in (("K2", k2), ("K3", complete_graph(3))):
         base = ctx.hom_homology(k2, g)
         for m in (2, 3):
             top = ctx.hom_homology(k2, mycielski(g, m))
             good = suspension_check(base, top)
-            ok &= good
-            parts.append(f"suspension(K2->{name},m={m}):{good}")
-    return ok, "; ".join(parts)
+            yield good, f"suspension(K2->{name},m={m}):{good}"
 
 
 def _diagonal_flip_shift(m: int) -> tuple[Graph, GraphAction]:
@@ -397,37 +382,33 @@ def _diagonal_flip_shift(m: int) -> tuple[Graph, GraphAction]:
     return g, GraphAction(z2_group(), g, (tuple(range(g.n)), perm))
 
 
-def _run_quotient_commutation(ctx: RunContext) -> tuple[bool, str]:
-    parts, ok = [], True
+def _run_quotient_commutation(ctx: RunContext) -> Iterator[Check]:
     for m in (3, 4, 5):
         g, act = _diagonal_flip_shift(m)
         qc = quotient_compare(complete_graph(2), g, act, ctx.guards)
-        good = (qc.hypothesis_ok and qc.free and qc.strongly_regular
-                and qc.iso and qc.rank_preserved and qc.warning is None)
-        ok &= good
-        parts.append(f"m={m}: hypothesis={qc.hypothesis_ok},free={qc.free},"
-                     f"strongly_regular={qc.strongly_regular},iso={qc.iso},"
-                     f"rank_preserved={qc.rank_preserved}")
-    return ok, "; ".join(parts)
+        yield (qc.hypothesis_ok and qc.free and qc.strongly_regular
+               and qc.iso and qc.rank_preserved and qc.warning is None,
+               f"m={m}: hypothesis={qc.hypothesis_ok},free={qc.free},"
+               f"strongly_regular={qc.strongly_regular},iso={qc.iso},"
+               f"rank_preserved={qc.rank_preserved}")
 
 
-def _run_adjunctions(ctx: RunContext) -> tuple[bool, str]:
+def _run_adjunctions(ctx: RunContext) -> Iterator[Check]:
     rep = adjunction_report(complete_graph(2), reflexive_cycle(6),
                             complete_graph(3), ctx.guards)
-    ok = rep.roundtrip_identity and rep.increasing and rep.closure_ok
-    parts = [f"graph side ({rep.hom_product.m} elements): "
-             f"roundtrip={rep.roundtrip_identity},increasing={rep.increasing},"
-             f"closure={rep.closure_ok}"]
+    yield (rep.roundtrip_identity and rep.increasing and rep.closure_ok,
+           f"graph side ({rep.hom_product.m} elements): "
+           f"roundtrip={rep.roundtrip_identity},increasing={rep.increasing},"
+           f"closure={rep.closure_ok}")
     prep = poset_adjunction_report(cycle_face_poset(3).poset,
                                    reflexive_cycle(6), ctx.guards)
-    ok &= prep.roundtrip_identity and prep.decreasing
-    parts.append(f"poset side ({prep.maps_checked} maps): "
-                 f"roundtrip={prep.roundtrip_identity},"
-                 f"decreasing={prep.decreasing}")
-    return ok, "; ".join(parts)
+    yield (prep.roundtrip_identity and prep.decreasing,
+           f"poset side ({prep.maps_checked} maps): "
+           f"roundtrip={prep.roundtrip_identity},"
+           f"decreasing={prep.decreasing}")
 
 
-def _run_equivariant_maps(ctx: RunContext) -> tuple[bool, str]:
+def _run_equivariant_maps(ctx: RunContext) -> Iterator[Check]:
     k2, k3 = complete_graph(2), complete_graph(3)
     flip = GraphAction(z2_group(), k2, ((0, 1), (1, 0)))
     target = induced_hom_action(ctx.hom(k2, k3), source_action=flip)
@@ -436,15 +417,14 @@ def _run_equivariant_maps(ctx: RunContext) -> tuple[bool, str]:
     left = ctx.homology(eq6)
     right = ctx.hom_homology(twisted_toroidal(1, 3, ctx.guards).graph, k3)
     match = left == right
+    yield match, (f"hexagon: {eq6.m} maps, homology {left} vs "
+                  f"Hom(T(1,3),K3) {right}, equal={match}")
     eq4 = equivariant_poset_maps(cycle_face_poset(2).antipodal, target,
                                  ctx.guards)
     hom_k4_k3 = ctx.hom(complete_graph(4), k3)
     both_empty = eq4.m == 0 and hom_k4_k3.m == 0
-    ok = match and both_empty
-    return ok, (f"hexagon: {eq6.m} maps, homology {left} vs "
-                f"Hom(T(1,3),K3) {right}, equal={match}; "
-                f"square: {eq4.m} maps, Hom(K4,K3) {hom_k4_k3.m} elements, "
-                f"both_empty={both_empty}")
+    yield both_empty, (f"square: {eq4.m} maps, Hom(K4,K3) {hom_k4_k3.m} "
+                       f"elements, both_empty={both_empty}")
 
 
 def _polygon_face_poset(sides: int) -> Poset:
@@ -452,31 +432,24 @@ def _polygon_face_poset(sides: int) -> Poset:
     return face_poset(make_complex(sides, edges))
 
 
-def _run_fine_loop_addition(ctx: RunContext) -> tuple[bool, str]:
-    parts, ok = [], True
+def _run_fine_loop_addition(ctx: RunContext) -> Iterator[Check]:
     for m in (3, 4):
         fine = is_fine(reflexive_cycle(2 * m), ctx.guards)
-        ok &= fine
-        parts.append(f"fine(C{2 * m} reflexive)={fine}")
+        yield fine, f"fine(C{2 * m} reflexive)={fine}"
     for sides in (3, 4, 5):
         ag, _ = atom_graph(chain_poset(_polygon_face_poset(sides),
                                        ctx.guards))
         fine = is_fine(ag, ctx.guards)
-        ok &= fine
-        parts.append(f"fine(Chain({sides}-gon faces)^1)={fine}")
+        yield fine, f"fine(Chain({sides}-gon faces)^1)={fine}"
     a = ctx.hom_homology(reflexive_closure(complete_graph(2)),
                          reflexive_cycle(8))
     b = ctx.hom_homology(complete_graph(2), reflexive_cycle(8))
-    same = a == b
-    ok &= same
-    parts.append(f"Hom(K2+loops,C8 reflexive)={a} vs Hom(K2,C8 reflexive)="
-                 f"{b}, equal={same}")
+    yield a == b, (f"Hom(K2+loops,C8 reflexive)={a} vs Hom(K2,C8 "
+                   f"reflexive)={b}, equal={a == b}")
     la = loop_addition_maps(complete_graph(2), reflexive_cycle(8), ctx.guards)
     flags = (la.j_dominates_reflexive_top and la.i_j_below_h
              and la.h_dominates_top)
-    ok &= flags
-    parts.append(f"comparison maps dominate:{flags}")
-    return ok, "; ".join(parts)
+    yield flags, f"comparison maps dominate:{flags}"
 
 
 def _square_boundary() -> tuple[SimplicialComplex, tuple[int, ...]]:
@@ -484,47 +457,43 @@ def _square_boundary() -> tuple[SimplicialComplex, tuple[int, ...]]:
     return make_complex(4, [[0, 1], [1, 2], [2, 3], [3, 0]]), (2, 3, 0, 1)
 
 
-def _run_csorba_square(ctx: RunContext) -> tuple[bool, str]:
+def _run_csorba_square(ctx: RunContext) -> Iterator[Check]:
     x, involution = _square_boundary()
     g = csorba_graph(x, involution, ctx.guards)
     res = ctx.hom_homology(complete_graph(2), g)
-    return res.is_sphere(1), f"graph on {g.n} vertices; Hom(K2,-): {res}"
+    yield res.is_sphere(1), f"graph on {g.n} vertices; Hom(K2,-): {res}"
 
 
-def _run_universality(ctx: RunContext) -> tuple[bool, str]:
-    ok, square_measured = _run_csorba_square(ctx)
-    parts = [f"square: {square_measured}"]
+def _run_universality(ctx: RunContext) -> Iterator[Check]:
+    for ok, text in _run_csorba_square(ctx):
+        yield ok, f"square: {text}"
     points = make_complex(6, [[i] for i in range(6)])
     ug = universality_graph(points, 3, "regular", ctx.guards)
     iso = is_isomorphic(ug, complete_graph(3))
+    yield iso, f"six points, n=3: graph~=K3:{iso}"
     hp = ctx.hom(complete_graph(3), ug)
     # every element lies above an atom, so all atoms means an antichain
     isolated = hp.m == 6 and len(hp.atoms) == hp.m
     res = ctx.hom_homology(complete_graph(3), ug)
     six_points = (not res.empty and res.betti == (5,)
                   and not any(res.torsion))
-    ok &= iso and isolated and six_points
-    parts.append(f"six points, n=3: graph~=K3:{iso}; Hom(K3,K3): {hp.m} "
-                 f"elements, isolated={isolated}, homology={res}")
-    return ok, "; ".join(parts)
+    yield (isolated and six_points,
+           f"Hom(K3,K3): {hp.m} elements, isolated={isolated}, "
+           f"homology={res}")
 
 
-def _run_discontinuity(ctx: RunContext) -> tuple[bool, str]:
-    parts, ok = [], True
+def _run_discontinuity(ctx: RunContext) -> Iterator[Check]:
     octagon = cycle_face_poset(4)
     for k in range(4):
         good = check_chain_discontinuity(octagon.antipodal, k, ctx.guards)
-        ok &= good
-        parts.append(f"(Chain^{k} of octagon faces)^1 "
+        yield good, (f"(Chain^{k} of octagon faces)^1 "
                      f"{2 ** k}-discontinuous:{good}")
     c10 = reflexive_cycle(10)
     act = GraphAction(z2_group(), c10,
                       (tuple(range(10)),
                        tuple((i + 5) % 10 for i in range(10))))
     good = is_d_discontinuous(act, 5)
-    ok &= good
-    parts.append(f"C10 reflexive antipodal 5-discontinuous:{good}")
-    return ok, "; ".join(parts)
+    yield good, f"C10 reflexive antipodal 5-discontinuous:{good}"
 
 
 def _equivariance_holds(coloring: Sequence[int], act: GraphAction,
@@ -536,15 +505,14 @@ def _equivariance_holds(coloring: Sequence[int], act: GraphAction,
                for v in range(len(coloring)))
 
 
-def _run_colorings(ctx: RunContext) -> tuple[bool, str]:
-    parts, ok = [], True
+def _run_colorings(ctx: RunContext) -> Iterator[Check]:
     for name, k in (("square", 1), ("octahedron", 2)):
         cross = cross_polytope_complex(k, 0, ctx.guards)
         sc = subdivision_coloring(cross.poset, cross.antipodal, ctx.guards)
         proper = check_homomorphism(sc.coloring, sc.twisted.graph, sc.target)
-        ok &= proper and sc.target.n == k + 2
-        parts.append(f"{name}: {sc.target.n} colors on "
-                     f"{sc.twisted.graph.n} vertices, proper={proper}")
+        yield (proper and sc.target.n == k + 2,
+               f"{name}: {sc.target.n} colors on "
+               f"{sc.twisted.graph.n} vertices, proper={proper}")
     coloring: Sequence[int] = (0, 1)
     act = GraphAction(z2_group(), complete_graph(2), ((0, 1), (1, 0)))
     for k in (1, 2):
@@ -554,11 +522,10 @@ def _run_colorings(ctx: RunContext) -> tuple[bool, str]:
         proper = check_homomorphism(ec.coloring, ec.twisted.graph, ec.target)
         equi = _equivariance_holds(ec.coloring, ec.twisted.right_action,
                                    k + 2)
-        ok &= same and proper and equi and ec.target.n == k + 2
-        parts.append(f"T({k},3)->K{k + 2}: graph_matches={same},"
-                     f"proper={proper},equivariant={equi}")
+        yield (same and proper and equi and ec.target.n == k + 2,
+               f"T({k},3)->K{k + 2}: graph_matches={same},"
+               f"proper={proper},equivariant={equi}")
         coloring, act = ec.coloring, ec.twisted.right_action
-    return ok, "; ".join(parts)
 
 
 def _symmetric(g: Graph) -> bool:
@@ -631,12 +598,10 @@ def _roster_posets(ctx: RunContext) -> list[Poset]:
             ctx.hom(complete_graph(2), complete_graph(3)).poset]
 
 
-def _run_property_sweeps(ctx: RunContext) -> tuple[bool, str]:
-    parts, ok = [], True
+def _run_property_sweeps(ctx: RunContext) -> Iterator[Check]:
     graphs = _roster_graphs(ctx)
     sym = all(_symmetric(g) for g in graphs)
-    ok &= sym
-    parts.append(f"adjacency symmetric on {len(graphs)} graphs:{sym}")
+    yield sym, f"adjacency symmetric on {len(graphs)} graphs:{sym}"
     complexes = _roster_complexes()
     try:
         for x in complexes:
@@ -644,28 +609,22 @@ def _run_property_sweeps(ctx: RunContext) -> tuple[bool, str]:
         dd = True
     except ValueError:
         dd = False
-    ok &= dd
-    parts.append(f"boundary^2=0 on {len(complexes)} complexes:{dd}")
+    yield dd, f"boundary^2=0 on {len(complexes)} complexes:{dd}"
     eb = all(_euler_betti_ok(ctx, x) for x in complexes)
-    ok &= eb
-    parts.append(f"Euler=1+alternating Betti on {len(complexes)} "
-                 f"complexes:{eb}")
+    yield eb, (f"Euler=1+alternating Betti on {len(complexes)} "
+               f"complexes:{eb}")
     cl = _closure_invariance_ok(ctx)
-    ok &= cl
-    parts.append(f"closure-map homology invariance:{cl}")
+    yield cl, f"closure-map homology invariance:{cl}"
     posets = _roster_posets(ctx)
     comp = all(_comparability_identity_ok(ctx, p) for p in posets)
-    ok &= comp
-    parts.append(f"chain atom graph = comparability on {len(posets)} "
+    yield comp, (f"chain atom graph = comparability on {len(posets)} "
                  f"posets:{comp}")
     small = [g for g in graphs
              if g.n <= 8 and not any(g.adj[v] >> v & 1 for v in range(g.n))]
     chi = all(chromatic_number(g, ctx.guards) == _chromatic_brute(g)
               for g in small)
-    ok &= chi
-    parts.append(f"chromatic number matches brute force on {len(small)} "
-                 f"graphs:{chi}")
-    return ok, "; ".join(parts)
+    yield chi, (f"chromatic number matches brute force on {len(small)} "
+                f"graphs:{chi}")
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +768,9 @@ def run_experiment(exp_id: str, overrides: Optional[Mapping] = None,
 
     ``overrides`` is a sparse guard mapping, read by ``guard_overrides`` and
     laid over the experiment's own guards.  Guard overflows are soft: a
-    ``GuardExceeded`` from any enumeration turns into the outcome
-    ``"skipped (guard)"`` rather than an exception.  The report is written
+    ``GuardExceeded`` from any enumeration, even after some checks were
+    yielded, turns into the outcome ``"skipped (guard)"`` rather than an
+    exception.  The report is written
     to ``report_dir`` when one is given, else nowhere.
     """
     exp = get_experiment(exp_id)
@@ -819,8 +779,9 @@ def run_experiment(exp_id: str, overrides: Optional[Mapping] = None,
     ctx = RunContext(guards, cache)
     start = time.perf_counter()
     try:
-        ok, measured = exp.runner(ctx)
-        outcome = "pass" if ok else "fail"
+        checks = list(exp.runner(ctx))
+        outcome = "pass" if checks and all(ok for ok, _ in checks) else "fail"
+        measured = "; ".join(text for _, text in checks)
     except GuardExceeded as exc:
         outcome, measured = "skipped (guard)", str(exc)
     seconds = round(time.perf_counter() - start, 3)

@@ -529,20 +529,6 @@ def suspension_check(a: HomologyResult, b: HomologyResult) -> bool:
     return not b.empty  # a suspension is never empty
 
 
-def universal_coefficients_ok(z: HomologyResult, f2: HomologyResult) -> bool:
-    """dim_F2 H~_d = b~_d + #2-torsion(d) + #2-torsion(d-1)."""
-    if z.empty != f2.empty:
-        return False
-    top = max(len(z.betti), len(f2.betti))
-    for d in range(top):
-        t_here = sum(1 for t in z.torsion_at(d) if t % 2 == 0)
-        t_below = sum(1 for t in z.torsion_at(d - 1) if t % 2 == 0) \
-            if d > 0 else 0
-        if f2.reduced(d) != z.reduced(d) + t_here + t_below:
-            return False
-    return True
-
-
 def closure_reduce(p: Poset, c: PosetMap) -> tuple[Poset, tuple[int, ...]]:
     """Image subposet of a closure map (homology-preserving retract)."""
     if not (is_closure_map(c, "up") or is_closure_map(c, "down")):

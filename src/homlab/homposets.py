@@ -233,11 +233,12 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     return HomPoset(g, h, tuple(out), guards)
 
 
-def induced_index_maps(hp: HomPoset,
+def induced_hom_action(hp: HomPoset,
                        source_action: Optional[GraphAction] = None,
-                       target_action: Optional[GraphAction] = None):
-    """Element-index permutations of the induced left action on Hom(G,H),
-    (gamma.a)(v) = t_gamma(a(s_gamma(v))), without materializing the order.
+                       target_action: Optional[GraphAction] = None
+                       ) -> PosetAction:
+    """The induced left action (gamma.a)(v) = t_gamma(a(s_gamma(v))) on
+    the materialized poset of Hom(G,H).
 
     Both actions are stored as left actions, so the source contributes
     s_gamma = source.maps[gamma^-1] and the target t_gamma =
@@ -267,16 +268,7 @@ def induced_index_maps(hp: HomPoset,
                           for v in range(hp.source.n))
             row.append(hp.index[image])
         maps.append(tuple(row))
-    return group, tuple(maps)
-
-
-def induced_hom_action(hp: HomPoset,
-                       source_action: Optional[GraphAction] = None,
-                       target_action: Optional[GraphAction] = None
-                       ) -> PosetAction:
-    """The induced left action as an action on the materialized poset."""
-    group, maps = induced_index_maps(hp, source_action, target_action)
-    return PosetAction(group, hp.poset, maps)
+    return PosetAction(group, hp.poset, tuple(maps))
 
 
 # ---------------------------------------------------------------------------

@@ -504,10 +504,6 @@ def map_poset(maps: Iterable[tuple[int, ...]], q: Poset,
     return pointwise_poset(rows, q.leq, guards)
 
 
-def pointwise_leq(q: Poset, f: Sequence[int], g: Sequence[int]) -> bool:
-    return all(q.leq(a, b) for a, b in zip(f, g))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -1,5 +1,6 @@
 """Experiment harness: cache integrity, registry, reports, and the CLI."""
 
+import inspect
 import json
 
 import pytest
@@ -260,12 +261,54 @@ def test_guard_overflow_is_a_skip_not_a_crash():
     assert "hom_elements" in rep.measured
 
 
-def test_guard_mapping_overlays_the_experiment_guards(monkeypatch):
-    raised = DEFAULT_GUARDS.scaled(poset_relation=20_000)
+def _register_probe(monkeypatch, runner, guards=DEFAULT_GUARDS):
     monkeypatch.setitem(EXPERIMENTS, "probe", Experiment(
-        "probe", 0, "guards seen by the runner", "", "test",
-        lambda ctx: (True, f"{ctx.guards.hom_elements} "
-                           f"{ctx.guards.poset_relation}"), raised))
+        "probe", 0, "a probe runner", "", "test", runner, guards))
+
+
+def test_every_runner_is_a_generator_function():
+    # a runner that returns its verdict would fail in run_experiment
+    assert [exp.id for exp in list_experiments()
+            if not inspect.isgeneratorfunction(exp.runner)] == []
+
+
+def test_one_failing_check_fails_and_every_text_is_joined(monkeypatch):
+    def runner(ctx):
+        yield True, "first"
+        yield False, "second"
+        yield True, "third"
+    _register_probe(monkeypatch, runner)
+    rep = run_experiment("probe")
+    assert (rep.outcome, rep.measured) == ("fail", "first; second; third")
+
+
+def test_a_runner_without_checks_fails(monkeypatch):
+    def runner(ctx):
+        yield from ()
+    _register_probe(monkeypatch, runner)
+    rep = run_experiment("probe")
+    assert (rep.outcome, rep.measured) == ("fail", "")
+
+
+def test_a_guard_tripped_after_a_check_is_a_skip(monkeypatch):
+    def runner(ctx):
+        yield True, "first"
+        ctx.hom(complete_graph(2), complete_graph(4))
+        yield True, "second"
+    _register_probe(monkeypatch, runner)
+    rep = run_experiment("probe", {"hom_elements": 5})
+    assert rep.outcome == "skipped (guard)"
+    with pytest.raises(GuardExceeded) as exc:
+        hom_poset(complete_graph(2), complete_graph(4),
+                  DEFAULT_GUARDS.scaled(hom_elements=5))
+    assert rep.measured == str(exc.value)
+
+
+def test_guard_mapping_overlays_the_experiment_guards(monkeypatch):
+    def runner(ctx):
+        yield True, f"{ctx.guards.hom_elements} {ctx.guards.poset_relation}"
+    _register_probe(monkeypatch, runner,
+                    DEFAULT_GUARDS.scaled(poset_relation=20_000))
     assert run_experiment("probe").measured == "1000000 20000"
     for overrides in ({"hom_elements": 5}, {"guards": {"hom_elements": "5"}}):
         assert run_experiment("probe", overrides).measured == "5 20000"

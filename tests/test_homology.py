@@ -38,7 +38,6 @@ from homlab.homology import (
     smith_invariants,
     suspension_check,
     torus_complex,
-    universal_coefficients_ok,
 )
 from homlab.homposets import hom_poset
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
@@ -55,6 +54,21 @@ def _sympy_invariants(rows: list[list[int]]) -> list[int]:
     m = smith_normal_form(sympy.Matrix(rows))
     out = [abs(m[i, i]) for i in range(min(m.shape)) if m[i, i] != 0]
     return [int(v) for v in out]
+
+
+def universal_coefficients_ok(z: HomologyResult, f2: HomologyResult) -> bool:
+    """The Z-versus-GF(2) cross-check of the two reductions:
+    dim_F2 H~_d = b~_d + #2-torsion(d) + #2-torsion(d-1)."""
+    if z.empty != f2.empty:
+        return False
+    top = max(len(z.betti), len(f2.betti))
+    for d in range(top):
+        t_here = sum(1 for t in z.torsion_at(d) if t % 2 == 0)
+        t_below = sum(1 for t in z.torsion_at(d - 1) if t % 2 == 0) \
+            if d > 0 else 0
+        if f2.reduced(d) != z.reduced(d) + t_here + t_below:
+            return False
+    return True
 
 
 def unreduced_homology(cc: ChainComplex, field_name: str) -> HomologyResult:

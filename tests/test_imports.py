@@ -41,10 +41,6 @@ SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 # Names no root reaches, or fields nothing reads (``Class.field``), that
 # stay anyway, each with its reason.
 KEPT = {
-    ("homlab.posets", "pointwise_leq"):
-        "the independent oracle for pointwise_poset",
-    ("homlab.homology", "universal_coefficients_ok"):
-        "the Z-versus-GF(2) cross-check of the two reductions",
     ("homlab.homology", "homology_connectivity"):
         "the connectivity bound of the planned chromatic lower bound",
 }

@@ -31,7 +31,6 @@ from homlab.posets import (
     make_complex,
     maximal_chains,
     order_complex,
-    pointwise_leq,
     poset_maps,
     poset_to_json,
 )
@@ -39,6 +38,12 @@ from homlab.posets import (
 SQUARE = make_complex(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
 OCTAHEDRON = make_complex(6, [[x, y, z]
                               for x in (0, 1) for y in (2, 3) for z in (4, 5)])
+
+
+def pointwise_leq(q: Poset, f, g) -> bool:
+    """The independent oracle for ``pointwise_poset``: f <= g in every
+    coordinate."""
+    return all(q.leq(a, b) for a, b in zip(f, g))
 
 
 def _random_poset(rng: random.Random, n: int, p: float = 0.3) -> Poset:

@@ -12,15 +12,16 @@ from homlab.homology import (_sparse_rank_divisors, chain_complex,
                              chain_complex_of_hom,
                              chain_complex_of_poset, hom_homology,
                              homology_of_complex, poset_homology,
-                             universal_coefficients_ok, closure_reduce)
+                             closure_reduce)
 from homlab.limits import DEFAULT_GUARDS
 from homlab.homposets import adjunction_report, hom_poset, rank_of
 from homlab.posets import (PosetMap, atom_graph, chain_poset,
                            enumerate_poset_maps, from_leq_pairs,
-                           is_closure_map, make_complex, pointwise_leq,
-                           pointwise_poset)
+                           is_closure_map, make_complex, pointwise_poset)
 from test_homology import (_sympy_invariants, assert_coreduction_exact,
-                           assert_simplicial_boundaries, unreduced_homology)
+                           assert_simplicial_boundaries, unreduced_homology,
+                           universal_coefficients_ok)
+from test_posets import pointwise_leq
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
