@@ -6,7 +6,8 @@ construct        build a graph from an identifier and print it
 hom              enumerate Hom(source, target) and print a summary
 homology         reduced homology of the Hom poset of two graphs
 chromatic        exact chromatic number of a graph
-verify           run registered experiments and persist their reports
+verify           run registered experiments in order, in one process, and
+                 persist their reports
 report           render persisted reports as text, JSON, or CSV
 list-experiments show the experiment registry
 
@@ -100,8 +101,7 @@ def parse_graph_id(ident: str, guards: Guards = DEFAULT_GUARDS) -> Graph:
                                guards).graph
     m = _TOROIDAL.match(ident)
     if m:
-        return twisted_toroidal(int(m.group(1)), int(m.group(2)),
-                                guards).graph
+        return twisted_toroidal(int(m.group(1)), int(m.group(2))).graph
     m = _MYCIELSKI.match(ident)
     if m:
         inner = parse_graph_id(m.group(3), guards)
@@ -188,9 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run registered experiments")
     p.add_argument("ids", nargs="*", metavar="ID",
                    help="experiment ids (default: all)")
-    p.add_argument("--jobs", type=int,
-                   help="parallel worker count, at least 1 (default: one per "
-                   "CPU, at most one per experiment)")
     _add_options(p, "--json", "--config", "--guard-elements", "--cache-dir",
                  "--report-dir")
 
@@ -300,7 +297,7 @@ def _cmd_verify(args) -> int:
     report_dir = _report_dir(args, cache)
     ids = args.ids or None
     reports = run_experiments(ids, overrides, cache=cache,
-                              report_dir=report_dir, jobs=args.jobs)
+                              report_dir=report_dir)
     if args.json:
         print(render_report(reports, "json"), end="")
     else:

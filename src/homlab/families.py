@@ -27,8 +27,7 @@ from .actions import (GraphAction, PosetAction, TwistedProduct,
                       left_regular_maps, orbits, symmetric_group,
                       twisted_product, z2_group)
 from .graphs import (Graph, Partition, check_homomorphism, complete_graph,
-                     exponential, exponential_vertex_maps, looped_path,
-                     product, quotient, reflexive_cycle)
+                     looped_path, product, quotient, reflexive_cycle)
 from .limits import DEFAULT_GUARDS, Guards
 from .posets import (Poset, SimplicialComplex, atom_graph, chain_poset,
                      face_poset, make_complex, order_complex)
@@ -144,7 +143,6 @@ class SphericalGraph:
 
     graph: Graph
     right_action: GraphAction  # reflection, stored as left (g^-1 . x)
-    twisted: TwistedProduct
 
 
 def spherical_graph(k: int, m: int,
@@ -156,7 +154,7 @@ def spherical_graph(k: int, m: int,
     tw = twisted_product(_flip_action(), anti, refl)
     if not tw.graph.is_loopless():
         raise ValueError("spherical graph acquired a loop")
-    return SphericalGraph(tw.graph, tw.right_action, tw)
+    return SphericalGraph(tw.graph, tw.right_action)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +169,7 @@ class ToroidalGraph:
     right_action: GraphAction  # last cycle's reflection, stored as g^-1 . x
 
 
-def twisted_toroidal(k: int, m: int,
-                     guards: Guards = DEFAULT_GUARDS) -> ToroidalGraph:
+def twisted_toroidal(k: int, m: int) -> ToroidalGraph:
     if k < 0:
         raise ValueError("toroidal graph needs k >= 0")
     if m < 2:
@@ -226,7 +223,6 @@ class SubdivisionColoring:
     twisted: TwistedProduct
     coloring: tuple[int, ...]
     target: Graph
-    phi: tuple[int, ...]  # color of each chain of the input poset
 
 
 def subdivision_coloring(p: Poset, action: PosetAction,
@@ -272,44 +268,17 @@ def subdivision_coloring(p: Poset, action: PosetAction,
     target = complete_graph(n + 2)
     if not check_homomorphism(coloring, tw.graph, target):
         raise ValueError("subdivision coloring failed validation")
-    return SubdivisionColoring(tw, tuple(coloring), target, tuple(phi))
+    return SubdivisionColoring(tw, tuple(coloring), target)
 
 
 def _swap01(n: int) -> tuple[int, ...]:
     return (1, 0) + tuple(range(2, n))
 
 
-def _hexagon_identification() -> tuple[tuple[int, ...], ...]:
-    """All labelings of the reflexive hexagon by the looped vertices of K3^K2
-    that are cycle isomorphisms intertwining shift-by-3 with argument swap
-    and reflection with the value swap of colors 0,1; sorted for determinism.
-    """
-    k2, k3 = complete_graph(2), complete_graph(3)
-    ex = exponential(k2, k3)
-    emaps = exponential_vertex_maps(k2, k3)
-    eidx = {f: i for i, f in enumerate(emaps)}
-    looped = [v for v in range(ex.n) if ex.has_edge(v, v)]
-    arg_swap = {v: eidx[(emaps[v][1], emaps[v][0])] for v in looped}
-    val_swap = {v: eidx[tuple(_swap01(3)[x] for x in emaps[v])]
-                for v in looped}
-    found = []
-    for start in looped:
-        nbrs = [w for w in looped if w != start and ex.has_edge(start, w)]
-        for second in nbrs:
-            walk = [start, second]
-            while len(walk) < 6:
-                nxt = [w for w in looped
-                       if w not in walk and ex.has_edge(walk[-1], w)]
-                if len(nxt) != 1:
-                    break
-                walk.append(nxt[0])
-            if len(walk) != 6 or not ex.has_edge(walk[-1], walk[0]):
-                continue
-            if all(walk[(j + 3) % 6] == arg_swap[walk[j]] for j in range(6)) \
-                    and all(walk[(5 - j) % 6] == val_swap[walk[j]]
-                            for j in range(6)):
-                found.append(tuple(walk))
-    return tuple(sorted(found))
+# The six proper 3-colourings (f(0), f(1)) of an edge, in hexagon order: the
+# looped vertices of K3^K2 as a reflexive 6-cycle, on which the shift by 3
+# swaps the two ends and j -> 5-j swaps colours 0 and 1.
+_HEXAGON = ((0, 2), (0, 1), (2, 1), (2, 0), (1, 0), (1, 2))
 
 
 def _cycle_collapse(m: int) -> tuple[int, ...]:
@@ -335,9 +304,7 @@ class EquivariantColoring:
 
 
 def equivariant_coloring_step(t_act: GraphAction, coloring: Sequence[int],
-                              n: int, m: int,
-                              guards: Guards = DEFAULT_GUARDS
-                              ) -> EquivariantColoring:
+                              n: int, m: int) -> EquivariantColoring:
     """Extend an equivariant (n+2)-coloring of T to one of T x_Z2 C(2m) with n+3.
 
     ``t_act`` is an involution on T in the role of the right action;
@@ -364,12 +331,10 @@ def equivariant_coloring_step(t_act: GraphAction, coloring: Sequence[int],
 
     _, anti, refl = _cycle_actions(m)
     tw = twisted_product(t_act, anti, refl)
-    walk = _hexagon_identification()[0]
-    emaps = exponential_vertex_maps(complete_graph(2), complete_graph(3))
     squeeze = _cycle_collapse(m)
     out = []
     for tt, hh in tw.pairs:
-        f = emaps[walk[squeeze[hh]]]
+        f = _HEXAGON[squeeze[hh]]
         c = col[tt]
         out.append(f[c] if c < 2 else c + 1)
     target = complete_graph(n + 3)

@@ -27,11 +27,10 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from typing import (Callable, Iterable, Iterator, Mapping, Optional, Sequence,
                     Union)
@@ -310,8 +309,17 @@ class RunReport:
 
 
 def report_from_json(data: dict) -> RunReport:
+    """A report read back from JSON; a field of the wrong type is refused."""
+    for key in ("id", "expected", "measured"):
+        if not isinstance(data[key], str):
+            raise ValueError(f"{key} must be a string, not {data[key]!r}")
+    seconds = data["seconds"]
+    if (isinstance(seconds, bool) or not isinstance(seconds, (int, float))
+            or not 0 <= seconds < math.inf):
+        raise ValueError("seconds must be a finite non-negative number, "
+                         f"not {seconds!r}")
     return RunReport(data["id"], data["outcome"], data["expected"],
-                     data["measured"], float(data["seconds"]),
+                     data["measured"], float(seconds),
                      count_from_json(data.get("cache_hits", 0), "cache_hits"))
 
 
@@ -328,7 +336,7 @@ def _run_sphere_homology(ctx: RunContext) -> Iterator[Check]:
 def _run_toroidal_invariants(ctx: RunContext) -> Iterator[Check]:
     for k in (1, 2):
         for m in (2, 3, 5):
-            g = twisted_toroidal(k, m, ctx.guards).graph
+            g = twisted_toroidal(k, m).graph
             chi = chromatic_number(g, ctx.guards)
             yield chi == k + 2, f"chi(T({k},{m}))={chi}"
             if m in (3, 5):
@@ -354,7 +362,7 @@ def _run_spherical_graphs(ctx: RunContext) -> Iterator[Check]:
 def _run_toroidal_circles(ctx: RunContext) -> Iterator[Check]:
     for m in (5, 6):
         res = ctx.hom_homology(complete_graph(2),
-                               twisted_toroidal(1, m, ctx.guards).graph)
+                               twisted_toroidal(1, m).graph)
         yield res.is_sphere(1), f"Hom(K2,T(1,{m})): {res}"
 
 
@@ -415,7 +423,7 @@ def _run_equivariant_maps(ctx: RunContext) -> Iterator[Check]:
     eq6 = equivariant_poset_maps(cycle_face_poset(3).antipodal, target,
                                  ctx.guards)
     left = ctx.homology(eq6)
-    right = ctx.hom_homology(twisted_toroidal(1, 3, ctx.guards).graph, k3)
+    right = ctx.hom_homology(twisted_toroidal(1, 3).graph, k3)
     match = left == right
     yield match, (f"hexagon: {eq6.m} maps, homology {left} vs "
                   f"Hom(T(1,3),K3) {right}, equal={match}")
@@ -516,9 +524,8 @@ def _run_colorings(ctx: RunContext) -> Iterator[Check]:
     coloring: Sequence[int] = (0, 1)
     act = GraphAction(z2_group(), complete_graph(2), ((0, 1), (1, 0)))
     for k in (1, 2):
-        ec = equivariant_coloring_step(act, coloring, k - 1, 3, ctx.guards)
-        same = ec.twisted.graph.adj == twisted_toroidal(k, 3,
-                                                        ctx.guards).graph.adj
+        ec = equivariant_coloring_step(act, coloring, k - 1, 3)
+        same = ec.twisted.graph.adj == twisted_toroidal(k, 3).graph.adj
         proper = check_homomorphism(ec.coloring, ec.twisted.graph, ec.target)
         equi = _equivariance_holds(ec.coloring, ec.twisted.right_action,
                                    k + 2)
@@ -549,7 +556,7 @@ def _closure_invariance_ok(ctx: RunContext) -> bool:
         return False
     p = rep.hom_curried.poset  # closure_reduce needs the order; it is small
     closure = PosetMap(p, p, tuple(rep.phi[j] for j in rep.psi))
-    sub, _ = closure_reduce(p, closure)
+    sub, _ = closure_reduce(closure)
     return ctx.homology(sub) == hom_homology(rep.hom_curried, "Z", ctx.guards)
 
 
@@ -577,7 +584,7 @@ def _roster_graphs(ctx: RunContext) -> list[Graph]:
         cycle_graph(7), reflexive_cycle(6), looped_path(3),
         product(complete_graph(2), cycle_graph(5)),
         exponential(complete_graph(2), complete_graph(3), ctx.guards),
-        twisted_toroidal(1, 3, ctx.guards).graph,
+        twisted_toroidal(1, 3).graph,
         spherical_graph(1, 1, ctx.guards).graph,
         mycielski(complete_graph(2), 2),
         csorba_graph(*_square_boundary(), ctx.guards),
@@ -799,29 +806,22 @@ def run_experiments(ids: Optional[Iterable[str]] = None,
                     overrides: Optional[Mapping] = None,
                     cache: Cache = Cache(),
                     report_dir: Union[str, os.PathLike, None] = None,
-                    jobs: Optional[int] = None) -> list[RunReport]:
-    """Run several experiments, in a process pool when jobs allows.
+                    jobs: int = 1) -> list[RunReport]:
+    """Run several experiments in order, in this process.
 
-    `jobs` (default: the CPU count) must be at least 1; the pool never gets
-    more workers than there are experiments.  Each experiment is internally
-    deterministic, so reports do not depend on the worker count; assembly
-    back into registry order is single-threaded.
+    Every id is checked before the first experiment runs, so an unknown id
+    runs nothing.  ``jobs`` must be 1.
     """
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    # Only perfbench/workloads.py passes jobs, and only jobs=1.  It stays for
+    # that caller; delete it when the benchmark stops passing it.
+    if jobs != 1:
+        raise ValueError(f"experiments run in one process; jobs must be 1, "
+                         f"not {jobs}")
     id_list = list(EXPERIMENTS) if ids is None else list(ids)
     for exp_id in id_list:
         get_experiment(exp_id)
-    run_one = partial(run_experiment, overrides=overrides, cache=cache,
-                      report_dir=report_dir)
-    jobs = min(len(id_list), jobs or os.cpu_count() or 1)
-    if jobs > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(run_one, id_list))
-        except OSError:
-            pass  # no process pool on this platform: run serially
-    return [run_one(exp_id) for exp_id in id_list]
+    return [run_experiment(exp_id, overrides, cache, report_dir)
+            for exp_id in id_list]
 
 
 def load_reports(directory: Union[str, os.PathLike]) -> list[RunReport]:

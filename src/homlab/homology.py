@@ -529,7 +529,7 @@ def suspension_check(a: HomologyResult, b: HomologyResult) -> bool:
     return not b.empty  # a suspension is never empty
 
 
-def closure_reduce(p: Poset, c: PosetMap) -> tuple[Poset, tuple[int, ...]]:
+def closure_reduce(c: PosetMap) -> tuple[Poset, tuple[int, ...]]:
     """Image subposet of a closure map (homology-preserving retract)."""
     if not (is_closure_map(c, "up") or is_closure_map(c, "down")):
         raise ValueError("not a closure map in either direction")

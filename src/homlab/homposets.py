@@ -285,16 +285,13 @@ def _vertex_fibres(t: Graph, g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def curry(t: Graph, h: Graph, g: Graph, alpha: Sequence[int],
-          fibres: Optional[Sequence[Sequence[int]]] = None
-          ) -> tuple[int, ...]:
+          fibres: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Hom(T x H, G) -> Hom(H, G^T): beta(y) = {f : f(s) in alpha(s,y)}.
 
     With fibres[s][x] the exponential vertices f with f(s) = x (see
     `_vertex_fibres`, computed once per report), beta(y) is the AND over s
     of the OR of fibres[s][x] over x in alpha(s,y).
     """
-    if fibres is None:
-        fibres = _vertex_fibres(t, g)
     nh = h.n
     full = (1 << g.n ** t.n) - 1
     beta = []
@@ -312,11 +309,10 @@ def curry(t: Graph, h: Graph, g: Graph, alpha: Sequence[int],
     return tuple(beta)
 
 
-def uncurry(t: Graph, h: Graph, g: Graph, beta: Sequence[int],
-            expo_maps: Optional[list] = None) -> tuple[int, ...]:
-    """Hom(H, G^T) -> Hom(T x H, G): alpha(s,y) = {f(s) : f in beta(y)}."""
-    if expo_maps is None:
-        expo_maps = exponential_vertex_maps(t, g)
+def uncurry(t: Graph, h: Graph, beta: Sequence[int],
+            expo_maps: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Hom(H, G^T) -> Hom(T x H, G): alpha(s,y) = {f(s) : f in beta(y)},
+    with expo_maps = exponential_vertex_maps(t, g)."""
     nh = h.n
     alpha = []
     for s in range(t.n):
@@ -361,7 +357,7 @@ def adjunction_report(t: Graph, h: Graph, g: Graph,
         phi.append(j)
     psi = []
     for e in hom_cur.elements:
-        j = hom_th.index.get(uncurry(t, h, g, e, emaps))
+        j = hom_th.index.get(uncurry(t, h, e, emaps))
         if j is None:
             raise ValueError("uncurried element is not a multihomomorphism")
         psi.append(j)

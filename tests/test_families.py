@@ -9,13 +9,14 @@ import json
 import pytest
 
 from homlab.actions import GraphAction, is_free, make_group, z2_group
-from homlab.families import (cross_polytope_complex, csorba_graph,
+from homlab.families import (_HEXAGON, cross_polytope_complex, csorba_graph,
                              cycle_face_poset, equivariant_coloring_step,
                              iterated_mycielski, mycielski, spherical_graph,
                              subdivision_coloring, twisted_toroidal,
                              universality_graph)
 from homlab.graphs import (Graph, check_homomorphism, chromatic_number,
-                           complete_graph, cycle_graph, graph_to_json,
+                           complete_graph, cycle_graph, exponential,
+                           exponential_vertex_maps, graph_to_json,
                            is_isomorphic, looped_path, odd_girth, product,
                            reflexive_cycle)
 from homlab.homposets import hom_poset
@@ -289,6 +290,18 @@ def equivariance_holds(col, act, ncolors):
     sw = (1, 0) + tuple(range(2, ncolors))
     tau = act.maps[1]
     return all(col[tau[v]] == sw[col[v]] for v in range(len(col)))
+
+
+def test_hexagon_is_the_looped_part_of_k3_to_the_k2():
+    ex, emaps = exponential(K2, K3), exponential_vertex_maps(K2, K3)
+    looped = {emaps[v] for v in range(ex.n) if ex.has_edge(v, v)}
+    assert sorted(_HEXAGON) == sorted(looped)  # the six proper colourings
+    index = {f: i for i, f in enumerate(emaps)}
+    swap01 = (1, 0, 2)
+    for j, f in enumerate(_HEXAGON):
+        assert ex.has_edge(index[f], index[_HEXAGON[(j + 1) % 6]])
+        assert _HEXAGON[(j + 3) % 6] == (f[1], f[0])
+        assert _HEXAGON[5 - j] == (swap01[f[0]], swap01[f[1]])
 
 
 def test_coloring_step_base_edge():

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from homlab import harness
 from homlab.cli import main, parse_graph_id
 from homlab.graphs import (complete_graph, cycle_graph, graph_to_json,
                            is_isomorphic, looped_path, reflexive_cycle)
@@ -318,66 +317,21 @@ def test_guard_mapping_overlays_the_experiment_guards(monkeypatch):
 
 def test_run_experiments_serial_order_and_unknown_id(tmp_path):
     ids = ["discontinuity", "csorba-square"]
-    reports = run_experiments(ids, cache=Cache(tmp_path), jobs=1)
+    reports = run_experiments(ids, cache=Cache(tmp_path))
     assert [r.id for r in reports] == ids
     assert all(r.outcome == "pass" for r in reports)
-    with pytest.raises(ValueError):
-        run_experiments(["nope"], jobs=1)
+    with pytest.raises(ValueError, match="unknown experiment id 'nope'"):
+        run_experiments(["csorba-square", "nope"], report_dir=tmp_path / "r")
+    assert not (tmp_path / "r").exists()  # every id is checked first
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    work in this process, so no worker is started."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_run_experiments_clamps_the_pool_to_the_experiments(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    ids = ["csorba-square", "discontinuity"]
-    reports = run_experiments(ids, jobs=64)
-    assert RecordingPool.sizes == [2]
-    assert [r.id for r in reports] == ids
-    assert run_experiments(ids[:1], jobs=64)[0].id == ids[0]
-    assert RecordingPool.sizes == [2]  # one experiment runs in process
-    for jobs in (0, -1):
-        with pytest.raises(ValueError, match="at least 1"):
-            run_experiments(ids, jobs=jobs)
-    assert RecordingPool.sizes == [2]
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_cli_verify_refuses_jobs_below_one(jobs, monkeypatch, tmp_path,
-                                          capsys):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    assert main(["verify", "csorba-square", "discontinuity", "--jobs", jobs,
-                 "--report-dir", str(tmp_path)]) == 2
-    assert "jobs must be at least 1" in capsys.readouterr().err
-    assert RecordingPool.sizes == [] and not any(tmp_path.iterdir())
-
-
-def test_run_experiments_parallel_matches_serial(tmp_path):
-    ids = ["csorba-square", "discontinuity", "spherical-graphs"]
-    serial = run_experiments(ids, jobs=1)
-    parallel = run_experiments(ids, jobs=3)
-    assert [r.id for r in parallel] == ids
-    for a, b in zip(serial, parallel):
-        assert (a.id, a.outcome, a.expected, a.measured) == \
-            (b.id, b.outcome, b.expected, b.measured)
+def test_run_experiments_runs_only_in_this_process(tmp_path):
+    with pytest.raises(ValueError, match="jobs must be 1, not 2"):
+        run_experiments(["csorba-square"], report_dir=tmp_path, jobs=2)
+    assert not any(tmp_path.iterdir())
+    reports = run_experiments(["csorba-square"], report_dir=tmp_path, jobs=1)
+    assert [r.outcome for r in reports] == ["pass"]
+    assert (tmp_path / "csorba-square.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +394,16 @@ def test_cli_report_names_a_malformed_report_file(tmp_path, capsys):
                                "cache_hits": 2.7}))
     with pytest.raises(ValueError, match="cache_hits must be"):
         load_reports(tmp_path)
+    good = {"id": "x", "outcome": "pass", "expected": "e", "measured": "m",
+            "seconds": 1.0}
+    for key, value in [("measured", 5), ("id", ["a"]), ("expected", None),
+                       ("seconds", "nan"), ("seconds", True),
+                       ("seconds", float("nan")), ("seconds", -1.0)]:
+        bad.write_text(json.dumps(good | {key: value}))
+        with pytest.raises(ValueError, match=f"broken.json.*{key} must be"):
+            load_reports(tmp_path)
+        assert main(["report", "--report-dir", str(tmp_path)]) == 2
+        assert "broken.json" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +580,7 @@ def test_cli_reports_tampered_cache_as_error(tmp_path, capsys):
 
 def test_cli_verify_report_cycle(tmp_path, capsys):
     code = main(["verify", "csorba-square", "discontinuity",
-                 "--cache-dir", str(tmp_path), "--jobs", "1"])
+                 "--cache-dir", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "2 passed, 0 failed" in out
@@ -633,7 +597,7 @@ def test_cli_verify_report_cycle(tmp_path, capsys):
 def test_cli_verify_report_dir_and_skip(tmp_path, capsys):
     rdir = tmp_path / "reports"
     code = main(["verify", "hom-k2-kn-sphere", "--guard-elements", "5",
-                 "--jobs", "1", "--report-dir", str(rdir)])
+                 "--report-dir", str(rdir)])
     assert code == 0  # a skip is not a failure
     out = capsys.readouterr().out
     assert "skipped (guard)" in out
@@ -662,6 +626,7 @@ def test_cli_list_experiments(capsys):
     ["report", "--json"],
     ["list-experiments", "--config", "guards.json"],
     ["hom", "K2", "K3", "--cache-dir", "X"],
+    ["verify", "csorba-square", "--jobs", "2"],
 ])
 def test_cli_refuses_options_a_verb_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

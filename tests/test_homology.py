@@ -345,12 +345,12 @@ def test_barycentric_invariance():
 def test_closure_reduce_preserves_homology():
     p = from_leq_pairs(4, [(0, 1), (1, 2), (2, 3)])
     c = PosetMap(p, p, (1, 1, 3, 3))
-    sub, kept = closure_reduce(p, c)
+    sub, kept = closure_reduce(c)
     assert kept == (1, 3)
     assert poset_homology(sub) == poset_homology(p)
     bad = PosetMap(p, p, (1, 2, 3, 3))
     with pytest.raises(ValueError):
-        closure_reduce(p, bad)
+        closure_reduce(bad)
 
 
 def test_suspension_check():

@@ -314,9 +314,10 @@ def test_adjunction_small():
     assert PosetMap(cur, prod, rep.psi).is_monotone()
     # explicit element: curry of an atom consists of the section functions
     alpha = rep.hom_product.elements[rep.hom_product.atoms[0]]
-    beta = curry(k2, k2, k3, alpha)
-    assert uncurry(k2, k2, k3, beta) == alpha
+    beta = curry(k2, k2, k3, alpha, _vertex_fibres(k2, k3))
     emaps = list(itertools.product(range(3), repeat=2))
+    assert emaps == exponential_vertex_maps(k2, k3)
+    assert uncurry(k2, k2, beta, emaps) == alpha
     for y in range(2):
         nh = 2
         for fi in bits(beta[y]):

@@ -23,6 +23,11 @@ The fifth scan keeps every package check alive under ``python -O``: no
 The sixth scan keeps every dataclass field to what is read: some file in
 ``src/homlab``, ``tests`` or ``perfbench`` must read ``.<field>``, unless
 :data:`KEPT` says why not (keyed ``Class.field``).
+
+The seventh scan keeps every parameter to what is read: each function in
+``src/homlab`` must read each of its parameters in its body, unless
+:data:`KEPT` says why not (keyed ``function(parameter)``, with a method
+named ``Class.method``).
 """
 
 from __future__ import annotations
@@ -38,8 +43,9 @@ PACKAGE = ROOT / "src" / "homlab"
 BENCH = ROOT / "perfbench"
 SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
-# Names no root reaches, or fields nothing reads (``Class.field``), that
-# stay anyway, each with its reason.
+# Names no root reaches, fields nothing reads (``Class.field``), or
+# parameters their function never reads (``function(parameter)``), that stay
+# anyway, each with its reason.
 KEPT = {
     ("homlab.homology", "homology_connectivity"):
         "the connectivity bound of the planned chromatic lower bound",
@@ -239,7 +245,8 @@ def test_scan_flags_an_unused_import(tmp_path):
 
 
 def test_every_public_name_has_a_caller():
-    kept = {f"{mod}:{name}" for mod, name in KEPT if "." not in name}
+    kept = {f"{mod}:{name}" for mod, name in KEPT
+            if "." not in name and "(" not in name}
     unreached = set(unreached_names())
     assert sorted(unreached - kept) == []  # delete these, or say in KEPT why not
     assert sorted(kept - unreached) == []  # these have callers now: unlist them
@@ -382,7 +389,8 @@ def unread_fields(package: Path = PACKAGE,
 
 
 def test_every_dataclass_field_is_read():
-    kept = {f"{mod}:{name}" for mod, name in KEPT if "." in name}
+    kept = {f"{mod}:{name}" for mod, name in KEPT
+            if "." in name and "(" not in name}
     unread = set(unread_fields())
     assert sorted(unread - kept) == []  # delete these, or say in KEPT why not
     assert sorted(kept - unread) == []  # these are read now: unlist them
@@ -404,6 +412,66 @@ def test_scan_flags_an_unread_field(tmp_path):
                       "    assert p.label == ''\n", encoding="utf-8")
     assert unread_fields(package, sorted(package.glob("*.py")) + [reader]) \
         == ["homlab.core:Point.y", "homlab.core:Box.corner"]
+
+
+def _functions(body, prefix: str = ""):
+    """(qualified name, node) of every function defined in ``body``, at any
+    depth: methods as ``Class.method``, nested functions as ``outer.inner``."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        else:
+            for part in ("body", "orelse", "finalbody", "handlers"):
+                yield from _functions(getattr(node, part, []), prefix)
+
+
+def unread_parameters(paths=sorted(PACKAGE.glob("*.py"))) -> list[str]:
+    """Parameters, as ``module:function(parameter)``, that their function's
+    body never reads; a read inside a nested function or lambda counts."""
+    out = []
+    for path in paths:
+        module = _module_name(path)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, func in _functions(tree.body):
+            a = func.args
+            params = [arg.arg for arg in (*a.posonlyargs, *a.args, a.vararg,
+                                          *a.kwonlyargs, a.kwarg) if arg]
+            read = set()
+            for node in (sub for stmt in func.body for sub in ast.walk(stmt)):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                                 ast.Store):
+                    read.add(node.id)
+                elif isinstance(node, ast.AugAssign) and isinstance(
+                        node.target, ast.Name):
+                    read.add(node.target.id)
+            out += [f"{module}:{name}({p})" for p in params if p not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    kept = {f"{mod}:{name}" for mod, name in KEPT if "(" in name}
+    unread = set(unread_parameters())
+    assert sorted(unread - kept) == []  # delete these, or say in KEPT why not
+    assert sorted(kept - unread) == []  # these are read now: unlist them
+
+
+def test_scan_flags_an_unread_parameter(tmp_path):
+    package = tmp_path / "homlab"
+    package.mkdir()
+    (package / "core.py").write_text(
+        "def build(k, m, guards=None):\n    return k * m\n\n"
+        "def count(n, *rest, step=1, **extra):\n"
+        "    total = 0\n    total += n\n"
+        "    return (lambda: total + step)()\n\n"
+        "class Store:\n    def load(self, key):\n"
+        "        def inner(x, unused):\n            return self, x\n"
+        "        return inner(key, 0)\n", encoding="utf-8")
+    assert unread_parameters([package / "core.py"]) == [
+        "homlab.core:build(guards)", "homlab.core:count(rest)",
+        "homlab.core:count(extra)", "homlab.core:Store.load.inner(unused)"]
 
 
 def args_reads(tree: ast.Module, entry: str) -> set[str]:

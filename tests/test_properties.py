@@ -263,5 +263,5 @@ def test_adjunction_closure_preserves_homology(g):
         broken[i], broken[j] = closure[j], closure[i]
         assert not hp.is_up_closure(broken)
         assert not is_closure_map(PosetMap(p, p, tuple(broken)), "up")
-    sub, _ = closure_reduce(p, PosetMap(p, p, closure))
+    sub, _ = closure_reduce(PosetMap(p, p, closure))
     assert poset_homology(sub) == poset_homology(p)
