@@ -43,7 +43,8 @@ from .harness import (Cache, CacheCorrupt, cached_hom_homology,
                       guard_overrides, list_experiments, load_reports,
                       render_report, run_experiments)
 from .homposets import hom_poset
-from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
+from .limits import (DEFAULT_GUARDS, GuardExceeded, Guards,
+                     check_graph_vertices)
 from .posets import SimplicialComplex, make_complex
 
 __all__ = ["main", "parse_graph_id"]
@@ -94,7 +95,9 @@ def parse_graph_id(ident: str, guards: Guards = DEFAULT_GUARDS) -> Graph:
     if m:
         kind = {"K": complete_graph, "C": cycle_graph,
                 "R": reflexive_cycle, "L": looped_path}[m.group(1)]
-        return kind(int(m.group(2)))
+        size = int(m.group(2))
+        check_graph_vertices(size + 1 if kind is looped_path else size)
+        return kind(size)
     m = _SPHERICAL.match(ident)
     if m:
         return spherical_graph(int(m.group(1)), int(m.group(2)),

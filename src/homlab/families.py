@@ -28,7 +28,7 @@ from .actions import (GraphAction, PosetAction, TwistedProduct,
                       twisted_product, z2_group)
 from .graphs import (Graph, Partition, check_homomorphism, complete_graph,
                      looped_path, product, quotient, reflexive_cycle)
-from .limits import DEFAULT_GUARDS, Guards
+from .limits import DEFAULT_GUARDS, Guards, check_graph_vertices
 from .posets import (Poset, SimplicialComplex, atom_graph, chain_poset,
                      face_poset, make_complex, order_complex)
 
@@ -170,10 +170,18 @@ class ToroidalGraph:
 
 
 def twisted_toroidal(k: int, m: int) -> ToroidalGraph:
+    """T(k,m), on 2m^k vertices: each twisted product with the 2m-cycle
+    multiplies the vertex count by 2m, and its Z2 quotient halves it.
+    More than `limits.GRAPH_VERTICES` of them raise GuardExceeded before
+    the first product is built."""
     if k < 0:
         raise ValueError("toroidal graph needs k >= 0")
     if m < 2:
         raise ValueError("toroidal graph needs m >= 2")
+    vertices = 2
+    for _ in range(k):  # m >= 2, so this stops within log2 of the limit
+        vertices *= m
+        check_graph_vertices(vertices)
     act = _flip_action()
     graph = act.graph
     for _ in range(k):
@@ -205,8 +213,15 @@ def mycielski(g: Graph, m: int) -> Graph:
 
 
 def iterated_mycielski(g: Graph, m: int, k: int) -> Graph:
+    """M^k_m(g), `mycielski` applied k times: m*n+1 vertices from n at each
+    step; more than `limits.GRAPH_VERTICES` raise GuardExceeded before the
+    first step is built."""
     if k < 0:
         raise ValueError("negative iteration count")
+    vertices = g.n
+    for _ in range(k if m >= 1 else 0):  # mycielski refuses m < 1 below
+        vertices = m * vertices + 1  # grows by at least 1, so this stops
+        check_graph_vertices(vertices)
     for _ in range(k):
         g = mycielski(g, m)
     return g

@@ -42,3 +42,13 @@ class Guards:
 
 
 DEFAULT_GUARDS = Guards()
+
+
+GRAPH_VERTICES = 10_000  # vertices of K n, C n, R n, L n, T(k,m), M^k_m(G)
+
+
+def check_graph_vertices(n: int) -> None:
+    """Refuse a graph on more than GRAPH_VERTICES vertices before it is
+    built: its adjacency rows hold up to n^2 bits, 12.5 MB at the bound."""
+    if n > GRAPH_VERTICES:
+        raise GuardExceeded("graph_vertices", GRAPH_VERTICES, n)

@@ -21,7 +21,7 @@ from homlab.graphs import (Graph, check_homomorphism, chromatic_number,
                            reflexive_cycle)
 from homlab.homposets import hom_poset
 from homlab.homology import poset_homology
-from homlab.limits import DEFAULT_GUARDS, GuardExceeded
+from homlab.limits import DEFAULT_GUARDS, GRAPH_VERTICES, GuardExceeded
 from homlab.posets import atom_graph, make_complex
 from test_actions import action_violation
 
@@ -207,6 +207,19 @@ def test_toroidal_small():
         twisted_toroidal(1, 1)
 
 
+def test_toroidal_vertex_guard_refuses_before_the_first_product(
+        monkeypatch):
+    # T(k,m) has 2m^k vertices: T(2,3) 18, T(12,2) 8,192, T(13,2) 16,384
+    assert twisted_toroidal(2, 3).graph.n == 18
+    monkeypatch.setattr("homlab.families.twisted_product", None)
+    for k, m, attempted in ((13, 2, 16_384), (9, 3, 13_122),
+                            (10 ** 9, 3, 13_122)):
+        with pytest.raises(GuardExceeded) as err:
+            twisted_toroidal(k, m)
+        assert (err.value.guard, err.value.limit, err.value.attempted) == \
+            ("graph_vertices", GRAPH_VERTICES, attempted)
+
+
 def test_toroidal_m2_collapse():
     """For m=2 the construction degenerates to complete graphs."""
     assert is_isomorphic(twisted_toroidal(1, 2).graph, K4)
@@ -245,6 +258,19 @@ def test_iterated_mycielski():
     assert odd_girth(iterated_mycielski(K2, 3, 2)) == 7
     with pytest.raises(ValueError):
         iterated_mycielski(K2, 2, -1)
+
+
+def test_iterated_mycielski_vertex_guard_refuses_before_the_first_step(
+        monkeypatch):
+    # m*n+1 vertices from n at each step:
+    # K2 -> 5 -> 11 -> ... -> 6,143 (11 steps) -> 12,287 (12 steps)
+    assert iterated_mycielski(K2, 2, 2).n == 11
+    monkeypatch.setattr("homlab.families.mycielski", None)
+    for m, k, attempted in ((2, 12, 12_287), (1, 10 ** 9, GRAPH_VERTICES + 1)):
+        with pytest.raises(GuardExceeded) as err:
+            iterated_mycielski(K2, m, k)
+        assert (err.value.guard, err.value.attempted) == \
+            ("graph_vertices", attempted)
 
 
 # ---------------------------------------------------------------------------

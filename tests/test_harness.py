@@ -18,7 +18,7 @@ from homlab.harness import (Cache, CacheCorrupt, EXPERIMENTS, Experiment,
                             run_experiments)
 from homlab.homposets import hom_poset
 from homlab.homology import hom_homology, poset_homology
-from homlab.limits import DEFAULT_GUARDS, GuardExceeded
+from homlab.limits import DEFAULT_GUARDS, GRAPH_VERTICES, GuardExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +433,21 @@ def test_parse_graph_id_rejects_unknown():
     for bad in ("C2", "K0", "T(1,1)", "M^1_0(K2)"):
         with pytest.raises(ValueError, match="needs"):
             parse_graph_id(bad)
+
+
+def test_parse_graph_id_refuses_graphs_past_the_vertex_guard(capsys):
+    for ident, n in (("T(2,3)", 18), ("M^2_2(K2)", 11), ("L9", 10)):
+        assert parse_graph_id(ident).n == n
+    past = GRAPH_VERTICES + 1
+    for ident, n in (("K10001", past), ("C10001", past), ("R10001", past),
+                     ("L10000", past), ("T(13,2)", 16_384),
+                     ("M^12_2(K2)", 12_287), ("M^1_1(K10001)", past)):
+        with pytest.raises(GuardExceeded) as err:
+            parse_graph_id(ident)
+        assert (err.value.guard, err.value.attempted) == ("graph_vertices", n)
+    assert main(["construct", "K200000"]) == 2
+    assert "graph_vertices" in capsys.readouterr().err
+    assert main(["hom", "C2000", "K2"]) == 0
 
 
 def test_parse_graph_id_files(tmp_path):

@@ -181,6 +181,20 @@ def looped_graphs(draw, min_n, max_n):
 @example(reflexive_closure(complete_graph(3)), reflexive_closure(
     complete_graph(5)))
 @example(one_graph(), reflexive_cycle(8))
+# the last vertex in the order (3) is looped, the three above it are not;
+# target loops 0, 1 and 4, with 1 and 4 not adjacent
+@example(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 3)]),
+         Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4),
+                              (0, 0), (1, 1), (4, 4)]))
+# an isolated last vertex takes every nonempty subset of V(h)
+@example(Graph.from_edges(3, [(0, 1)]), complete_graph(4))
+# one-vertex sources, unlooped and looped
+@example(Graph.from_edges(1, []), cycle_graph(5))
+@example(one_graph(), Graph.from_edges(4, [(0, 0), (1, 1), (3, 3), (0, 1),
+                                           (1, 3), (2, 3)]))
+# the empty source into the empty graph and the terminal graph
+@example(Graph(0, ()), Graph(0, ()))
+@example(Graph(0, ()), one_graph())
 def test_hom_poset_matches_subset_walk(g, h):
     # Isolated source vertices multiply the output by 2^|V(h)| - 1 each;
     # the oracle's cost grows with the output, so huge cases are skipped.
@@ -235,6 +249,51 @@ def test_hom_poset_matches_subset_walk_on_registry_pairs(pair):
     g, h = HOM_PAIRS[pair]
     assert h.n <= 20
     assert hom_poset(g, h).elements == _subset_walk_hom_elements(g, h)
+
+
+# (search nodes, elements) of each pair, the emptiness search included
+NODE_TOTALS = {
+    "K2,T(2,3)": (54_076, 36_282),
+    "K2,S(1,2)": (526, 192),
+    "K2,K2xR10": (938, 240),
+    "C5,K4": (3_648, 2_160),
+    "K2xR6,K3": (34_645, 8_412),
+    "R6,K3^K2": (13_152, 8_412),
+    "K3,K5": (604, 390),
+    "T(1,3),K4": (3_298, 1_128),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(NODE_TOTALS))
+def test_hom_poset_node_totals_and_trip_points(pair):
+    g, h = HOM_PAIRS[pair] if pair in HOM_PAIRS else (
+        twisted_toroidal(1, 3).graph, complete_graph(4))
+    nodes, m = NODE_TOTALS[pair]
+    assert hom_poset(g, h, DEFAULT_GUARDS.scaled(search_nodes=nodes)).m == m
+    with pytest.raises(GuardExceeded) as err:
+        hom_poset(g, h, DEFAULT_GUARDS.scaled(search_nodes=nodes - 1))
+    assert err.value.guard == "search_nodes"
+    assert err.value.attempted > nodes - 1
+    assert hom_poset(g, h, DEFAULT_GUARDS.scaled(hom_elements=m)).m == m
+    with pytest.raises(GuardExceeded) as err:
+        hom_poset(g, h, DEFAULT_GUARDS.scaled(hom_elements=m - 1))
+    assert (err.value.guard, err.value.attempted) == ("hom_elements", m)
+
+
+def test_hom_poset_last_vertex_trips_where_its_walk_would():
+    # One vertex into K6: the emptiness search tries 1 node, then the
+    # vertex's first partial set counts its 6 candidates as nodes before
+    # any of its 63 sets is an element.  So with room for 2 elements the
+    # node guard trips first whenever it has room for fewer than 6 nodes,
+    # even though the element guard has less room than the batch.
+    g, h = Graph.from_edges(1, []), complete_graph(6)
+    for nodes, trip in [(0, ("search_nodes", 1))] + [
+            (k, ("search_nodes", 7)) for k in range(1, 7)] + [
+            (7, ("hom_elements", 3)), (64, ("hom_elements", 3))]:
+        with pytest.raises(GuardExceeded) as err:
+            hom_poset(g, h, DEFAULT_GUARDS.scaled(search_nodes=nodes,
+                                                  hom_elements=2))
+        assert (err.value.guard, err.value.attempted) == trip
 
 
 def test_hom_poset_reaches_the_large_spherical_graph():
