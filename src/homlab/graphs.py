@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
+from .limits import (DEFAULT_GUARDS, GuardExceeded, Guards,
+                     check_graph_vertices)
 
 __all__ = [
     "Graph",
@@ -567,6 +568,8 @@ def count_from_json(value, what: str) -> int:
 
 
 def graph_from_json(data: dict) -> Graph:
+    """The graph a JSON object describes; more than `limits.GRAPH_VERTICES`
+    vertices raise GuardExceeded before it is built."""
     try:
         n = count_from_json(data["n"], "n")
         edges = [(count_from_json(u, "edge end"),
@@ -574,6 +577,7 @@ def graph_from_json(data: dict) -> Graph:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("graph JSON needs 'n' and 'edges' as [u, v] pairs: "
                          f"{exc!r}") from None
+    check_graph_vertices(n)  # before any row is built
     labels = data.get("labels", [])
     if type(labels) is not list or not all(type(s) is str for s in labels):
         raise ValueError(f"graph JSON 'labels' must be a list of strings, "

@@ -15,8 +15,10 @@ loop-addition maps for fine target graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Sequence
+from functools import cached_property, partial
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .actions import (GraphAction, PosetAction, is_free,
                       is_strongly_regular, orbits, quotient_graph_by_action,
@@ -352,44 +354,75 @@ def _vertex_fibres(t: Graph, g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, fibres))
 
 
-def curry(t: Graph, h: Graph, g: Graph, alpha: Sequence[int],
-          fibres: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Hom(T x H, G) -> Hom(H, G^T): beta(y) = {f : f(s) in alpha(s,y)}.
+class _Table(dict):
+    """A dict that fills a missing key with fill(key) the first time the key
+    is read, so `map(table.__getitem__, keys)` looks up and fills in one
+    pass."""
 
-    With fibres[s][x] the exponential vertices f with f(s) = x (see
-    `_vertex_fibres`, computed once per report), beta(y) is the AND over s
-    of the OR of fibres[s][x] over x in alpha(s,y).
+    def __init__(self, fill: Callable[[Any], Any]):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _curry_column(column: Sequence[int], fibres: Sequence[Sequence[int]],
+                  full: int) -> int:
+    """beta(y) = {f : f(s) in alpha(s,y) for every s} for the column
+    (alpha(s,y))_s: the AND over s of the OR of fibres[s][x] over x in
+    alpha(s,y), starting from `full`, every exponential vertex."""
+    mask = full
+    for a, fib in zip(column, fibres):
+        union = 0
+        for x in bits(a):
+            union |= fib[x]
+        mask &= union
+    return mask
+
+
+def _uncurry_mask(beta: int, fibres: Sequence[Sequence[int]],
+                  n: int) -> tuple[int, ...]:
+    """The column alpha(s,y) = {f(s) : f in beta(y)} for beta(y) = `beta`:
+    x lies in alpha(s,y) when beta meets fibres[s][x]; `n` is |V(G)|."""
+    return tuple(sum(1 << x for x in range(n) if beta & fib[x])
+                 for fib in fibres)
+
+
+def curry_elements(t: Graph, h: Graph, g: Graph,
+                   elements: Iterable[Sequence[int]]
+                   ) -> Iterator[tuple[int, ...]]:
+    """Hom(T x H, G) -> Hom(H, G^T), alpha -> beta with beta(y) = {f : f(s)
+    in alpha(s,y) for every s}, for each alpha in `elements`.
+
+    alpha is stored row by row, alpha(s,y) at s |V(H)| + y.  beta(y) reads
+    alpha only through the column (alpha(s,y))_s, so a table local to the
+    call maps each column to beta(y), filled by `_curry_column` the first
+    time the column is seen; an element then costs |V(H)| lookups.
     """
     nh = h.n
-    full = (1 << g.n ** t.n) - 1
-    beta = []
-    for y in range(nh):
-        mask = full
-        for s, fib in enumerate(fibres):
-            a = alpha[s * nh + y]
-            union = 0
-            while a:
-                low = a & -a
-                union |= fib[low.bit_length() - 1]
-                a ^= low
-            mask &= union
-        beta.append(mask)
-    return tuple(beta)
+    columns = [slice(y, None, nh) for y in range(nh)]
+    beta_of = _Table(partial(_curry_column, fibres=_vertex_fibres(t, g),
+                             full=(1 << g.n ** t.n) - 1))
+    for alpha in elements:
+        yield tuple(map(beta_of.__getitem__, map(alpha.__getitem__, columns)))
 
 
-def uncurry(t: Graph, h: Graph, beta: Sequence[int],
-            expo_maps: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Hom(H, G^T) -> Hom(T x H, G): alpha(s,y) = {f(s) : f in beta(y)},
-    with expo_maps = exponential_vertex_maps(t, g)."""
-    nh = h.n
-    alpha = []
-    for s in range(t.n):
-        for y in range(nh):
-            mask = 0
-            for fi in bits(beta[y]):
-                mask |= 1 << expo_maps[fi][s]
-            alpha.append(mask)
-    return tuple(alpha)
+def uncurry_elements(t: Graph, g: Graph, elements: Iterable[Sequence[int]]
+                     ) -> Iterator[tuple[int, ...]]:
+    """Hom(H, G^T) -> Hom(T x H, G), beta -> alpha with alpha(s,y) =
+    {f(s) : f in beta(y)}, for each beta in `elements`.
+
+    The column (alpha(s,y))_s depends only on beta(y), so a table local to
+    the call maps each beta(y) to its column, filled by `_uncurry_mask` the
+    first time it is seen; alpha is those columns read row by row.
+    """
+    column_of = _Table(partial(_uncurry_mask, fibres=_vertex_fibres(t, g),
+                               n=g.n))
+    for beta in elements:
+        yield tuple(chain.from_iterable(
+            zip(*map(column_of.__getitem__, beta))))
 
 
 @dataclass(frozen=True)
@@ -408,32 +441,27 @@ def adjunction_report(t: Graph, h: Graph, g: Graph,
     """Curry every element of Hom(T x H, G) and uncurry every element of
     Hom(H, G^T), then check the round trips.
 
-    Every order test reads the element masks (`HomPoset.leq` and
-    `HomPoset.is_up_closure`), so neither Hom order is materialized.
+    Both directions go through column tables (`curry_elements`,
+    `uncurry_elements`), built afresh by each call.  Every order test
+    reads the element masks (`HomPoset.leq` and `HomPoset.is_up_closure`),
+    so neither Hom order is materialized.
     """
-    prod = product(t, h)
     expo = exponential(t, g, guards)
-    emaps = exponential_vertex_maps(t, g)
-    fibres = _vertex_fibres(t, g)
-    hom_th = hom_poset(prod, g, guards)
+    hom_th = hom_poset(product(t, h), g, guards)
     hom_cur = hom_poset(h, expo, guards)
-    phi = []
-    for e in hom_th.elements:
-        j = hom_cur.index.get(curry(t, h, g, e, fibres))
-        if j is None:
-            raise ValueError("curried element is not a multihomomorphism")
-        phi.append(j)
-    psi = []
-    for e in hom_cur.elements:
-        j = hom_th.index.get(uncurry(t, h, e, emaps))
-        if j is None:
-            raise ValueError("uncurried element is not a multihomomorphism")
-        psi.append(j)
+    phi = tuple(map(hom_cur.index.get,
+                    curry_elements(t, h, g, hom_th.elements)))
+    if None in phi:
+        raise ValueError("curried element is not a multihomomorphism")
+    psi = tuple(map(hom_th.index.get,
+                    uncurry_elements(t, g, hom_cur.elements)))
+    if None in psi:
+        raise ValueError("uncurried element is not a multihomomorphism")
     roundtrip = all(psi[phi[i]] == i for i in range(hom_th.m))
     closure = tuple(phi[j] for j in psi)
-    increasing = all(hom_cur.leq(i, closure[i]) for i in range(hom_cur.m))
+    increasing = all(map(hom_cur.leq, range(hom_cur.m), closure))
     closure_ok = roundtrip and increasing and hom_cur.is_up_closure(closure)
-    return AdjunctionReport(hom_th, hom_cur, tuple(phi), tuple(psi),
+    return AdjunctionReport(hom_th, hom_cur, phi, psi,
                             roundtrip, increasing, closure_ok)
 
 
@@ -450,27 +478,33 @@ def atoms_below(p: Poset, atoms: Sequence[int]
 
 
 def poset_curry(below: Sequence[Sequence[int]], alpha: Sequence[int],
-                hom_single: HomPoset) -> tuple[int, ...]:
-    """Hom(P^1, G) -> Poset(P, Hom(1,G)): x -> union of alpha over atoms <= x.
+                single: dict[int, int]) -> tuple[int, ...]:
+    """Hom(P^1, G) -> Poset(P, Hom(1,G)): x -> union of alpha over atoms <= x,
+    as Hom(1,G) indices.
 
-    `below` is `atoms_below(p, atoms)`, computed once per poset.
+    `below` is `atoms_below(p, atoms)`, computed once per poset, and
+    `single` maps the mask of each element of Hom(1,G) to its index.
     """
     image = []
     for ks in below:
         mask = 0
         for k in ks:
             mask |= alpha[k]
-        j = hom_single.index.get((mask,))
+        j = single.get(mask)
         if j is None:
             raise ValueError("curried value is not a looped clique")
         image.append(j)
     return tuple(image)
 
 
-def poset_uncurry(f_image: Sequence[int], atoms: Sequence[int],
-                  hom_single: HomPoset) -> tuple[int, ...]:
-    """Poset(P, Hom(1,G)) -> Hom(P^1, G): restriction to the atoms."""
-    return tuple(hom_single.elements[f_image[a]][0] for a in atoms)
+def _restriction(atoms: Sequence[int]
+                 ) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """f -> (f[a] for a in atoms), as a tuple.  `itemgetter` takes at least
+    one index and returns a bare value for exactly one."""
+    if len(atoms) == 1:
+        a, = atoms
+        return lambda f: (f[a],)
+    return itemgetter(*atoms) if atoms else lambda f: ()
 
 
 @dataclass(frozen=True)
@@ -488,31 +522,47 @@ def poset_adjunction_report(p: Poset, g: Graph,
     """Round trips of the atom-graph adjunction on every element of
     Hom(P^1, G) and on every monotone map P -> Hom(1, G).
 
-    Hom(1,G) is ordered by containment of its one looped-clique mask, so
-    each map f is checked on those masks: its restriction to the atoms must
-    lie in Hom(P^1,G), and currying that restriction back must give masks
-    contained in f's own.  The curried value depends on f only through the
-    restriction, so it is computed once per element of Hom(P^1,G).
+    Values are Hom(1,G) indices throughout: an element of Hom(P^1,G) is
+    keyed by the index of each atom's value (P^1 is reflexive, so each is a
+    looped clique), and a map f is its image tuple, so its restriction to
+    the atoms is one `itemgetter` call.  psi(phi(e)) = e compares that
+    restriction of phi(e) with e's key.  For the order test, the curried
+    value phi(e)(x) depends on f only through its restriction e, and
+    phi(e) <= f means f(x) lies in the up-set of phi(e)(x) in Hom(1,G) for
+    every x.  Those up-sets are frozensets built once per distinct
+    curried value and shared, so each map costs one dictionary lookup and
+    one membership test per element of P.  Every map is enumerated and
+    checked; a restriction outside Hom(P^1,G) raises ValueError.
     """
     ag, atoms = atom_graph(p)
     hom_ag = hom_poset(ag, g, guards)
     hom_single = hom_poset(one_graph(), g, guards)
+    single = {e[0]: v for v, e in enumerate(hom_single.elements)}
+    keys = []
+    for e in hom_ag.elements:
+        key = tuple(map(single.get, e))
+        if None in key:
+            raise ValueError("an atom's value is not a looped clique")
+        keys.append(key)
     below = atoms_below(p, atoms)
-    curried = [poset_curry(below, e, hom_single) for e in hom_ag.elements]
-    roundtrip = all(poset_uncurry(f, atoms, hom_single) == e
-                    for f, e in zip(curried, hom_ag.elements))
-    masks = [e[0] for e in hom_single.elements]
-    curried_masks = [tuple(masks[v] for v in f) for f in curried]
-    members = hom_ag.index
+    curried = [poset_curry(below, e, single) for e in hom_ag.elements]
+    restrict = _restriction(atoms)
+    roundtrip = all(restrict(c) == key for c, key in zip(curried, keys))
+    above = hom_single.poset.above
+    up = {u: frozenset(bits(above[u]))
+          for u in set(chain.from_iterable(curried))}
+    allowed = [tuple(map(up.__getitem__, c)) for c in curried]
+    row = {key: j for j, key in enumerate(keys)}
+    contains = frozenset.__contains__
     decreasing = True
     checked = 0
     for f in enumerate_poset_maps(p, hom_single.poset,
                                   guards.poset_map_elements):
         checked += 1
-        j = members.get(tuple([masks[f[a]] for a in atoms]))
+        j = row.get(restrict(f))
         if j is None:
             raise ValueError("restriction to atoms escaped Hom(P^1,G)")
-        if any(c & ~masks[v] for c, v in zip(curried_masks[j], f)):
+        if not all(map(contains, allowed[j], f)):
             decreasing = False
             break
     return PosetAdjunctionReport(hom_single, tuple(atoms),

@@ -450,6 +450,21 @@ def test_parse_graph_id_refuses_graphs_past_the_vertex_guard(capsys):
     assert main(["hom", "C2000", "K2"]) == 0
 
 
+def test_graph_file_past_the_vertex_guard_is_refused(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 20_000, "edges": []}))
+    assert main(["construct", f"@{big}"]) == 2
+    err = capsys.readouterr().err
+    assert "graph_vertices" in err and "20000" in err
+    with pytest.raises(GuardExceeded) as exc:
+        parse_graph_id(f"@{big}")
+    assert (exc.value.guard, exc.value.attempted) == ("graph_vertices",
+                                                      20_000)
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({"n": GRAPH_VERTICES, "edges": [[0, 1]]}))
+    assert parse_graph_id(f"@{edge}").n == GRAPH_VERTICES
+
+
 def test_parse_graph_id_files(tmp_path):
     square = tmp_path / "square.json"
     square.write_text(json.dumps({

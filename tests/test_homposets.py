@@ -3,6 +3,8 @@ structural comparison maps (currying, quotients, loop addition)."""
 
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -18,16 +20,15 @@ from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
 from homlab.cli import main
 from homlab.harness import _diagonal_flip_shift
 from homlab.homology import poset_homology
-from homlab.homposets import (HomPoset, _vertex_fibres, adjunction_report,
-                              atoms_below, curry, hom_poset,
-                              induced_hom_action,
+from homlab import homposets
+from homlab.homposets import (HomPoset, adjunction_report, atoms_below,
+                              curry_elements, hom_poset, induced_hom_action,
                               loop_addition_maps, multihom_violation,
                               poset_adjunction_report, poset_curry,
-                              poset_uncurry, quotient_compare, rank_of,
-                              uncurry)
+                              quotient_compare, rank_of, uncurry_elements)
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
-from homlab.posets import (PosetMap, atom_graph, face_poset, is_closure_map,
-                           make_complex)
+from homlab.posets import (Poset, PosetMap, atom_graph, enumerate_poset_maps,
+                           face_poset, is_closure_map, make_complex)
 from test_actions import action_violation
 
 SQUARE = make_complex(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
@@ -373,10 +374,10 @@ def test_adjunction_small():
     assert PosetMap(cur, prod, rep.psi).is_monotone()
     # explicit element: curry of an atom consists of the section functions
     alpha = rep.hom_product.elements[rep.hom_product.atoms[0]]
-    beta = curry(k2, k2, k3, alpha, _vertex_fibres(k2, k3))
+    beta, = curry_elements(k2, k2, k3, [alpha])
     emaps = list(itertools.product(range(3), repeat=2))
     assert emaps == exponential_vertex_maps(k2, k3)
-    assert uncurry(k2, k2, beta, emaps) == alpha
+    assert list(uncurry_elements(k2, k3, [beta])) == [alpha]
     for y in range(2):
         nh = 2
         for fi in bits(beta[y]):
@@ -392,6 +393,13 @@ def curry_by_definition(t, h, g, alpha):
                  for y in range(nh))
 
 
+def uncurry_by_definition(t, h, g, beta):
+    """alpha(s,y) = {f(s) : f in beta(y)}, read map by map."""
+    nh, emaps = h.n, exponential_vertex_maps(t, g)
+    return tuple(reduce(or_, (1 << emaps[fi][s] for fi in bits(beta[y])), 0)
+                 for s in range(t.n) for y in range(nh))
+
+
 # the graph side of the adjunction-roundtrips experiment, Hom(K2 x C6°, K3)
 REGISTRY_ADJUNCTION = (complete_graph(2), reflexive_cycle(6),
                        complete_graph(3))
@@ -404,13 +412,16 @@ def registry_adjunction():
 
 
 def test_curry_matches_definition_on_registry_instance(registry_adjunction):
+    """phi and psi, which the report reads off its column tables, agree
+    with both definitions on every element of both posets."""
     t, h, g = REGISTRY_ADJUNCTION
-    fibres = _vertex_fibres(t, g)
-    elements = registry_adjunction.hom_product.elements
-    assert len(elements) == 8412
-    for alpha in elements:
-        assert curry(t, h, g, alpha, fibres) == \
-            curry_by_definition(t, h, g, alpha)
+    rep = registry_adjunction
+    prod, cur = rep.hom_product.elements, rep.hom_curried.elements
+    assert len(prod) == 8412
+    for alpha, j in zip(prod, rep.phi):
+        assert cur[j] == curry_by_definition(t, h, g, alpha)
+    for beta, i in zip(cur, rep.psi):
+        assert prod[i] == uncurry_by_definition(t, h, g, beta)
 
 
 @st.composite
@@ -432,10 +443,40 @@ def test_curry_matches_definition_on_small_targets(t, h, g):
                        DEFAULT_GUARDS.scaled(hom_elements=500))
     except GuardExceeded:
         assume(False)
-    fibres = _vertex_fibres(t, g)
-    for alpha in hp.elements:
-        assert curry(t, h, g, alpha, fibres) == \
-            curry_by_definition(t, h, g, alpha)
+    curried = list(curry_elements(t, h, g, hp.elements))
+    assert curried == [curry_by_definition(t, h, g, alpha)
+                       for alpha in hp.elements]
+    # uncurrying reads any tuple of masks, so feed it the curried elements
+    # and every element with its last set dropped to one vertex
+    betas = curried + [beta[:-1] + (beta[-1] & -beta[-1],)
+                       for beta in curried if beta]
+    assert list(uncurry_elements(t, g, betas)) == \
+        [uncurry_by_definition(t, h, g, beta) for beta in betas]
+
+
+@pytest.mark.parametrize("table", ["_curry_column", "_uncurry_mask"])
+def test_seeded_column_table_defect_is_caught(monkeypatch, table):
+    """One wrong table entry, a set that lost its lowest member, must
+    break the round trip or refuse an element."""
+    real = getattr(homposets, table)
+    hit = []
+
+    def corrupted(key, **tables):
+        value = real(key, **tables)
+        if hit:
+            return value
+        if table == "_curry_column" and value & (value - 1):
+            hit.append(key)
+            return value & (value - 1)
+        if table == "_uncurry_mask" and any(m & (m - 1) for m in value):
+            hit.append(key)
+            s = next(s for s, m in enumerate(value) if m & (m - 1))
+            return value[:s] + (value[s] & (value[s] - 1),) + value[s + 1:]
+        return value
+
+    monkeypatch.setattr(homposets, table, corrupted)
+    rep = adjunction_report(*REGISTRY_ADJUNCTION)
+    assert hit and not rep.roundtrip_identity
 
 
 def swap_comparable_pair(p, image):
@@ -508,7 +549,6 @@ def test_poset_adjunction():
     rep = poset_adjunction_report(fp, c4)
     assert rep.roundtrip_identity and rep.decreasing
     assert rep.maps_checked > 0
-    from homlab.posets import enumerate_poset_maps
     count = sum(1 for _ in enumerate_poset_maps(fp, rep.hom_single.poset))
     assert rep.maps_checked == count
     # explicit small roundtrip: a two-chain against a looped edge
@@ -520,10 +560,164 @@ def test_poset_adjunction():
     ag, atoms = atom_graph(two_chain)
     hom_ag = hom_poset(ag, lp)
     h1 = hom_poset(one_graph(), lp)
+    single = {e[0]: v for v, e in enumerate(h1.elements)}
     below = atoms_below(two_chain, atoms)
     for e in hom_ag.elements:
-        f = poset_curry(below, e, h1)
-        assert poset_uncurry(f, atoms, h1) == e
+        f = poset_curry(below, e, single)
+        assert tuple(h1.elements[f[a]][0] for a in atoms) == e
+
+
+def mask_test_by_definition(p, g):
+    """For each monotone map f: P -> Hom(1,G), in enumeration order, whether
+    phi(psi(f)) <= f, tested on masks: f restricted to the atoms is an
+    element alpha of Hom(P^1,G), and the union of alpha over the atoms
+    below x must lie inside f(x) for every x."""
+    ag, atoms = atom_graph(p)
+    hom_ag = hom_poset(ag, g)
+    hom_single = hom_poset(one_graph(), g)
+    masks = [e[0] for e in hom_single.elements]
+    below = atoms_below(p, atoms)
+    verdicts = []
+    for f in enumerate_poset_maps(p, hom_single.poset):
+        alpha = tuple(masks[f[a]] for a in atoms)
+        assert alpha in hom_ag.index
+        curried = [reduce(or_, (alpha[k] for k in ks), 0) for ks in below]
+        verdicts.append(all(not c & ~masks[v] for c, v in zip(curried, f)))
+    return verdicts
+
+
+def recorded_maps(monkeypatch):
+    """The maps the report reads, in order: it reads the next map only once
+    the current one passed its check."""
+    seen = []
+    real = homposets.enumerate_poset_maps
+
+    def recording(*args):
+        for f in real(*args):
+            seen.append(f)
+            yield f
+
+    monkeypatch.setattr(homposets, "enumerate_poset_maps", recording)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["F(C6)->R6", "F(square)->R4"])
+def test_poset_decreasing_check_matches_mask_test(monkeypatch, case):
+    p, g = {"F(C6)->R6": (cycle_face_poset(3).poset, reflexive_cycle(6)),
+            "F(square)->R4": (face_poset(SQUARE), reflexive_cycle(4))}[case]
+    expected = mask_test_by_definition(p, g)
+    seen = recorded_maps(monkeypatch)
+    rep = poset_adjunction_report(p, g)
+    # every map the report read before the last passed its check
+    assert [True] * (len(seen) - 1) + [rep.decreasing] == \
+        expected[:len(seen)]
+    assert rep.maps_checked == len(seen) == len(expected)
+    assert rep.roundtrip_identity and rep.decreasing
+    if case == "F(C6)->R6":
+        assert rep.maps_checked == 64_044
+
+
+def test_poset_adjunction_with_no_atom_and_one_atom():
+    r4 = reflexive_cycle(4)
+    empty, chain2 = Poset(0, ()), Poset(2, (0b11, 0b10))
+    for p, g, maps in ((empty, r4, 1), (empty, complete_graph(3), 1),
+                       (chain2, r4, 16), (chain2, complete_graph(3), 0),
+                       (Poset(1, (1,)), r4, 8)):
+        rep = poset_adjunction_report(p, g)
+        assert rep.atoms == tuple(i for i in range(p.m)
+                                  if p.below[i] == 1 << i)
+        assert len(rep.atoms) == min(p.m, 1)
+        assert (rep.roundtrip_identity, rep.decreasing,
+                rep.maps_checked) == (True, True, maps)
+        assert maps == sum(
+            1 for _ in enumerate_poset_maps(p, rep.hom_single.poset))
+
+
+def test_poset_adjunction_map_guard_trips_through_the_report():
+    fp, r4 = face_poset(SQUARE), reflexive_cycle(4)
+    count = poset_adjunction_report(fp, r4).maps_checked
+    guards = DEFAULT_GUARDS.scaled(poset_map_elements=count - 1)
+    with pytest.raises(GuardExceeded) as err:
+        poset_adjunction_report(fp, r4, guards)
+    assert (err.value.guard, err.value.attempted) == \
+        ("poset_map_elements", count)
+    assert poset_adjunction_report(
+        fp, r4, DEFAULT_GUARDS.scaled(poset_map_elements=count)).decreasing
+
+
+SEEDED_POSITIONS = [("F(C6)->R6", 6)] + [("F(square)->R4", x)
+                                          for x in range(8)]
+
+
+@pytest.mark.parametrize("case,x", SEEDED_POSITIONS)
+def test_seeded_poset_curry_defect_turns_decreasing_false(monkeypatch, case,
+                                                          x):
+    """Add a vertex to one curried value at position x.  The first map
+    that restricts to that element and misses the vertex stops the check,
+    wherever x is; at an atom the round trip breaks too."""
+    p, g = {"F(C6)->R6": (cycle_face_poset(3).poset, reflexive_cycle(6)),
+            "F(square)->R4": (face_poset(SQUARE), reflexive_cycle(4))}[case]
+    real = homposets.poset_curry
+    hit = []
+
+    def widened(below, alpha, single):
+        image = real(below, alpha, single)
+        if hit:
+            return image
+        narrow = next(m for m, v in single.items() if v == image[x])
+        for m, w in single.items():
+            if m != narrow and not narrow & ~m:
+                hit.append((alpha, m))
+                return image[:x] + (w,) + image[x + 1:]
+        return image
+
+    monkeypatch.setattr(homposets, "poset_curry", widened)
+    seen = recorded_maps(monkeypatch)
+    rep = poset_adjunction_report(p, g)
+    assert hit and not rep.decreasing
+    assert rep.roundtrip_identity == (x not in rep.atoms)
+    alpha, wide = hit[0]
+    masks = [e[0] for e in rep.hom_single.elements]
+
+    def fails(f):
+        return (tuple(masks[f[a]] for a in rep.atoms) == alpha
+                and wide & ~masks[f[x]])
+
+    assert fails(seen[-1]) and not any(map(fails, seen[:-1]))
+    assert rep.maps_checked == len(seen)
+
+
+def test_poset_adjunction_refuses_bad_values(monkeypatch):
+    p, g = face_poset(SQUARE), reflexive_cycle(4)
+    hs = hom_poset(one_graph(), g)
+    index = {e[0]: v for v, e in enumerate(hs.elements)}
+    # atoms 0 and 1 share an edge of the square, so opposite corners of
+    # the target cycle for them is no multihomomorphism
+    atoms = p.atoms
+    bad = [index[0b0001]] * p.m
+    bad[atoms[1]] = index[0b0100]
+    real = homposets.enumerate_poset_maps
+
+    def with_bad_map(*args):
+        yield tuple(bad)
+        yield from real(*args)
+
+    monkeypatch.setattr(homposets, "enumerate_poset_maps", with_bad_map)
+    with pytest.raises(ValueError, match="escaped"):
+        poset_adjunction_report(p, g)
+    monkeypatch.setattr(homposets, "enumerate_poset_maps", real)
+    # an element of Hom(P^1,G) whose atom value is no looped clique
+    real_hom = homposets.hom_poset
+
+    def with_bad_element(src, tgt, guards=DEFAULT_GUARDS):
+        hp = real_hom(src, tgt, guards)
+        if src.n != len(atoms):
+            return hp
+        return HomPoset(src, tgt, hp.elements + ((0b0101,) * src.n,))
+
+    monkeypatch.setattr(homposets, "hom_poset", with_bad_element)
+    with pytest.raises(ValueError, match="atom's value"):
+        poset_adjunction_report(p, g)
 
 
 def test_quotient_compare_prism():
