@@ -388,6 +388,5 @@ def equivariant_poset_maps(pa: PosetAction, qa: PosetAction,
     if pa.group != qa.group:
         raise ValueError("actions use different groups")
     p, q = pa.poset, qa.poset
-    maps = enumerate_poset_maps(p, q, guards.poset_map_elements,
-                                pa.maps, qa.maps)
-    return map_poset(maps, q, guards)
+    return map_poset(enumerate_poset_maps(p, q, guards, pa.maps, qa.maps),
+                     q, guards)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -174,11 +175,38 @@ def _last_vertex_sets(adj: Sequence[int], mask: int, clique: bool,
     return sets
 
 
+def _connected_order(g: Graph) -> list[int]:
+    """Source vertices by maximum cardinality search: next is the unplaced
+    vertex with the most placed neighbours, then the higher degree, then
+    the lower index.  A heap of (-placed neighbours, -degree, vertex) with
+    stale entries skipped keeps it O(E log V)."""
+    degree = [g.degree(v) for v in range(g.n)]
+    count = [0] * g.n
+    heap = [(0, -d, v) for v, d in enumerate(degree)]
+    heapify(heap)
+    placed = [False] * g.n
+    order = []
+    while heap:
+        c, _, v = heappop(heap)
+        if placed[v] or -c != count[v]:
+            continue
+        order.append(v)
+        placed[v] = True
+        for w in bits(g.adj[v]):
+            if not placed[w]:
+                count[w] += 1
+                heappush(heap, (-count[w], -degree[w], w))
+    return order
+
+
 def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     """Enumerate Hom(g,h) by per-vertex feasible sets.
 
-    Vertices are processed in descending-degree order; the feasible mask of
-    a vertex is the intersection of common-neighborhoods of the sets already
+    Vertices are processed in maximum cardinality search order
+    (`_connected_order`): each next vertex has the most neighbours already
+    fixed, so a connected g is walked connected and every vertex after the
+    first meets a constraint when it is reached.  The feasible mask of a
+    vertex is the intersection of common-neighborhoods of the sets already
     fixed on its neighbors.  Within that mask a vertex's set s grows one
     target vertex at a time, in increasing index order, keeping
     nu(s) = AND of h.adj over s.  A partial set is pruned as soon as nu(s)
@@ -218,7 +246,7 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     adj = h.adj
     full = (1 << h.n) - 1
     loops = h.looped_mask
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    order = _connected_order(g)
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -556,8 +584,7 @@ def poset_adjunction_report(p: Poset, g: Graph,
     contains = frozenset.__contains__
     decreasing = True
     checked = 0
-    for f in enumerate_poset_maps(p, hom_single.poset,
-                                  guards.poset_map_elements):
+    for f in enumerate_poset_maps(p, hom_single.poset, guards):
         checked += 1
         j = row.get(restrict(f))
         if j is None:

@@ -27,7 +27,7 @@ class Guards:
     """Hard ceilings for exact enumerations (element counts unless noted)."""
 
     hom_elements: int = 1_000_000          # multihomomorphisms per Hom poset
-    search_nodes: int = 20_000_000         # values tried by _hom_search and hom_poset (work)
+    search_nodes: int = 20_000_000         # values tried per search call (work)
     poset_relation: int = 4_000            # elements before an order relation is materialized
     chain_elements: int = 500_000          # chains of a poset (order-complex faces)
     exponential_vertices: int = 250_000    # vertex maps in an exponential graph

@@ -404,7 +404,18 @@ def _extension_order(p: Poset) -> list[int]:
     return order
 
 
-def enumerate_poset_maps(p: Poset, q: Poset, limit: Optional[int] = None,
+def _sharing_an_upper_bound(p: Poset) -> list[int]:
+    """Row u: the mask of elements that share an upper bound with u."""
+    out = []
+    for u in range(p.m):
+        mask = 0
+        for w in bits(p.above[u]):
+            mask |= p.below[w]
+        out.append(mask)
+    return out
+
+
+def enumerate_poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS,
                          p_maps: Sequence[Sequence[int]] = (),
                          q_maps: Sequence[Sequence[int]] = ()
                          ) -> Iterator[tuple[int, ...]]:
@@ -424,14 +435,30 @@ def enumerate_poset_maps(p: Poset, q: Poset, limit: Optional[int] = None,
     keeps one mask of untried candidates per representative and tries
     them in ascending order, so maps come out in lexicographic order of
     their values along the extension.
+
+    Candidates are also checked ahead (forward checking): for every placed
+    z that shares an upper bound y with r but is not below it, f(r) must
+    share an upper bound with f(z), as both lie below f(y).  Every
+    monotone map passes that test, so it only cuts branches that end
+    without a map, and the maps and their order are those of the plain
+    search.
+
+    Every candidate value is one search node, counted when its
+    representative's mask is formed; more than `guards.search_nodes`
+    raise GuardExceeded("search_nodes").  More than
+    `guards.poset_map_elements` maps raise "poset_map_elements" at the
+    first map past it.
     """
     p_maps = [tuple(mp) for mp in p_maps] or [tuple(range(p.m))]
     q_maps = [tuple(mq) for mq in q_maps] or [tuple(range(q.m))]
     if len(p_maps) != len(q_maps):
         raise ValueError("one carrier map per group element on each side")
+    node_limit, map_limit = guards.search_nodes, guards.poset_map_elements
     full = (1 << q.m) - 1
     fixed = [sum(1 << v for v in range(q.m) if mq[v] == v) for mq in q_maps]
-    reps = []  # (r, rest of its orbit as (x, q map), candidates, placed below)
+    p_shared = _sharing_an_upper_bound(p)
+    q_shared = _sharing_an_upper_bound(q)
+    reps = []  # (r, rest of its orbit as (x, q map), candidates, checks)
     placed = 0
     for r in _extension_order(p):
         if placed >> r & 1:
@@ -442,14 +469,18 @@ def enumerate_poset_maps(p: Poset, q: Poset, limit: Optional[int] = None,
             orbit.setdefault(mp[r], mq)
             if mp[r] == r:
                 cand &= fx
-        below = tuple(bits(p.below[r] & placed))
+        below = p.below[r] & placed
+        bounded = p_shared[r] & placed & ~below
+        # (placed z, table whose row at f(z) holds r's candidates)
+        checks = tuple([(z, q.above) for z in bits(below)]
+                       + [(z, q_shared) for z in bits(bounded)])
         for x in orbit:
             placed |= 1 << x
         del orbit[r]  # the identity sends r to v
-        reps.append((r, tuple(orbit.items()), cand, below))
+        reps.append((r, tuple(orbit.items()), cand, checks))
     if not reps:  # p is empty: the one empty map
-        if limit is not None and limit < 1:
-            raise GuardExceeded("poset_map_elements", limit, 1)
+        if map_limit < 1:
+            raise GuardExceeded("poset_map_elements", map_limit, 1)
         yield ()
         return
     image = [0] * p.m
@@ -458,6 +489,9 @@ def enumerate_poset_maps(p: Poset, q: Poset, limit: Optional[int] = None,
     # untried[t]: candidates for reps[t] not yet tried, given levels < t
     untried = [0] * len(reps)
     untried[0] = reps[0][2]
+    nodes = untried[0].bit_count()
+    if nodes > node_limit:
+        raise GuardExceeded("search_nodes", node_limit, nodes)
     t = 0
     while t >= 0:
         cand = untried[t]
@@ -473,23 +507,25 @@ def enumerate_poset_maps(p: Poset, q: Poset, limit: Optional[int] = None,
             image[x] = mq[v]
         if t == last:
             count += 1
-            if limit is not None and count > limit:
-                raise GuardExceeded("poset_map_elements", limit, count)
+            if count > map_limit:
+                raise GuardExceeded("poset_map_elements", map_limit, count)
             yield tuple(image)
             continue
         t += 1
         cand = reps[t][2]
-        for z in reps[t][3]:
-            cand &= q.above[image[z]]
+        for z, table in reps[t][3]:
+            cand &= table[image[z]]
             if not cand:
                 break
+        nodes += cand.bit_count()
+        if nodes > node_limit:
+            raise GuardExceeded("search_nodes", node_limit, nodes)
         untried[t] = cand
 
 
 def poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS) -> Poset:
     """Poset of all monotone maps p -> q under the pointwise order."""
-    return map_poset(enumerate_poset_maps(p, q, guards.poset_map_elements),
-                     q, guards)
+    return map_poset(enumerate_poset_maps(p, q, guards), q, guards)
 
 
 def map_poset(maps: Iterable[tuple[int, ...]], q: Poset,

@@ -527,6 +527,14 @@ def test_cli_search_node_guard_from_config(tmp_path, capsys):
     assert "guard 'search_nodes'" in capsys.readouterr().err
 
 
+def test_cli_hom_t23_k4_fits_a_small_search_node_guard(tmp_path, capsys):
+    # the connected vertex order needs 2,363 nodes; degree order needs 1.77 M
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"search_nodes": 10_000}))
+    assert main(["hom", "T(2,3)", "K4", "--config", str(cfg)]) == 0
+    assert "Hom(T(2,3),K4): 96 elements" in capsys.readouterr().out
+
+
 def test_cli_chromatic_search_node_guard_from_config(tmp_path, capsys):
     cfg = tmp_path / "guards.json"
     cfg.write_text(json.dumps({"search_nodes": 50}))

@@ -17,11 +17,12 @@ from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
                            exponential, exponential_vertex_maps,
                            is_isomorphic, looped_path, nu_mask, one_graph,
                            product, reflexive_closure, reflexive_cycle)
-from homlab.cli import main
+from homlab.cli import main, parse_graph_id
 from homlab.harness import _diagonal_flip_shift
 from homlab.homology import poset_homology
 from homlab import homposets
-from homlab.homposets import (HomPoset, adjunction_report, atoms_below,
+from homlab.homposets import (HomPoset, _connected_order, adjunction_report,
+                              atoms_below,
                               curry_elements, hom_poset, induced_hom_action,
                               loop_addition_maps, multihom_violation,
                               poset_adjunction_report, poset_curry,
@@ -258,17 +259,17 @@ NODE_TOTALS = {
     "K2,S(1,2)": (526, 192),
     "K2,K2xR10": (938, 240),
     "C5,K4": (3_648, 2_160),
-    "K2xR6,K3": (34_645, 8_412),
+    "K2xR6,K3": (21_913, 8_412),
     "R6,K3^K2": (13_152, 8_412),
     "K3,K5": (604, 390),
-    "T(1,3),K4": (3_298, 1_128),
+    "T(1,3),K4": (2_637, 1_128),
+    "T(2,3),K4": (2_363, 96),
 }
 
 
 @pytest.mark.parametrize("pair", sorted(NODE_TOTALS))
 def test_hom_poset_node_totals_and_trip_points(pair):
-    g, h = HOM_PAIRS[pair] if pair in HOM_PAIRS else (
-        twisted_toroidal(1, 3).graph, complete_graph(4))
+    g, h = HOM_PAIRS.get(pair) or map(parse_graph_id, pair.rsplit(",", 1))
     nodes, m = NODE_TOTALS[pair]
     assert hom_poset(g, h, DEFAULT_GUARDS.scaled(search_nodes=nodes)).m == m
     with pytest.raises(GuardExceeded) as err:
@@ -279,6 +280,17 @@ def test_hom_poset_node_totals_and_trip_points(pair):
     with pytest.raises(GuardExceeded) as err:
         hom_poset(g, h, DEFAULT_GUARDS.scaled(hom_elements=m - 1))
     assert (err.value.guard, err.value.attempted) == ("hom_elements", m)
+
+
+def test_connected_order_ranks_placed_neighbours_then_degree_then_index():
+    # the path 0-1-2-3 beside the star with centre 4 and leaves 5, 6, 7:
+    # the leaves (one placed neighbour) beat 1 (none, degree 2), 2 beats 0
+    # by degree once 1 is placed, and 0 beats 3 by index
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3),
+                             (4, 5), (4, 6), (4, 7)])
+    assert _connected_order(g) == [4, 5, 6, 7, 1, 2, 0, 3]
+    # 1999 waits with one placed neighbour, and two by the end
+    assert _connected_order(cycle_graph(2000)) == list(range(2000))
 
 
 def test_hom_poset_last_vertex_trips_where_its_walk_would():

@@ -59,8 +59,7 @@ UNREAD = {
 
 # Enumerators whose limit is optional -> the limit's positional index
 # (a method's index does not count ``self``).
-ENUMERATORS = {"all_faces": 0, "iter_chains": 1, "maximal_chains": 1,
-               "enumerate_poset_maps": 2}
+ENUMERATORS = {"all_faces": 0, "iter_chains": 1, "maximal_chains": 1}
 
 
 def _module_name(path: Path) -> str:
@@ -324,12 +323,11 @@ def test_scan_flags_an_unbounded_enumeration(tmp_path):
                       "iter_chains(p, limit=None)\n"
                       "iter_chains(p, limit=n)\n"
                       "maximal_chains(p)\n"
-                      "enumerate_poset_maps(p, q, n)\n"
-                      "enumerate_poset_maps(p, q, p_maps=a)\n",
+                      "maximal_chains(p, n)\n",
                       encoding="utf-8")
     assert unbounded_enumerations([sample]) == [
         "sample.py:1: all_faces", "sample.py:3: iter_chains",
-        "sample.py:5: maximal_chains", "sample.py:7: enumerate_poset_maps"]
+        "sample.py:5: maximal_chains"]
 
 
 def package_asserts(paths=sorted(PACKAGE.glob("*.py"))) -> list[str]:

@@ -261,7 +261,8 @@ def test_enumerate_poset_maps_deterministic_and_guarded():
     second = list(enumerate_poset_maps(p, p))
     assert first == second and len(first) == len(set(first))
     with pytest.raises(GuardExceeded):
-        list(enumerate_poset_maps(p, p, limit=5))
+        list(enumerate_poset_maps(
+            p, p, DEFAULT_GUARDS.scaled(poset_map_elements=5)))
 
 
 def brute_poset_maps(p, q, p_maps=(), q_maps=()):
@@ -347,27 +348,53 @@ def test_enumerate_equivariant_poset_maps_matches_brute_filter():
                          (half_turn, half_turn)):
         p, q = source.poset, goal.poset
         want = brute_poset_maps(p, q, source.maps, goal.maps)
-        got = list(enumerate_poset_maps(p, q, None, source.maps, goal.maps))
+        got = list(enumerate_poset_maps(p, q, DEFAULT_GUARDS, source.maps,
+                                        goal.maps))
         assert got == want
         sizes.append(len(want))
     assert sizes[0] > 0 and sizes[1] == 0 and sizes[2] > 0
 
 
 def test_enumerate_poset_maps_guard_trips_at_limit_plus_one():
+    def capped(limit):
+        return DEFAULT_GUARDS.scaled(poset_map_elements=limit)
+
     p = face_poset(SQUARE)
     total = sum(1 for _ in enumerate_poset_maps(p, p))
-    assert len(list(enumerate_poset_maps(p, p, limit=total))) == total
+    assert len(list(enumerate_poset_maps(p, p, capped(total)))) == total
     for limit in (0, 5, total - 1):
-        maps = enumerate_poset_maps(p, p, limit=limit)
+        maps = enumerate_poset_maps(p, p, capped(limit))
         assert len([next(maps) for _ in range(limit)]) == limit
         with pytest.raises(GuardExceeded) as exc:
             next(maps)
         assert exc.value.guard == "poset_map_elements"
         assert (exc.value.limit, exc.value.attempted) == (limit, limit + 1)
     empty = from_leq_pairs(0, [])
-    assert list(enumerate_poset_maps(empty, p, limit=1)) == [()]
+    assert list(enumerate_poset_maps(empty, p, capped(1))) == [()]
     with pytest.raises(GuardExceeded):
-        next(enumerate_poset_maps(empty, p, limit=0))
+        next(enumerate_poset_maps(empty, p, capped(0)))
+
+
+def test_enumerate_poset_maps_search_node_guard_bounds_work():
+    # F(C6) -> Hom(1,R6): 164,316 candidate values give the 64,044 maps
+    fc6 = cycle_face_poset(3).poset
+    single = hom_poset(one_graph(), reflexive_cycle(6)).poset
+    nodes = 164_316
+    maps = enumerate_poset_maps(fc6, single,
+                                DEFAULT_GUARDS.scaled(search_nodes=nodes))
+    assert sum(1 for _ in maps) == 64_044
+    with pytest.raises(GuardExceeded) as exc:
+        for _ in enumerate_poset_maps(
+                fc6, single, DEFAULT_GUARDS.scaled(search_nodes=nodes - 1)):
+            pass
+    assert exc.value.guard == "search_nodes"
+    assert exc.value.limit == nodes - 1 and exc.value.attempted > nodes - 1
+    # the first representative's candidates count before any map
+    with pytest.raises(GuardExceeded) as exc:
+        next(enumerate_poset_maps(fc6, single,
+                                  DEFAULT_GUARDS.scaled(search_nodes=0)))
+    assert (exc.value.guard, exc.value.attempted) == (
+        "search_nodes", single.m)
 
 
 def test_induced_subposet_keeps_payload():

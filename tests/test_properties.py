@@ -16,12 +16,12 @@ from homlab.homology import (_sparse_rank_divisors, chain_complex,
 from homlab.limits import DEFAULT_GUARDS
 from homlab.homposets import adjunction_report, hom_poset, rank_of
 from homlab.posets import (PosetMap, atom_graph, chain_poset,
-                           enumerate_poset_maps, from_leq_pairs,
+                           enumerate_poset_maps, face_poset, from_leq_pairs,
                            is_closure_map, make_complex, pointwise_poset)
 from test_homology import (_sympy_invariants, assert_coreduction_exact,
                            assert_simplicial_boundaries, unreduced_homology,
                            universal_coefficients_ok)
-from test_posets import pointwise_leq
+from test_posets import SQUARE, filter_all_maps, pointwise_leq
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -227,6 +227,23 @@ def test_cellular_hom_homology_matches_order_complex(g, h):
         assert hom_homology(hp, field_name) \
             == poset_homology(hp.poset, field_name) \
             == unreduced_homology(cells, field_name)
+
+
+VEE = from_leq_pairs(3, [(0, 2), (1, 2)])        # 0, 1 below 2
+CHAIN3 = from_leq_pairs(3, [(0, 1), (1, 2)])
+ANTICHAIN2 = from_leq_pairs(2, [])
+
+
+@settings(max_examples=150)
+@given(posets(max_n=5), posets(max_n=5))
+@example(VEE, ANTICHAIN2)              # 0, 1 share 2; their values cannot
+@example(VEE, from_leq_pairs(3, [(0, 1)]))
+@example(face_poset(SQUARE), VEE)      # adjacent corners share an edge
+@example(face_poset(SQUARE), CHAIN3)
+@example(face_poset(SQUARE), ANTICHAIN2)
+def test_poset_map_lookahead_matches_the_brute_filter(p, q):
+    # the common-upper-bound lookahead cuts only branches without a map
+    assert list(enumerate_poset_maps(p, q)) == filter_all_maps(p, q)
 
 
 @given(posets(max_n=4), posets(max_n=4))
