@@ -18,8 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .graphs import (Graph, Partition, bfs_dist, permute_mask, product,
-                     quotient)
+from .graphs import Graph, Partition, bfs_dist, bits, permute_mask, quotient
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, atom_graph, chain_poset, enumerate_poset_maps,
                      induced_subposet, map_poset)
@@ -316,7 +315,6 @@ class TwistedProduct:
     group: FiniteGroup
     pairs: tuple[tuple[int, int], ...]  # lex-min representative per vertex
     orbit_of: tuple[int, ...]  # product-pair index (t*nh + h) -> vertex
-    diagonal: GraphAction  # g.(t,h) = (t.g^-1, g.h) on the product
     right_action: Optional[GraphAction] = None  # stored as g^-1 . x
 
 
@@ -325,30 +323,40 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
     """Quotient of T x H by the diagonal action g.(t,h) = (t.g^-1, g.h).
 
     `t_act` is the right action t.g on T, stored as the left action
-    g^-1 . t, and `h_act` the left action on H.  A right action on H
-    commuting with `h_act`, stored the same way, descends to the quotient
-    and is returned as the carried right action.
+    g^-1 . t, and `h_act` the left action on H.  The quotient is built on
+    orbit representatives, without building T x H: walking the pairs in
+    index order, each orbit takes the next vertex when its lowest pair is
+    reached, and a representative's row holds the orbits of its neighbours
+    in T x H.  Both actions are by automorphisms, so the diagonal one is
+    too, and one member decides the row of its whole orbit.
+
+    A right action on H commuting with `h_act`, stored the same way,
+    descends to the quotient and is returned as the carried right action.
+    Commutation makes it well defined: it sends g.(t,h) to g.(t, h.r).
     """
     if t_act.group != h_act.group:
         raise ValueError("actions use different groups")
     g = t_act.group
     t, h = t_act.graph, h_act.graph
     nh = h.n
-    npairs = t.n * nh
-    prod = product(t, h)
-    diag = []
-    for i in range(g.order):
-        tm = t_act.maps[i]
-        hm = h_act.maps[i]
-        diag.append(tuple(tm[x // nh] * nh + hm[x % nh]
-                          for x in range(npairs)))
-    diag_action = GraphAction(g, prod, tuple(diag))
-    part = Partition(npairs, orbits(diag_action))
-    orbit_of = part.block_of
-    pairs = tuple((b[0] // nh, b[0] % nh) for b in part.blocks)
-    nq = len(pairs)
-    graph = quotient(prod, part).relabel(
-        [f"[{tt},{hh}]" for tt, hh in pairs])
+    orbit_of = [-1] * (t.n * nh)
+    pairs = []
+    for a in range(t.n):
+        for b in range(nh):
+            if orbit_of[a * nh + b] < 0:
+                for tm, hm in zip(t_act.maps, h_act.maps):
+                    orbit_of[tm[a] * nh + hm[b]] = len(pairs)
+                pairs.append((a, b))
+    rows = []
+    for a, b in pairs:
+        hb = list(bits(h.adj[b]))
+        row = 0
+        for a2 in bits(t.adj[a]):
+            for b2 in hb:
+                row |= 1 << orbit_of[a2 * nh + b2]
+        rows.append(row)
+    graph = Graph(len(pairs), tuple(rows),
+                  tuple(f"[{tt},{hh}]" for tt, hh in pairs))
 
     carried = None
     if h_right is not None:
@@ -362,20 +370,10 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
                         compose_perm(h_right.maps[j], h_act.maps[i]):
                     raise ValueError("carried right action does not commute "
                                      "with the left action")
-        rmaps = []
-        for i in range(g.order):
-            rm = h_right.maps[i]
-            img = [-1] * nq
-            for x in range(npairs):
-                tt, hh = x // nh, x % nh
-                target = orbit_of[tt * nh + rm[hh]]
-                u = orbit_of[x]
-                if img[u] >= 0 and img[u] != target:
-                    raise ValueError("carried action is not well defined")
-                img[u] = target
-            rmaps.append(tuple(img))
-        carried = GraphAction(g, graph, tuple(rmaps))
-    return TwistedProduct(graph, g, pairs, orbit_of, diag_action, carried)
+        carried = GraphAction(g, graph, tuple(
+            tuple(orbit_of[a * nh + rm[b]] for a, b in pairs)
+            for rm in h_right.maps))
+    return TwistedProduct(graph, g, tuple(pairs), tuple(orbit_of), carried)
 
 
 # ---------------------------------------------------------------------------

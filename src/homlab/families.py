@@ -30,11 +30,10 @@ from .graphs import (Graph, Partition, check_homomorphism, complete_graph,
                      looped_path, product, quotient, reflexive_cycle)
 from .limits import DEFAULT_GUARDS, Guards, check_graph_vertices
 from .posets import (Poset, SimplicialComplex, atom_graph, chain_poset,
-                     face_poset, make_complex, order_complex)
+                     face_poset, make_complex)
 
 __all__ = [
-    "CrossPolytope", "CycleFacePoset", "SphericalGraph", "ToroidalGraph",
-    "SubdivisionColoring", "EquivariantColoring",
+    "SpherePoset", "TwistedGraph", "TwistedColoring",
     "cross_polytope_complex", "cycle_face_poset", "spherical_graph",
     "twisted_toroidal", "mycielski", "iterated_mycielski",
     "subdivision_coloring", "equivariant_coloring_step", "csorba_graph",
@@ -46,8 +45,8 @@ def _flip_action() -> GraphAction:
     return GraphAction(z2_group(), complete_graph(2), ((0, 1), (1, 0)))
 
 
-def _cycle_actions(m: int) -> tuple[Graph, GraphAction, GraphAction]:
-    """Reflexive 2m-cycle with the antipodal and reflection actions."""
+def _cycle_actions(m: int) -> tuple[GraphAction, GraphAction]:
+    """The antipodal and reflection actions on the reflexive 2m-cycle."""
     cyc = reflexive_cycle(2 * m)
     n = 2 * m
     ident = tuple(range(n))
@@ -55,7 +54,7 @@ def _cycle_actions(m: int) -> tuple[Graph, GraphAction, GraphAction]:
                        (ident, tuple((i + m) % n for i in range(n))))
     refl = GraphAction(z2_group(), cyc,
                        (ident, tuple(n - 1 - i for i in range(n))))
-    return cyc, anti, refl
+    return anti, refl
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +62,17 @@ def _cycle_actions(m: int) -> tuple[Graph, GraphAction, GraphAction]:
 
 
 @dataclass(frozen=True)
-class CrossPolytope:
-    """The m-th barycentric subdivision of a cross-polytope boundary sphere."""
+class SpherePoset:
+    """The face poset of a sphere with a free antipodal involution and a
+    reflection commuting with it."""
 
-    complex: SimplicialComplex
-    poset: Poset  # face poset of `complex`
+    poset: Poset
     antipodal: PosetAction  # free
-    reflection: PosetAction  # right action (stored as left): negates x_1
+    reflection: PosetAction  # right action (stored as left)
 
 
 def cross_polytope_complex(k: int, m: int,
-                           guards: Guards = DEFAULT_GUARDS) -> CrossPolytope:
+                           guards: Guards = DEFAULT_GUARDS) -> SpherePoset:
     """Boundary sphere of the (k+1)-dimensional cross polytope, subdivided m times.
 
     Vertices of the unsubdivided boundary are 2i (the +e_{i+1} pole) and
@@ -99,26 +98,17 @@ def cross_polytope_complex(k: int, m: int,
     anti = face_poset_action(p, z2, (ident, anti_v))
     refl = face_poset_action(p, z2, (ident, refl_v))
     for _ in range(m):
-        x = order_complex(p, guards)
-        cp = chain_poset(p, guards)
-        anti = face_poset_action(cp, anti.group, anti.maps)
-        refl = face_poset_action(cp, refl.group, refl.maps)
-        p = cp
+        p = chain_poset(p, guards)
+        anti = face_poset_action(p, anti.group, anti.maps)
+        refl = face_poset_action(p, refl.group, refl.maps)
     if not is_free(anti):
         raise ValueError("antipodal action failed to be free")
-    return CrossPolytope(x, p, anti, refl)
+    return SpherePoset(p, anti, refl)
 
 
-@dataclass(frozen=True)
-class CycleFacePoset:
-    """Face poset of a 2m-gon with its antipodal and reflection actions."""
-
-    poset: Poset  # 4m elements: 2m vertices and 2m edges
-    antipodal: PosetAction  # vertex i -> i+m
-    reflection: PosetAction  # right action (stored as left): i -> 2m-1-i
-
-
-def cycle_face_poset(m: int) -> CycleFacePoset:
+def cycle_face_poset(m: int) -> SpherePoset:
+    """Face poset of a 2m-gon, 4m elements: 2m vertices and 2m edges.  The
+    antipodal action sends vertex i to i+m, the reflection to 2m-1-i."""
     if m < 2:
         raise ValueError("polygon face poset needs m >= 2")
     n = 2 * m
@@ -130,7 +120,7 @@ def cycle_face_poset(m: int) -> CycleFacePoset:
                              (ident, tuple((i + m) % n for i in range(n))))
     refl = face_poset_action(p, z2,
                              (ident, tuple(n - 1 - i for i in range(n))))
-    return CycleFacePoset(p, anti, refl)
+    return SpherePoset(p, anti, refl)
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +128,17 @@ def cycle_face_poset(m: int) -> CycleFacePoset:
 
 
 @dataclass(frozen=True)
-class SphericalGraph:
-    """S(k,m): the twisted product of an edge with a subdivided sphere skeleton."""
+class TwistedGraph:
+    """S(k,m) or T(k,m) with the right action its last factor carries."""
 
     graph: Graph
-    right_action: GraphAction  # reflection, stored as left (g^-1 . x)
+    right_action: GraphAction  # a reflection, stored as left (g^-1 . x)
 
 
 def spherical_graph(k: int, m: int,
-                    guards: Guards = DEFAULT_GUARDS) -> SphericalGraph:
+                    guards: Guards = DEFAULT_GUARDS) -> TwistedGraph:
+    """S(k,m): the twisted product of an edge with a subdivided sphere
+    skeleton."""
     cp = cross_polytope_complex(k, m, guards)
     ag, atoms = atom_graph(cp.poset)
     anti = atom_graph_action(ag, atoms, cp.antipodal)
@@ -154,23 +146,16 @@ def spherical_graph(k: int, m: int,
     tw = twisted_product(_flip_action(), anti, refl)
     if not tw.graph.is_loopless():
         raise ValueError("spherical graph acquired a loop")
-    return SphericalGraph(tw.graph, tw.right_action)
+    return TwistedGraph(tw.graph, tw.right_action)
 
 
 # ---------------------------------------------------------------------------
 # twisted toroidal graphs T(k,m)
 
 
-@dataclass(frozen=True)
-class ToroidalGraph:
-    """T(k,m): k-fold left-associated twisted product of K2 with 2m-cycles."""
-
-    graph: Graph
-    right_action: GraphAction  # last cycle's reflection, stored as g^-1 . x
-
-
-def twisted_toroidal(k: int, m: int) -> ToroidalGraph:
-    """T(k,m), on 2m^k vertices: each twisted product with the 2m-cycle
+def twisted_toroidal(k: int, m: int) -> TwistedGraph:
+    """T(k,m), the k-fold left-associated twisted product of K2 with
+    2m-cycles, on 2m^k vertices: each twisted product with the 2m-cycle
     multiplies the vertex count by 2m, and its Z2 quotient halves it.
     More than `limits.GRAPH_VERTICES` of them raise GuardExceeded before
     the first product is built."""
@@ -184,13 +169,13 @@ def twisted_toroidal(k: int, m: int) -> ToroidalGraph:
         check_graph_vertices(vertices)
     act = _flip_action()
     graph = act.graph
+    anti, refl = _cycle_actions(m)
     for _ in range(k):
-        _, anti, refl = _cycle_actions(m)
         tw = twisted_product(act, anti, refl)
         graph, act = tw.graph, tw.right_action
         if not graph.is_loopless():
             raise ValueError("toroidal graph acquired a loop")
-    return ToroidalGraph(graph, act)
+    return TwistedGraph(graph, act)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +217,8 @@ def iterated_mycielski(g: Graph, m: int, k: int) -> Graph:
 
 
 @dataclass(frozen=True)
-class SubdivisionColoring:
-    """A proper coloring of the twisted double subdivision of a free complex."""
+class TwistedColoring:
+    """A proper coloring of a twisted product, validated when built."""
 
     twisted: TwistedProduct
     coloring: tuple[int, ...]
@@ -242,7 +227,7 @@ class SubdivisionColoring:
 
 def subdivision_coloring(p: Poset, action: PosetAction,
                          guards: Guards = DEFAULT_GUARDS
-                         ) -> SubdivisionColoring:
+                         ) -> TwistedColoring:
     """Color the edge-twist of the second subdivision of a free complex.
 
     ``p`` is the face poset of a regular complex of dimension n carrying a
@@ -283,7 +268,7 @@ def subdivision_coloring(p: Poset, action: PosetAction,
     target = complete_graph(n + 2)
     if not check_homomorphism(coloring, tw.graph, target):
         raise ValueError("subdivision coloring failed validation")
-    return SubdivisionColoring(tw, tuple(coloring), target)
+    return TwistedColoring(tw, tuple(coloring), target)
 
 
 def _swap01(n: int) -> tuple[int, ...]:
@@ -309,17 +294,8 @@ def _cycle_collapse(m: int) -> tuple[int, ...]:
     return tuple(col)
 
 
-@dataclass(frozen=True)
-class EquivariantColoring:
-    """An equivariant proper coloring of a twisted product with a 2m-cycle."""
-
-    twisted: TwistedProduct
-    coloring: tuple[int, ...]
-    target: Graph
-
-
 def equivariant_coloring_step(t_act: GraphAction, coloring: Sequence[int],
-                              n: int, m: int) -> EquivariantColoring:
+                              n: int, m: int) -> TwistedColoring:
     """Extend an equivariant (n+2)-coloring of T to one of T x_Z2 C(2m) with n+3.
 
     ``t_act`` is an involution on T in the role of the right action;
@@ -344,8 +320,7 @@ def equivariant_coloring_step(t_act: GraphAction, coloring: Sequence[int],
     if any(col[tau[v]] != sw[col[v]] for v in range(t.n)):
         raise ValueError("base coloring is not equivariant")
 
-    _, anti, refl = _cycle_actions(m)
-    tw = twisted_product(t_act, anti, refl)
+    tw = twisted_product(t_act, *_cycle_actions(m))
     squeeze = _cycle_collapse(m)
     out = []
     for tt, hh in tw.pairs:
@@ -359,7 +334,7 @@ def equivariant_coloring_step(t_act: GraphAction, coloring: Sequence[int],
     rho = tw.right_action.maps[1]
     if any(out[rho[v]] != sw3[out[v]] for v in range(tw.graph.n)):
         raise ValueError("extended coloring is not equivariant")
-    return EquivariantColoring(tw, tuple(out), target)
+    return TwistedColoring(tw, tuple(out), target)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +346,10 @@ def _twisted_skeleton(t_act: GraphAction, x: SimplicialComplex,
                       guards: Guards) -> Graph:
     """``t_act`` twisted with the atom graph of Chain^times(F(x)), on which
     the group of ``t_act`` acts through the given free vertex maps."""
+    for i, vm in enumerate(vertex_maps):
+        if sorted(vm) != list(range(x.n)):
+            raise ValueError(f"vertex map {i} is not a permutation of the "
+                             f"complex's {x.n} vertices")
     try:
         act = face_poset_action(face_poset(x, guards), t_act.group,
                                 [tuple(vm) for vm in vertex_maps])

@@ -139,9 +139,6 @@ class Graph:
     def is_loopless(self) -> bool:
         return self.looped_mask == 0
 
-    def relabel(self, labels: Sequence[str]) -> "Graph":
-        return Graph(self.n, self.adj, tuple(labels))
-
 
 @dataclass(frozen=True)
 class Partition:

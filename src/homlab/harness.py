@@ -46,10 +46,11 @@ from .graphs import (Graph, bits, check_homomorphism, chromatic_number,
                      exponential, graph_to_json, is_fine, is_isomorphic,
                      looped_path, odd_girth, product, reflexive_closure,
                      reflexive_cycle)
-from .homology import (HomologyResult, chain_complex, closure_reduce,
-                       hom_homology, homology_from_json, homology_of_complex,
-                       klein_bottle_complex, poset_homology,
-                       simplex_boundary, suspension_check, torus_complex)
+from .homology import (HomologyResult, chain_complex, chain_complex_of_poset,
+                       chain_homology, closure_reduce, hom_homology,
+                       homology_from_json, homology_of_complex,
+                       klein_bottle_complex, simplex_boundary,
+                       suspension_check, torus_complex)
 from .homposets import (HomPoset, adjunction_report, hom_poset,
                         induced_hom_action, loop_addition_maps,
                         poset_adjunction_report, quotient_compare)
@@ -189,55 +190,68 @@ def cached_hom_poset(g: Graph, h: Graph,
     return hom_poset(g, h, guards)
 
 
+def _load_homology(cache: Cache, key: str, entry: str, field_name: str,
+                   guard: str, limit: int) -> Optional[HomologyResult]:
+    """The cached result, or None on a miss.
+
+    Every homology entry stores the cell count of its chain complex next
+    to the result: Hom elements for a Hom entry, chains for a poset entry.
+    So a hit enforces the guard on that count exactly as a cold call does,
+    without building anything.
+    """
+    lines = cache.load(key, "homology")
+    if lines is None:
+        return None
+    try:
+        count_line, line = lines
+        count = count_from_json(json.loads(count_line), "cell count")
+        res = homology_from_json(json.loads(line), field_name)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CacheCorrupt(
+            f"malformed {entry} homology entry {key}: {exc!r}") from None
+    if count > limit:
+        raise GuardExceeded(guard, limit, limit + 1)
+    return res
+
+
+def _store_homology(cache: Cache, key: str, count: int,
+                    res: HomologyResult) -> None:
+    cache.store(key, "homology", [canonical_json(count),
+                                  canonical_json(res.to_json())])
+
+
 def cached_hom_homology(g: Graph, h: Graph, field_name: str = "Z",
                         guards: Guards = DEFAULT_GUARDS,
                         cache: Cache = Cache()) -> HomologyResult:
-    """Cellular homology of Hom(g,h), cached by (source, target, field).
-
-    The entry stores the number of Hom elements next to the result, so a
-    hit enforces the hom_elements guard exactly as a cold call does without
-    enumerating the Hom poset.
-    """
+    """Cellular homology of Hom(g,h), cached by (source, target, field);
+    a hit enforces the hom_elements guard."""
     key = hom_cache_key(g, h, field_name)
-    lines = cache.load(key, "homology")
-    if lines is not None:
-        try:
-            count_line, line = lines
-            count = count_from_json(json.loads(count_line), "element count")
-            res = homology_from_json(json.loads(line), field_name)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheCorrupt(
-                f"malformed Hom homology entry {key}: {exc!r}") from None
-        if count > guards.hom_elements:
-            raise GuardExceeded("hom_elements", guards.hom_elements,
-                                guards.hom_elements + 1)
-        return res
-    hp = hom_poset(g, h, guards)
-    res = hom_homology(hp, field_name, guards)
-    cache.store(key, "homology", [canonical_json(hp.m),
-                                  canonical_json(res.to_json())])
+    res = _load_homology(cache, key, "Hom", field_name, "hom_elements",
+                         guards.hom_elements)
+    if res is None:
+        hp = hom_poset(g, h, guards)
+        res = hom_homology(hp, field_name, guards)
+        _store_homology(cache, key, hp.m, res)
     return res
 
 
 def homology_cache_key(p: Poset, field_name: str) -> str:
-    return content_key({"kind": "poset-homology", "field": field_name,
+    return content_key({"kind": "poset-chain-homology", "field": field_name,
                         "poset": poset_to_json(p)})
 
 
 def cached_poset_homology(p: Poset, field_name: str = "Z",
                           guards: Guards = DEFAULT_GUARDS,
                           cache: Cache = Cache()) -> HomologyResult:
+    """Order-complex homology of p, cached by (poset, field); a hit
+    enforces the chain_elements guard."""
     key = homology_cache_key(p, field_name)
-    lines = cache.load(key, "homology")
-    if lines is not None:
-        try:
-            (line,) = lines
-            return homology_from_json(json.loads(line), field_name)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheCorrupt(
-                f"malformed poset homology entry {key}: {exc!r}") from None
-    res = poset_homology(p, field_name, guards)
-    cache.store(key, "homology", [canonical_json(res.to_json())])
+    res = _load_homology(cache, key, "poset", field_name, "chain_elements",
+                         guards.chain_elements)
+    if res is None:
+        cc = chain_complex_of_poset(p, guards)
+        res = chain_homology(cc, field_name, guards)
+        _store_homology(cache, key, sum(cc.counts()), res)
     return res
 
 

@@ -2,7 +2,9 @@
 equivariant monotone maps.  Counting oracles are brute force.  The action
 axioms are checked against a test of every ordered pair of points
 (`action_violation`), the poset quotient against a transitive closure with
-merged classes (`closure_quotient`)."""
+merged classes (`closure_quotient`), the twisted product against the
+quotient of the whole product graph by its diagonal action
+(`product_quotient`)."""
 
 import itertools
 from types import SimpleNamespace
@@ -11,8 +13,9 @@ from typing import Optional
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from homlab import actions
 from homlab.actions import (FiniteGroup, GraphAction, PosetAction,
-                            PosetQuotient, atom_graph_action,
+                            PosetQuotient, TwistedProduct, atom_graph_action,
                             check_chain_discontinuity,
                             equivariant_poset_maps, face_poset_action,
                             fixed_subposet, is_d_discontinuous, is_free,
@@ -21,8 +24,9 @@ from homlab.actions import (FiniteGroup, GraphAction, PosetAction,
                             quotient_poset_by_action, symmetric_group,
                             twisted_product, z2_group)
 from homlab.families import cycle_face_poset
-from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
-                           is_isomorphic, reflexive_cycle)
+from homlab.graphs import (Graph, Partition, bits, complete_graph,
+                           cycle_graph, is_isomorphic, product, quotient,
+                           reflexive_cycle)
 from homlab.homology import poset_homology
 from homlab.homposets import hom_poset, induced_hom_action
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
@@ -82,6 +86,48 @@ def action_violation(a) -> Optional[str]:
                    for u in range(n) for v in range(n)):
             return f"element {i} is not an automorphism"
     return None
+
+
+def product_quotient(t_act, h_act, h_right=None) -> TwistedProduct:
+    """The oracle for `twisted_product`: build T x H, the diagonal action
+    on it and its orbit partition, and take the quotient graph.  The
+    carried action is read off every pair of T x H, not only off the
+    representatives, and checked to be well defined."""
+    if t_act.group != h_act.group:
+        raise ValueError("actions use different groups")
+    g = t_act.group
+    nh = h_act.graph.n
+    prod = product(t_act.graph, h_act.graph)
+    diagonal = GraphAction(g, prod, tuple(
+        tuple(tm[x // nh] * nh + hm[x % nh] for x in range(prod.n))
+        for tm, hm in zip(t_act.maps, h_act.maps)))
+    part = Partition(prod.n, orbits(diagonal))
+    pairs = tuple((b[0] // nh, b[0] % nh) for b in part.blocks)
+    q = quotient(prod, part)
+    graph = Graph(q.n, q.adj, tuple(f"[{a},{b}]" for a, b in pairs))
+    carried = None
+    if h_right is not None:
+        if h_right.group != g:
+            raise ValueError("carried action uses a different group")
+        if h_right.graph.adj != h_act.graph.adj:
+            raise ValueError("carried action lives on a different graph")
+        for lm in h_act.maps:
+            for rm in h_right.maps:
+                if tuple(lm[y] for y in rm) != tuple(rm[y] for y in lm):
+                    raise ValueError("carried right action does not "
+                                     "commute with the left action")
+        rmaps = []
+        for rm in h_right.maps:
+            img = [-1] * q.n
+            for x in range(prod.n):
+                u = part.block_of[x]
+                target = part.block_of[x // nh * nh + rm[x % nh]]
+                if img[u] not in (-1, target):
+                    raise ValueError("carried action is not well defined")
+                img[u] = target
+            rmaps.append(tuple(img))
+        carried = GraphAction(g, graph, tuple(rmaps))
+    return TwistedProduct(graph, g, pairs, part.block_of, carried)
 
 
 def closure_quotient(a) -> PosetQuotient:
@@ -280,8 +326,42 @@ def test_twisted_product_s3_matches_brute_orbits():
     for x in range(k3.n * h.n):
         blocks.setdefault(find(x), []).append(x)
     brute = sorted(tuple(b) for b in blocks.values())
-    assert brute == sorted(orbits(tw.diagonal))
+    by_vertex = [[] for _ in range(tw.graph.n)]
+    for x, v in enumerate(tw.orbit_of):
+        by_vertex[v].append(x)
+    assert brute == sorted(tuple(b) for b in by_vertex)
     assert tw.graph.n == len(brute) == 3
+    assert tw == product_quotient(t_act, h_act)
+
+
+def test_one_twisted_product_builds_one_graph_and_checks_one_action(
+        monkeypatch):
+    """The quotient is built directly: neither T x H nor its diagonal
+    action is built or checked, and the quotient is not copied."""
+    flip = z2_action(complete_graph(2), (1, 0))
+    c6 = reflexive_cycle(6)
+    antipodal = z2_action(c6, rotation(6, 3))
+    mirror = z2_action(c6, reflection(6))
+    built, checked = [], []
+    post_init = Graph.__post_init__
+    check = actions._check_action
+
+    def counting_post_init(self):
+        built.append(self.n)
+        post_init(self)
+
+    def counting_check(group, rows, maps):
+        checked.append(len(rows))
+        check(group, rows, maps)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
+    monkeypatch.setattr(actions, "_check_action", counting_check)
+    tw = twisted_product(flip, antipodal, mirror)
+    assert built == checked == [tw.graph.n] == [6]
+    built.clear()
+    checked.clear()
+    twisted_product(flip, antipodal)
+    assert built == [6] and checked == []
 
 
 def test_induced_hom_action_s3_both_sides():
@@ -548,6 +628,24 @@ def test_construction_raises_exactly_what_the_oracle_reports(drawn):
         with pytest.raises(ValueError) as err:
             cls(group, carrier, maps)
         assert str(err.value) == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(acting_groups(kinds=(GraphAction,), automorphic=True))
+def test_twisted_product_equals_the_product_quotient(drawn):
+    """The action is taken as both factors, and as the carried action,
+    which commutes with the left one only when the group is abelian."""
+    _, graph, group = drawn
+    act = GraphAction(group, graph, group.elements)
+    assert twisted_product(act, act) == product_quotient(act, act)
+    try:
+        want = product_quotient(act, act, act)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            twisted_product(act, act, act)
+        assert str(got.value) == str(err)
+    else:
+        assert twisted_product(act, act, act) == want
 
 
 @settings(deadline=None, max_examples=200)

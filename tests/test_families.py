@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from homlab.actions import GraphAction, is_free, make_group, z2_group
+from homlab.actions import (GraphAction, is_free, make_group,
+                            symmetric_group, twisted_product, z2_group)
 from homlab.families import (_HEXAGON, cross_polytope_complex, csorba_graph,
                              cycle_face_poset, equivariant_coloring_step,
                              iterated_mycielski, mycielski, spherical_graph,
@@ -23,10 +24,14 @@ from homlab.homposets import hom_poset
 from homlab.homology import poset_homology
 from homlab.limits import DEFAULT_GUARDS, GRAPH_VERTICES, GuardExceeded
 from homlab.posets import atom_graph, make_complex
-from test_actions import action_violation
+from test_actions import action_violation, product_quotient
 
 K2, K3, K4 = complete_graph(2), complete_graph(3), complete_graph(4)
 SQUARE = make_complex(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+HEXAGON = make_complex(6, [(i, (i + 1) % 6) for i in range(6)])
+OCTAHEDRON = make_complex(6, [(a, b, c) for a in (0, 1) for b in (2, 3)
+                              for c in (4, 5)])
+SIX_POINTS = make_complex(6, [(i,) for i in range(6)])
 
 
 def flip_action():
@@ -48,25 +53,33 @@ def triangular_prism():
 # subdivided cross polytopes and polygon posets
 
 
+def face_counts(p):
+    """Faces of the complex whose face poset is ``p``, by vertex count: a
+    face is a payload tuple of vertices, or of the chain's elements after
+    a subdivision.  The vertices are the atoms."""
+    _, atoms = atom_graph(p)
+    counts = {}
+    for face in p.elements:
+        counts[len(face)] = counts.get(len(face), 0) + 1
+    assert counts[1] == len(atoms)
+    return counts
+
+
 def test_cross_polytope_shapes():
     sq = cross_polytope_complex(1, 0)
-    assert sq.complex.n == 4
-    assert len(sq.complex.all_faces()) == 8  # 4 vertices + 4 edges
+    assert face_counts(sq.poset) == {1: 4, 2: 4}
     ag, _ = atom_graph(sq.poset)
     assert is_isomorphic(ag, reflexive_cycle(4))
 
     octagon = cross_polytope_complex(1, 1)
-    assert octagon.complex.n == 8
+    assert face_counts(octagon.poset) == {1: 8, 2: 8}
     assert octagon.poset.m == 16
     ag8, _ = atom_graph(octagon.poset)
     assert is_isomorphic(ag8, reflexive_cycle(8))
 
     octa = cross_polytope_complex(2, 0)
-    faces = octa.complex.all_faces()
-    by_size = sorted(faces, key=len)
-    counts = {s: sum(1 for f in faces if len(f) == s) for s in (1, 2, 3)}
-    assert counts == {1: 6, 2: 12, 3: 8}
-    assert len(by_size) == 26
+    assert face_counts(octa.poset) == {1: 6, 2: 12, 3: 8}
+    assert octa.poset.m == 26
 
     with pytest.raises(ValueError):
         cross_polytope_complex(-1, 0)
@@ -393,9 +406,14 @@ def test_csorba_square():
     assert is_isomorphic(g, spherical_graph(1, 1).graph)
 
 
+def test_csorba_octahedron_is_s21():
+    g = csorba_graph(OCTAHEDRON, tuple(v ^ 1 for v in range(6)))
+    assert (g.n, len(g.edges())) == (26, 85)
+    assert is_isomorphic(g, spherical_graph(2, 1).graph)
+
+
 def test_csorba_hexagon_circle():
-    hexagon = make_complex(6, [(i, (i + 1) % 6) for i in range(6)])
-    g = csorba_graph(hexagon, tuple((i + 3) % 6 for i in range(6)))
+    g = csorba_graph(HEXAGON, tuple((i + 3) % 6 for i in range(6)))
     assert g.n == 12 and g.is_loopless()
     h = poset_homology(hom_poset(K2, g).poset)
     assert h.is_sphere(1)
@@ -423,8 +441,7 @@ def test_csorba_face_guard_stops_at_the_limit():
 
 
 def test_universality_six_points():
-    pts = make_complex(6, [(i,) for i in range(6)])
-    u = universality_graph(pts, 3, "regular")
+    u = universality_graph(SIX_POINTS, 3, "regular")
     assert is_isomorphic(u, K3)
     p = hom_poset(K3, u).poset
     assert p.m == 6
@@ -443,3 +460,97 @@ def test_universality_rejections():
     ident = tuple(range(6))
     with pytest.raises(ValueError, match="not free"):
         universality_graph(pts, 3, [ident] * 6)
+
+
+S3 = symmetric_group(3)
+S3_R, S3_S = S3.elements.index((1, 2, 0)), S3.elements.index((1, 0, 2))
+
+
+def free_s3_complex():
+    """The graph X on S3 x {0,1} with edges (g,0)-(g,1), (g,0)-(gr,0) and
+    (g,0)-(gs,1), for the 3-cycle r and the transposition s above, as a
+    complex: vertex (g,l) is g + 6l.  S3 acts freely by left multiplication
+    on the first factor, and inverts no edge."""
+    edges = [e for g in range(6) for e in ((g, g + 6), (g, S3.mul(g, S3_R)),
+                                           (g, S3.mul(g, S3_S) + 6))]
+    maps = [tuple(S3.mul(h, g) + 6 * level for level in (0, 1)
+                  for g in range(6)) for h in range(6)]
+    return make_complex(12, edges), maps
+
+
+def test_universality_free_s3_complex():
+    x, maps = free_s3_complex()
+    assert len(x.all_faces()) == 12 + 18
+    u = universality_graph(x, 3, maps)
+    assert (u.n, len(u.edges())) == (69, 213)
+    # the Cayley graph of S3 on {r, s}: a conjugate of s inverts each s-edge
+    cayley = make_complex(6, [(g, S3.mul(g, t)) for g in range(6)
+                              for t in (S3_R, S3_S)])
+    with pytest.raises(ValueError, match="the action is not free"):
+        universality_graph(cayley, 3, "regular")
+
+
+def _coloring_tower():
+    act, coloring = flip_action(), (0, 1)
+    for k in (1, 2, 3):
+        ec = equivariant_coloring_step(act, coloring, k - 1, 3)
+        act, coloring = ec.twisted.right_action, ec.coloring
+
+
+def _free_s3_universality():
+    x, maps = free_s3_complex()
+    universality_graph(x, 3, maps)
+
+
+def _subdivision(sphere):
+    subdivision_coloring(sphere.poset, sphere.antipodal)
+
+
+def _c5_coloring_step():
+    refl = GraphAction(z2_group(), cycle_graph(5),
+                       (tuple(range(5)), tuple((5 - i) % 5 for i in range(5))))
+    equivariant_coloring_step(refl, (2, 1, 0, 1, 0), 1, 3)
+
+
+# Every twisted-product construction the tests and the registry build.
+TWISTED_FAMILIES = {
+    **{f"T({k},{m})": (lambda k=k, m=m: twisted_toroidal(k, m))
+       for k, m in ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3),
+                    (2, 4), (2, 5), (2, 7))},
+    **{f"S({k},{m})": (lambda k=k, m=m: spherical_graph(k, m))
+       for k, m in ((0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0),
+                    (2, 1))},
+    "csorba(square)": lambda: csorba_graph(SQUARE, (1, 0, 3, 2)),
+    "csorba(4-cycle)": lambda: csorba_graph(
+        make_complex(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), (2, 3, 0, 1)),
+    "csorba(hexagon)": lambda: csorba_graph(
+        HEXAGON, tuple((i + 3) % 6 for i in range(6))),
+    "csorba(octahedron)": lambda: csorba_graph(
+        OCTAHEDRON, tuple(v ^ 1 for v in range(6))),
+    "univ(6 points,3)": lambda: universality_graph(SIX_POINTS, 3, "regular"),
+    "univ(free S3 complex,3)": _free_s3_universality,
+    "subdivision(square)": lambda: _subdivision(cross_polytope_complex(1, 0)),
+    "subdivision(octahedron)": lambda: _subdivision(
+        cross_polytope_complex(2, 0)),
+    "subdivision(hexagon)": lambda: _subdivision(cycle_face_poset(3)),
+    "coloring(T(1..3,3))": _coloring_tower,
+    "coloring(T(1,5))": lambda: equivariant_coloring_step(
+        flip_action(), (0, 1), 0, 5),
+    "coloring(C5 x C6)": _c5_coloring_step,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_FAMILIES))
+def test_family_twisted_products_equal_the_product_quotient(name,
+                                                            monkeypatch):
+    built = []
+
+    def checked(*args):
+        tw = twisted_product(*args)
+        assert tw == product_quotient(*args)
+        built.append(tw.graph.n)
+        return tw
+
+    monkeypatch.setattr("homlab.families.twisted_product", checked)
+    TWISTED_FAMILIES[name]()
+    assert built

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from homlab.actions import left_regular_maps, symmetric_group
 from homlab.cli import main, parse_graph_id
 from homlab.graphs import (complete_graph, cycle_graph, graph_to_json,
                            is_isomorphic, looped_path, reflexive_cycle)
@@ -19,6 +20,7 @@ from homlab.harness import (Cache, CacheCorrupt, EXPERIMENTS, Experiment,
 from homlab.homposets import hom_poset
 from homlab.homology import hom_homology, poset_homology
 from homlab.limits import DEFAULT_GUARDS, GRAPH_VERTICES, GuardExceeded
+from homlab.posets import poset_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +145,42 @@ def test_cache_hit_still_enforces_element_guard(tmp_path):
     cold = run_experiment("csorba-square", tight)
     assert warm.outcome == cold.outcome == "skipped (guard)"
     assert warm.measured == cold.measured and warm.cache_hits == 1
+
+
+def test_poset_cache_hit_still_enforces_chain_guard(tmp_path):
+    assert run_experiment("equivariant-poset-maps",
+                          cache=Cache(tmp_path)).outcome == "pass"
+    tight = {"chain_elements": 5}
+    warm = run_experiment("equivariant-poset-maps", tight,
+                          cache=Cache(tmp_path))
+    cold = run_experiment("equivariant-poset-maps", tight)
+    assert warm.outcome == cold.outcome == "skipped (guard)"
+    assert warm.measured == cold.measured and warm.cache_hits == 1
+    assert "chain_elements" in warm.measured
+
+
+def test_poset_homology_entry_holds_its_chain_count(tmp_path):
+    p = hom_poset(complete_graph(2), complete_graph(3)).poset  # a hexagon
+    fresh = poset_homology(p)
+    cache = Cache(tmp_path)
+    # an entry without a chain count, under the key it was written with,
+    # is never read: the key now names a different kind
+    old_key = content_key({"kind": "poset-homology", "field": "Z",
+                           "poset": poset_to_json(p)})
+    assert homology_cache_key(p, "Z") != old_key
+    cache.store(old_key, "homology", [canonical_json(fresh.to_json())])
+    assert cached_poset_homology(p, cache=cache) == fresh
+    assert cache.hits == 0 and cache.misses == 1
+    assert cache.load(homology_cache_key(p, "Z"), "homology") == [
+        "24", canonical_json(fresh.to_json())]  # its 12-gon subdivision
+    exact = DEFAULT_GUARDS.scaled(chain_elements=24)
+    assert cached_poset_homology(p, "Z", exact, cache) == fresh
+    tight = DEFAULT_GUARDS.scaled(chain_elements=23)
+    with pytest.raises(GuardExceeded) as warm:
+        cached_poset_homology(p, "Z", tight, cache)
+    with pytest.raises(GuardExceeded) as cold:
+        cached_poset_homology(p, "Z", tight, Cache())
+    assert str(warm.value) == str(cold.value)
 
 
 def test_hom_homology_cache_round_trip(tmp_path):
@@ -483,6 +521,36 @@ def test_parse_graph_id_files(tmp_path):
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps(graph_to_json(cycle_graph(5))))
     assert is_isomorphic(parse_graph_id(f"@{plain}"), cycle_graph(5))
+
+
+def test_complex_files_refuse_vertex_maps_of_the_wrong_length(tmp_path,
+                                                              capsys):
+    square = {"n": 4, "facets": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+    points = {"n": 6, "facets": [[i] for i in range(6)]}
+    regular = [list(p) for p in left_regular_maps(symmetric_group(3))]
+    files = {
+        "short.json": ("csorba", {"complex": square, "involution": [1, 0]}),
+        "long.json": ("csorba", {"complex": square,
+                                 "involution": [2, 3, 0, 1, 5]}),
+        "univ-short.json": ("univ", {"complex": points,
+                                     "maps": [p[:5] for p in regular]}),
+        "univ-long.json": ("univ", {"complex": points,
+                                    "maps": [p + [6] for p in regular]}),
+    }
+    for name, (kind, data) in files.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        ident = f"csorba({path})" if kind == "csorba" else f"univ({path},3)"
+        assert main(["construct", ident]) == 2
+        assert "is not a permutation" in capsys.readouterr().err
+    good = tmp_path / "square.json"
+    good.write_text(json.dumps({"complex": square,
+                                "involution": [2, 3, 0, 1]}))
+    assert main(["construct", f"csorba({good})"]) == 0
+    assert "vertices=8" in capsys.readouterr().out
+    good.write_text(json.dumps({"complex": points, "maps": regular}))
+    assert main(["construct", f"univ({good},3)"]) == 0
+    assert "vertices=3" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

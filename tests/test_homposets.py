@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from homlab.actions import (GraphAction, make_group, quotient_graph_by_action,
-                            twisted_product, z2_group)
+                            z2_group)
 from homlab.families import (csorba_graph, cycle_face_poset, mycielski,
                              spherical_graph, twisted_toroidal)
 from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
@@ -536,12 +536,13 @@ def test_adjunction_equivariance():
     """phi commutes with the induced actions on both sides."""
     k2, k3 = complete_graph(2), complete_graph(3)
     h = reflexive_cycle(4)
-    t_flip = z2_graph_action(k2, (1, 0))
-    h_anti = z2_graph_action(h, (2, 3, 0, 1))
+    anti = (2, 3, 0, 1)
+    h_anti = z2_graph_action(h, anti)
     rep = adjunction_report(k2, h, k3)
-    tw = twisted_product(t_flip, h_anti)
-    act_prod = induced_hom_action(rep.hom_product,
-                                  source_action=tw.diagonal)
+    # the diagonal action on K2 x H: flip the edge and turn H half way
+    diagonal = z2_graph_action(product(k2, h), [(1 - x // 4) * 4 + anti[x % 4]
+                                                for x in range(8)])
+    act_prod = induced_hom_action(rep.hom_product, source_action=diagonal)
     # the flip acts on K3^K2 by (f0, f1) -> (f1, f0)
     emaps = list(itertools.product(range(3), repeat=2))
     e_act = z2_graph_action(exponential(k2, k3),
