@@ -8,17 +8,18 @@ one in a twisted product, is stored as the left action g^-1 . x.
 `GraphAction` and `PosetAction` check on construction, in one function,
 that they are actions by automorphisms, so every action passed around,
 transported or induced is valid and nothing checks it again.
-Orbit representatives and quotient labels always use the minimum index,
-so every quotient object is reproducible.
+Every quotient numbers orbits by one rule, `_orbit_labels`: walking the
+points in index order, each orbit takes the next label when its lowest
+point is reached, so every quotient object is reproducible.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .graphs import Graph, Partition, bfs_dist, bits, permute_mask, quotient
+from .graphs import Graph, _blocks, bfs_dist, bits, permute_mask, quotient
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, atom_graph, chain_poset, enumerate_poset_maps,
                      induced_subposet, map_poset)
@@ -182,27 +183,31 @@ def is_strongly_regular(a: PosetAction) -> bool:
     return True
 
 
+def _orbit_labels(n: int, orbit: Callable[[int], Iterable[int]]
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The orbit label of every point of 0..n-1 and the lowest point of
+    every orbit: walking the points in index order, the orbit of the first
+    unlabelled point takes the next label.  ``orbit(v)`` lists v's orbit."""
+    labels = [-1] * n
+    lowest: list[int] = []
+    for v in range(n):
+        if labels[v] < 0:
+            for w in orbit(v):
+                labels[w] = len(lowest)
+            lowest.append(v)
+    return tuple(labels), tuple(lowest)
+
+
+def orbit_of(a: Action) -> tuple[int, ...]:
+    """The orbit label of every point.  The maps list every group element,
+    so v's orbit is its images, with no closure search."""
+    return _orbit_labels(len(a.maps[0]),
+                         lambda v: [mp[v] for mp in a.maps])[0]
+
+
 def orbits(a: Action) -> tuple[tuple[int, ...], ...]:
     """Orbit blocks, each ascending, sorted by minimum member."""
-    n = len(a.maps[0])
-    seen = [False] * n
-    out = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        block = []
-        stack = [v]
-        seen[v] = True
-        while stack:
-            u = stack.pop()
-            block.append(u)
-            for mp in a.maps:
-                w = mp[u]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        out.append(tuple(sorted(block)))
-    return tuple(out)
+    return _blocks(orbit_of(a))
 
 
 def is_d_discontinuous(a: GraphAction, d: int) -> bool:
@@ -271,7 +276,7 @@ class PosetQuotient:
 
 
 def quotient_graph_by_action(a: GraphAction) -> Graph:
-    return quotient(a.graph, Partition.from_blocks(a.graph.n, orbits(a)))
+    return quotient(a.graph, orbit_of(a))
 
 
 def quotient_poset_by_action(a: PosetAction) -> PosetQuotient:
@@ -287,14 +292,11 @@ def quotient_poset_by_action(a: PosetAction) -> PosetQuotient:
     homotopy-faithful).
     """
     p = a.poset
-    orbs = orbits(a)
-    to_block = [0] * p.m
-    for i, b in enumerate(orbs):
-        for v in b:
-            to_block[v] = i
+    to_block = orbit_of(a)
+    orbs = _blocks(to_block)
     above = tuple(permute_mask(p.above[b[0]], to_block) for b in orbs)
     quot = Poset(len(orbs), above, orbs)
-    return PosetQuotient(quot, orbs, tuple(to_block),
+    return PosetQuotient(quot, orbs, to_block,
                          is_free(a) and is_strongly_regular(a))
 
 
@@ -324,11 +326,12 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
 
     `t_act` is the right action t.g on T, stored as the left action
     g^-1 . t, and `h_act` the left action on H.  The quotient is built on
-    orbit representatives, without building T x H: walking the pairs in
-    index order, each orbit takes the next vertex when its lowest pair is
-    reached, and a representative's row holds the orbits of its neighbours
-    in T x H.  Both actions are by automorphisms, so the diagonal one is
-    too, and one member decides the row of its whole orbit.
+    orbit representatives, without building T x H: pair (a,b) is point
+    a*|H| + b, `_orbit_labels` numbers its orbit from the diagonal images
+    of the pair, and a representative's row holds the orbits of its
+    neighbours in T x H.  Both actions are by automorphisms, so the
+    diagonal one is too, and one member decides the row of its whole
+    orbit.
 
     A right action on H commuting with `h_act`, stored the same way,
     descends to the quotient and is returned as the carried right action.
@@ -339,14 +342,10 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
     g = t_act.group
     t, h = t_act.graph, h_act.graph
     nh = h.n
-    orbit_of = [-1] * (t.n * nh)
-    pairs = []
-    for a in range(t.n):
-        for b in range(nh):
-            if orbit_of[a * nh + b] < 0:
-                for tm, hm in zip(t_act.maps, h_act.maps):
-                    orbit_of[tm[a] * nh + hm[b]] = len(pairs)
-                pairs.append((a, b))
+    maps = tuple(zip(t_act.maps, h_act.maps))
+    orbit_of, lowest = _orbit_labels(t.n * nh, lambda x: [
+        tm[x // nh] * nh + hm[x % nh] for tm, hm in maps])
+    pairs = tuple(divmod(x, nh) for x in lowest)
     rows = []
     for a, b in pairs:
         hb = list(bits(h.adj[b]))
@@ -373,7 +372,7 @@ def twisted_product(t_act: GraphAction, h_act: GraphAction,
         carried = GraphAction(g, graph, tuple(
             tuple(orbit_of[a * nh + rm[b]] for a, b in pairs)
             for rm in h_right.maps))
-    return TwistedProduct(graph, g, tuple(pairs), tuple(orbit_of), carried)
+    return TwistedProduct(graph, g, pairs, orbit_of, carried)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .actions import (GraphAction, PosetAction, TwistedProduct,
                       atom_graph_action, face_poset_action, is_free,
                       left_regular_maps, orbits, symmetric_group,
                       twisted_product, z2_group)
-from .graphs import (Graph, Partition, check_homomorphism, complete_graph,
+from .graphs import (Graph, check_homomorphism, complete_graph,
                      looped_path, product, quotient, reflexive_cycle)
 from .limits import DEFAULT_GUARDS, Guards, check_graph_vertices
 from .posets import (Poset, SimplicialComplex, atom_graph, chain_poset,
@@ -191,10 +191,8 @@ def mycielski(g: Graph, m: int) -> Graph:
         raise ValueError("Mycielski construction needs m >= 1")
     if g.n == 0:
         raise ValueError("Mycielski construction needs a nonempty graph")
-    prod = product(looped_path(m), g)
-    blocks = [[i] for i in range(m * g.n)]
-    blocks.append(list(range(m * g.n, (m + 1) * g.n)))
-    return quotient(prod, Partition.from_blocks(prod.n, blocks))
+    return quotient(product(looped_path(m), g),
+                    (*range(m * g.n), *[m * g.n] * g.n))
 
 
 def iterated_mycielski(g: Graph, m: int, k: int) -> Graph:

@@ -25,7 +25,6 @@ from .limits import (DEFAULT_GUARDS, GuardExceeded, Guards,
 
 __all__ = [
     "Graph",
-    "Partition",
     "GraphStats",
     "complete_graph",
     "cycle_graph",
@@ -140,43 +139,6 @@ class Graph:
         return self.looped_mask == 0
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Partition of 0..n-1 into blocks, canonicalized by minimum member."""
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = [False] * self.n
-        for b in self.blocks:
-            if not b:
-                raise ValueError("empty block")
-            if tuple(sorted(b)) != b:
-                raise ValueError("block not sorted")
-            for v in b:
-                if not (0 <= v < self.n) or seen[v]:
-                    raise ValueError("not a partition")
-                seen[v] = True
-        if not all(seen):
-            raise ValueError("partition misses vertices")
-        if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
-            raise ValueError("blocks not sorted by minimum")
-
-    @staticmethod
-    def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
-        bs = sorted(tuple(sorted(b)) for b in blocks)
-        return Partition(n, tuple(bs))
-
-    @cached_property
-    def block_of(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for i, b in enumerate(self.blocks):
-            for v in b:
-                out[v] = i
-        return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # standard constructions
 
@@ -259,19 +221,32 @@ def exponential_vertex_maps(g: Graph, h: Graph) -> list[tuple[int, ...]]:
     return list(itertools.product(range(h.n), repeat=g.n))
 
 
-def quotient(g: Graph, part: Partition) -> Graph:
-    """Quotient graph: blocks adjacent iff some members are adjacent."""
-    if part.n != g.n:
-        raise ValueError("partition size mismatch")
-    k = len(part.blocks)
-    block_of = part.block_of
-    adj = [0] * k
+def _blocks(block_of: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The members of each label 0..k-1 of a block labelling, ascending."""
+    k = max(block_of, default=-1) + 1
+    blocks: list[list[int]] = [[] for _ in range(k)]
+    for v, b in enumerate(block_of):
+        if b < 0:
+            raise ValueError("negative block label")
+        blocks[b].append(v)
+    if not all(blocks):
+        raise ValueError("block labelling skips a label")
+    return tuple(map(tuple, blocks))
+
+
+def quotient(g: Graph, block_of: Sequence[int]) -> Graph:
+    """Quotient graph by the labelling 0..k-1 of g's vertices: blocks are
+    adjacent iff some members are adjacent."""
+    if len(block_of) != g.n:
+        raise ValueError("block labelling size mismatch")
+    blocks = _blocks(block_of)
+    adj = [0] * len(blocks)
     for u in range(g.n):
         bu = block_of[u]
         for v in bits(g.adj[u]):
             adj[bu] |= 1 << block_of[v]
-    labels = tuple("{" + ",".join(g.labels[v] for v in b) + "}" for b in part.blocks)
-    return Graph(k, tuple(adj), labels)
+    labels = tuple("{" + ",".join(g.labels[v] for v in b) + "}" for b in blocks)
+    return Graph(len(blocks), tuple(adj), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@ table, JSON, or CSV with the header ``id,pass,expected,measured,seconds``.
 
 Hom homology (on the cellular complex of the Hom poset) and poset homology
 results can persist in a content-addressed cache: keys are SHA-256 digests
-of the canonical JSON of the inputs, file bodies are JSON lines, a header
-digest detects corruption, and a hit is refused unless it holds a result
-over the requested field.  Hom posets are not cached: enumerating one is
+of the canonical JSON of the inputs and the guards, an entry is the result
+alone, a header digest detects corruption, and a hit is refused unless it
+holds a result over the requested field.  A result under given guards is
+exact or a ``GuardExceeded``, so keying on the guards makes a warm call
+return or raise what the cold one does; a call under other guards misses
+and recomputes.  Hom posets are not cached: enumerating one is
 faster than decoding it.  The cache directory is an explicit path; without
 one, every computation runs fresh.  Nothing here reads the environment:
 guards, cache and report directory are all passed in.
@@ -46,10 +49,9 @@ from .graphs import (Graph, bits, check_homomorphism, chromatic_number,
                      exponential, graph_to_json, is_fine, is_isomorphic,
                      looped_path, odd_girth, product, reflexive_closure,
                      reflexive_cycle)
-from .homology import (HomologyResult, chain_complex, chain_complex_of_poset,
-                       chain_homology, closure_reduce, hom_homology,
-                       homology_from_json, homology_of_complex,
-                       klein_bottle_complex, simplex_boundary,
+from .homology import (HomologyResult, chain_complex, closure_reduce,
+                       hom_homology, homology_from_json, homology_of_complex,
+                       klein_bottle_complex, poset_homology, simplex_boundary,
                        suspension_check, torus_complex)
 from .homposets import (HomPoset, adjunction_report, hom_poset,
                         induced_hom_action, loop_addition_maps,
@@ -176,9 +178,13 @@ class Cache:
         return lines
 
 
-def hom_cache_key(g: Graph, h: Graph, field_name: str) -> str:
-    """Key of the entry holding the homology of Hom(g,h) over a field."""
-    return content_key({"kind": "hom-cell-homology", "field": field_name,
+def hom_cache_key(g: Graph, h: Graph, field_name: str,
+                  guards: Guards) -> str:
+    """Key of the entry holding the homology of Hom(g,h) over a field,
+    computed under ``guards``.  Every guard field is an int, so ``vars``
+    gives what ``asdict`` would, without its deep copy."""
+    return content_key({"kind": "guarded-hom-homology", "field": field_name,
+                        "guards": vars(guards),
                         "source": graph_to_json(g),
                         "target": graph_to_json(h)})
 
@@ -190,68 +196,50 @@ def cached_hom_poset(g: Graph, h: Graph,
     return hom_poset(g, h, guards)
 
 
-def _load_homology(cache: Cache, key: str, entry: str, field_name: str,
-                   guard: str, limit: int) -> Optional[HomologyResult]:
-    """The cached result, or None on a miss.
-
-    Every homology entry stores the cell count of its chain complex next
-    to the result: Hom elements for a Hom entry, chains for a poset entry.
-    So a hit enforces the guard on that count exactly as a cold call does,
-    without building anything.
-    """
+def _load_homology(cache: Cache, key: str,
+                   field_name: str) -> Optional[HomologyResult]:
+    """The cached result, or None on a miss."""
     lines = cache.load(key, "homology")
     if lines is None:
         return None
     try:
-        count_line, line = lines
-        count = count_from_json(json.loads(count_line), "cell count")
-        res = homology_from_json(json.loads(line), field_name)
+        (line,) = lines
+        return homology_from_json(json.loads(line), field_name)
     except (KeyError, TypeError, ValueError) as exc:
         raise CacheCorrupt(
-            f"malformed {entry} homology entry {key}: {exc!r}") from None
-    if count > limit:
-        raise GuardExceeded(guard, limit, limit + 1)
-    return res
-
-
-def _store_homology(cache: Cache, key: str, count: int,
-                    res: HomologyResult) -> None:
-    cache.store(key, "homology", [canonical_json(count),
-                                  canonical_json(res.to_json())])
+            f"malformed homology entry {key}: {exc!r}") from None
 
 
 def cached_hom_homology(g: Graph, h: Graph, field_name: str = "Z",
                         guards: Guards = DEFAULT_GUARDS,
                         cache: Cache = Cache()) -> HomologyResult:
-    """Cellular homology of Hom(g,h), cached by (source, target, field);
-    a hit enforces the hom_elements guard."""
-    key = hom_cache_key(g, h, field_name)
-    res = _load_homology(cache, key, "Hom", field_name, "hom_elements",
-                         guards.hom_elements)
+    """Cellular homology of Hom(g,h), cached by (source, target, field,
+    guards)."""
+    key = hom_cache_key(g, h, field_name, guards)
+    res = _load_homology(cache, key, field_name)
     if res is None:
-        hp = hom_poset(g, h, guards)
-        res = hom_homology(hp, field_name, guards)
-        _store_homology(cache, key, hp.m, res)
+        res = hom_homology(hom_poset(g, h, guards), field_name, guards)
+        cache.store(key, "homology", [canonical_json(res.to_json())])
     return res
 
 
-def homology_cache_key(p: Poset, field_name: str) -> str:
-    return content_key({"kind": "poset-chain-homology", "field": field_name,
+def homology_cache_key(p: Poset, field_name: str, guards: Guards) -> str:
+    """Key of the entry holding the order-complex homology of p over a
+    field, computed under ``guards``."""
+    return content_key({"kind": "guarded-poset-homology",
+                        "field": field_name, "guards": vars(guards),
                         "poset": poset_to_json(p)})
 
 
 def cached_poset_homology(p: Poset, field_name: str = "Z",
                           guards: Guards = DEFAULT_GUARDS,
                           cache: Cache = Cache()) -> HomologyResult:
-    """Order-complex homology of p, cached by (poset, field); a hit
-    enforces the chain_elements guard."""
-    key = homology_cache_key(p, field_name)
-    res = _load_homology(cache, key, "poset", field_name, "chain_elements",
-                         guards.chain_elements)
+    """Order-complex homology of p, cached by (poset, field, guards)."""
+    key = homology_cache_key(p, field_name, guards)
+    res = _load_homology(cache, key, field_name)
     if res is None:
-        cc = chain_complex_of_poset(p, guards)
-        res = chain_homology(cc, field_name, guards)
-        _store_homology(cache, key, sum(cc.counts()), res)
+        res = poset_homology(p, field_name, guards)
+        cache.store(key, "homology", [canonical_json(res.to_json())])
     return res
 
 

@@ -475,22 +475,22 @@ def homology_gf2(cc: ChainComplex,
     return _reduced_homology(cc, "GF2", guards)
 
 
-def chain_homology(cc: ChainComplex, field_name: str,
-                   guards: Guards) -> HomologyResult:
+def _chain_homology(cc: ChainComplex, field_name: str,
+                    guards: Guards) -> HomologyResult:
     return homology_integral(cc, guards) if field_name == "Z" \
         else homology_gf2(cc, guards)
 
 
 def homology_of_complex(x: SimplicialComplex, field_name: str = "Z",
                         guards: Guards = DEFAULT_GUARDS) -> HomologyResult:
-    return chain_homology(chain_complex(x, guards), field_name, guards)
+    return _chain_homology(chain_complex(x, guards), field_name, guards)
 
 
 def poset_homology(p: Poset, field_name: str = "Z",
                    guards: Guards = DEFAULT_GUARDS) -> HomologyResult:
     """Homology of the order complex of any poset (one generator per chain)."""
-    return chain_homology(chain_complex_of_poset(p, guards), field_name,
-                          guards)
+    return _chain_homology(chain_complex_of_poset(p, guards), field_name,
+                           guards)
 
 
 def hom_homology(hp: HomPoset, field_name: str = "Z",
@@ -500,7 +500,7 @@ def hom_homology(hp: HomPoset, field_name: str = "Z",
     Hom(G,H) is the face poset of that complex, so this equals
     ``poset_homology(hp.poset)``, without materializing the order.
     """
-    return chain_homology(chain_complex_of_hom(hp), field_name, guards)
+    return _chain_homology(chain_complex_of_hom(hp), field_name, guards)
 
 
 def homology_connectivity(h: HomologyResult):

@@ -22,11 +22,11 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .actions import (GraphAction, PosetAction, is_free,
-                      is_strongly_regular, orbits, quotient_graph_by_action,
+                      is_strongly_regular, orbit_of,
                       quotient_poset_by_action, PosetQuotient)
-from .graphs import (Graph, Partition, _hom_search, bits, exponential,
+from .graphs import (Graph, _hom_search, bits, exponential,
                      exponential_vertex_maps, is_fine, nu_mask, one_graph,
-                     permute_mask, product, reflexive_closure)
+                     permute_mask, product, quotient, reflexive_closure)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, PosetMap, atom_graph, chain_poset,
                      enumerate_poset_maps, iter_chains, pointwise_poset)
@@ -649,7 +649,7 @@ class QuotientCompare:
     free: bool
     strongly_regular: bool
     iso: bool
-    map: PosetMap                        # Hom(T,G)/action -> Hom(T, G/action)
+    image: tuple[int, ...]               # Hom(T,G)/action -> Hom(T, G/action)
     rank_preserved: bool
     warning: Optional[str]
     hom_source: HomPoset
@@ -694,9 +694,8 @@ def quotient_compare(t: Graph, g: Graph, act: GraphAction,
     free = is_free(pact)
     regular = is_strongly_regular(pact)
     quot = quotient_poset_by_action(pact)
-    gq = quotient_graph_by_action(act)
-    block_of = Partition(g.n, orbits(act)).block_of
-    hom_q = hom_poset(t, gq, guards)
+    block_of = orbit_of(act)
+    hom_q = hom_poset(t, quotient(act.graph, block_of), guards)
     image = []
     for block in quot.blocks:
         e = hom_s.elements[block[0]]
@@ -705,7 +704,6 @@ def quotient_compare(t: Graph, g: Graph, act: GraphAction,
         if j is None:
             raise ValueError("projected element is not a multihomomorphism")
         image.append(j)
-    pmap = PosetMap(quot.poset, hom_q.poset, tuple(image))
     bij = len(set(image)) == len(image) and len(image) == hom_q.m
     iso = bij and all(quot.poset.leq(i, j) == hom_q.leq(image[i], image[j])
                       for i in range(quot.poset.m)
@@ -721,7 +719,7 @@ def quotient_compare(t: Graph, g: Graph, act: GraphAction,
                    f"image under element {i} in {ln} steps; "
                    "comparison computed anyway")
     return QuotientCompare(hypothesis_ok, lengths, violation, free, regular,
-                           iso, pmap, rank_preserved, warning,
+                           iso, tuple(image), rank_preserved, warning,
                            hom_s, hom_q, quot)
 
 

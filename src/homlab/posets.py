@@ -212,14 +212,14 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max((len(f) for f in self.facets), default=0) - 1
 
-    def all_faces(self, limit: Optional[int] = None) -> list[tuple[int, ...]]:
+    def all_faces(self, limit: int) -> list[tuple[int, ...]]:
         """Every nonempty face, sorted by (dimension, vertex tuple)."""
         seen = set()
         for f in self.facets:
             for r in range(1, len(f) + 1):
                 for sub in itertools.combinations(f, r):
                     seen.add(sub)
-                    if limit is not None and len(seen) > limit:
+                    if len(seen) > limit:
                         raise GuardExceeded("complex_faces", limit, len(seen))
         return sorted(seen, key=lambda t: (len(t), t))
 
@@ -243,14 +243,14 @@ def make_complex(n: int, faces: Sequence[Sequence[int]]) -> SimplicialComplex:
 # chains and the face/chain posets
 
 
-def iter_chains(p: Poset, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+def iter_chains(p: Poset, limit: int) -> Iterator[tuple[int, ...]]:
     """All nonempty chains of p, each exactly once, as ascending-in-p tuples."""
     count = 0
     stack = [(i,) for i in range(p.m - 1, -1, -1)]
     while stack:
         chain = stack.pop()
         count += 1
-        if limit is not None and count > limit:
+        if count > limit:
             raise GuardExceeded("chain_elements", limit, count)
         yield chain
         ext = p.above[chain[-1]] & ~(1 << chain[-1])
@@ -258,7 +258,7 @@ def iter_chains(p: Poset, limit: Optional[int] = None) -> Iterator[tuple[int, ..
             stack.append(chain + (j,))
 
 
-def maximal_chains(p: Poset, limit: Optional[int] = None) -> list[tuple[int, ...]]:
+def maximal_chains(p: Poset, limit: int) -> list[tuple[int, ...]]:
     """Saturated bottom-to-top chains, ascending in p, sorted lexicographically."""
     out = []
     stack = [(i,) for i in bits(p.minimal_mask)]
@@ -267,7 +267,7 @@ def maximal_chains(p: Poset, limit: Optional[int] = None) -> list[tuple[int, ...
         cov = p.covers[chain[-1]]
         if not cov:
             out.append(chain)
-            if limit is not None and len(out) > limit:
+            if len(out) > limit:
                 raise GuardExceeded("chain_elements", limit, len(out))
         else:
             for j in bits(cov):

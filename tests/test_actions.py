@@ -1,7 +1,8 @@
 """Group actions: validation, orbits, quotients, twisted products,
 equivariant monotone maps.  Counting oracles are brute force.  The action
 axioms are checked against a test of every ordered pair of points
-(`action_violation`), the poset quotient against a transitive closure with
+(`action_violation`), orbits against a closure search under the maps
+(`closure_orbits`), the poset quotient against a transitive closure with
 merged classes (`closure_quotient`), the twisted product against the
 quotient of the whole product graph by its diagonal action
 (`product_quotient`)."""
@@ -20,15 +21,17 @@ from homlab.actions import (FiniteGroup, GraphAction, PosetAction,
                             equivariant_poset_maps, face_poset_action,
                             fixed_subposet, is_d_discontinuous, is_free,
                             is_strongly_regular, left_regular_maps,
-                            make_group, orbits, quotient_graph_by_action,
+                            make_group, orbit_of, orbits,
+                            quotient_graph_by_action,
                             quotient_poset_by_action, symmetric_group,
                             twisted_product, z2_group)
 from homlab.families import cycle_face_poset
-from homlab.graphs import (Graph, Partition, bits, complete_graph,
+from homlab import graphs
+from homlab.graphs import (Graph, bits, complete_graph,
                            cycle_graph, is_isomorphic, product, quotient,
                            reflexive_cycle)
 from homlab.homology import poset_homology
-from homlab.homposets import hom_poset, induced_hom_action
+from homlab.homposets import hom_poset, induced_hom_action, quotient_compare
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import (Poset, atom_graph, chain_poset,
                            enumerate_poset_maps, face_poset, from_leq_pairs,
@@ -88,6 +91,30 @@ def action_violation(a) -> Optional[str]:
     return None
 
 
+def closure_orbits(a) -> tuple[tuple[int, ...], ...]:
+    """The oracle for `orbits`: close each point under the maps, reading
+    nothing off the group.  Blocks ascending, sorted by minimum."""
+    n = len(a.maps[0])
+    seen = [False] * n
+    out = []
+    for v in range(n):
+        if seen[v]:
+            continue
+        block = []
+        stack = [v]
+        seen[v] = True
+        while stack:
+            u = stack.pop()
+            block.append(u)
+            for mp in a.maps:
+                w = mp[u]
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        out.append(tuple(sorted(block)))
+    return tuple(out)
+
+
 def product_quotient(t_act, h_act, h_right=None) -> TwistedProduct:
     """The oracle for `twisted_product`: build T x H, the diagonal action
     on it and its orbit partition, and take the quotient graph.  The
@@ -101,9 +128,13 @@ def product_quotient(t_act, h_act, h_right=None) -> TwistedProduct:
     diagonal = GraphAction(g, prod, tuple(
         tuple(tm[x // nh] * nh + hm[x % nh] for x in range(prod.n))
         for tm, hm in zip(t_act.maps, h_act.maps)))
-    part = Partition(prod.n, orbits(diagonal))
-    pairs = tuple((b[0] // nh, b[0] % nh) for b in part.blocks)
-    q = quotient(prod, part)
+    blocks = closure_orbits(diagonal)
+    block_of = [0] * prod.n
+    for i, b in enumerate(blocks):
+        for x in b:
+            block_of[x] = i
+    pairs = tuple((b[0] // nh, b[0] % nh) for b in blocks)
+    q = quotient(prod, block_of)
     graph = Graph(q.n, q.adj, tuple(f"[{a},{b}]" for a, b in pairs))
     carried = None
     if h_right is not None:
@@ -120,14 +151,14 @@ def product_quotient(t_act, h_act, h_right=None) -> TwistedProduct:
         for rm in h_right.maps:
             img = [-1] * q.n
             for x in range(prod.n):
-                u = part.block_of[x]
-                target = part.block_of[x // nh * nh + rm[x % nh]]
+                u = block_of[x]
+                target = block_of[x // nh * nh + rm[x % nh]]
                 if img[u] not in (-1, target):
                     raise ValueError("carried action is not well defined")
                 img[u] = target
             rmaps.append(tuple(img))
         carried = GraphAction(g, graph, tuple(rmaps))
-    return TwistedProduct(graph, g, pairs, part.block_of, carried)
+    return TwistedProduct(graph, g, pairs, tuple(block_of), carried)
 
 
 def closure_quotient(a) -> PosetQuotient:
@@ -136,7 +167,7 @@ def closure_quotient(a) -> PosetQuotient:
     transitively and merge mutually related orbits, so that any maps give
     a poset."""
     p = a.poset
-    orbs = orbits(a)
+    orbs = closure_orbits(a)
     k = len(orbs)
     omask = [sum(1 << v for v in b) for b in orbs]
     rel = [1 << i for i in range(k)]
@@ -654,3 +685,47 @@ def test_quotient_equals_the_closure_and_merge_quotient(drawn):
     _, poset, group = drawn
     act = PosetAction(group, poset, group.elements)
     assert quotient_poset_by_action(act) == closure_quotient(act)
+
+
+@settings(deadline=None, max_examples=200)
+@given(acting_groups(automorphic=True))
+def test_orbits_equal_the_closure_search(drawn):
+    cls, carrier, group = drawn
+    act = cls(group, carrier, group.elements)
+    want = closure_orbits(act)
+    assert orbits(act) == want
+    assert orbit_of(act) == tuple(next(i for i, b in enumerate(want) if v in b)
+                                  for v in range(len(group.elements[0])))
+
+
+def test_every_quotient_numbers_orbits_through_one_labelling(monkeypatch):
+    """`graphs.Partition` is gone, and each quotient reads its labels off
+    one `_orbit_labels` call per action it divides by."""
+    assert not hasattr(graphs, "Partition")
+    calls = []
+    labels = actions._orbit_labels
+
+    def counting_labels(n, orbit):
+        calls.append(n)
+        return labels(n, orbit)
+
+    monkeypatch.setattr(actions, "_orbit_labels", counting_labels)
+    c6 = reflexive_cycle(6)
+    antipodal = z2_action(c6, rotation(6, 3))
+    mirror = z2_action(c6, reflection(6))
+    flip = z2_action(complete_graph(2), (1, 0))
+    face = cycle_face_poset(3).antipodal
+    for run, want in ((lambda: orbits(antipodal), [6]),
+                      (lambda: quotient_graph_by_action(antipodal), [6]),
+                      (lambda: quotient_poset_by_action(face), [12]),
+                      (lambda: twisted_product(flip, antipodal, mirror),
+                       [12])):
+        calls.clear()
+        run()
+        assert calls == want
+    g = product(complete_graph(2), c6)
+    swap_turn = z2_action(g, tuple((1 - v // 6) * 6 + (v % 6 + 3) % 6
+                                   for v in range(12)))
+    calls.clear()
+    rep = quotient_compare(complete_graph(2), g, swap_turn)
+    assert calls == [rep.hom_source.m, g.n]

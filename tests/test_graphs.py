@@ -12,7 +12,6 @@ from homlab.cli import parse_graph_id
 from homlab.graphs import (
     INFINITE,
     Graph,
-    Partition,
     bits,
     check_homomorphism,
     chromatic_number,
@@ -131,9 +130,22 @@ def test_exponential_k2_k2():
 def test_quotient_collapse_gives_c5():
     # looped path 0-1-2 times K2, then collapse the far fibre {2} x V(K2)
     g = product(looped_path(2), complete_graph(2))
-    part = Partition.from_blocks(6, [[0], [1], [2], [3], [4, 5]])
-    q = quotient(g, part)
+    q = quotient(g, (0, 1, 2, 3, 4, 4))
     assert is_isomorphic(q, cycle_graph(5))
+    assert q.labels[4] == "{(2,0),(2,1)}"
+
+
+def test_quotient_refuses_a_bad_labelling():
+    g = cycle_graph(4)
+    with pytest.raises(ValueError, match="size mismatch"):
+        quotient(g, (0, 1, 2))
+    with pytest.raises(ValueError, match="skips a label"):
+        quotient(g, (0, 2, 0, 2))
+    with pytest.raises(ValueError, match="negative"):
+        quotient(g, (0, -1, 0, 1))
+    # labels need not follow the lowest members: block 0 is {2, 3}
+    q = quotient(g, (1, 1, 0, 0))
+    assert q.labels == ("{2,3}", "{0,1}") and q.adj == (0b11, 0b11)
 
 
 def test_find_homomorphism_basics():

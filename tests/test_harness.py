@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -86,16 +87,16 @@ def test_hom_posets_are_never_cached(tmp_path):
 def test_hom_cache_round_trip_is_bit_identical(tmp_path):
     g, h = complete_graph(2), complete_graph(4)
     fresh = hom_homology(hom_poset(g, h))
-    # the key an entry written before Hom posets left the cache still has
-    key = hom_cache_key(g, h, "Z")
-    assert key == content_key({"kind": "hom-cell-homology", "field": "Z",
+    key = hom_cache_key(g, h, "Z", DEFAULT_GUARDS)
+    assert key == content_key({"kind": "guarded-hom-homology", "field": "Z",
+                               "guards": asdict(DEFAULT_GUARDS),
                                "source": graph_to_json(g),
                                "target": graph_to_json(h)})
     assert cached_hom_homology(g, h, cache=Cache(tmp_path)) == fresh
     path = Cache(tmp_path).path_for(key)
     stored = path.read_bytes()
     assert stored.decode().splitlines()[1:] == [
-        "50", canonical_json(fresh.to_json())]
+        canonical_json(fresh.to_json())]
     cache = Cache(tmp_path)
     assert cached_hom_homology(g, h, cache=cache) == fresh
     assert cache.hits == 1 and cache.misses == 0
@@ -115,10 +116,10 @@ def test_homology_cache_round_trip(tmp_path):
 def test_cache_detects_tampering(tmp_path):
     g, h = complete_graph(2), complete_graph(3)
     cached_hom_homology(g, h, cache=Cache(tmp_path))
-    path = Cache(tmp_path).path_for(hom_cache_key(g, h, "Z"))
+    path = Cache(tmp_path).path_for(hom_cache_key(g, h, "Z", DEFAULT_GUARDS))
     head, _, body = path.read_text().partition("\n")
     lines = body.splitlines()
-    lines[0] = "7"  # the element count
+    lines[0] = lines[0].replace("[0,1]", "[0,7]")  # the Betti numbers
     path.write_text(head + "\n" + "\n".join(lines) + "\n")
     with pytest.raises(CacheCorrupt, match="hash mismatch"):
         cached_hom_homology(g, h, cache=Cache(tmp_path))
@@ -127,7 +128,7 @@ def test_cache_detects_tampering(tmp_path):
 def test_cache_rejects_wrong_kind_and_garbage(tmp_path):
     g, h = complete_graph(2), complete_graph(3)
     cache = Cache(tmp_path)
-    key = hom_cache_key(g, h, "Z")
+    key = hom_cache_key(g, h, "Z", DEFAULT_GUARDS)
     cache.store(key, "hom", ["[[0],[1]]"])  # the retired element kind
     with pytest.raises(CacheCorrupt, match="expected 'homology'"):
         cached_hom_homology(g, h, cache=cache)
@@ -137,14 +138,15 @@ def test_cache_rejects_wrong_kind_and_garbage(tmp_path):
 
 
 def test_cache_hit_still_enforces_element_guard(tmp_path):
-    # a warm cache never lets an experiment past a guard its cold run hits
+    # a warm cache never lets an experiment past a guard its cold run hits:
+    # the tight guards key another entry, so the warm run misses
     assert run_experiment("csorba-square",
                           cache=Cache(tmp_path)).outcome == "pass"
     tight = {"hom_elements": 5}
     warm = run_experiment("csorba-square", tight, cache=Cache(tmp_path))
     cold = run_experiment("csorba-square", tight)
     assert warm.outcome == cold.outcome == "skipped (guard)"
-    assert warm.measured == cold.measured and warm.cache_hits == 1
+    assert warm.measured == cold.measured and warm.cache_hits == 0
 
 
 def test_poset_cache_hit_still_enforces_chain_guard(tmp_path):
@@ -155,32 +157,31 @@ def test_poset_cache_hit_still_enforces_chain_guard(tmp_path):
                           cache=Cache(tmp_path))
     cold = run_experiment("equivariant-poset-maps", tight)
     assert warm.outcome == cold.outcome == "skipped (guard)"
-    assert warm.measured == cold.measured and warm.cache_hits == 1
+    assert warm.measured == cold.measured and warm.cache_hits == 0
     assert "chain_elements" in warm.measured
 
 
-def test_poset_homology_entry_holds_its_chain_count(tmp_path):
+def test_a_homology_entry_holds_only_its_result(tmp_path):
     p = hom_poset(complete_graph(2), complete_graph(3)).poset  # a hexagon
     fresh = poset_homology(p)
     cache = Cache(tmp_path)
-    # an entry without a chain count, under the key it was written with,
-    # is never read: the key now names a different kind
-    old_key = content_key({"kind": "poset-homology", "field": "Z",
+    # an entry under a key without guards, as written before keys held
+    # them, is never read: the key now names a different kind
+    old_key = content_key({"kind": "poset-chain-homology", "field": "Z",
                            "poset": poset_to_json(p)})
-    assert homology_cache_key(p, "Z") != old_key
-    cache.store(old_key, "homology", [canonical_json(fresh.to_json())])
+    cache.store(old_key, "homology", ["24", canonical_json(fresh.to_json())])
     assert cached_poset_homology(p, cache=cache) == fresh
     assert cache.hits == 0 and cache.misses == 1
-    assert cache.load(homology_cache_key(p, "Z"), "homology") == [
-        "24", canonical_json(fresh.to_json())]  # its 12-gon subdivision
-    exact = DEFAULT_GUARDS.scaled(chain_elements=24)
-    assert cached_poset_homology(p, "Z", exact, cache) == fresh
-    tight = DEFAULT_GUARDS.scaled(chain_elements=23)
-    with pytest.raises(GuardExceeded) as warm:
-        cached_poset_homology(p, "Z", tight, cache)
-    with pytest.raises(GuardExceeded) as cold:
-        cached_poset_homology(p, "Z", tight, Cache())
-    assert str(warm.value) == str(cold.value)
+    key = homology_cache_key(p, "Z", DEFAULT_GUARDS)
+    assert key == content_key({"kind": "guarded-poset-homology",
+                               "field": "Z", "guards": asdict(DEFAULT_GUARDS),
+                               "poset": poset_to_json(p)})
+    assert cache.load(key, "homology") == [canonical_json(fresh.to_json())]
+    # other guards key another entry, even where they allow the result
+    loose = DEFAULT_GUARDS.scaled(chain_elements=24)
+    assert homology_cache_key(p, "Z", loose) != key
+    assert cached_poset_homology(p, "Z", loose, cache) == fresh
+    assert cache.hits == 1 and cache.misses == 2
 
 
 def test_hom_homology_cache_round_trip(tmp_path):
@@ -209,16 +210,46 @@ def test_hom_homology_cache_hit_still_enforces_element_guard(tmp_path):
     assert str(warm.value) == str(cold.value)
 
 
-def test_hom_homology_cache_rejects_a_malformed_element_count(tmp_path):
+def test_homology_cache_rejects_a_malformed_entry(tmp_path):
     g, h = complete_graph(2), complete_graph(3)
     cache = Cache(tmp_path)
     cached_hom_homology(g, h, cache=cache)
-    key = hom_cache_key(g, h, "Z")
-    result = cache.load(key, "homology")[1]
-    for bad in (["-1", result], ["true", result], ["x", result], ["6"]):
+    key = hom_cache_key(g, h, "Z", DEFAULT_GUARDS)
+    (result,) = cache.load(key, "homology")
+    # the old shape, element count first, and empty or doubled bodies
+    for bad in (["12", result], [result, result], [], ["12"]):
         cache.store(key, "homology", bad)
-        with pytest.raises(CacheCorrupt, match="malformed Hom homology"):
+        with pytest.raises(CacheCorrupt, match="malformed homology entry"):
             cached_hom_homology(g, h, cache=cache)
+
+
+@pytest.mark.parametrize("entry", ["Hom", "poset"])
+@pytest.mark.parametrize("guard", ["hom_elements", "chain_elements",
+                                   "search_nodes", "snf_nonzeros"])
+def test_warm_and_cold_calls_agree_under_every_guard(entry, guard, tmp_path):
+    """A cache filled under the default guards changes nothing under a
+    tight one: the warm call returns the cold call's result, or raises its
+    GuardExceeded with the same text.  Hom(C5,K4) reaches the dense Smith
+    form, so a zero `snf_nonzeros` trips it."""
+    g, h = cycle_graph(5), complete_graph(4)
+    p = hom_poset(complete_graph(2), complete_graph(3)).poset
+    call = {"Hom": lambda *a: cached_hom_homology(g, h, "Z", *a),
+            "poset": lambda *a: cached_poset_homology(p, "Z", *a)}[entry]
+    cache = Cache(tmp_path)
+    call(DEFAULT_GUARDS, cache)
+    tight = DEFAULT_GUARDS.scaled(**{guard: 0})
+
+    def outcome(c):
+        try:
+            return call(tight, c)
+        except GuardExceeded as exc:
+            return str(exc)
+
+    assert outcome(cache) == outcome(Cache())
+    assert cache.hits == 0
+    trips = {("Hom", "hom_elements"), ("Hom", "search_nodes"),
+             ("Hom", "snf_nonzeros"), ("poset", "chain_elements")}
+    assert isinstance(outcome(Cache()), str) == ((entry, guard) in trips)
 
 
 @pytest.mark.parametrize("entry", ["Hom", "poset"])
@@ -234,16 +265,16 @@ def test_homology_hit_is_checked_for_meaning(entry, change, tmp_path):
     cache = Cache(tmp_path)
     load, key = {
         "Hom": (lambda: cached_hom_homology(g, h, "Z", cache=cache),
-                hom_cache_key(g, h, "Z")),
+                hom_cache_key(g, h, "Z", DEFAULT_GUARDS)),
         "poset": (lambda: cached_poset_homology(p, "Z", cache=cache),
-                  homology_cache_key(p, "Z")),
+                  homology_cache_key(p, "Z", DEFAULT_GUARDS)),
     }[entry]
     assert load().is_sphere(2)
     lines = cache.load(key, "homology")
     data = {k: v for k, v in {**json.loads(lines[-1]), **change}.items()
             if v is not None}
     cache.store(key, "homology", lines[:-1] + [canonical_json(data)])
-    with pytest.raises(CacheCorrupt, match=f"malformed {entry} homology"):
+    with pytest.raises(CacheCorrupt, match="malformed homology entry"):
         load()
 
 
@@ -678,7 +709,7 @@ def test_cli_reports_tampered_cache_as_error(tmp_path, capsys):
     capsys.readouterr()
     entry = next(tmp_path.glob("*.jsonl"))
     body = entry.read_text().splitlines(keepends=True)
-    body[1] = body[1].replace("2", "3", 1)  # the element count, 12
+    body[1] = body[1].replace("[0,1]", "[0,3]")  # the Betti numbers
     entry.write_text("".join(body))
     assert main(["homology", "K2", "K3", "--cache-dir", str(tmp_path)]) == 2
     assert "hash mismatch" in capsys.readouterr().err

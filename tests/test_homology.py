@@ -111,7 +111,7 @@ def assert_simplicial_boundaries(x) -> None:
     """Every column of ``chain_complex(x)`` equals the vertex-tuple rule's
     on the faces of x, matched by vertex set."""
     cc = chain_complex(x)
-    faces = x.all_faces()
+    faces = x.all_faces(DEFAULT_GUARDS.complex_faces)
     levels = [[f for f in faces if len(f) == k + 1]
               for k in range(cc.dim + 1)]
     cells = [[tuple(bits(mask)) for (mask,) in level] for level in cc.faces]

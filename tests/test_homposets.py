@@ -756,7 +756,7 @@ def test_quotient_compare_trivial_group():
     triv = GraphAction(make_group([(0,)]), k3, (tuple(range(3)),))
     rep = quotient_compare(k2, k3, triv)
     assert rep.hypothesis_ok and rep.iso and rep.rank_preserved
-    assert rep.map.image == tuple(range(rep.hom_source.m))
+    assert rep.image == tuple(range(rep.hom_source.m))
 
 
 def test_quotient_compare_violated_hypothesis():

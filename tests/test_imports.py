@@ -57,8 +57,9 @@ UNREAD = {
                 "in homlab is random, so there is no seed to set",
 }
 
-# Enumerators whose limit is optional -> the limit's positional index
-# (a method's index does not count ``self``).
+# Enumerators -> the positional index of their limit (a method's index
+# does not count ``self``).  The limit is a required int; the scan also
+# refuses a literal None passed for it.
 ENUMERATORS = {"all_faces": 0, "iter_chains": 1, "maximal_chains": 1}
 
 

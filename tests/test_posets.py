@@ -193,14 +193,17 @@ def test_maximal_chains_oracle():
         p = _random_poset(rng, rng.randint(1, 6))
         brute = {c for c in _brute_chains(p)
                  if not any(set(c) < set(d) for d in _brute_chains(p))}
-        got = {tuple(sorted(c)) for c in maximal_chains(p)}
+        got = {tuple(sorted(c))
+               for c in maximal_chains(p, DEFAULT_GUARDS.chain_elements)}
         assert got == brute
 
 
 def test_iter_chains_each_once():
     p = face_poset(SQUARE)
-    chains = [tuple(sorted(c)) for c in iter_chains(p)]
+    chains = [tuple(sorted(c)) for c in iter_chains(p, 16)]
     assert len(chains) == len(set(chains)) == 16
+    with pytest.raises(GuardExceeded, match="chain_elements"):
+        list(iter_chains(p, 15))
 
 
 def test_closure_maps():
