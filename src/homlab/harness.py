@@ -79,14 +79,19 @@ _GUARD_FIELDS = frozenset(f.name for f in fields(Guards))
 def guard_overrides(data: Mapping) -> dict[str, int]:
     """The guard fields a config object sets, as ints.
 
-    A {"guards": ...} wrapper is removed; unknown field names are refused,
-    and each value is read by ``count_from_json``.
+    A {"guards": ...} wrapper is removed, and any key beside it refused;
+    unknown field names are refused, and each value is read by
+    ``count_from_json``.
     The result stays sparse: a field it leaves out keeps the value of the
     guards it is laid over, such as an experiment's own raised defaults.
     """
     if not isinstance(data, Mapping):
         raise ValueError("guard config must be a JSON object")
     if "guards" in data and isinstance(data["guards"], Mapping):
+        beside = sorted(set(data) - {"guards"})
+        if beside:
+            raise ValueError(f"keys beside the guards wrapper: "
+                             f"{', '.join(beside)}")
         data = data["guards"]
     unknown = sorted(set(data) - _GUARD_FIELDS)
     if unknown:
@@ -688,8 +693,7 @@ def _build_registry() -> dict[str, Experiment]:
             "walk hypothesis holds; induced action free and strongly "
             "regular; quotient comparison map a poset isomorphism for "
             "m in {3,4,5}",
-            "independent enumeration", _run_quotient_commutation,
-            DEFAULT_GUARDS.scaled(poset_relation=20_000)),
+            "independent enumeration", _run_quotient_commutation),
         Experiment(
             "adjunction-roundtrips", 7,
             "Currying and single-vertex adjunction round trips, checked on "

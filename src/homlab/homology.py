@@ -308,6 +308,9 @@ class HomologyResult:
         betti, torsion = self.betti, self.torsion
         while betti and betti[-1] == 0 and not torsion[-1]:
             betti, torsion = betti[:-1], torsion[:-1]
+        if self.empty and betti:
+            raise ValueError("an empty result carries no betti number or "
+                             "torsion")
         object.__setattr__(self, "betti", betti)
         object.__setattr__(self, "torsion", torsion)
 
@@ -356,8 +359,9 @@ class HomologyResult:
 
 
 def homology_from_json(data: dict, field_name: str) -> HomologyResult:
-    """Strict inverse of ``to_json`` over ``field_name``; anything else
-    raises ValueError, KeyError or TypeError."""
+    """Strict inverse of ``to_json`` over ``field_name``: a payload that is
+    not exactly what ``to_json`` writes for the result it reads as raises
+    ValueError, KeyError or TypeError."""
     if data["field"] != field_name:
         raise ValueError(f"holds {data['field']!r} homology, not {field_name}")
     if type(data["empty"]) is not bool:
@@ -366,9 +370,12 @@ def homology_from_json(data: dict, field_name: str) -> HomologyResult:
                     for t in data["torsion"])
     if any(v < 2 for t in torsion for v in t):
         raise ValueError(f"torsion orders must be at least 2, got {torsion}")
-    return HomologyResult(field_name, data["empty"],
-                          tuple(count_from_json(b, "betti number")
-                                for b in data["betti"]), torsion)
+    result = HomologyResult(field_name, data["empty"],
+                            tuple(count_from_json(b, "betti number")
+                                  for b in data["betti"]), torsion)
+    if result.to_json() != data:
+        raise ValueError(f"not the payload its result writes: {data!r}")
+    return result
 
 
 def _coreduce(cc: ChainComplex) -> tuple[list[int],

@@ -130,51 +130,6 @@ class HomPoset:
         return pointwise_poset(self.elements, _subset, self.guards)
 
 
-def _last_vertex_sets(adj: Sequence[int], mask: int, clique: bool,
-                      nodes: int, emitted: int, guards: Guards) -> list[int]:
-    """The sets a source vertex with no later neighbour takes inside its
-    feasible `mask`, ascending, after `nodes` search nodes and `emitted`
-    elements.
-
-    Unlooped, they are the nonempty subsets of `mask`.  Looped, `mask` holds
-    only looped target vertices and they are the nonempty cliques inside it.
-    Each set is one search node and one element.  Unless every nonempty
-    subset fits under both guards, the sets are grown one target vertex at a
-    time, as `hom_poset` grows any vertex's set: the candidates of a partial
-    set are counted as search nodes before its extensions are counted as
-    elements, so a guard trips, and reports its attempted count, exactly as
-    it does at any other vertex.
-    """
-    element_room = guards.hom_elements - emitted
-    sets: list[int] = []
-    if not clique and (1 << mask.bit_count()) - 1 <= min(
-            guards.search_nodes - nodes, element_room):
-        s = -mask & mask
-        while s:
-            sets.append(s)
-            s = (s - mask) & mask
-        return sets
-    stack = [(0, -1, mask)]
-    while stack:
-        s, nu, cand = stack.pop()
-        nodes += cand.bit_count()
-        if nodes > guards.search_nodes:
-            raise GuardExceeded("search_nodes", guards.search_nodes, nodes)
-        while cand:
-            if len(sets) == element_room:
-                raise GuardExceeded("hom_elements", guards.hom_elements,
-                                    guards.hom_elements + 1)
-            low = cand & -cand
-            cand ^= low
-            nu_x = nu & adj[low.bit_length() - 1]
-            sets.append(s | low)
-            rest = cand & nu_x if clique else cand
-            if rest:
-                stack.append((s | low, nu_x, rest))
-    sets.sort()
-    return sets
-
-
 def _connected_order(g: Graph) -> list[int]:
     """Source vertices by maximum cardinality search: next is the unplaced
     vertex with the most placed neighbours, then the higher degree, then
@@ -221,20 +176,26 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     `graphs._hom_search` decides that first (Hom(g,K3) is empty exactly
     when g is not 3-colourable), and only a nonempty poset is enumerated.
 
-    The last vertex in the order has no later neighbour, so nothing prunes
-    its sets: they are every nonempty subset of its feasible mask, or, if
-    it is looped, every nonempty looped clique inside it.  It is not walked
-    unless a guard trips there (below): its sets are listed once per
-    distinct mask, and each assignment of the other vertices emits one
-    batch, an element per set.
+    Every vertex is walked the same way, the last one in the order
+    included; each set the last vertex reaches is one element.  It has no
+    later neighbour, so nothing prunes its sets: they are every nonempty
+    subset of its feasible mask, or, if it is looped, every nonempty looped
+    clique inside it, and depend on that mask alone.  `batches` is a memo
+    from that mask to its sets.  A mask seen for the first time is walked
+    once and its sets recorded; when it is unlooped and all its subsets fit
+    under both guards, they are listed by subset subtraction instead.  A
+    mask seen again emits its recorded batch, an element per set, in place
+    of the walk.
 
     Every value that search tries and every candidate target vertex the
-    enumeration tries is one search node; the last vertex tries one per
-    set.  More than `guards.search_nodes` of them raise
-    GuardExceeded("search_nodes"), as more than `guards.hom_elements`
-    elements raise "hom_elements".  A batch that would pass either guard is
-    grown set by set instead, so the same guard trips, with the same
-    attempted count, as when every vertex is walked.
+    enumeration tries is one search node, counted when a partial set's
+    candidates leave the stack; past `guards.search_nodes` that count
+    raises GuardExceeded("search_nodes").  The last vertex's walk raises
+    "hom_elements" before it emits element `guards.hom_elements` + 1.  An
+    emitted batch counts one node per set, as its walk would, and a batch
+    that would pass either guard is walked instead of emitted, so each
+    guard trips at its one site, with the same attempted count, as when no
+    batch is memoized.
     """
     node_limit = guards.search_nodes
     atom, nodes = _hom_search(g, h, node_limit, 0)
@@ -261,6 +222,7 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     v_last = order[last]
     last_filter = loops if looped[last] else full
     batches: dict[int, list[int]] = {}  # last vertex's mask -> its sets
+    walked: list[int] = []  # the sets the last vertex's walk has reached
 
     def level(i: int):
         """The i-th source vertex in order, whether it is looped, its later
@@ -272,61 +234,74 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
         return (v, looped[i], tuple((w, allowed[w]) for w in later[i]),
                 [(0, full, start)])
 
-    if n == 1:
-        out.extend((x,) for x in _last_vertex_sets(
-            adj, last_filter, looped[0], nodes, 0, guards))
-    else:
-        # one frame per source vertex above the current one, so the
-        # descent needs no Python recursion however long g is
-        frames: list[tuple] = []
-        i = s = nu = cand = 0  # no candidates: the first turn pops the stack
-        v, clique, later_masks, stack = level(0)
-        while True:
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                nu_x = nu & adj[low.bit_length() - 1]
+    # one frame per source vertex above the current one, so the descent
+    # needs no Python recursion however long g is
+    frames: list[tuple] = []
+    i = s = nu = cand = 0  # no candidates: the first turn pops the stack
+    v, clique, later_masks, stack = level(0)
+    while True:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            nu_x = nu & adj[low.bit_length() - 1]
+            for w, mask in later_masks:
+                if not mask & nu_x:
+                    break
+            else:
+                s_x = assign[v] = s | low
+                rest = cand & nu_x if clique else cand
+                if rest:
+                    stack.append((s_x, nu_x, rest))
                 for w, mask in later_masks:
-                    if not mask & nu_x:
-                        break
-                else:
-                    s_x = assign[v] = s | low
-                    rest = cand & nu_x if clique else cand
-                    if rest:
-                        stack.append((s_x, nu_x, rest))
-                    for w, mask in later_masks:
-                        allowed[w] = mask & nu_x
-                    if i < last - 1:
-                        break
-                    mask = allowed[v_last] & last_filter
-                    sets = batches.get(mask)
-                    # a batch past a guard is walked again, to trip it
-                    if (sets is None or nodes + len(sets) > node_limit
-                            or len(out) + len(sets) > element_limit):
-                        sets = batches[mask] = _last_vertex_sets(
-                            adj, mask, looped[last], nodes, len(out), guards)
+                    allowed[w] = mask & nu_x
+                if i < last - 1:
+                    break
+                if i == last:
+                    if len(out) == element_limit:
+                        raise GuardExceeded("hom_elements", element_limit,
+                                            element_limit + 1)
+                    out.append(tuple(assign))
+                    walked.append(s_x)
+                    continue
+                mask = allowed[v_last] & last_filter
+                sets = batches.get(mask)
+                if sets is None and not looped[last] and (
+                        1 << mask.bit_count()) - 1 <= min(
+                        node_limit - nodes, element_limit - len(out)):
+                    sets = batches[mask] = []
+                    x = -mask & mask
+                    while x:
+                        sets.append(x)
+                        x = (x - mask) & mask
+                if (sets is not None and nodes + len(sets) <= node_limit
+                        and len(out) + len(sets) <= element_limit):
                     nodes += len(sets)
                     for x in sets:
                         assign[v_last] = x
                         out.append(tuple(assign))
-            else:
-                if stack:
-                    s, nu, cand = stack.pop()
-                    nodes += cand.bit_count()
-                    if nodes > node_limit:
-                        raise GuardExceeded("search_nodes", node_limit, nodes)
                     continue
-                for w, mask in later_masks:
-                    allowed[w] = mask
-                if not frames:
-                    break
-                i -= 1
-                v, clique, later_masks, stack, s, nu, cand = frames.pop()
+                # a new mask, or a batch past a guard: walk it, recording
+                # its sets; a batch past a guard trips during the walk
+                walked = batches[mask] = []
+                break
+        else:
+            if stack:
+                s, nu, cand = stack.pop()
+                nodes += cand.bit_count()
+                if nodes > node_limit:
+                    raise GuardExceeded("search_nodes", node_limit, nodes)
                 continue
-            frames.append((v, clique, later_masks, stack, s, nu, cand))
-            i += 1
-            v, clique, later_masks, stack = level(i)
-            cand = 0
+            for w, mask in later_masks:
+                allowed[w] = mask
+            if not frames:
+                break
+            i -= 1
+            v, clique, later_masks, stack, s, nu, cand = frames.pop()
+            continue
+        frames.append((v, clique, later_masks, stack, s, nu, cand))
+        i += 1
+        v, clique, later_masks, stack = level(i)
+        cand = 0
     out.sort()
     return HomPoset(g, h, tuple(out), guards)
 

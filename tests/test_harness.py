@@ -38,6 +38,10 @@ def test_load_guard_config(tmp_path):
         guard_overrides([1, 2])
     with pytest.raises(ValueError, match="unknown guard fields: clique_count"):
         guard_overrides({"clique_count": 5})
+    for beside in ("hom_elements", "bogus"):
+        with pytest.raises(ValueError, match=f"beside the guards wrapper: "
+                                             f"{beside}"):
+            guard_overrides({"guards": {"search_nodes": 100}, beside: 5})
 
 
 @pytest.mark.parametrize("value", [None, True, False, 2.9, -1, "-3", "7.5",
@@ -256,10 +260,16 @@ def test_warm_and_cold_calls_agree_under_every_guard(entry, guard, tmp_path):
 @pytest.mark.parametrize("change", [
     {"field": "GF2"}, {"betti": [0, -3, 2.7]}, {"empty": "no"},
     {"torsion": [[], [1], []]}, {"torsion": None},  # None: key dropped
-], ids=["field", "counts", "empty", "torsion", "no-torsion"])
+    # each read as some result before a hit had to be what to_json writes
+    {"betti": "01", "torsion": [[], []], "dim": 1}, {"dim": 7},
+    {"torsion": ["2"]},
+    {"empty": True, "betti": [0, 1], "torsion": [[], []], "dim": 1},
+    {"betti": {"0": 0, "1": 0, "2": 1}},
+], ids=["field", "counts", "empty", "torsion", "no-torsion", "betti-string",
+        "dim", "torsion-string", "empty-with-betti", "betti-object"])
 def test_homology_hit_is_checked_for_meaning(entry, change, tmp_path):
-    """An entry whose digest holds is still refused unless it holds a
-    result over the requested field."""
+    """An entry whose digest holds is still refused unless it is exactly
+    the payload of a result over the requested field."""
     g, h = complete_graph(2), complete_graph(4)
     p = hom_poset(g, h).poset
     cache = Cache(tmp_path)
@@ -382,6 +392,18 @@ def test_guard_mapping_overlays_the_experiment_guards(monkeypatch):
         assert run_experiment("probe", overrides).measured == "5 20000"
     with pytest.raises(ValueError, match="unknown guard fields"):
         run_experiment("probe", {"hom_elments": 5})
+
+
+def test_quotient_commutation_runs_under_the_default_guards():
+    # Hom(K2, K2 x R10), with 240 elements, is the largest order it builds
+    assert get_experiment("quotient-commutation").guards == DEFAULT_GUARDS
+    rep = run_experiment("quotient-commutation", {"poset_relation": 240})
+    assert rep.outcome == "pass"
+    assert rep.measured == run_experiment("quotient-commutation").measured
+    rep = run_experiment("quotient-commutation", {"poset_relation": 239})
+    assert (rep.outcome, rep.measured) == (
+        "skipped (guard)",
+        "guard 'poset_relation' exceeded (limit 239, needed > 240)")
 
 
 def test_run_experiments_serial_order_and_unknown_id(tmp_path):
@@ -655,6 +677,11 @@ def test_cli_config_unwraps_guards_and_refuses_unknown_fields(tmp_path,
     cfg.write_text(json.dumps({"clique_count": 5}))
     assert main(["hom", "K2", "K3", "--config", str(cfg)]) == 2
     assert "unknown guard fields: clique_count" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"guards": {"search_nodes": 100},
+                               "hom_elements": 5}))
+    assert main(["hom", "K2", "K3", "--config", str(cfg)]) == 2
+    assert "beside the guards wrapper: hom_elements" in \
+        capsys.readouterr().err
 
 @pytest.mark.parametrize("ident,data,needs", [
     ("@", {"n": 3}, "'edges'"),

@@ -376,7 +376,8 @@ def test_result_json_round_trip():
 
 def test_result_refuses_torsion_past_betti():
     # a Z/2 in degree 1 with no degree-1 betti entry would print as H~0=Z
-    data = {"field": "Z", "empty": False, "betti": [1], "torsion": [[], [2]]}
+    data = {"field": "Z", "empty": False, "betti": [1], "torsion": [[], [2]],
+            "dim": 1}
     with pytest.raises(ValueError, match="torsion"):
         homology_from_json(data, "Z")
     data["betti"] = [1, 0]

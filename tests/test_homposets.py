@@ -1,10 +1,12 @@
 """Hom posets: enumeration against brute force, induced actions, and the
 structural comparison maps (currying, quotients, loop addition)."""
 
+import ast
 import itertools
 import random
 from functools import reduce
 from operator import or_
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,7 +15,8 @@ from homlab.actions import (GraphAction, make_group, quotient_graph_by_action,
                             z2_group)
 from homlab.families import (csorba_graph, cycle_face_poset, mycielski,
                              spherical_graph, twisted_toroidal)
-from homlab.graphs import (Graph, bits, complete_graph, cycle_graph,
+from homlab.graphs import (Graph, _hom_search, bits, complete_graph,
+                           cycle_graph,
                            exponential, exponential_vertex_maps,
                            is_isomorphic, looped_path, nu_mask, one_graph,
                            product, reflexive_closure, reflexive_cycle)
@@ -307,6 +310,100 @@ def test_hom_poset_last_vertex_trips_where_its_walk_would():
             hom_poset(g, h, DEFAULT_GUARDS.scaled(search_nodes=nodes,
                                                   hom_elements=2))
         assert (err.value.guard, err.value.attempted) == trip
+
+
+def _walked_hom_elements(g, h, guards):
+    """Hom(g,h) by walking every source vertex, the last one included, with
+    no memo: the reference for where each guard trips.
+
+    The same emptiness search, vertex order and pruning as `hom_poset`; a
+    partial set's candidates count as search nodes when it is popped, and
+    each set the last vertex reaches is one element.
+    """
+    atom, nodes = _hom_search(g, h, guards.search_nodes, 0)
+    if atom is None:
+        return ()
+    if g.n == 0:
+        return ((),)
+    order = _connected_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    full = (1 << h.n) - 1
+    allowed, assign, out = [full] * g.n, [0] * g.n, []
+
+    def walk(i):
+        nonlocal nodes
+        if i == g.n:
+            if len(out) == guards.hom_elements:
+                raise GuardExceeded("hom_elements", guards.hom_elements,
+                                    guards.hom_elements + 1)
+            out.append(tuple(assign))
+            return
+        v = order[i]
+        clique = g.adj[v] >> v & 1
+        later = [w for w in bits(g.adj[v]) if pos[w] > i]
+        entry = [allowed[w] for w in later]
+        stack = [(0, full, allowed[v] & (h.looped_mask if clique else full))]
+        while stack:
+            s, nu, cand = stack.pop()
+            nodes += cand.bit_count()
+            if nodes > guards.search_nodes:
+                raise GuardExceeded("search_nodes", guards.search_nodes, nodes)
+            for x in bits(cand):
+                nu_x = nu & h.adj[x]
+                if not all(mask & nu_x for mask in entry):
+                    continue
+                assign[v] = s | 1 << x
+                rest = cand >> x + 1 << x + 1
+                if clique:
+                    rest &= nu_x
+                if rest:
+                    stack.append((assign[v], nu_x, rest))
+                for w, mask in zip(later, entry):
+                    allowed[w] = mask & nu_x
+                walk(i + 1)
+        for w, mask in zip(later, entry):
+            allowed[w] = mask
+
+    walk(0)
+    return tuple(sorted(out))
+
+
+@settings(deadline=None, max_examples=300)
+@given(looped_graphs(1, 4), looped_graphs(1, 6), st.integers(0, 200),
+       st.integers(0, 100))
+# the one-vertex pin above, and a last vertex whose batch repeats
+@example(Graph.from_edges(1, []), complete_graph(6), 6, 2)
+@example(Graph.from_edges(2, []), complete_graph(3), 30, 20)
+def test_hom_poset_trips_where_the_walk_without_memo_would(g, h, nodes,
+                                                           elements):
+    guards = DEFAULT_GUARDS.scaled(search_nodes=nodes, hom_elements=elements)
+
+    def outcome(enumerate_elements):
+        try:
+            return enumerate_elements(g, h, guards)
+        except GuardExceeded as exc:
+            return exc.guard, exc.attempted
+
+    assert outcome(lambda *a: hom_poset(*a).elements) == \
+        outcome(_walked_hom_elements)
+
+
+def test_hom_poset_raises_each_guard_at_one_site():
+    tree = ast.parse(Path(homposets.__file__).read_text(encoding="utf-8"))
+
+    def raised(node):
+        return sorted(call.args[0].value for call in ast.walk(node)
+                      if isinstance(call, ast.Call)
+                      and getattr(call.func, "id", None) == "GuardExceeded"
+                      and call.args and isinstance(call.args[0], ast.Constant)
+                      and call.args[0].value in ("search_nodes",
+                                                 "hom_elements"))
+
+    top = {node.name: node for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert raised(tree) == raised(top["hom_poset"]) == ["hom_elements",
+                                                        "search_nodes"]
+    assert "_last_vertex_sets" not in top
 
 
 def test_hom_poset_reaches_the_large_spherical_graph():
