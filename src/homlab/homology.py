@@ -10,16 +10,24 @@ degree.  Homology is always reduced, computed via the augmented complex,
 so the empty complex gets rank 1 in degree -1 and a one-point complex has
 no homology at all.
 
-Both engines first coreduce the augmented complex (Mrozek-Batko, DCG 2009):
-they pair the augmentation with a vertex and one vertex of each other
-component with a free summand of H~0, then repeatedly remove a cell that
-has exactly one face left, at incidence +-1, together with that face.
-The cells left carry the original boundary restricted to them, with the
-same homology over Z and GF(2).  On a Hom complex this leaves a few
-percent of the cells, so elimination needs no fill-in ordering: integral
-computation sweeps the rows in turn, pivoting on any +-1 entry, until no
-row has one, and finishes any remainder with a dense Smith normal form;
-GF(2) uses bit-packed column elimination.  One body serves both fields.
+Every incidence of such a complex is +-1, so one loop builds each column
+as a list of signed row numbers, +(row+1) or -(row+1), and records the
+cell as a coface of each of its faces as it goes.  The check that the
+boundary squares to zero reads those columns: for every column of degree
+>= 1, each row reached through its faces must be reached as often with +
+as with -.
+
+Both engines first coreduce the augmented complex (Mrozek-Batko, DCG 2009)
+on the columns and cofaces the build recorded: they pair the augmentation
+with a vertex and one vertex of each other component with a free summand
+of H~0, then repeatedly remove a cell that has exactly one face left
+together with that face.  The cells left carry the original boundary
+restricted to them, with the same homology over Z and GF(2).  On a Hom
+complex this leaves a few percent of the cells, so elimination needs no
+fill-in ordering: integral computation sweeps the rows in turn, pivoting
+on any +-1 entry, until no row has one, and finishes any remainder with a
+dense Smith normal form; GF(2) uses bit-packed column elimination.  One
+body serves both fields.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import INFINITE, count_from_json
+from .graphs import INFINITE
 from .homposets import HomPoset, rank_of
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, PosetMap, SimplicialComplex, closure_image,
@@ -36,7 +44,8 @@ from .posets import (Poset, PosetMap, SimplicialComplex, closure_image,
 
 
 class ChainComplex:
-    """Bases of k-cells plus signed boundary maps, checked on construction.
+    """Bases of k-cells, their signed boundary columns and their cofaces,
+    checked on construction.
 
     A cell is a tuple of vertex bitmasks, the product of one simplex per
     mask, and its dimension is ``rank_of(cell)``.  A simplex, or a chain of
@@ -46,6 +55,16 @@ class ChainComplex:
     bits, with the sign (-1)^(sum of |mask|-1 over earlier masks, plus the
     position of x in its mask): masks in order, the bits of each mask
     increasing.  With one factor this is the simplicial sign (-1)^i.
+
+    Every incidence is +-1, so a column is a list of signed ints, +(row+1)
+    or -(row+1), with the augmentation (every vertex to row 0, sign +) as
+    degree 0.  The loop that builds a column also records the cell as a
+    coface of each of its faces, which is what coreduction reads.  The
+    check that the boundary squares to zero collects, for every column of
+    degree >= 1, the rows reached through its faces with + and those
+    reached with -: sorted, the two lists must be equal, so each row comes
+    as often with one sign as with the other.  Since every entry is +-1,
+    that is exactly the boundary of the column being zero.
 
     The cells are grouped by dimension in input order; a repeated cell
     raises ValueError.
@@ -61,10 +80,39 @@ class ChainComplex:
             i = len(level)
             if level.setdefault(c, i) != i:
                 raise ValueError(f"repeated cell {c}")
-        self._index = index
         self.faces: tuple[tuple[tuple[int, ...], ...], ...] = \
             tuple(tuple(level) for level in index)
-        self._boundaries = [self._boundary(k) for k in range(len(self.faces))]
+        self._cofaces: list[list[list[int]]] = \
+            [[[] for _ in level] for level in index]
+        self._columns: list[list[list[int]]] = \
+            [[[1] for _ in level] for level in index[:1]]
+        for k in range(1, len(index)):
+            below, up = index[k - 1], self._cofaces[k - 1]
+            cols: list[list[int]] = []
+            for j, cell in enumerate(self.faces[k]):
+                col: list[int] = []
+                slots = list(cell)
+                sign = 1
+                for v, mask in enumerate(cell):
+                    if mask & (mask - 1):
+                        rest = mask
+                        while rest:
+                            low = rest & -rest
+                            rest ^= low
+                            slots[v] = mask ^ low
+                            try:
+                                row = below[tuple(slots)]
+                            except KeyError:
+                                raise ValueError(
+                                    "complex not closed: missing cell "
+                                    f"{tuple(slots)}") from None
+                            up[row].append(j)
+                            col.append(sign * (row + 1))
+                            sign = -sign
+                        slots[v] = mask
+                        sign = -sign  # |mask| + 1 flips in all
+                cols.append(col)
+            self._columns.append(cols)
         self.check_boundary_squared()
 
     @property
@@ -78,47 +126,46 @@ class ChainComplex:
         return sum((-1) ** k * n for k, n in enumerate(self.counts()))
 
     def boundary(self, k: int) -> list[list[tuple[int, int]]]:
-        """Columns of the boundary map on k-cells; k=0 is the augmentation."""
-        return self._boundaries[k]
-
-    def _boundary(self, k: int) -> list[list[tuple[int, int]]]:
-        if k == 0:
-            return [[(0, 1)] for _ in self.faces[0]]
-        index = self._index[k - 1]
-        cols = []
-        for cell in self.faces[k]:
-            col = []
-            sign = 1
-            for v, mask in enumerate(cell):
-                if mask & (mask - 1):
-                    head, tail, rest = cell[:v], cell[v + 1:], mask
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        sub = head + (mask ^ low,) + tail
-                        if sub not in index:
-                            raise ValueError(
-                                f"complex not closed: missing cell {sub}")
-                        col.append((index[sub], sign))
-                        sign = -sign
-                    sign = -sign  # |mask| + 1 flips: the parity of |mask| - 1
-            cols.append(col)
-        return cols
+        """Columns of the boundary map on k-cells as (row, sign) pairs; k=0
+        is the augmentation."""
+        return [[(e - 1, 1) if e > 0 else (-e - 1, -1) for e in col]
+                for col in self._columns[k]]
 
     def check_boundary_squared(self) -> None:
         """Raise ValueError unless the boundary of every boundary is zero.
 
         Every column of every degree k >= 1 is checked, so degree 1 is
-        checked against the augmentation.
+        checked against the augmentation.  Every entry is +-1, so a column
+        squares to zero exactly when each row it reaches through its faces
+        is reached as often with + as with -: the rows reached with + and
+        those reached with -, sorted, must be equal.
         """
-        for k in range(1, len(self.faces)):
-            low = self._boundaries[k - 1]
-            for col in self._boundaries[k]:
-                acc: dict[int, int] = {}
-                for r, s in col:
-                    for r2, s2 in low[r]:
-                        acc[r2] = acc.get(r2, 0) + s * s2
-                if any(acc.values()):
+        for k in range(1, len(self._columns)):
+            # an entry e reaches, through the face |e| - 1, the rows in
+            # plus[e] with + and those in minus[e] with -; a negative e
+            # reads the lists from the end, where the face's signs swap
+            plus: list[list[int]] = [[]]
+            minus: list[list[int]] = [[]]
+            for col in self._columns[k - 1]:
+                p: list[int] = []
+                m: list[int] = []
+                for f in col:
+                    if f > 0:
+                        p.append(f)
+                    else:
+                        m.append(-f)
+                plus.append(p)
+                minus.append(m)
+            plus, minus = plus + minus[:0:-1], minus + plus[:0:-1]
+            for col in self._columns[k]:
+                up: list[int] = []
+                down: list[int] = []
+                for e in col:
+                    up += plus[e]
+                    down += minus[e]
+                up.sort()
+                down.sort()
+                if up != down:
                     raise ValueError(
                         f"boundary squared is nonzero in degree {k}")
 
@@ -295,6 +342,12 @@ class HomologyResult:
     def __post_init__(self):
         if self.field not in ("Z", "GF2"):
             raise ValueError("field must be 'Z' or 'GF2'")
+        if any(type(b) is not int or b < 0 for b in self.betti):
+            raise ValueError("betti numbers must be non-negative integers, "
+                             f"got {self.betti!r}")
+        if any(type(t) is not int or t < 2 for ts in self.torsion for t in ts):
+            raise ValueError("torsion orders must be integers of at least 2, "
+                             f"got {self.torsion!r}")
         if self.field == "GF2" and any(self.torsion):
             raise ValueError("GF(2) homology carries no torsion")
         if len(self.torsion) > len(self.betti):
@@ -366,13 +419,8 @@ def homology_from_json(data: dict, field_name: str) -> HomologyResult:
         raise ValueError(f"holds {data['field']!r} homology, not {field_name}")
     if type(data["empty"]) is not bool:
         raise ValueError(f"empty must be a JSON bool, got {data['empty']!r}")
-    torsion = tuple(tuple(count_from_json(v, "torsion order") for v in t)
-                    for t in data["torsion"])
-    if any(v < 2 for t in torsion for v in t):
-        raise ValueError(f"torsion orders must be at least 2, got {torsion}")
-    result = HomologyResult(field_name, data["empty"],
-                            tuple(count_from_json(b, "betti number")
-                                  for b in data["betti"]), torsion)
+    result = HomologyResult(field_name, data["empty"], tuple(data["betti"]),
+                            tuple(tuple(t) for t in data["torsion"]))
     if result.to_json() != data:
         raise ValueError(f"not the payload its result writes: {data!r}")
     return result
@@ -380,33 +428,28 @@ def homology_from_json(data: dict, field_name: str) -> HomologyResult:
 
 def _coreduce(cc: ChainComplex) -> tuple[list[int],
                                          list[list[list[tuple[int, int]]]]]:
-    """Counts and boundary columns of cc's augmented complex after
-    coreduction (Mrozek-Batko, DCG 2009).
+    """Counts and boundary columns, as (row, sign) pairs, of cc's augmented
+    complex after coreduction (Mrozek-Batko, DCG 2009).
 
     The augmentation is paired with vertex 0, and the lowest vertex of each
     other component is a free summand of H~0, put last in degree 0: a chain
     in a component nothing was removed from has a boundary whose
     coefficients sum to 0, so it never hits that vertex.  Then, in FIFO
-    order, a cell with exactly one live face, at incidence +-1, is removed
-    together with that face.  Each removed pair is an elementary collapse
-    of a unit entry, so the boundary of the cells left is the original
-    boundary restricted to them, over Z and GF(2) alike, with no fill-in.
+    order, a cell with exactly one live face is removed together with that
+    face; every incidence of cc is +-1.  Each removed pair is an elementary
+    collapse of a unit entry, so the boundary of the cells left is the
+    original boundary restricted to them, over Z and GF(2) alike, with no
+    fill-in.  The columns and cofaces are the ones cc was built with.
     """
     counts = cc.counts()
-    cols = [[[] for _ in range(counts[0])]] + \
-        [cc.boundary(k) for k in range(1, len(counts))]
-    live = [[True] * n for n in counts]
-    faces_left = [[len(col) for col in level] for level in cols]
-    cofaces: list[list[list[int]]] = [[[] for _ in range(n)] for n in counts]
-    for k in range(1, len(counts)):
-        below = cofaces[k - 1]
-        for j, col in enumerate(cols[k]):
-            for i, _ in col:
-                below[i].append(j)
+    cols, cofaces = cc._columns, cc._cofaces
+    live = [bytearray(b"\1") * n for n in counts]
+    faces_left = [[0] * counts[0]] + [list(map(len, level))
+                                      for level in cols[1:]]
     queue: deque[tuple[int, int]] = deque()
 
     def remove(k: int, i: int) -> None:
-        live[k][i] = False
+        live[k][i] = 0
         if k + 1 < len(counts):
             up, up_live = faces_left[k + 1], live[k + 1]
             for j in cofaces[k][i]:
@@ -414,7 +457,7 @@ def _coreduce(cc: ChainComplex) -> tuple[list[int],
                 if up[j] == 1 and up_live[j]:
                     queue.append((k + 1, j))
 
-    free, seen = -1, [False] * counts[0]
+    free, seen = -1, bytearray(counts[0])
     for v in range(counts[0]):
         if not seen[v]:  # the lowest vertex of a component: vertex 0 goes
             remove(0, v)  # with the augmentation, the others are free
@@ -423,24 +466,32 @@ def _coreduce(cc: ChainComplex) -> tuple[list[int],
             while todo:
                 u = todo.pop()
                 if not seen[u]:
-                    seen[u] = True
-                    todo += [w for j in cofaces[0][u] for w, _ in cols[1][j]]
+                    seen[u] = 1
+                    todo += [abs(e) - 1 for j in cofaces[0][u]
+                             for e in cols[1][j]]
     while queue:
         k, j = queue.popleft()
         if not live[k][j] or faces_left[k][j] != 1:
             continue
         below = live[k - 1]
-        i, v = next((i, v) for i, v in cols[k][j] if below[i])
-        if v in (1, -1):
-            remove(k, j)
-            remove(k - 1, i)
+        for e in cols[k][j]:
+            i = abs(e) - 1
+            if below[i]:
+                break
+        remove(k, j)
+        remove(k - 1, i)
     left: list[int] = []
     out: list[list[list[tuple[int, int]]]] = []
     pos: list[int] = []
-    for k, level in enumerate(cols):
-        keep = [j for j, alive in enumerate(live[k]) if alive]
-        out.append([[(pos[i], v) for i, v in level[j] if live[k - 1][i]]
-                    for j in keep])
+    for k, alive in enumerate(live):
+        keep = [j for j, a in enumerate(alive) if a]
+        if k:
+            below = live[k - 1]
+            out.append([[(pos[e - 1], 1) if e > 0 else (pos[-e - 1], -1)
+                         for e in cols[k][j] if below[abs(e) - 1]]
+                        for j in keep])
+        else:
+            out.append([[] for _ in keep])
         pos = [0] * counts[k]
         for new, j in enumerate(keep):
             pos[j] = new

@@ -33,7 +33,7 @@ from .posets import (Poset, PosetMap, atom_graph, chain_poset,
 
 
 def rank_of(element: Sequence[int]) -> int:
-    return sum(mask.bit_count() - 1 for mask in element)
+    return sum(map(int.bit_count, element)) - len(element)
 
 
 def multihom_violation(g: Graph, h: Graph,
@@ -741,11 +741,12 @@ def loop_addition_maps(t: Graph, g: Graph,
     incl_img = tuple(hom_t.index[e] for e in hom_t0.elements)
     incl = PosetMap(hom_t0.poset, hom_t.poset, incl_img)
     cp = chain_poset(hom_t.poset, guards)
+    loop_sets = [_loop_sets(g, e) for e in hom_t.elements]
     j_img, h_img = [], []
     for chain in cp.elements:
         acc = [0] * t.n
         for r in chain:
-            for v, mask in enumerate(_loop_sets(g, hom_t.elements[r])):
+            for v, mask in enumerate(loop_sets[r]):
                 acc[v] |= mask
         je = tuple(acc)
         jj = hom_t0.index.get(je)

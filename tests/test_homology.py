@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import itertools
 import math
 import random
@@ -11,6 +13,8 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from homlab import harness, homology
+from homlab.cli import main
 from homlab.families import (csorba_graph, mycielski, spherical_graph,
                              twisted_toroidal)
 from homlab.graphs import (INFINITE, Graph, bits, chromatic_number,
@@ -124,6 +128,39 @@ def assert_simplicial_boundaries(x) -> None:
         assert got == want
 
 
+def mask_rule_boundary(cc: ChainComplex,
+                       k: int) -> list[list[tuple[int, int]]]:
+    """Columns of d_k by the cell rule written out directly: each facet
+    ``head + (mask ^ low,) + tail`` of a cell is looked up by its tuple of
+    masks, with the sign flipping at every facet and once more after each
+    mask.  The independent oracle for ``ChainComplex``'s build on cells of
+    any number of masks."""
+    if k == 0:
+        return [[(0, 1)] for _ in cc.faces[0]]
+    index = {cell: i for i, cell in enumerate(cc.faces[k - 1])}
+    cols = []
+    for cell in cc.faces[k]:
+        col = []
+        sign = 1
+        for v, mask in enumerate(cell):
+            if mask & (mask - 1):
+                head, tail, rest = cell[:v], cell[v + 1:], mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    col.append((index[head + (mask ^ low,) + tail], sign))
+                    sign = -sign
+                sign = -sign  # |mask| + 1 flips: the parity of |mask| - 1
+        cols.append(col)
+    return cols
+
+
+def assert_mask_rule(cc: ChainComplex) -> None:
+    """Every boundary of cc equals the oracle's, entry for entry."""
+    for k in range(cc.dim + 1):
+        assert cc.boundary(k) == mask_rule_boundary(cc, k), k
+
+
 def assert_coreduction_exact(cc: ChainComplex) -> None:
     """Coreduced homology equals the oracle's, over Z and GF(2), and no
     degree gains cells."""
@@ -182,21 +219,6 @@ def test_chain_complex_refuses_a_repeated_cell():
     assert not any(homology_integral(cc).betti)  # an edge: contractible
 
 
-class _FlippedSign(ChainComplex):
-    """Flips the sign of one boundary entry in column `col` of degree `k`."""
-
-    def __init__(self, cells, k, col):
-        self.flip = (k, col)
-        super().__init__(cells)
-
-    def _boundary(self, k):
-        cols = super()._boundary(k)
-        if k == self.flip[0]:
-            (r, s), *rest = cols[self.flip[1]]
-            cols[self.flip[1]] = [(r, -s), *rest]
-        return cols
-
-
 def test_boundary_squared_check_covers_every_column():
     # 2-skeleton of the simplex on 25 vertices: 2300 triangles, so column
     # 2100 of degree 2 lies past any sample of the first 2000.  The graph
@@ -204,11 +226,37 @@ def test_boundary_squared_check_covers_every_column():
     # check against the augmentation catches it.
     faces = [(sum(1 << v for v in f),)
              for d in (1, 2, 3) for f in itertools.combinations(range(25), d)]
-    ChainComplex(faces).check_boundary_squared()
     graph = [f for f in faces if f[0].bit_count() < 3]
     for cells, k, col in ((faces, 2, 2100), (graph, 1, 0)):
+        cc = ChainComplex(cells)
+        cc.check_boundary_squared()
+        entries = cc._columns[k][col]
+        entries[0] = -entries[0]
         with pytest.raises(ValueError, match=f"nonzero in degree {k}"):
-            _FlippedSign(cells, k, col)
+            cc.check_boundary_squared()
+
+
+def test_boundary_squared_check_sees_every_single_defect():
+    # Every column of degree >= 1 has faces with nonempty boundaries (the
+    # augmentation below degree 1), so flipping or dropping any one entry
+    # leaves some row reached more often with one sign than the other.
+    for cc in (chain_complex_of_hom(hom_poset(K2, complete_graph(4))),
+               chain_complex(torus_complex())):
+        seeded = 0
+        for level in cc._columns:
+            for col in level:
+                for t, e in enumerate(col):
+                    col[t] = -e
+                    with pytest.raises(ValueError, match="nonzero"):
+                        cc.check_boundary_squared()
+                    del col[t]
+                    with pytest.raises(ValueError, match="nonzero"):
+                        cc.check_boundary_squared()
+                    col.insert(t, e)
+                    seeded += 1
+        cc.check_boundary_squared()
+        assert seeded == sum(len(col) for k in range(cc.dim + 1)
+                             for col in cc.boundary(k))
 
 
 def test_cell_rule_matches_the_vertex_tuple_rule():
@@ -288,25 +336,15 @@ def test_projective_plane_minimal():
     assert_coreduction_exact(chain_complex(rp2))
 
 
-class _MinimalRP2(ChainComplex):
-    """The minimal CW structure on RP^2: one cell in each of degrees 0, 1
-    and 2, with d e1 = 0 and d e2 = 2 e1."""
-
-    def __init__(self):
-        super().__init__([(0b1,), (0b11,), (0b111,)])
-
-    def _boundary(self, k):
-        return [[[(0, 1)]], [[]], [[(0, 2)]]][k]
-
-
-def test_coreduction_pairs_only_unit_incidences():
-    cc = _MinimalRP2()
-    # only vertex 0 goes, with the augmentation: e2 -> e1 has incidence 2
-    assert _coreduce(cc)[0] == [0, 1, 1]
-    z = homology_integral(cc)
-    assert z.betti == (0, 0) and z.torsion == ((), (2,))
-    assert homology_gf2(cc).betti == (0, 1, 1)
-    assert_coreduction_exact(cc)
+def test_minimal_rp2_boundary_has_two_torsion():
+    # The minimal CW structure on RP^2: one cell in each of degrees 0, 1
+    # and 2, with d e1 = 0 and d e2 = 2 e1.  No ChainComplex holds it, as
+    # every incidence there is +-1; elimination still meets such entries
+    # once unit pivots run out.
+    assert _sparse_rank_divisors([[]], DEFAULT_GUARDS) == (0, [])
+    assert _sparse_rank_divisors([[(0, 2)]], DEFAULT_GUARDS) == (1, [2])
+    assert gf2_rank(sum(1 << i for i, v in col if v % 2)
+                    for col in [[(0, 2)]]) == 0
 
 
 def test_coreduction_sets_aside_one_vertex_per_component():
@@ -382,6 +420,19 @@ def test_result_refuses_torsion_past_betti():
         homology_from_json(data, "Z")
     data["betti"] = [1, 0]
     assert "Z/2" in str(homology_from_json(data, "Z"))
+
+
+@pytest.mark.parametrize("args", [
+    ("Z", False, (-1,)),
+    ("Z", False, (1,), ((1,),)),
+    ("Z", False, (0, 2), ((), (0,))),
+    ("GF2", False, (-2, 1)),
+], ids=["negative-betti", "torsion-1", "torsion-0", "negative-gf2-betti"])
+def test_result_refuses_counts_no_computation_produces(args):
+    # each printed as a result before: trivial (Z), H~0=Z+Z/1,
+    # H~1=Z+Z+Z/0 and H~1=F2
+    with pytest.raises(ValueError, match="betti numbers|torsion orders"):
+        HomologyResult(*args)
 
 
 def test_snf_guard():
@@ -516,3 +567,89 @@ def test_coreduction_reaches_hom_c5_k5():
     assert z.betti == (0, 0, 1, 1, 0, 1) and not any(z.torsion)
     assert homology_gf2(cc).betti == z.betti
     assert homology_connectivity(z) + 4 == chromatic_number(complete_graph(5))
+
+
+# ---------------------------------------------------------------------------
+# the build against the mask rule, and the shape of coreduction
+
+# The benchmark's Hom-homology instances (Hom(C5,K4) is taken over Z and
+# over GF(2)), with the cells coreduction leaves under identity labels.
+BENCHMARK_HOM_PAIRS = {
+    "K2,K6": (K2, complete_graph(6), [0, 0, 0, 0, 1]),
+    "C5,K4": (cycle_graph(5), complete_graph(4), [0, 92, 187, 96]),
+    "K3,K5": (K3, complete_graph(5), [0, 0, 29]),
+    "K2,K5": (K2, complete_graph(5), [0, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(BENCHMARK_HOM_PAIRS))
+def test_build_matches_the_mask_rule_on_the_benchmark_pairs(pair):
+    g, h, left = BENCHMARK_HOM_PAIRS[pair]
+    cc = chain_complex_of_hom(hom_poset(g, h))
+    assert_mask_rule(cc)
+    assert _coreduce(cc)[0] == left
+
+
+def test_build_matches_the_mask_rule_on_every_verify_pair(monkeypatch,
+                                                          tmp_path, capsys):
+    seen = {}
+    cached = harness.cached_hom_homology
+
+    def record(g, h, *args, **kwargs):
+        seen[g.n, g.adj, h.n, h.adj] = g, h
+        return cached(g, h, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "cached_hom_homology", record)
+    monkeypatch.delenv("HOMLAB_CACHE_DIR", raising=False)
+    main(["verify", "--report-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert len(seen) == 16
+    for g, h in seen.values():
+        assert_mask_rule(chain_complex_of_hom(hom_poset(g, h)))
+
+
+def coreduction_design_breaks(source: str) -> list[str]:
+    """Where the module in ``source`` builds boundaries or cofaces outside
+    the one loop in ``ChainComplex.__init__``: a ``ChainComplex._boundary``
+    method, or a ``_coreduce`` that calls ``cc.boundary`` or appends to a
+    per-cell list (``xs[i].append``, the way a coface list is filled)."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == "ChainComplex":
+            out += [f"ChainComplex.{f.name}" for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                    and f.name == "_boundary"]
+        if isinstance(node, ast.FunctionDef) and node.name == "_coreduce":
+            for sub in ast.walk(node):
+                if not (isinstance(sub, ast.Call)
+                        and isinstance(sub.func, ast.Attribute)):
+                    continue
+                f = sub.func
+                if f.attr == "boundary" and isinstance(f.value, ast.Name) \
+                        and f.value.id == "cc":
+                    out.append(f"_coreduce calls cc.boundary, line "
+                               f"{sub.lineno}")
+                if f.attr == "append" and isinstance(f.value, ast.Subscript):
+                    out.append(f"_coreduce appends to a per-cell list, line "
+                               f"{sub.lineno}")
+    return out
+
+
+def test_coreduction_reads_the_cofaces_the_build_recorded():
+    assert coreduction_design_breaks(inspect.getsource(homology)) == []
+
+
+def test_scan_flags_a_second_boundary_pass():
+    source = (
+        "class ChainComplex:\n"
+        "    def _boundary(self, k):\n"
+        "        return []\n"
+        "def _coreduce(cc):\n"
+        "    cols = [cc.boundary(k) for k in range(3)]\n"
+        "    cofaces = [[[] for _ in level] for level in cols]\n"
+        "    for j, col in enumerate(cols[1]):\n"
+        "        for i, _ in col:\n"
+        "            cofaces[0][i].append(j)\n")
+    assert coreduction_design_breaks(source) == [
+        "ChainComplex._boundary", "_coreduce calls cc.boundary, line 5",
+        "_coreduce appends to a per-cell list, line 9"]

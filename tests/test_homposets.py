@@ -894,6 +894,29 @@ def test_loop_addition_c6():
         poset_homology(rep.hom_plain.poset)
 
 
+def test_loop_addition_takes_each_elements_loop_sets_once(monkeypatch):
+    loop_sets = homposets._loop_sets
+    calls = []
+
+    def counted(g, element):
+        calls.append(element)
+        return loop_sets(g, element)
+
+    monkeypatch.setattr(homposets, "_loop_sets", counted)
+    r8 = reflexive_cycle(8)
+    rep = loop_addition_maps(complete_graph(2), r8)
+    plain = rep.hom_plain.elements
+    # 96 elements and 512 chains: one call per element, not per chain member
+    assert len(plain) == 96 and rep.j.domain.m == 512
+    assert sorted(calls) == sorted(plain)
+    for c, chain in enumerate(rep.j.domain.elements):
+        want = tuple(reduce(or_, (loop_sets(r8, plain[r])[v] for r in chain))
+                     for v in range(2))
+        assert rep.hom_reflexive.elements[rep.j.image[c]] == want
+        top = plain[chain[-1]]
+        assert plain[rep.h.image[c]] == tuple(a | b for a, b in zip(want, top))
+
+
 def test_loop_addition_requirements():
     k2 = complete_graph(2)
     with pytest.raises(ValueError, match="fine"):

@@ -19,8 +19,8 @@ from homlab.posets import (PosetMap, atom_graph, chain_poset,
                            enumerate_poset_maps, face_poset, from_leq_pairs,
                            is_closure_map, make_complex, pointwise_poset)
 from test_homology import (_sympy_invariants, assert_coreduction_exact,
-                           assert_simplicial_boundaries, unreduced_homology,
-                           universal_coefficients_ok)
+                           assert_mask_rule, assert_simplicial_boundaries,
+                           unreduced_homology, universal_coefficients_ok)
 from test_posets import SQUARE, filter_all_maps, pointwise_leq
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -226,6 +226,17 @@ def test_cellular_hom_homology_matches_order_complex(g, h):
         assert hom_homology(hp, field_name) \
             == poset_homology(hp.poset, field_name) \
             == unreduced_homology(cells, field_name)
+
+
+@given(graphs(min_n=1, max_n=3, allow_loops=True),
+       graphs(min_n=1, max_n=4, allow_loops=True))
+@example(Graph(2, (0b11, 0b11)), Graph(3, (0b111,) * 3))      # all looped
+@example(Graph(3, (0b110, 0b101, 0b011)), Graph(4, (0b1110, 0b1101,
+                                                    0b1011, 0b0111)))
+def test_cell_build_matches_the_mask_rule(g, h):
+    hp = hom_poset(g, h)
+    assume(hp.m <= 4000)  # keeps an example to a fraction of a second
+    assert_mask_rule(chain_complex_of_hom(hp))
 
 
 VEE = from_leq_pairs(3, [(0, 2), (1, 2)])        # 0, 1 below 2
