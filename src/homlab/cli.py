@@ -39,9 +39,9 @@ from .graphs import (Graph, bits, chromatic_number, complete_graph,
                      count_from_json, cycle_graph, graph_from_json,
                      graph_to_json, graph_stats, looped_path, one_graph,
                      reflexive_cycle)
-from .harness import (Cache, CacheCorrupt, cached_hom_homology,
-                      guard_overrides, list_experiments, load_reports,
-                      render_report, run_experiments)
+from .harness import (Cache, CacheCorrupt, RunContext, guard_overrides,
+                      list_experiments, load_reports, render_report,
+                      run_experiments)
 from .homposets import hom_poset
 from .limits import (DEFAULT_GUARDS, GuardExceeded, Guards,
                      check_graph_vertices)
@@ -275,8 +275,8 @@ def _cmd_homology(args) -> int:
     cache = _cache(args)
     src = parse_graph_id(args.source, guards)
     dst = parse_graph_id(args.target, guards)
-    res = cached_hom_homology(src, dst, _FIELD_NAMES[args.field], guards,
-                              cache)
+    res = RunContext(guards, cache).hom_homology(src, dst,
+                                                 _FIELD_NAMES[args.field])
     _emit(args, res.to_json(),
           f"Hom({args.source},{args.target}) over "
           f"{_FIELD_NAMES[args.field]}: {res}")

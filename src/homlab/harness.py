@@ -19,8 +19,16 @@ exact or a ``GuardExceeded``, so keying on the guards makes a warm call
 return or raise what the cold one does; a call under other guards misses
 and recomputes.  Hom posets are not cached: enumerating one is
 faster than decoding it.  The cache directory is an explicit path; without
-one, every computation runs fresh.  Nothing here reads the environment:
-guards, cache and report directory are all passed in.
+one, every computation runs fresh.
+
+``RunContext.hom_homology`` is the one path from two graphs to Hom
+homology for the registry and the CLI.  On a cache miss it enumerates
+Hom(g,h), builds and checks its cellular complex and coreduces it, then
+keeps only the coreduced counts and columns, keyed by source, target and
+guards.  A request for the other field of that pair then runs its own
+elimination on them and nothing else; each field's guards, such as
+``snf_nonzeros`` over Z, still apply to it.  Nothing here reads the
+environment: guards, cache and report directory are all passed in.
 """
 
 from __future__ import annotations
@@ -49,10 +57,12 @@ from .graphs import (Graph, bits, check_homomorphism, chromatic_number,
                      exponential, graph_to_json, is_fine, is_isomorphic,
                      looped_path, odd_girth, product, reflexive_closure,
                      reflexive_cycle)
-from .homology import (HomologyResult, chain_complex, closure_reduce,
-                       hom_homology, homology_from_json, homology_of_complex,
-                       klein_bottle_complex, poset_homology, simplex_boundary,
-                       suspension_check, torus_complex)
+from .homology import (Coreduced, HomologyResult, _coreduce, chain_complex,
+                       chain_complex_of_hom, closure_reduce,
+                       coreduced_homology, hom_homology, homology_from_json,
+                       homology_of_complex, klein_bottle_complex,
+                       poset_homology, simplex_boundary, suspension_check,
+                       torus_complex)
 from .homposets import (HomPoset, adjunction_report, hom_poset,
                         induced_hom_action, loop_addition_maps,
                         poset_adjunction_report, quotient_compare)
@@ -63,7 +73,7 @@ from .posets import (Poset, PosetMap, SimplicialComplex, atom_graph,
 
 __all__ = [
     "Cache", "CacheCorrupt", "Experiment", "RunContext", "RunReport",
-    "cached_hom_homology", "cached_poset_homology", "canonical_json",
+    "cached_poset_homology", "canonical_json",
     "content_key", "get_experiment", "guard_overrides",
     "hom_cache_key", "homology_cache_key", "list_experiments", "load_reports",
     "render_report", "report_from_json", "run_experiment", "run_experiments",
@@ -215,19 +225,6 @@ def _load_homology(cache: Cache, key: str,
             f"malformed homology entry {key}: {exc!r}") from None
 
 
-def cached_hom_homology(g: Graph, h: Graph, field_name: str = "Z",
-                        guards: Guards = DEFAULT_GUARDS,
-                        cache: Cache = Cache()) -> HomologyResult:
-    """Cellular homology of Hom(g,h), cached by (source, target, field,
-    guards)."""
-    key = hom_cache_key(g, h, field_name, guards)
-    res = _load_homology(cache, key, field_name)
-    if res is None:
-        res = hom_homology(hom_poset(g, h, guards), field_name, guards)
-        cache.store(key, "homology", [canonical_json(res.to_json())])
-    return res
-
-
 def homology_cache_key(p: Poset, field_name: str, guards: Guards) -> str:
     """Key of the entry holding the order-complex homology of p over a
     field, computed under ``guards``."""
@@ -253,10 +250,15 @@ def cached_poset_homology(p: Poset, field_name: str = "Z",
 
 @dataclass
 class RunContext:
-    """Guards plus cache handed to every experiment runner."""
+    """Guards plus cache handed to every experiment runner, and the
+    coreduced cellular complex of the last Hom pair it built."""
 
     guards: Guards = DEFAULT_GUARDS
     cache: Cache = field(default_factory=Cache)
+    # (source, target, guards, coreduced complex): a one-entry memo, keyed
+    # by the guards too because a caller may replace them
+    _last_hom: Optional[tuple[Graph, Graph, Guards, Coreduced]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def hom(self, g: Graph, h: Graph) -> HomPoset:
         return hom_poset(g, h, self.guards)
@@ -268,7 +270,27 @@ class RunContext:
 
     def hom_homology(self, g: Graph, h: Graph,
                      field_name: str = "Z") -> HomologyResult:
-        return cached_hom_homology(g, h, field_name, self.guards, self.cache)
+        """Cellular homology of Hom(g,h), cached by (source, target, field,
+        guards); a miss eliminates on the memo's coreduced complex when it
+        holds this pair under these guards."""
+        key = hom_cache_key(g, h, field_name, self.guards)
+        res = _load_homology(self.cache, key, field_name)
+        if res is None:
+            res = coreduced_homology(self._coreduced_hom(g, h), field_name,
+                                     self.guards)
+            self.cache.store(key, "homology", [canonical_json(res.to_json())])
+        return res
+
+    def _coreduced_hom(self, g: Graph, h: Graph) -> Coreduced:
+        last = self._last_hom
+        if last is not None and last[:3] == (g, h, self.guards):
+            return last[3]
+        # the full complex is freed once coreduced; a GuardExceeded from
+        # the enumeration leaves the memo as it was
+        reduced = _coreduce(chain_complex_of_hom(hom_poset(g, h,
+                                                           self.guards)))
+        self._last_hom = (g, h, self.guards, reduced)
+        return reduced
 
 
 Check = tuple[bool, str]
@@ -486,6 +508,14 @@ def _run_csorba_square(ctx: RunContext) -> Iterator[Check]:
     g = csorba_graph(x, involution, ctx.guards)
     res = ctx.hom_homology(complete_graph(2), g)
     yield res.is_sphere(1), f"graph on {g.n} vertices; Hom(K2,-): {res}"
+
+
+def _run_k2_s21_sphere(ctx: RunContext) -> Iterator[Check]:
+    # one context, so the second field eliminates on the first's complex
+    g = spherical_graph(2, 1, ctx.guards).graph
+    for field_name in ("Z", "GF2"):
+        res = ctx.hom_homology(complete_graph(2), g, field_name)
+        yield res.is_sphere(2), f"Hom(K2,S(2,1)) over {field_name}: {res}"
 
 
 def _run_universality(ctx: RunContext) -> Iterator[Check]:
@@ -754,6 +784,12 @@ def _build_registry() -> dict[str, Experiment]:
             "universality construction.",
             "Hom(K2,csorba(square)) ~ S^1 over Z",
             "closed form", _run_csorba_square),
+        Experiment(
+            "hom-k2-s21-sphere", 0,
+            "Hom(K2,S(2,1)) has the reduced homology of the 2-sphere over Z "
+            "and over GF(2).",
+            "Hom(K2,S(2,1)) ~ S^2 over Z and over GF(2)",
+            "closed form", _run_k2_s21_sphere),
     )
     registry: dict[str, Experiment] = {}
     for exp in entries:

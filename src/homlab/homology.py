@@ -17,17 +17,21 @@ boundary squares to zero reads those columns: for every column of degree
 >= 1, each row reached through its faces must be reached as often with +
 as with -.
 
-Both engines first coreduce the augmented complex (Mrozek-Batko, DCG 2009)
-on the columns and cofaces the build recorded: they pair the augmentation
-with a vertex and one vertex of each other component with a free summand
-of H~0, then repeatedly remove a cell that has exactly one face left
-together with that face.  The cells left carry the original boundary
-restricted to them, with the same homology over Z and GF(2).  On a Hom
-complex this leaves a few percent of the cells, so elimination needs no
-fill-in ordering: integral computation sweeps the rows in turn, pivoting
-on any +-1 entry, until no row has one, and finishes any remainder with a
-dense Smith normal form; GF(2) uses bit-packed column elimination.  One
-body serves both fields.
+Homology comes in two steps.  Coreduction, which does not depend on the
+field, reads the columns and cofaces the build recorded (Mrozek-Batko,
+DCG 2009): it pairs the augmentation with a vertex and one vertex of each
+other component with a free summand of H~0, then repeatedly removes a cell
+that has exactly one face left together with that face.  The cells left
+carry the original boundary restricted to them, with the same homology
+over Z and GF(2), and `_coreduce` returns only their counts and (row,
+sign) columns, so one coreduced complex serves both fields and the full
+complex can be freed first.  Elimination, in `homology_integral` and
+`homology_gf2`, reads those columns without writing them.  On a Hom
+complex coreduction leaves a few percent of the cells, so elimination
+needs no fill-in ordering: integral computation sweeps the rows in turn,
+pivoting on any +-1 entry, until no row has one, and finishes any
+remainder with a dense Smith normal form; GF(2) uses bit-packed column
+elimination.  One body serves both fields.
 """
 
 from __future__ import annotations
@@ -426,10 +430,15 @@ def homology_from_json(data: dict, field_name: str) -> HomologyResult:
     return result
 
 
-def _coreduce(cc: ChainComplex) -> tuple[list[int],
-                                         list[list[list[tuple[int, int]]]]]:
+# counts and boundary columns, as (row, sign) pairs, of a coreduced
+# augmented complex: all that elimination reads, over either field
+Coreduced = tuple[list[int], list[list[list[tuple[int, int]]]]]
+
+
+def _coreduce(cc: ChainComplex) -> Coreduced:
     """Counts and boundary columns, as (row, sign) pairs, of cc's augmented
-    complex after coreduction (Mrozek-Batko, DCG 2009).
+    complex after coreduction (Mrozek-Batko, DCG 2009); the empty complex
+    gives no counts.
 
     The augmentation is paired with vertex 0, and the lowest vertex of each
     other component is a free summand of H~0, put last in degree 0: a chain
@@ -442,6 +451,8 @@ def _coreduce(cc: ChainComplex) -> tuple[list[int],
     fill-in.  The columns and cofaces are the ones cc was built with.
     """
     counts = cc.counts()
+    if not counts:
+        return [], []
     cols, cofaces = cc._columns, cc._cofaces
     live = [bytearray(b"\1") * n for n in counts]
     faces_left = [[0] * counts[0]] + [list(map(len, level))
@@ -501,13 +512,13 @@ def _coreduce(cc: ChainComplex) -> tuple[list[int],
     return left, out
 
 
-def _reduced_homology(cc: ChainComplex, field_name: str,
-                      guards: Guards) -> HomologyResult:
-    """Coreduce, then take each boundary's rank over Z (with its elementary
-    divisors) or over GF(2)."""
-    if not cc.counts():
+def _eliminate(reduced: Coreduced, field_name: str,
+               guards: Guards) -> HomologyResult:
+    """Each boundary's rank over Z (with its elementary divisors) or over
+    GF(2), on a coreduced complex whose columns it only reads."""
+    counts, cols = reduced
+    if not counts:
         return HomologyResult(field_name, True, ())
-    counts, cols = _coreduce(cc)
     dim = len(counts) - 1
     ranks = [0] * (dim + 2)
     divisors: list[list[int]] = [[] for _ in range(dim + 2)]
@@ -523,20 +534,26 @@ def _reduced_homology(cc: ChainComplex, field_name: str,
     return HomologyResult(field_name, False, betti, torsion)
 
 
-def homology_integral(cc: ChainComplex,
+def homology_integral(reduced: Coreduced,
                       guards: Guards = DEFAULT_GUARDS) -> HomologyResult:
-    return _reduced_homology(cc, "Z", guards)
+    return _eliminate(reduced, "Z", guards)
 
 
-def homology_gf2(cc: ChainComplex,
+def homology_gf2(reduced: Coreduced,
                  guards: Guards = DEFAULT_GUARDS) -> HomologyResult:
-    return _reduced_homology(cc, "GF2", guards)
+    return _eliminate(reduced, "GF2", guards)
+
+
+def coreduced_homology(reduced: Coreduced, field_name: str,
+                       guards: Guards) -> HomologyResult:
+    """Homology over a field of a complex `_coreduce` already reduced."""
+    return homology_integral(reduced, guards) if field_name == "Z" \
+        else homology_gf2(reduced, guards)
 
 
 def _chain_homology(cc: ChainComplex, field_name: str,
                     guards: Guards) -> HomologyResult:
-    return homology_integral(cc, guards) if field_name == "Z" \
-        else homology_gf2(cc, guards)
+    return coreduced_homology(_coreduce(cc), field_name, guards)
 
 
 def homology_of_complex(x: SimplicialComplex, field_name: str = "Z",

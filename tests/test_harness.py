@@ -1,23 +1,25 @@
 """Experiment harness: cache integrity, registry, reports, and the CLI."""
 
+import ast
 import inspect
 import json
 from dataclasses import asdict
 
 import pytest
 
+from homlab import cli, harness
 from homlab.actions import left_regular_maps, symmetric_group
 from homlab.cli import main, parse_graph_id
+from homlab.families import twisted_toroidal
 from homlab.graphs import (complete_graph, cycle_graph, graph_to_json,
                            is_isomorphic, looped_path, reflexive_cycle)
 from homlab.harness import (Cache, CacheCorrupt, EXPERIMENTS, Experiment,
-                            RunContext, RunReport, cached_hom_homology,
-                            cached_poset_homology, canonical_json,
-                            content_key, get_experiment, guard_overrides,
-                            hom_cache_key, homology_cache_key,
-                            list_experiments, load_reports, render_report,
-                            report_from_json, run_experiment,
-                            run_experiments)
+                            RunContext, RunReport, cached_poset_homology,
+                            canonical_json, content_key, get_experiment,
+                            guard_overrides, hom_cache_key,
+                            homology_cache_key, list_experiments,
+                            load_reports, render_report, report_from_json,
+                            run_experiment, run_experiments)
 from homlab.homposets import hom_poset
 from homlab.homology import hom_homology, poset_homology
 from homlab.limits import DEFAULT_GUARDS, GRAPH_VERTICES, GuardExceeded
@@ -82,7 +84,7 @@ def test_hom_posets_are_never_cached(tmp_path):
     ctx = RunContext(cache=Cache(tmp_path))
     assert ctx.hom(g, h).m == 50
     assert list(tmp_path.iterdir()) == [] and ctx.cache.misses == 0
-    cached_hom_homology(g, h, cache=ctx.cache)  # a miss: one entry
+    ctx.hom_homology(g, h)  # a miss: one entry
     (entry,) = tmp_path.iterdir()
     assert json.loads(entry.read_text().partition("\n")[0])["kind"] == \
         "homology"
@@ -96,13 +98,13 @@ def test_hom_cache_round_trip_is_bit_identical(tmp_path):
                                "guards": asdict(DEFAULT_GUARDS),
                                "source": graph_to_json(g),
                                "target": graph_to_json(h)})
-    assert cached_hom_homology(g, h, cache=Cache(tmp_path)) == fresh
+    assert RunContext(cache=Cache(tmp_path)).hom_homology(g, h) == fresh
     path = Cache(tmp_path).path_for(key)
     stored = path.read_bytes()
     assert stored.decode().splitlines()[1:] == [
         canonical_json(fresh.to_json())]
     cache = Cache(tmp_path)
-    assert cached_hom_homology(g, h, cache=cache) == fresh
+    assert RunContext(cache=cache).hom_homology(g, h) == fresh
     assert cache.hits == 1 and cache.misses == 0
     assert path.read_bytes() == stored
 
@@ -119,14 +121,14 @@ def test_homology_cache_round_trip(tmp_path):
 
 def test_cache_detects_tampering(tmp_path):
     g, h = complete_graph(2), complete_graph(3)
-    cached_hom_homology(g, h, cache=Cache(tmp_path))
+    RunContext(cache=Cache(tmp_path)).hom_homology(g, h)
     path = Cache(tmp_path).path_for(hom_cache_key(g, h, "Z", DEFAULT_GUARDS))
     head, _, body = path.read_text().partition("\n")
     lines = body.splitlines()
     lines[0] = lines[0].replace("[0,1]", "[0,7]")  # the Betti numbers
     path.write_text(head + "\n" + "\n".join(lines) + "\n")
     with pytest.raises(CacheCorrupt, match="hash mismatch"):
-        cached_hom_homology(g, h, cache=Cache(tmp_path))
+        RunContext(cache=Cache(tmp_path)).hom_homology(g, h)
 
 
 def test_cache_rejects_wrong_kind_and_garbage(tmp_path):
@@ -135,10 +137,10 @@ def test_cache_rejects_wrong_kind_and_garbage(tmp_path):
     key = hom_cache_key(g, h, "Z", DEFAULT_GUARDS)
     cache.store(key, "hom", ["[[0],[1]]"])  # the retired element kind
     with pytest.raises(CacheCorrupt, match="expected 'homology'"):
-        cached_hom_homology(g, h, cache=cache)
+        RunContext(cache=cache).hom_homology(g, h)
     cache.path_for(key).write_text("not json at all")
     with pytest.raises(CacheCorrupt):
-        cached_hom_homology(g, h, cache=cache)
+        RunContext(cache=cache).hom_homology(g, h)
 
 
 def test_cache_hit_still_enforces_element_guard(tmp_path):
@@ -190,13 +192,13 @@ def test_a_homology_entry_holds_only_its_result(tmp_path):
 
 def test_hom_homology_cache_round_trip(tmp_path):
     g, h = complete_graph(2), complete_graph(4)
-    cold = cached_hom_homology(g, h, cache=Cache(tmp_path))
+    cold = RunContext(cache=Cache(tmp_path)).hom_homology(g, h)
     cache = Cache(tmp_path)
-    warm = cached_hom_homology(g, h, cache=cache)
+    warm = RunContext(cache=cache).hom_homology(g, h)
     assert warm == cold == poset_homology(hom_poset(g, h).poset)
     assert cache.hits == 1 and cache.misses == 0
     # different field means a different key: one miss, nothing else read
-    gf2 = cached_hom_homology(g, h, "GF2", cache=cache)
+    gf2 = RunContext(cache=cache).hom_homology(g, h, "GF2")
     assert gf2.field == "GF2" and gf2.is_sphere(2)
     assert cache.hits == 1 and cache.misses == 1
 
@@ -204,12 +206,12 @@ def test_hom_homology_cache_round_trip(tmp_path):
 def test_hom_homology_cache_hit_still_enforces_element_guard(tmp_path):
     g, h = complete_graph(2), complete_graph(4)
     cache = Cache(tmp_path)
-    cached_hom_homology(g, h, cache=cache)
+    RunContext(cache=cache).hom_homology(g, h)
     tight = DEFAULT_GUARDS.scaled(hom_elements=10)
     with pytest.raises(GuardExceeded) as warm:
-        cached_hom_homology(g, h, "Z", tight, cache)
+        RunContext(tight, cache).hom_homology(g, h)
     with pytest.raises(GuardExceeded) as cold:
-        cached_hom_homology(g, h, "Z", tight, Cache())
+        RunContext(tight).hom_homology(g, h)
     assert warm.value.guard == "hom_elements"
     assert str(warm.value) == str(cold.value)
 
@@ -217,14 +219,14 @@ def test_hom_homology_cache_hit_still_enforces_element_guard(tmp_path):
 def test_homology_cache_rejects_a_malformed_entry(tmp_path):
     g, h = complete_graph(2), complete_graph(3)
     cache = Cache(tmp_path)
-    cached_hom_homology(g, h, cache=cache)
+    RunContext(cache=cache).hom_homology(g, h)
     key = hom_cache_key(g, h, "Z", DEFAULT_GUARDS)
     (result,) = cache.load(key, "homology")
     # the old shape, element count first, and empty or doubled bodies
     for bad in (["12", result], [result, result], [], ["12"]):
         cache.store(key, "homology", bad)
         with pytest.raises(CacheCorrupt, match="malformed homology entry"):
-            cached_hom_homology(g, h, cache=cache)
+            RunContext(cache=cache).hom_homology(g, h)
 
 
 @pytest.mark.parametrize("entry", ["Hom", "poset"])
@@ -237,7 +239,7 @@ def test_warm_and_cold_calls_agree_under_every_guard(entry, guard, tmp_path):
     form, so a zero `snf_nonzeros` trips it."""
     g, h = cycle_graph(5), complete_graph(4)
     p = hom_poset(complete_graph(2), complete_graph(3)).poset
-    call = {"Hom": lambda *a: cached_hom_homology(g, h, "Z", *a),
+    call = {"Hom": lambda *a: RunContext(*a).hom_homology(g, h),
             "poset": lambda *a: cached_poset_homology(p, "Z", *a)}[entry]
     cache = Cache(tmp_path)
     call(DEFAULT_GUARDS, cache)
@@ -274,7 +276,7 @@ def test_homology_hit_is_checked_for_meaning(entry, change, tmp_path):
     p = hom_poset(g, h).poset
     cache = Cache(tmp_path)
     load, key = {
-        "Hom": (lambda: cached_hom_homology(g, h, "Z", cache=cache),
+        "Hom": (lambda: RunContext(cache=cache).hom_homology(g, h),
                 hom_cache_key(g, h, "Z", DEFAULT_GUARDS)),
         "poset": (lambda: cached_poset_homology(p, "Z", cache=cache),
                   homology_cache_key(p, "Z", DEFAULT_GUARDS)),
@@ -297,6 +299,126 @@ def test_cold_cache_recomputes_identical_values(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# one build per Hom pair for both fields
+
+# The benchmark's Hom-homology pairs, and Hom(K2,T(2,5)), whose H~1 has Z/2
+# torsion that the dense Smith form finds.
+MEMO_PAIRS = {
+    "K2,K6": (complete_graph(2), complete_graph(6)),
+    "C5,K4": (cycle_graph(5), complete_graph(4)),
+    "K3,K5": (complete_graph(3), complete_graph(5)),
+    "K2,K5": (complete_graph(2), complete_graph(5)),
+    "K2,T(2,5)": (complete_graph(2), twisted_toroidal(2, 5).graph),
+}
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Replace ``harness.<name>`` by a wrapper that records each call."""
+    calls, fn = [], getattr(harness, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(harness, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("pair", sorted(MEMO_PAIRS))
+def test_one_context_builds_a_pair_once_for_both_fields(pair, monkeypatch):
+    g, h = MEMO_PAIRS[pair]
+    hp = hom_poset(g, h)
+    fresh = {f: hom_homology(hp, f) for f in ("Z", "GF2")}
+    del hp
+    builds = count_calls(monkeypatch, "chain_complex_of_hom")
+    for order in (("Z", "GF2", "Z"), ("GF2", "Z")):
+        ctx = RunContext()
+        assert [ctx.hom_homology(g, h, f) for f in order] == \
+            [fresh[f] for f in order]
+    assert len(builds) == 2  # one per context
+
+
+def test_a_memo_hit_still_enforces_snf_nonzeros(monkeypatch):
+    # Hom(C5,K4) over Z reaches the dense Smith form; over GF(2) it does not
+    g, h = MEMO_PAIRS["C5,K4"]
+    tight = DEFAULT_GUARDS.scaled(snf_nonzeros=0)
+    builds = count_calls(monkeypatch, "chain_complex_of_hom")
+    ctx = RunContext(tight)
+    assert ctx.hom_homology(g, h, "GF2") == hom_homology(hom_poset(g, h),
+                                                         "GF2")
+    with pytest.raises(GuardExceeded) as hit:
+        ctx.hom_homology(g, h, "Z")
+    assert len(builds) == 1  # the Z request was a memo hit
+    with pytest.raises(GuardExceeded) as cold:
+        RunContext(tight).hom_homology(g, h, "Z")
+    assert hit.value.guard == "snf_nonzeros"
+    assert str(hit.value) == str(cold.value)
+
+
+def test_a_guard_trip_leaves_the_memo_and_new_guards_miss(monkeypatch):
+    g, h = MEMO_PAIRS["C5,K4"]
+    enumerations = count_calls(monkeypatch, "hom_poset")
+    ctx = RunContext()
+    z = ctx.hom_homology(g, h)
+    memo = ctx._last_hom
+    ctx.guards = DEFAULT_GUARDS.scaled(hom_elements=10)
+    for other in (h, complete_graph(5)):  # this pair and another
+        with pytest.raises(GuardExceeded, match="hom_elements"):
+            ctx.hom_homology(g, other, "GF2")
+        assert ctx._last_hom is memo
+    assert len(enumerations) == 3
+    ctx.guards = DEFAULT_GUARDS
+    gf2 = ctx.hom_homology(g, h, "GF2")
+    assert len(enumerations) == 3  # a memo hit
+    # any other guards miss, even where they allow the same result
+    ctx.guards = DEFAULT_GUARDS.scaled(
+        snf_nonzeros=DEFAULT_GUARDS.snf_nonzeros + 1)
+    assert ctx.hom_homology(g, h, "GF2") == gf2
+    assert ctx.hom_homology(g, h) == z
+    assert len(enumerations) == 4
+
+
+def hom_build_sites(source: str) -> list[str]:
+    """Each call of ``chain_complex_of_hom`` in the module in ``source``,
+    by its enclosing ``Class.function`` and line."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = scope + [child.name]
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                if name == "chain_complex_of_hom":
+                    out.append(f"{'.'.join(scope)}:{child.lineno}")
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return out
+
+
+def test_one_path_builds_a_hom_complex():
+    # the registry and the CLI reach Hom homology only through RunContext
+    sites = [site for module in (harness, cli)
+             for site in hom_build_sites(inspect.getsource(module))]
+    assert len(sites) == 1, sites
+    assert sites[0].startswith("RunContext._coreduced_hom:")
+
+
+def test_scan_finds_every_hom_build():
+    source = (
+        "def homology(g, h):\n"
+        "    return reduce(chain_complex_of_hom(hom_poset(g, h)))\n"
+        "class Context:\n"
+        "    def build(self, hp):\n"
+        "        return homology.chain_complex_of_hom(hp)\n")
+    assert hom_build_sites(source) == ["homology:2", "Context.build:5"]
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 def test_every_acceptance_criterion_has_exactly_one_experiment():
@@ -314,8 +436,9 @@ def test_registry_ids_are_stable():
         "hom-k2-t1m-circle", "mycielski-suite", "quotient-commutation",
         "adjunction-roundtrips", "equivariant-poset-maps",
         "fine-loop-addition", "universality", "discontinuity", "colorings",
-        "property-suites", "csorba-square")
+        "property-suites", "csorba-square", "hom-k2-s21-sphere")
     assert get_experiment("csorba-square").criterion == 0
+    assert get_experiment("hom-k2-s21-sphere").criterion == 0
     with pytest.raises(ValueError, match="unknown experiment id"):
         get_experiment("nope")
 

@@ -164,11 +164,10 @@ def assert_mask_rule(cc: ChainComplex) -> None:
 def assert_coreduction_exact(cc: ChainComplex) -> None:
     """Coreduced homology equals the oracle's, over Z and GF(2), and no
     degree gains cells."""
-    if cc.counts():
-        left, _ = _coreduce(cc)
-        assert all(a <= b for a, b in zip(left, cc.counts()))
-    assert homology_integral(cc) == unreduced_homology(cc, "Z")
-    assert homology_gf2(cc) == unreduced_homology(cc, "GF2")
+    reduced = _coreduce(cc)
+    assert all(a <= b for a, b in zip(reduced[0], cc.counts()))
+    assert homology_integral(reduced) == unreduced_homology(cc, "Z")
+    assert homology_gf2(reduced) == unreduced_homology(cc, "GF2")
 
 
 def test_gf2_rank():
@@ -216,7 +215,8 @@ def test_chain_complex_refuses_a_repeated_cell():
     # cells are grouped by dimension, whatever order they come in
     cc = ChainComplex([(0b11,), (0b10,), (0b01,)])
     assert cc.faces == (((0b10,), (0b01,)), ((0b11,),))
-    assert not any(homology_integral(cc).betti)  # an edge: contractible
+    # an edge: contractible
+    assert not any(homology_integral(_coreduce(cc)).betti)
 
 
 def test_boundary_squared_check_covers_every_column():
@@ -296,7 +296,7 @@ def test_torus_and_klein_bottle():
     inc = Counter(e for f in t.facets for e in
                   [(f[0], f[1]), (f[0], f[2]), (f[1], f[2])])
     assert set(inc.values()) == {2}
-    ht = homology_integral(cc)
+    ht = homology_integral(_coreduce(cc))
     assert ht.betti == (0, 2, 1) and not any(ht.torsion)
     assert_coreduction_exact(cc)
 
@@ -306,16 +306,16 @@ def test_torus_and_klein_bottle():
     inck = Counter(e for f in k.facets for e in
                    [(f[0], f[1]), (f[0], f[2]), (f[1], f[2])])
     assert set(inck.values()) == {2}
-    hk = homology_integral(cck)
+    hk = homology_integral(_coreduce(cck))
     assert_coreduction_exact(cck)
     assert hk.betti == (0, 1)
     assert hk.torsion == ((), (2,))
     assert hk.reduced(2) == 0
     # GF(2) sees the torsion in degrees 1 and 2
-    hk2 = homology_gf2(cck)
+    hk2 = homology_gf2(_coreduce(cck))
     assert hk2.betti == (0, 2, 1)
     assert universal_coefficients_ok(hk, hk2)
-    assert universal_coefficients_ok(ht, homology_gf2(cc))
+    assert universal_coefficients_ok(ht, homology_gf2(_coreduce(cc)))
 
 
 def _rp2() -> "SimplicialComplex":
@@ -358,7 +358,7 @@ def test_coreduction_sets_aside_one_vertex_per_component():
     # each copy leaves no more than one copy alone, plus the free vertex
     assert sum(_coreduce(two)[0]) <= 2 * sum(_coreduce(one)[0]) + 1
     assert_coreduction_exact(two)
-    z = homology_integral(two)
+    z = homology_integral(_coreduce(two))
     assert z.betti == (1, 0, 0, 2) and not any(z.torsion)
     # Hom(K3,K3): six isolated points, five of them free
     points = chain_complex_of_hom(hom_poset(K3, K3))
@@ -405,7 +405,7 @@ def test_suspension_check():
 
 
 def test_result_json_round_trip():
-    h = homology_integral(chain_complex(klein_bottle_complex()))
+    h = homology_integral(_coreduce(chain_complex(klein_bottle_complex())))
     data = h.to_json()
     assert data["field"] == "Z" and data["torsion"][1] == [2]
     assert homology_from_json(data, "Z") == h
@@ -438,10 +438,11 @@ def test_result_refuses_counts_no_computation_produces(args):
 def test_snf_guard():
     # the simplex boundary reduces fully on unit pivots: no dense leftover
     cc = chain_complex(simplex_boundary(3))
-    assert homology_integral(cc, DEFAULT_GUARDS.scaled(snf_nonzeros=0)) \
+    assert homology_integral(_coreduce(cc),
+                             DEFAULT_GUARDS.scaled(snf_nonzeros=0)) \
         .is_sphere(2)
     # RP^2 has 2-torsion, so at least one non-unit entry must survive
-    ccr = chain_complex(_rp2())
+    ccr = _coreduce(chain_complex(_rp2()))
     with pytest.raises(GuardExceeded):
         homology_integral(ccr, DEFAULT_GUARDS.scaled(snf_nonzeros=0))
     h = homology_integral(ccr, DEFAULT_GUARDS.scaled(snf_nonzeros=4))
@@ -456,11 +457,11 @@ def test_random_complex_euler_consistency():
                  for _ in range(rng.randint(1, 8))]
         x = make_complex(n, faces)
         cc = chain_complex(x)
-        h = homology_integral(cc)
+        h = homology_integral(_coreduce(cc))
         reduced_euler = sum((-1) ** d * h.reduced(d)
                             for d in range(len(h.betti)))
         assert cc.euler_characteristic() - 1 == reduced_euler
-        assert universal_coefficients_ok(h, homology_gf2(cc))
+        assert universal_coefficients_ok(h, homology_gf2(_coreduce(cc)))
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +563,11 @@ def test_coreduction_reaches_hom_c5_k5():
     # 1-connected, and chi(K5) >= conn + 4 = 5 is tight.
     cc = chain_complex_of_hom(hom_poset(cycle_graph(5), complete_graph(5)))
     assert sum(cc.counts()) == 45540
-    assert sum(_coreduce(cc)[0]) == 3017
-    z = homology_integral(cc)
+    reduced = _coreduce(cc)
+    assert sum(reduced[0]) == 3017
+    z = homology_integral(reduced)
     assert z.betti == (0, 0, 1, 1, 0, 1) and not any(z.torsion)
-    assert homology_gf2(cc).betti == z.betti
+    assert homology_gf2(reduced).betti == z.betti
     assert homology_connectivity(z) + 4 == chromatic_number(complete_graph(5))
 
 
@@ -590,20 +592,33 @@ def test_build_matches_the_mask_rule_on_the_benchmark_pairs(pair):
     assert _coreduce(cc)[0] == left
 
 
+@pytest.mark.parametrize("pair", sorted(BENCHMARK_HOM_PAIRS))
+def test_elimination_leaves_the_coreduced_columns_as_they_were(pair):
+    # both fields eliminate on one coreduced complex, so neither may write
+    # it; Hom(C5,K4) takes the Z sweep down to the dense Smith form
+    g, h, _ = BENCHMARK_HOM_PAIRS[pair]
+    cc = chain_complex_of_hom(hom_poset(g, h))
+    reduced = _coreduce(cc)
+    first = homology_integral(reduced), homology_gf2(reduced)
+    assert reduced == _coreduce(cc)
+    assert (homology_integral(reduced), homology_gf2(reduced)) == first
+
+
 def test_build_matches_the_mask_rule_on_every_verify_pair(monkeypatch,
                                                           tmp_path, capsys):
     seen = {}
-    cached = harness.cached_hom_homology
+    hom_homology_of = harness.RunContext.hom_homology
 
-    def record(g, h, *args, **kwargs):
+    def record(ctx, g, h, *args, **kwargs):
         seen[g.n, g.adj, h.n, h.adj] = g, h
-        return cached(g, h, *args, **kwargs)
+        return hom_homology_of(ctx, g, h, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "cached_hom_homology", record)
+    monkeypatch.setattr(harness.RunContext, "hom_homology", record)
     monkeypatch.delenv("HOMLAB_CACHE_DIR", raising=False)
     main(["verify", "--report-dir", str(tmp_path)])
     capsys.readouterr()
-    assert len(seen) == 16
+    # 16 pairs from the 14 pinned rows, and Hom(K2,S(2,1))
+    assert len(seen) == 17
     for g, h in seen.values():
         assert_mask_rule(chain_complex_of_hom(hom_poset(g, h)))
 

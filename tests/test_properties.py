@@ -5,15 +5,15 @@ import itertools
 from hypothesis import assume, example, given, settings, strategies as st
 
 from homlab.graphs import (Graph, bits, chromatic_number, complete_graph,
-                           check_homomorphism, exponential, nu_mask, product,
-                           quotient)
-from homlab.harness import _chromatic_brute
+                           check_homomorphism, cycle_graph, exponential,
+                           nu_mask, product, quotient)
+from homlab.harness import RunContext, _chromatic_brute
 from homlab.homology import (_sparse_rank_divisors, chain_complex,
                              chain_complex_of_hom,
                              chain_complex_of_poset, hom_homology,
-                             homology_of_complex, poset_homology,
-                             closure_reduce)
-from homlab.limits import DEFAULT_GUARDS
+                             homology_connectivity, homology_of_complex,
+                             poset_homology, closure_reduce)
+from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.homposets import adjunction_report, hom_poset, rank_of
 from homlab.posets import (PosetMap, atom_graph, chain_poset,
                            enumerate_poset_maps, face_poset, from_leq_pairs,
@@ -237,6 +237,26 @@ def test_cell_build_matches_the_mask_rule(g, h):
     hp = hom_poset(g, h)
     assume(hp.m <= 4000)  # keeps an example to a fraction of a second
     assert_mask_rule(chain_complex_of_hom(hp))
+
+
+@given(graphs(min_n=3, max_n=6), st.sampled_from((1, 2)))
+@example(cycle_graph(5), 2)          # Hom(C5,K4): H~1 = F2, conn 0, tight
+@example(complete_graph(3), 1)       # Hom(K3,K3): six points, tight
+def test_hom_into_kn_meets_the_cukic_kozlov_degree_bound(g, excess):
+    """Hom(G,Kn) is (n - d - 2)-connected when G has maximum degree d
+    (Cukic-Kozlov, IMRN 2005), and homology is at least as connected as
+    homotopy; n = d + 1 and d + 2.  A violation is a defect in enumeration
+    or homology, never a reason to lower the bound."""
+    d = max(g.degree(v) for v in range(g.n))
+    n = d + excess
+    ctx = RunContext(DEFAULT_GUARDS.scaled(hom_elements=20_000))
+    try:
+        res = ctx.hom_homology(g, complete_graph(n), "GF2")
+    except GuardExceeded as exc:
+        if exc.guard != "hom_elements":
+            raise
+        return
+    assert homology_connectivity(res) >= n - d - 2
 
 
 VEE = from_leq_pairs(3, [(0, 2), (1, 2)])        # 0, 1 below 2
