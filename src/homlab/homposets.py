@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .actions import (GraphAction, PosetAction, is_free,
                       is_strongly_regular, orbit_of,
@@ -28,8 +27,9 @@ from .graphs import (Graph, _hom_search, bits, exponential,
                      exponential_vertex_maps, is_fine, nu_mask, one_graph,
                      permute_mask, product, quotient, reflexive_closure)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
-from .posets import (Poset, PosetMap, atom_graph, chain_poset,
-                     enumerate_poset_maps, iter_chains, pointwise_poset)
+from .posets import (Poset, PosetMap, _poset_map_blocks, _restriction,
+                     _Table, atom_graph, chain_poset, iter_chains,
+                     pointwise_poset)
 
 
 def rank_of(element: Sequence[int]) -> int:
@@ -357,20 +357,6 @@ def _vertex_fibres(t: Graph, g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, fibres))
 
 
-class _Table(dict):
-    """A dict that fills a missing key with fill(key) the first time the key
-    is read, so `map(table.__getitem__, keys)` looks up and fills in one
-    pass."""
-
-    def __init__(self, fill: Callable[[Any], Any]):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 def _curry_column(column: Sequence[int], fibres: Sequence[Sequence[int]],
                   full: int) -> int:
     """beta(y) = {f : f(s) in alpha(s,y) for every s} for the column
@@ -500,16 +486,6 @@ def poset_curry(below: Sequence[Sequence[int]], alpha: Sequence[int],
     return tuple(image)
 
 
-def _restriction(atoms: Sequence[int]
-                 ) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """f -> (f[a] for a in atoms), as a tuple.  `itemgetter` takes at least
-    one index and returns a bare value for exactly one."""
-    if len(atoms) == 1:
-        a, = atoms
-        return lambda f: (f[a],)
-    return itemgetter(*atoms) if atoms else lambda f: ()
-
-
 @dataclass(frozen=True)
 class PosetAdjunctionReport:
     hom_single: HomPoset       # Hom(1, G)
@@ -517,6 +493,29 @@ class PosetAdjunctionReport:
     roundtrip_identity: bool   # psi o phi = id on Hom(P^1,G)
     decreasing: bool           # phi o psi <= id on Poset(P, Hom(1,G))
     maps_checked: int
+
+
+def _first_outside(masks: Sequence[int], floors: Sequence[int],
+                   above: Sequence[int]) -> Optional[int]:
+    """The 0-based rank, in the product of the candidate sets `masks` (the
+    last factor fastest), of the first tuple with a value not above its
+    factor's floor (v is above u iff bit v of above[u] is set); None if
+    every candidate is.
+
+    Factor k's first value not above its floor has rank i_k among its
+    candidates, and the first tuple holding it has rank i_k times the
+    product of the later factors' sizes; the answer is the least of those.
+    """
+    first = None
+    later = 1  # the product of the later factors' sizes
+    for mask, floor in zip(reversed(masks), reversed(floors)):
+        out = mask & ~above[floor]
+        if out:
+            rank = (mask & ((out & -out) - 1)).bit_count() * later
+            if first is None or rank < first:
+                first = rank
+        later *= mask.bit_count()
+    return first
 
 
 def poset_adjunction_report(p: Poset, g: Graph,
@@ -527,15 +526,24 @@ def poset_adjunction_report(p: Poset, g: Graph,
 
     Values are Hom(1,G) indices throughout: an element of Hom(P^1,G) is
     keyed by the index of each atom's value (P^1 is reflexive, so each is a
-    looped clique), and a map f is its image tuple, so its restriction to
-    the atoms is one `itemgetter` call.  psi(phi(e)) = e compares that
-    restriction of phi(e) with e's key.  For the order test, the curried
-    value phi(e)(x) depends on f only through its restriction e, and
-    phi(e) <= f means f(x) lies in the up-set of phi(e)(x) in Hom(1,G) for
-    every x.  Those up-sets are frozensets built once per distinct
-    curried value and shared, so each map costs one dictionary lookup and
-    one membership test per element of P.  Every map is enumerated and
-    checked; a restriction outside Hom(P^1,G) raises ValueError.
+    looped clique).  psi(phi(e)) = e compares the restriction of phi(e) to
+    the atoms with e's key.  For the order test, the curried value
+    phi(e)(x) depends on a map f only through its restriction e to the
+    atoms, and phi(e) <= f means f(x) lies in the up-set of phi(e)(x) in
+    Hom(1,G) for every x.
+
+    The maps are read in the blocks of `posets._poset_map_blocks`: a
+    prefix, which holds every atom, and a product of candidate sets, one
+    per maximal non-minimal element r.  Per block, the restriction is
+    looked up once (one outside Hom(P^1,G) raises ValueError), the prefix
+    values are tested once, by membership in up-sets built once per
+    distinct curried value and shared, and each factor is tested as one
+    mask: its candidates all pass iff they lie inside the up-set mask of
+    phi(e)(r).  A block counts the product of its factors' sizes as maps.
+    Every map is checked, and the result and `maps_checked` are those of
+    testing the maps one by one in the order of `enumerate_poset_maps`,
+    stopping at the first failure: `maps_checked` is then that map's
+    1-based position, and the guards trip where that loop's would.
     """
     ag, atoms = atom_graph(p)
     hom_ag = hom_poset(ag, g, guards)
@@ -551,22 +559,31 @@ def poset_adjunction_report(p: Poset, g: Graph,
     curried = [poset_curry(below, e, single) for e in hom_ag.elements]
     restrict = _restriction(atoms)
     roundtrip = all(restrict(c) == key for c, key in zip(curried, keys))
+    tail, blocks = _poset_map_blocks(p, hom_single.poset, guards, (), ())
+    ends = [r for r, _ in tail]
+    head = _restriction([x for x in range(p.m) if x not in ends])
+    floors = _restriction(ends)
     above = hom_single.poset.above
     up = {u: frozenset(bits(above[u]))
           for u in set(chain.from_iterable(curried))}
-    allowed = [tuple(map(up.__getitem__, c)) for c in curried]
+    allowed = [tuple(map(up.__getitem__, head(c))) for c in curried]
     row = {key: j for j, key in enumerate(keys)}
     contains = frozenset.__contains__
     decreasing = True
     checked = 0
-    for f in enumerate_poset_maps(p, hom_single.poset, guards):
-        checked += 1
-        j = row.get(restrict(f))
+    for image, masks, within in blocks:
+        j = row.get(restrict(image))
         if j is None:
             raise ValueError("restriction to atoms escaped Hom(P^1,G)")
-        if not all(map(contains, allowed[j], f)):
+        if all(map(contains, allowed[j], head(image))):
+            first = _first_outside(masks, floors(curried[j]), above)
+        else:
+            first = 0
+        if first is not None and first < within:
             decreasing = False
+            checked += first + 1
             break
+        checked += within
     return PosetAdjunctionReport(hom_single, tuple(atoms),
                                  roundtrip, decreasing, checked)
 

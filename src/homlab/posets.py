@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, bits
@@ -103,6 +104,10 @@ class Poset:
     @cached_property
     def minimal_mask(self) -> int:
         return sum(1 << i for i in range(self.m) if self.below[i] == 1 << i)
+
+    @cached_property
+    def maximal_mask(self) -> int:
+        return sum(1 << i for i in range(self.m) if self.above[i] == 1 << i)
 
     @cached_property
     def atoms(self) -> tuple[int, ...]:
@@ -313,7 +318,6 @@ def face_poset(x: SimplicialComplex,
 def atom_graph(p: Poset) -> tuple[Graph, tuple[int, ...]]:
     """The reflexive graph on minimal elements: adjacent iff a common upper bound."""
     atoms = p.atoms
-    pos = {a: i for i, a in enumerate(atoms)}
     adj = [0] * len(atoms)
     for i, a in enumerate(atoms):
         for j, b in enumerate(atoms):
@@ -385,10 +389,19 @@ def closure_image(c: PosetMap) -> tuple[Poset, tuple[int, ...]]:
 
 
 def _extension_order(p: Poset) -> list[int]:
-    """Linear extension; greedily prefers elements with many lower covers."""
+    """Linear extension of p ending in its tail: the maximal, non-minimal
+    elements, in index order.
+
+    Before the tail, the next element is greedily one whose lower elements
+    are all placed, with the most lower covers, then the lowest index.
+    Nothing lies above a tail element, so that part is a linear extension
+    of the rest by itself; it holds every element below a tail element,
+    and every atom.
+    """
+    tail_mask = p.maximal_mask & ~p.minimal_mask
     placed = 0
     order = []
-    remaining = set(range(p.m))
+    remaining = {x for x in range(p.m) if not tail_mask >> x & 1}
     while remaining:
         best = None
         for x in remaining:
@@ -401,7 +414,7 @@ def _extension_order(p: Poset) -> list[int]:
         order.append(x)
         placed |= 1 << x
         remaining.discard(x)
-    return order
+    return order + list(bits(tail_mask))
 
 
 def _sharing_an_upper_bound(p: Poset) -> list[int]:
@@ -415,39 +428,81 @@ def _sharing_an_upper_bound(p: Poset) -> list[int]:
     return out
 
 
-def enumerate_poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS,
-                         p_maps: Sequence[Sequence[int]] = (),
-                         q_maps: Sequence[Sequence[int]] = ()
-                         ) -> Iterator[tuple[int, ...]]:
-    """Monotone maps p -> q with f(g.x) = g.f(x), as image tuples, in a
-    deterministic order.
+class _Table(dict):
+    """A dict that fills a missing key with fill(key) the first time the key
+    is read, so `map(table.__getitem__, keys)` looks up and fills in one
+    pass."""
+
+    def __init__(self, fill: Callable[[Any], Any]):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _restriction(indices: Sequence[int]
+                 ) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """f -> (f[i] for i in indices), as a tuple.  `itemgetter` takes at
+    least one index and returns a bare value for exactly one."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda f: (f[i],)
+    return itemgetter(*indices) if indices else lambda f: ()
+
+
+# per factor: (representative, rest of its orbit as (element, q map) pairs)
+Tail = tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
+# (prefix image, the factors' candidate masks, maps within the guard)
+Block = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
+def _poset_map_blocks(p: Poset, q: Poset, guards: Guards,
+                      p_maps: Sequence[Sequence[int]],
+                      q_maps: Sequence[Sequence[int]]
+                      ) -> tuple[Tail, Iterator[Block]]:
+    """Monotone maps p -> q with f(g.x) = g.f(x), in blocks of maps that
+    agree off the tail of `_extension_order(p)`.
 
     The group is data: element i acts on p by the automorphism `p_maps[i]`
     and on q by the automorphism `q_maps[i]` (a left action, identity
     first).  Empty lists mean the one-element group: every monotone map.
 
-    Backtracks over orbit representatives in a linear extension of p;
-    assigning v to a representative r sets f(g.r) = g.v for every g.  The
-    candidates for r are the values fixed by r's stabilizer that lie above
-    f(z) for every placed z <= r.  That suffices: an orbit is placed when
-    the extension first reaches it, so z <= g.r with z placed means
-    g^-1.z <= r is placed too, and f(z) = g.f(g^-1.z) <= g.v.  The search
-    keeps one mask of untried candidates per representative and tries
-    them in ascending order, so maps come out in lexicographic order of
-    their values along the extension.
+    Backtracks over orbit representatives along the extension; assigning
+    v to a representative r sets f(g.r) = g.v for every g.  The candidates
+    for r are the values fixed by r's stabilizer that lie above f(z) for
+    every placed z <= r.  That suffices: an orbit is placed when the
+    extension first reaches it, so z <= g.r with z placed means g^-1.z <= r
+    is placed too, and f(z) = g.f(g^-1.z) <= g.v.  The search keeps one
+    mask of untried candidates per representative and tries them in
+    ascending order.  Candidates are also checked ahead (forward
+    checking): for every placed z that shares an upper bound y with r but
+    is not below it, f(r) must share an upper bound with f(z), as both lie
+    below f(y).  Every monotone map passes that test, so it only cuts
+    branches that end without a map.
 
-    Candidates are also checked ahead (forward checking): for every placed
-    z that shares an upper bound y with r but is not below it, f(r) must
-    share an upper bound with f(z), as both lie below f(y).  Every
-    monotone map passes that test, so it only cuts branches that end
-    without a map, and the maps and their order are those of the plain
-    search.
+    The search places the prefix only, the orbits before the tail
+    (automorphisms keep elements maximal and non-minimal, so no orbit
+    straddles the two).  A tail element r is maximal, so anything that
+    shares an upper bound with r lies below it, in the prefix: r's
+    candidates are fixed once its last lower element is placed, and the
+    search forms them there, as a factor, and cuts the branch if there
+    are none.  The maps with a given prefix are the product of the tail
+    representatives' candidate sets, the last factor fastest: a block.
 
-    Every candidate value is one search node, counted when its
-    representative's mask is formed; more than `guards.search_nodes`
-    raise GuardExceeded("search_nodes").  More than
-    `guards.poset_map_elements` maps raise "poset_map_elements" at the
-    first map past it.
+    Returns the tail, one (r, rest of r's orbit as (x, q map) pairs) pair
+    per factor in order, and the blocks in lexicographic order of their
+    prefix values along the extension, each as (image, masks, within):
+    the prefix's values as a tuple indexed by element (tail elements read
+    0), the factors' candidate masks, every one nonempty, and how many of
+    the block's maps fall within `guards.poset_map_elements`.  Resuming
+    the blocks after one that reaches past the limit raises
+    GuardExceeded("poset_map_elements") at the first map past it.
+
+    Every candidate value is one search node, counted when its mask is
+    formed, a factor's included; more than `guards.search_nodes` raise
+    GuardExceeded("search_nodes").
     """
     p_maps = [tuple(mp) for mp in p_maps] or [tuple(range(p.m))]
     q_maps = [tuple(mq) for mq in q_maps] or [tuple(range(q.m))]
@@ -458,7 +513,15 @@ def enumerate_poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS,
     fixed = [sum(1 << v for v in range(q.m) if mq[v] == v) for mq in q_maps]
     p_shared = _sharing_an_upper_bound(p)
     q_shared = _sharing_an_upper_bound(q)
-    reps = []  # (r, rest of its orbit as (x, q map), candidates, checks)
+    tail_mask = p.maximal_mask & ~p.minimal_mask
+    # the prefix: (r, rest of its orbit as (x, q map), candidates, checks)
+    reps = []
+    tail = []  # (r, rest of its orbit)
+    level = [0] * p.m  # a prefix element's level: its representative's index
+    # finishing[t]: (factor, candidates, the elements below its
+    # representative) for each tail factor whose last lower element is
+    # placed at level t
+    finishing: list[list] = []
     placed = 0
     for r in _extension_order(p):
         if placed >> r & 1:
@@ -471,56 +534,123 @@ def enumerate_poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS,
                 cand &= fx
         below = p.below[r] & placed
         bounded = p_shared[r] & placed & ~below
-        # (placed z, table whose row at f(z) holds r's candidates)
-        checks = tuple([(z, q.above) for z in bits(below)]
-                       + [(z, q_shared) for z in bits(bounded)])
         for x in orbit:
             placed |= 1 << x
+            level[x] = len(reps)
         del orbit[r]  # the identity sends r to v
-        reps.append((r, tuple(orbit.items()), cand, checks))
-    if not reps:  # p is empty: the one empty map
-        if map_limit < 1:
-            raise GuardExceeded("poset_map_elements", map_limit, 1)
-        yield ()
-        return
-    image = [0] * p.m
-    last = len(reps) - 1
-    count = 0
-    # untried[t]: candidates for reps[t] not yet tried, given levels < t
-    untried = [0] * len(reps)
-    untried[0] = reps[0][2]
-    nodes = untried[0].bit_count()
-    if nodes > node_limit:
-        raise GuardExceeded("search_nodes", node_limit, nodes)
-    t = 0
-    while t >= 0:
-        cand = untried[t]
-        if not cand:
-            t -= 1
-            continue
-        low = cand & -cand
-        untried[t] = cand ^ low
-        v = low.bit_length() - 1
-        r, orbit, _, _ = reps[t]
-        image[r] = v
-        for x, mq in orbit:
-            image[x] = mq[v]
-        if t == last:
-            count += 1
-            if count > map_limit:
-                raise GuardExceeded("poset_map_elements", map_limit, count)
-            yield tuple(image)
-            continue
-        t += 1
-        cand = reps[t][2]
-        for z, table in reps[t][3]:
-            cand &= table[image[z]]
+        if tail_mask >> r & 1:  # r is maximal, so nothing is bounded
+            last = max(level[z] for z in bits(below))
+            finishing[last].append((len(tail), cand, tuple(bits(below))))
+            tail.append((r, tuple(orbit.items())))
+        else:
+            # (placed z, table whose row at f(z) holds r's candidates)
+            checks = tuple([(z, q.above) for z in bits(below)]
+                           + [(z, q_shared) for z in bits(bounded)])
+            reps.append((r, tuple(orbit.items()), cand, checks))
+            finishing.append([])
+
+    def blocks() -> Iterator[Block]:
+        q_above = q.above
+        depth = len(reps)
+        image = [0] * p.m
+        masks = [0] * len(tail)  # each tail factor's candidates
+        # untried[t]: candidates for reps[t] not yet tried, given levels < t
+        untried = [0] * depth
+        # sizes[t]: the product of the sizes of the factors formed below t
+        sizes = [1] * (depth + 1)
+        nodes = count = 0
+        if reps:
+            untried[0] = reps[0][2]
+            nodes = untried[0].bit_count()
+            if nodes > node_limit:
+                raise GuardExceeded("search_nodes", node_limit, nodes)
+        t = 0
+        while t >= 0:
+            if t == depth:  # the prefix is placed: one block
+                t -= 1
+                size = sizes[depth]
+                count += size
+                within = size - max(count - map_limit, 0)
+                if within:
+                    yield tuple(image), tuple(masks), within
+                if count > map_limit:
+                    raise GuardExceeded("poset_map_elements", map_limit,
+                                        map_limit + 1)
+                continue
+            cand = untried[t]
             if not cand:
-                break
-        nodes += cand.bit_count()
-        if nodes > node_limit:
-            raise GuardExceeded("search_nodes", node_limit, nodes)
-        untried[t] = cand
+                t -= 1
+                continue
+            low = cand & -cand
+            untried[t] = cand ^ low
+            v = low.bit_length() - 1
+            r, orbit, _, _ = reps[t]
+            image[r] = v
+            for x, mq in orbit:
+                image[x] = mq[v]
+            size = sizes[t]
+            for i, cand, below in finishing[t]:
+                for z in below:
+                    cand &= q_above[image[z]]
+                nodes += cand.bit_count()
+                if nodes > node_limit:
+                    raise GuardExceeded("search_nodes", node_limit, nodes)
+                if not cand:  # no map extends this prefix
+                    break
+                masks[i] = cand
+                size *= cand.bit_count()
+            else:
+                t += 1
+                sizes[t] = size
+                if t < depth:
+                    cand = reps[t][2]
+                    for z, table in reps[t][3]:
+                        cand &= table[image[z]]
+                        if not cand:
+                            break
+                    nodes += cand.bit_count()
+                    if nodes > node_limit:
+                        raise GuardExceeded("search_nodes", node_limit, nodes)
+                    untried[t] = cand
+
+    return tuple(tail), blocks()
+
+
+def enumerate_poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS,
+                         p_maps: Sequence[Sequence[int]] = (),
+                         q_maps: Sequence[Sequence[int]] = ()
+                         ) -> Iterator[tuple[int, ...]]:
+    """Monotone maps p -> q with f(g.x) = g.f(x), as image tuples, in
+    lexicographic order of their values along `_extension_order(p)`.
+
+    The group is given as to `_poset_map_blocks`, whose blocks this
+    flattens.  A factor holds, for each candidate v of its representative
+    r, the values (v, g.v for the rest of r's orbit); `itertools.product`
+    over a block's factors, each combination's values joined by `sum`,
+    gives the block's tail values.  They depend only on the masks, so
+    they are joined once per distinct masks.  Each map is the block's
+    image joined to one combination's tail values, read into element
+    order by one `itemgetter`.  The guards are those of
+    `_poset_map_blocks`; more than `guards.poset_map_elements` maps raise
+    GuardExceeded("poset_map_elements") at the first map past it.
+    """
+    tail, blocks = _poset_map_blocks(p, q, guards, p_maps, q_maps)
+    at = list(range(p.m))  # where each element's value sits in a flat map
+    factors = []  # per factor: candidate mask -> its candidates' values
+    slot = p.m
+    for r, orbit in tail:
+        spread = [(v, *(mq[v] for _, mq in orbit)) for v in range(q.m)]
+        factors.append(_Table(lambda mask, spread=spread: tuple(
+            map(spread.__getitem__, bits(mask)))))
+        for x in (r, *(x for x, _ in orbit)):
+            at[x] = slot
+            slot += 1
+    tails = _Table(lambda masks: tuple(map(
+        sum, itertools.product(*map(getitem, factors, masks)),
+        itertools.repeat(()))))
+    flat = _restriction(at)
+    for image, masks, within in blocks:
+        yield from map(flat, map(image.__add__, tails[masks][:within]))
 
 
 def poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS) -> Poset:

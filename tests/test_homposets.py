@@ -34,6 +34,7 @@ from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import (Poset, PosetMap, atom_graph, enumerate_poset_maps,
                            face_poset, is_closure_map, make_complex)
 from test_actions import action_violation
+from test_posets import block_maps, small_posets
 
 SQUARE = make_complex(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
 
@@ -696,18 +697,67 @@ def mask_test_by_definition(p, g):
     return verdicts
 
 
+def per_map_poset_adjunction(p, g, guards=DEFAULT_GUARDS):
+    """The poset side of the adjunction checked one map at a time:
+    (roundtrip, decreasing, maps_checked).  Every monotone map P ->
+    Hom(1,G) is read in the order of `enumerate_poset_maps`, and the check
+    stops at the first map f with phi(psi(f)) <= f false; maps_checked
+    counts the maps read.  Hom posets and curried values come from
+    `homposets.hom_poset` and `homposets.poset_curry`, so a patched one is
+    seen here as by the report."""
+    ag, atoms = atom_graph(p)
+    hom_ag = homposets.hom_poset(ag, g, guards)
+    hom_single = homposets.hom_poset(one_graph(), g, guards)
+    single = {e[0]: v for v, e in enumerate(hom_single.elements)}
+    keys = [tuple(single[mask] for mask in e) for e in hom_ag.elements]
+    below = atoms_below(p, atoms)
+    curried = [homposets.poset_curry(below, e, single)
+               for e in hom_ag.elements]
+    roundtrip = all(tuple(c[a] for a in atoms) == key
+                    for c, key in zip(curried, keys))
+    row = {key: j for j, key in enumerate(keys)}
+    up = hom_single.poset.above
+    checked = 0
+    for f in enumerate_poset_maps(p, hom_single.poset, guards):
+        checked += 1
+        c = curried[row[tuple(f[a] for a in atoms)]]
+        if not all(up[cx] >> fx & 1 for cx, fx in zip(c, f)):
+            return roundtrip, False, checked
+    return roundtrip, True, checked
+
+
+def reported(p, g, guards=DEFAULT_GUARDS):
+    rep = poset_adjunction_report(p, g, guards)
+    return rep.roundtrip_identity, rep.decreasing, rep.maps_checked
+
+
+def outcome(check, p, g, guards=DEFAULT_GUARDS):
+    """check(p, g, guards), or the guard it trips as (guard, limit,
+    attempted)."""
+    try:
+        return check(p, g, guards)
+    except GuardExceeded as err:
+        return err.guard, err.limit, err.attempted
+
+
 def recorded_maps(monkeypatch):
-    """The maps the report reads, in order: it reads the next map only once
-    the current one passed its check."""
+    """The blocks the report reads, in order, each as the list of its maps
+    within the guard: it reads the next block only once every map of the
+    current one passed its check."""
     seen = []
-    real = homposets.enumerate_poset_maps
+    real = homposets._poset_map_blocks
 
     def recording(*args):
-        for f in real(*args):
-            seen.append(f)
-            yield f
+        tail, blocks = real(*args)
 
-    monkeypatch.setattr(homposets, "enumerate_poset_maps", recording)
+        def read():
+            for image, masks, within in blocks:
+                seen.append(block_maps(tail, image, masks)[:within])
+                yield image, masks, within
+
+        return tail, read()
+
+    monkeypatch.setattr(homposets, "_poset_map_blocks", recording)
     return seen
 
 
@@ -716,8 +766,9 @@ def test_poset_decreasing_check_matches_mask_test(monkeypatch, case):
     p, g = {"F(C6)->R6": (cycle_face_poset(3).poset, reflexive_cycle(6)),
             "F(square)->R4": (face_poset(SQUARE), reflexive_cycle(4))}[case]
     expected = mask_test_by_definition(p, g)
-    seen = recorded_maps(monkeypatch)
+    blocks = recorded_maps(monkeypatch)
     rep = poset_adjunction_report(p, g)
+    seen = [f for block in blocks for f in block]
     # every map the report read before the last passed its check
     assert [True] * (len(seen) - 1) + [rep.decreasing] == \
         expected[:len(seen)]
@@ -725,6 +776,7 @@ def test_poset_decreasing_check_matches_mask_test(monkeypatch, case):
     assert rep.roundtrip_identity and rep.decreasing
     if case == "F(C6)->R6":
         assert rep.maps_checked == 64_044
+    assert reported(p, g) == per_map_poset_adjunction(p, g)
 
 
 def test_poset_adjunction_with_no_atom_and_one_atom():
@@ -741,6 +793,7 @@ def test_poset_adjunction_with_no_atom_and_one_atom():
                 rep.maps_checked) == (True, True, maps)
         assert maps == sum(
             1 for _ in enumerate_poset_maps(p, rep.hom_single.poset))
+        assert reported(p, g) == per_map_poset_adjunction(p, g)
 
 
 def test_poset_adjunction_map_guard_trips_through_the_report():
@@ -759,6 +812,50 @@ SEEDED_POSITIONS = [("F(C6)->R6", 6)] + [("F(square)->R4", x)
                                           for x in range(8)]
 
 
+def widen_curried_value(monkeypatch, x, pick=0):
+    """Patch `poset_curry` to widen the value at position x of the first
+    curried element that has a strictly wider looped clique there, to the
+    pick-th such clique (cyclically), each time that element is curried.
+    Returns [(its alpha, the wider mask)] once the element is found."""
+    real = homposets.poset_curry
+    hit = []
+
+    def widened(below, alpha, single):
+        image = real(below, alpha, single)
+        if hit and hit[0][0] != alpha:
+            return image
+        narrow = next(m for m, v in single.items() if v == image[x])
+        wider = [(m, w) for m, w in single.items()
+                 if m != narrow and not narrow & ~m]
+        if not wider:
+            return image
+        m, w = wider[pick % len(wider)]
+        if not hit:
+            hit.append((alpha, m))
+        return image[:x] + (w,) + image[x + 1:]
+
+    monkeypatch.setattr(homposets, "poset_curry", widened)
+    return hit
+
+
+def shuffle_single(monkeypatch, seed):
+    """Patch `hom_poset` to list the elements of every Hom from a
+    one-vertex graph, Hom(1,G) among them, in an order shuffled by
+    `seed`.  Then the first candidate of a factor need not be its least
+    value, and a block's first failing map need not be its first map."""
+    real = homposets.hom_poset
+
+    def shuffled(src, tgt, guards=DEFAULT_GUARDS):
+        hp = real(src, tgt, guards)
+        if src.n != 1:
+            return hp
+        elements = list(hp.elements)
+        random.Random(seed).shuffle(elements)
+        return HomPoset(src, tgt, tuple(elements), guards)
+
+    monkeypatch.setattr(homposets, "hom_poset", shuffled)
+
+
 @pytest.mark.parametrize("case,x", SEEDED_POSITIONS)
 def test_seeded_poset_curry_defect_turns_decreasing_false(monkeypatch, case,
                                                           x):
@@ -767,22 +864,8 @@ def test_seeded_poset_curry_defect_turns_decreasing_false(monkeypatch, case,
     wherever x is; at an atom the round trip breaks too."""
     p, g = {"F(C6)->R6": (cycle_face_poset(3).poset, reflexive_cycle(6)),
             "F(square)->R4": (face_poset(SQUARE), reflexive_cycle(4))}[case]
-    real = homposets.poset_curry
-    hit = []
-
-    def widened(below, alpha, single):
-        image = real(below, alpha, single)
-        if hit:
-            return image
-        narrow = next(m for m, v in single.items() if v == image[x])
-        for m, w in single.items():
-            if m != narrow and not narrow & ~m:
-                hit.append((alpha, m))
-                return image[:x] + (w,) + image[x + 1:]
-        return image
-
-    monkeypatch.setattr(homposets, "poset_curry", widened)
-    seen = recorded_maps(monkeypatch)
+    hit = widen_curried_value(monkeypatch, x)
+    blocks = recorded_maps(monkeypatch)
     rep = poset_adjunction_report(p, g)
     assert hit and not rep.decreasing
     assert rep.roundtrip_identity == (x not in rep.atoms)
@@ -793,8 +876,12 @@ def test_seeded_poset_curry_defect_turns_decreasing_false(monkeypatch, case,
         return (tuple(masks[f[a]] for a in rep.atoms) == alpha
                 and wide & ~masks[f[x]])
 
-    assert fails(seen[-1]) and not any(map(fails, seen[:-1]))
-    assert rep.maps_checked == len(seen)
+    seen = [f for block in blocks for f in block]
+    checked = seen[:rep.maps_checked]
+    assert fails(checked[-1]) and not any(map(fails, checked[:-1]))
+    # the report stops in the block holding the first failing map
+    assert len(seen) - len(blocks[-1]) < rep.maps_checked <= len(seen)
+    assert reported(p, g) == per_map_poset_adjunction(p, g)
 
 
 def test_poset_adjunction_refuses_bad_values(monkeypatch):
@@ -806,16 +893,17 @@ def test_poset_adjunction_refuses_bad_values(monkeypatch):
     atoms = p.atoms
     bad = [index[0b0001]] * p.m
     bad[atoms[1]] = index[0b0100]
-    real = homposets.enumerate_poset_maps
+    real = homposets._poset_map_blocks
 
-    def with_bad_map(*args):
-        yield tuple(bad)
-        yield from real(*args)
+    def with_bad_block(*args):
+        tail, blocks = real(*args)
+        masks = tuple(1 << bad[r] for r, _ in tail)
+        return tail, itertools.chain([(tuple(bad), masks, 1)], blocks)
 
-    monkeypatch.setattr(homposets, "enumerate_poset_maps", with_bad_map)
+    monkeypatch.setattr(homposets, "_poset_map_blocks", with_bad_block)
     with pytest.raises(ValueError, match="escaped"):
         poset_adjunction_report(p, g)
-    monkeypatch.setattr(homposets, "enumerate_poset_maps", real)
+    monkeypatch.setattr(homposets, "_poset_map_blocks", real)
     # an element of Hom(P^1,G) whose atom value is no looped clique
     real_hom = homposets.hom_poset
 
@@ -828,6 +916,58 @@ def test_poset_adjunction_refuses_bad_values(monkeypatch):
     monkeypatch.setattr(homposets, "hom_poset", with_bad_element)
     with pytest.raises(ValueError, match="atom's value"):
         poset_adjunction_report(p, g)
+
+
+def test_poset_adjunction_guard_trips_where_the_per_map_loop_would(
+        monkeypatch):
+    """Around the first failing map and around the last map, the report
+    returns or raises exactly as the check that reads one map at a time."""
+    p, g = face_poset(SQUARE), reflexive_cycle(4)
+    total = per_map_poset_adjunction(p, g)[2]
+
+    def both(limit):
+        guards = DEFAULT_GUARDS.scaled(poset_map_elements=limit)
+        return (outcome(reported, p, g, guards),
+                outcome(per_map_poset_adjunction, p, g, guards))
+
+    for limit in (0, 1, total - 1, total):
+        got, want = both(limit)
+        assert got == want
+    # widened at a vertex, at one edge, or at two edges of one element, so
+    # two factors of one block fail at different ranks
+    for xs, seed in (((0,), 0), ((4,), 0), ((7,), 0), ((5,), 3),
+                     ((4, 7), 0), ((5, 6), 11)):
+        with monkeypatch.context() as patch:
+            shuffle_single(patch, seed)
+            for x in xs:
+                widen_curried_value(patch, x)
+            first = per_map_poset_adjunction(p, g)[2]
+            for limit in (0, first - 1, first, first + 1):
+                got, want = both(limit)
+                assert got == want
+                assert (want[0] == "poset_map_elements") == (limit < first)
+
+
+@settings(deadline=None, max_examples=80)
+@given(small_posets(5), looped_graphs(1, 3),
+       st.lists(st.integers(0, 4), max_size=2, unique=True),
+       st.integers(0, 3), st.integers(0, 1 << 16),
+       st.one_of(st.none(), st.integers(0, 40)))
+def test_poset_adjunction_matches_the_per_map_check(p, g, positions, pick,
+                                                    seed, limit):
+    """On small posets, with Hom(1,G) listed in a shuffled order, the
+    curried values at the drawn positions widened and the map count
+    capped at `limit`, the report's round trip, verdict and map count, or
+    the guard it trips, are those of the per-map check."""
+    guards = DEFAULT_GUARDS if limit is None else \
+        DEFAULT_GUARDS.scaled(poset_map_elements=limit)
+    with pytest.MonkeyPatch.context() as patch:
+        shuffle_single(patch, seed)
+        for x in positions:
+            if x < p.m:
+                widen_curried_value(patch, x, pick)
+        assert outcome(reported, p, g, guards) == \
+            outcome(per_map_poset_adjunction, p, g, guards)
 
 
 def test_quotient_compare_prism():

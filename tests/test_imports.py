@@ -28,6 +28,10 @@ The seventh scan keeps every parameter to what is read: each function in
 ``src/homlab`` must read each of its parameters in its body, unless
 :data:`KEPT` says why not (keyed ``function(parameter)``, with a method
 named ``Class.method``).
+
+The eighth scan keeps every local variable to what is read: a name a
+function binds by plain assignment must be read somewhere in that function,
+a nested function, lambda or comprehension included.
 """
 
 from __future__ import annotations
@@ -471,6 +475,84 @@ def test_scan_flags_an_unread_parameter(tmp_path):
     assert unread_parameters([package / "core.py"]) == [
         "homlab.core:build(guards)", "homlab.core:count(rest)",
         "homlab.core:count(extra)", "homlab.core:Store.load.inner(unused)"]
+
+
+def _own_nodes(body):
+    """The nodes of a function body, without descending into the bodies
+    of the functions, lambdas and classes it defines."""
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+            stack += ast.iter_child_nodes(node)
+
+
+def unused_locals(paths=SCANNED) -> list[str]:
+    """Locals, as ``module:function(name)``, that a function binds by plain
+    assignment (``name = ...`` or an annotated one with a value) and never
+    reads; a read in a nested function, lambda or comprehension counts,
+    and a name declared ``global`` or ``nonlocal`` is not a local."""
+    out = []
+    for path in paths:
+        module = _module_name(path)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, func in _functions(tree.body):
+            bound = set()  # (line, name)
+            declared = set()
+            for node in _own_nodes(func.body):
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    declared.update(node.names)
+                elif isinstance(node, ast.Assign):
+                    bound.update((node.lineno, t.id) for t in node.targets
+                                 if isinstance(t, ast.Name))
+                elif isinstance(node, ast.AnnAssign) and node.value and \
+                        isinstance(node.target, ast.Name):
+                    bound.add((node.lineno, node.target.id))
+            read = set()
+            for node in (sub for stmt in func.body for sub in ast.walk(stmt)):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                                 ast.Store):
+                    read.add(node.id)
+                elif isinstance(node, ast.AugAssign) and isinstance(
+                        node.target, ast.Name):
+                    read.add(node.target.id)
+            out += [f"{module}:{name}({v})" for _, v in sorted(bound)
+                    if v not in read and v not in declared]
+    return out
+
+
+def test_every_local_is_read():
+    assert unused_locals() == []  # delete these assignments
+
+
+def test_scan_flags_an_unused_local(tmp_path):
+    package = tmp_path / "homlab"
+    package.mkdir()
+    (package / "core.py").write_text(
+        "def build(atoms):\n"
+        "    pos = {a: i for i, a in enumerate(atoms)}\n"
+        "    size: int = len(atoms)\n"
+        "    count: int\n"
+        "    a, b = atoms[:2]\n"
+        "    total = 0\n    total += size\n"
+        "    key = 1\n"
+        "    seen = kept = []\n"
+        "    def inner():\n"
+        "        nonlocal key\n"
+        "        key = 2\n"
+        "        spare = 3\n"
+        "        return [x for x in seen]\n"
+        "    return inner, (lambda: total)\n\n"
+        "class Store:\n"
+        "    def load(self):\n"
+        "        self.cache = None\n"
+        "        value = self.cache\n", encoding="utf-8")
+    assert unused_locals([package / "core.py"]) == [
+        "homlab.core:build(pos)", "homlab.core:build(key)",
+        "homlab.core:build(kept)", "homlab.core:build.inner(spare)",
+        "homlab.core:Store.load(value)"]
 
 
 def args_reads(tree: ast.Module, entry: str) -> set[str]:

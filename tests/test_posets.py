@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import homlab
+from homlab import homposets
 from homlab.actions import GraphAction, z2_group
 from homlab.families import cycle_face_poset, face_poset_action
-from homlab.graphs import (complete_graph, is_isomorphic, one_graph,
+from homlab.graphs import (bits, complete_graph, is_isomorphic, one_graph,
                            reflexive_cycle)
 from homlab.homology import chain_complex
 from homlab.homposets import hom_poset, induced_hom_action
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.posets import (
     _extension_order,
+    _poset_map_blocks,
     Poset,
     PosetMap,
     SimplicialComplex,
@@ -268,15 +276,29 @@ def test_enumerate_poset_maps_deterministic_and_guarded():
             p, p, DEFAULT_GUARDS.scaled(poset_map_elements=5)))
 
 
+def eager_order(p):
+    """A linear extension that places an element as soon as everything
+    below it is placed, the one with the most lower covers first, so a
+    search along it meets every constraint early."""
+    order, placed = [], 0
+    while len(order) < p.m:
+        x = min((x for x in range(p.m) if not placed >> x & 1
+                 and not p.below[x] & ~placed & ~(1 << x)),
+                key=lambda x: (-p.lower_covers[x].bit_count(), x))
+        order.append(x)
+        placed |= 1 << x
+    return order
+
+
 def brute_poset_maps(p, q, p_maps=(), q_maps=()):
-    """Every map p -> q with f monotone and f(g.x) = g.f(x), ordered
+    """Every map p -> q with f monotone and f(g.x) = g.f(x), sorted
     lexicographically along `_extension_order(p)`.
 
-    Every value of q is tried at every element, in extension order; a
+    Every value of q is tried at every element, along `eager_order(p)`; a
     partial map is dropped as soon as two placed elements break
     monotonicity or equivariance, which no completion can mend.
     """
-    order = _extension_order(p)
+    order = eager_order(p)
     group = list(zip(p_maps, q_maps))
     related = [[y for y in range(p.m) if y != x and p.comparable(x, y)]
                for x in range(p.m)]
@@ -310,7 +332,8 @@ def brute_poset_maps(p, q, p_maps=(), q_maps=()):
         f[x] = None
 
     place(0)
-    return out
+    ext = _extension_order(p)
+    return sorted(out, key=lambda f: [f[x] for x in ext])
 
 
 def filter_all_maps(p, q):
@@ -338,7 +361,10 @@ def test_enumerate_poset_maps_matches_brute_filter():
     assert list(enumerate_poset_maps(fc6.poset, single)) == want
 
 
-def test_enumerate_equivariant_poset_maps_matches_brute_filter():
+def z2_face_poset_actions():
+    """(source, goal) pairs of Z2 actions: the antipodal hexagon and the
+    square's half turn into Hom(K2,K3) under the flip of K2, and the half
+    turn into itself."""
     k2, k3 = complete_graph(2), complete_graph(3)
     flip = GraphAction(z2_group(), k2, ((0, 1), (1, 0)))
     target = induced_hom_action(hom_poset(k2, k3), source_action=flip)
@@ -346,9 +372,12 @@ def test_enumerate_equivariant_poset_maps_matches_brute_filter():
     half_turn = face_poset_action(square, z2_group(),
                                   ((0, 1, 2, 3), (2, 3, 0, 1)))
     hexagon = cycle_face_poset(3).antipodal
+    return [(hexagon, target), (half_turn, target), (half_turn, half_turn)]
+
+
+def test_enumerate_equivariant_poset_maps_matches_brute_filter():
     sizes = []
-    for source, goal in ((hexagon, target), (half_turn, target),
-                         (half_turn, half_turn)):
+    for source, goal in z2_face_poset_actions():
         p, q = source.poset, goal.poset
         want = brute_poset_maps(p, q, source.maps, goal.maps)
         got = list(enumerate_poset_maps(p, q, DEFAULT_GUARDS, source.maps,
@@ -356,6 +385,75 @@ def test_enumerate_equivariant_poset_maps_matches_brute_filter():
         assert got == want
         sizes.append(len(want))
     assert sizes[0] > 0 and sizes[1] == 0 and sizes[2] > 0
+
+
+@st.composite
+def small_posets(draw, max_m):
+    """A poset on at most max_m elements, closed from random pairs i < j."""
+    m = draw(st.integers(0, max_m))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+        if pairs else []
+    return from_leq_pairs(m, chosen)
+
+
+def block_maps(tail, image, masks):
+    """A block's maps, in order: the image with each tail representative
+    set to every combination of its candidates (the group is trivial)."""
+    out = []
+    for values in itertools.product(*(list(bits(mask)) for mask in masks)):
+        f = list(image)
+        for (r, orbit), v in zip(tail, values):
+            assert orbit == ()
+            f[r] = v
+        out.append(tuple(f))
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_posets(6), small_posets(5))
+def test_enumerate_poset_maps_matches_brute_on_small_posets(p, q):
+    want = brute_poset_maps(p, q)
+    assert list(enumerate_poset_maps(p, q)) == want
+    tail, blocks = _poset_map_blocks(p, q, DEFAULT_GUARDS, (), ())
+    maps = []
+    for image, masks, within in blocks:
+        assert len(masks) == len(tail) and all(masks)
+        assert within == len(block_maps(tail, image, masks))
+        maps += block_maps(tail, image, masks)
+    assert maps == want
+
+
+def test_blocks_of_equivariant_maps_are_nonempty_and_count_every_map():
+    for source, goal in z2_face_poset_actions():
+        p, q = source.poset, goal.poset
+        tail, blocks = _poset_map_blocks(p, q, DEFAULT_GUARDS, source.maps,
+                                         goal.maps)
+        total = 0
+        for image, masks, within in blocks:
+            assert len(masks) == len(tail) and all(masks)
+            size = 1
+            for mask in masks:
+                size *= mask.bit_count()
+            assert within == size
+            total += size
+        assert total == len(brute_poset_maps(p, q, source.maps, goal.maps))
+
+
+def test_extension_order_puts_maximal_non_minimal_elements_last():
+    rng = random.Random(5)
+    for p in [face_poset(SQUARE), face_poset(OCTAHEDRON),
+              cycle_face_poset(3).poset, Poset(0, ()), Poset(1, (1,))] + [
+            _random_poset(rng, rng.randint(1, 7)) for _ in range(20)]:
+        order = _extension_order(p)
+        assert sorted(order) == list(range(p.m))
+        where = {x: k for k, x in enumerate(order)}
+        assert all(where[x] <= where[y] for x in range(p.m)
+                   for y in range(p.m) if p.leq(x, y))
+        ends = [x for x in range(p.m)
+                if p.above[x] == 1 << x and p.below[x] != 1 << x]
+        assert order[len(order) - len(ends):] == ends
+        assert set(p.atoms).isdisjoint(ends)
 
 
 def test_enumerate_poset_maps_guard_trips_at_limit_plus_one():
@@ -379,10 +477,12 @@ def test_enumerate_poset_maps_guard_trips_at_limit_plus_one():
 
 
 def test_enumerate_poset_maps_search_node_guard_bounds_work():
-    # F(C6) -> Hom(1,R6): 164,316 candidate values give the 64,044 maps
+    # F(C6) -> Hom(1,R6): 42,168 candidate values give the 64,044 maps in
+    # 8,412 blocks; an edge's factor is formed once its second vertex is
+    # placed
     fc6 = cycle_face_poset(3).poset
     single = hom_poset(one_graph(), reflexive_cycle(6)).poset
-    nodes = 164_316
+    nodes = 42_168
     maps = enumerate_poset_maps(fc6, single,
                                 DEFAULT_GUARDS.scaled(search_nodes=nodes))
     assert sum(1 for _ in maps) == 64_044
@@ -398,6 +498,126 @@ def test_enumerate_poset_maps_search_node_guard_bounds_work():
                                   DEFAULT_GUARDS.scaled(search_nodes=0)))
     assert (exc.value.guard, exc.value.attempted) == (
         "search_nodes", single.m)
+
+
+def boundary(n):
+    """The boundary of the (n-1)-simplex on n vertices."""
+    return make_complex(n, list(itertools.combinations(range(n), n - 1)))
+
+
+NODE_TOTALS = {  # (source, target) -> (search nodes, maps)
+    "F(bd2)->F(bd3)": (6_972, 13_070),
+    "F(bd3)->F(bd2)": (6_990, 1_950),
+    "F(bd3)->Hom(K2,K3)": (13_980, 3_900),
+    "F(C4)->F(C4)": (1_840, 1_544),
+    "tripod->open triangle": (3_474, 3_024),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NODE_TOTALS))
+def test_search_node_totals_are_pinned(case):
+    """The search explores exactly this many candidate values.  In the
+    last case a tail factor is empty at the level where it is formed: the
+    tripod's atoms 0, 1, 2 go to three points that pairwise share an upper
+    bound, forward checking lets them through, and the empty factor of
+    the top 3 cuts the branch before the free points 4 and 5."""
+    bd2, bd3 = face_poset(boundary(3)), face_poset(boundary(4))
+    tripod = from_leq_pairs(6, [(0, 3), (1, 3), (2, 3)])
+    open_triangle = from_leq_pairs(6, [(0, 3), (1, 3), (1, 4), (2, 4),
+                                       (0, 5), (2, 5)])
+    p, q = {"F(bd2)->F(bd3)": (bd2, bd3), "F(bd3)->F(bd2)": (bd3, bd2),
+            "F(bd3)->Hom(K2,K3)": (bd3, hom_poset(complete_graph(2),
+                                                  complete_graph(3)).poset),
+            "F(C4)->F(C4)": (face_poset(SQUARE), face_poset(SQUARE)),
+            "tripod->open triangle": (tripod, open_triangle)}[case]
+    nodes, maps = NODE_TOTALS[case]
+    assert sum(1 for _ in enumerate_poset_maps(
+        p, q, DEFAULT_GUARDS.scaled(search_nodes=nodes))) == maps
+    with pytest.raises(GuardExceeded) as exc:
+        for _ in enumerate_poset_maps(
+                p, q, DEFAULT_GUARDS.scaled(search_nodes=nodes - 1)):
+            pass
+    assert exc.value.guard == "search_nodes"
+
+
+def poset_map_searches(source: str) -> list[str]:
+    """Each backtracking loop in a top-level function that takes a Poset,
+    as ``function:line`` of the function: a ``while`` loop that steps one
+    name both down and up by one, as a search moves between levels."""
+    out = []
+    for func in ast.parse(source).body:
+        if not isinstance(func, ast.FunctionDef) or not any(
+                arg.annotation is not None
+                and ast.unparse(arg.annotation) == "Poset"
+                for arg in func.args.args):
+            continue
+        for loop in ast.walk(func):
+            if not isinstance(loop, ast.While):
+                continue
+            steps = {(node.target.id, type(node.op))
+                     for node in ast.walk(loop)
+                     if isinstance(node, ast.AugAssign)
+                     and isinstance(node.target, ast.Name)
+                     and isinstance(node.value, ast.Constant)
+                     and node.value.value == 1}
+            if any((name, ast.Add) in steps for name, op in steps
+                   if op is ast.Sub):
+                out.append(f"{func.name}:{func.lineno}")
+    return out
+
+
+def names_read(source: str) -> set[str]:
+    """Every name the module in ``source`` reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def test_one_path_searches_poset_maps():
+    # every monotone-map enumeration, plain, equivariant or blockwise,
+    # runs the one search in posets._poset_map_blocks
+    modules = [importlib.import_module(f"homlab.{info.name}")
+               for info in pkgutil.iter_modules(homlab.__path__)]
+    sites = [f"{module.__name__}.{site}" for module in modules
+             for site in poset_map_searches(inspect.getsource(module))]
+    assert len(sites) == 1, sites
+    assert sites[0].startswith("homlab.posets._poset_map_blocks:")
+    # the adjunction check reads blocks, never the flattened maps
+    assert "enumerate_poset_maps" not in names_read(
+        inspect.getsource(homposets))
+
+
+def test_scan_finds_a_second_poset_map_search():
+    source = (
+        "def blocks(p: Poset, q: Poset):\n"
+        "    def walk():\n"
+        "        t = 0\n"
+        "        while t >= 0:\n"
+        "            t -= 1\n"
+        "            t += 1\n"
+        "    return walk()\n"
+        "def maps(p: Poset, q: Poset, guards):\n"
+        "    level = 0\n"
+        "    while True:\n"
+        "        if level:\n"
+        "            level += 1\n"
+        "        else:\n"
+        "            level -= 1\n"
+        "def homs(g: Graph, h: Graph):\n"
+        "    i = 0\n"
+        "    while i >= 0:\n"
+        "        i -= 1\n"
+        "        i += 1\n"
+        "def count(p: Poset):\n"
+        "    n = 0\n"
+        "    while n < p.m:\n"
+        "        n += 1\n")
+    assert poset_map_searches(source) == ["blocks:1", "maps:8"]
+    assert "enumerate_poset_maps" in names_read(
+        "from .posets import enumerate_poset_maps\n"
+        "def check(p, q):\n"
+        "    return list(posets.enumerate_poset_maps(p, q))\n")
 
 
 def test_induced_subposet_keeps_payload():
