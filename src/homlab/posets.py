@@ -624,33 +624,37 @@ def enumerate_poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS,
     lexicographic order of their values along `_extension_order(p)`.
 
     The group is given as to `_poset_map_blocks`, whose blocks this
-    flattens.  A factor holds, for each candidate v of its representative
-    r, the values (v, g.v for the rest of r's orbit); `itertools.product`
-    over a block's factors, each combination's values joined by `sum`,
-    gives the block's tail values.  They depend only on the masks, so
-    they are joined once per distinct masks.  Each map is the block's
-    image joined to one combination's tail values, read into element
-    order by one `itemgetter`.  The guards are those of
-    `_poset_map_blocks`; more than `guards.poset_map_elements` maps raise
-    GuardExceeded("poset_map_elements") at the first map past it.
+    flattens, lazily: a map is built only when it is read.  A factor holds,
+    for each candidate v of its representative r, the values (v, g.v for
+    the rest of r's orbit), or v alone when no tail orbit has a second
+    element; `itertools.product` over a block's factors gives its tail
+    values, joined to the block's image by `+` (or `sum` over the orbit
+    tuples), and one `itemgetter` reads each map into element order.  The
+    guards are those of `_poset_map_blocks`; more than
+    `guards.poset_map_elements` maps raise GuardExceeded("poset_map_elements")
+    at the first map past it.
     """
     tail, blocks = _poset_map_blocks(p, q, guards, p_maps, q_maps)
+    plain = not any(orbit for _, orbit in tail)  # one value per factor
     at = list(range(p.m))  # where each element's value sits in a flat map
     factors = []  # per factor: candidate mask -> its candidates' values
     slot = p.m
     for r, orbit in tail:
-        spread = [(v, *(mq[v] for _, mq in orbit)) for v in range(q.m)]
+        spread = range(q.m) if plain else [
+            (v, *(mq[v] for _, mq in orbit)) for v in range(q.m)]
         factors.append(_Table(lambda mask, spread=spread: tuple(
             map(spread.__getitem__, bits(mask)))))
         for x in (r, *(x for x, _ in orbit)):
             at[x] = slot
             slot += 1
-    tails = _Table(lambda masks: tuple(map(
-        sum, itertools.product(*map(getitem, factors, masks)),
-        itertools.repeat(()))))
     flat = _restriction(at)
     for image, masks, within in blocks:
-        yield from map(flat, map(image.__add__, tails[masks][:within]))
+        tails = itertools.product(*map(getitem, factors, masks))
+        if plain:
+            maps = map(image.__add__, tails)
+        else:
+            maps = map(sum, tails, itertools.repeat(image))
+        yield from map(flat, itertools.islice(maps, within))
 
 
 def poset_maps(p: Poset, q: Poset, guards: Guards = DEFAULT_GUARDS) -> Poset:

@@ -8,6 +8,7 @@ import inspect
 import itertools
 import pkgutil
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -474,6 +475,35 @@ def test_enumerate_poset_maps_guard_trips_at_limit_plus_one():
     assert list(enumerate_poset_maps(empty, p, capped(1))) == [()]
     with pytest.raises(GuardExceeded):
         next(enumerate_poset_maps(empty, p, capped(0)))
+
+
+def test_a_large_block_is_flattened_only_as_far_as_it_is_read():
+    # one atom below k maximal elements, into a bottom below c tops: the
+    # atom's value 0 opens one block of every (c+1)^k tail values, which
+    # the guards must stop after the maps they let through, not after the
+    # whole product is built
+    k, c = 6, 7
+    fan = from_leq_pairs(k + 1, [(0, i) for i in range(1, k + 1)])
+    tops = from_leq_pairs(c + 1, [(0, j) for j in range(1, c + 1)])
+    _, blocks = _poset_map_blocks(fan, tops, DEFAULT_GUARDS, (), ())
+    assert next(blocks)[2] == (c + 1) ** k
+    tracemalloc.start()
+    try:
+        maps = enumerate_poset_maps(
+            fan, tops, DEFAULT_GUARDS.scaled(poset_map_elements=1_000))
+        with pytest.raises(GuardExceeded) as capped:
+            for _ in maps:
+                pass
+        with pytest.raises(GuardExceeded) as ordered:
+            poset_maps(fan, tops)  # reads poset_relation + 1 maps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capped.value.guard == "poset_map_elements"
+    assert ordered.value.guard == "poset_relation"
+    # the 4,001 maps read come to about 0.5 MB; the block's 262,144 tail
+    # values took about 50 MB built in full
+    assert peak < 2_000_000, peak
 
 
 def test_enumerate_poset_maps_search_node_guard_bounds_work():
