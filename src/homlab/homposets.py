@@ -163,18 +163,31 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     first meets a constraint when it is reached.  The feasible mask of a
     vertex is the intersection of common-neighborhoods of the sets already
     fixed on its neighbors.  Within that mask a vertex's set s grows one
-    target vertex at a time, in increasing index order, keeping
-    nu(s) = AND of h.adj over s.  A partial set is pruned as soon as nu(s)
-    misses the feasible mask of some later neighbor: nu only shrinks as s
-    grows, so every extension fails too.  A looped source vertex needs a
-    looped clique, so it takes only looped target vertices adjacent to all
-    of s; looped cliques are closed under subsets, so that prune is sound
-    as well.  So one vertex's sets no longer cost 2^|V(h)| steps however
-    few survive; what stays exponential is the backtracking across source
-    vertices.  Every element lies above an atom, so the poset is empty
-    exactly when there is no homomorphism: the DSATUR search of
-    `graphs._hom_search` decides that first (Hom(g,K3) is empty exactly
-    when g is not 3-colourable), and only a nonempty poset is enumerated.
+    target vertex at a time, keeping nu(s) = AND of h.adj over s.  A
+    partial set is pruned as soon as nu(s) misses the feasible mask of some
+    later neighbor: nu only shrinks as s grows, so every extension fails
+    too.  A looped source vertex needs a looped clique, so it takes only
+    looped target vertices adjacent to all of s; looped cliques are closed
+    under subsets, so that prune is sound as well.  So one vertex's sets no
+    longer cost 2^|V(h)| steps however few survive; what stays exponential
+    is the backtracking across source vertices.  Every element lies above an
+    atom, so the poset is empty exactly when there is no homomorphism: the
+    DSATUR search of `graphs._hom_search` decides that first (Hom(g,K3) is
+    empty exactly when g is not 3-colourable), and only a nonempty poset is
+    enumerated.
+
+    A set grows downward: its new target vertex lies below its least one.
+    It tries its candidates in ascending order, and each set that passes is
+    emitted, or descended from to the next source vertex, before its own
+    children are tried.  So a vertex's sets come out in increasing mask
+    order, and when `_connected_order(g)` is the identity the elements come
+    out in lexicographic order.  A new set s | x is offered only the
+    candidates below x whose own sets s | y passed the prune (and, for a
+    looped vertex, lie in nu(s | x)): s | x | y contains s | y, so it would
+    fail wherever s | y failed, and a failed candidate is never offered
+    again.  Any other order (K2 x R6's is 0, 6, 1, 7, ...) emits out of
+    lexicographic order, so the elements are still sorted at the end, one
+    path for both; on the sorted output the sort is one linear pass.
 
     Every vertex is walked the same way, the last one in the order
     included; each set the last vertex reaches is one element.  It has no
@@ -188,9 +201,10 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     of the walk.
 
     Every value that search tries and every candidate target vertex the
-    enumeration tries is one search node, counted when a partial set's
-    candidates leave the stack; past `guards.search_nodes` that count
-    raises GuardExceeded("search_nodes").  The last vertex's walk raises
+    enumeration tries is one search node, counted when a set starts to try
+    its candidates (after the set itself is emitted or descended from);
+    past `guards.search_nodes` that count raises
+    GuardExceeded("search_nodes").  The last vertex's walk raises
     "hom_elements" before it emits element `guards.hom_elements` + 1.  An
     emitted batch counts one node per set, as its walk would, and a batch
     that would pass either guard is walked instead of emitted, so each
@@ -224,86 +238,92 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     batches: dict[int, list[int]] = {}  # last vertex's mask -> its sets
     walked: list[int] = []  # the sets the last vertex's walk has reached
 
-    def level(i: int):
-        """The i-th source vertex in order, whether it is looped, its later
-        neighbours with their feasible masks on entry (restored on exit),
-        and its stack of (set so far, its nu, target vertices that may
-        still join it)."""
-        v = order[i]
-        start = allowed[v] & loops if looped[i] else allowed[v]
-        return (v, looped[i], tuple((w, allowed[w]) for w in later[i]),
-                [(0, full, start)])
-
-    # one frame per source vertex above the current one, so the descent
-    # needs no Python recursion however long g is
+    # The state: the i-th source vertex v in order, whether it is looped,
+    # its later neighbours with their feasible masks on entry (restored on
+    # exit), the set s being walked with its nu, the candidates s has still
+    # to try, the mask of those it tried that passed, and a stack of such
+    # (set, nu, candidates, passed) to resume once the current set's
+    # subtree is done.  One frame per source vertex above v holds that
+    # vertex's state, so the descent needs no Python recursion however long
+    # g is.
     frames: list[tuple] = []
-    i = s = nu = cand = 0  # no candidates: the first turn pops the stack
-    v, clique, later_masks, stack = level(0)
+    i = s = passed = 0
+    v, clique, nu, stack = order[0], looped[0], full, []
+    later_masks = tuple([(w, full) for w in later[0]])
+    cand = loops if clique else full
     while True:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            nu_x = nu & adj[low.bit_length() - 1]
-            for w, mask in later_masks:
-                if not mask & nu_x:
+        # the current set is new: it tries its candidates from here on
+        nodes += cand.bit_count()
+        if nodes > node_limit:
+            raise GuardExceeded("search_nodes", node_limit, nodes)
+        while True:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                nu_x = nu & adj[low.bit_length() - 1]
+                for w, mask in later_masks:
+                    if not mask & nu_x:
+                        break
+                else:
+                    s_x = assign[v] = s | low
+                    if cand:
+                        stack.append((s, nu, cand, passed | low))
+                    cand = passed & nu_x if clique else passed
+                    s, nu, passed = s_x, nu_x, 0
+                    for w, mask in later_masks:
+                        allowed[w] = mask & nu_x
+                    if i >= last - 1:
+                        if i == last:
+                            if len(out) == element_limit:
+                                raise GuardExceeded(
+                                    "hom_elements", element_limit,
+                                    element_limit + 1)
+                            out.append(tuple(assign))
+                            walked.append(s_x)
+                            break
+                        mask = allowed[v_last] & last_filter
+                        sets = batches.get(mask)
+                        if sets is None and not looped[last] and (
+                                1 << mask.bit_count()) - 1 <= min(
+                                node_limit - nodes, element_limit - len(out)):
+                            sets = batches[mask] = []
+                            x = -mask & mask
+                            while x:
+                                sets.append(x)
+                                x = (x - mask) & mask
+                        if (sets is not None
+                                and nodes + len(sets) <= node_limit
+                                and len(out) + len(sets) <= element_limit):
+                            nodes += len(sets)
+                            for x in sets:
+                                assign[v_last] = x
+                                out.append(tuple(assign))
+                            break
+                        # a new mask, or a batch past a guard: walk it,
+                        # recording its sets; a batch past a guard trips
+                        # during the walk
+                        walked = batches[mask] = []
+                    # descend: s_x's own subtree waits in the frame
+                    frames.append((v, clique, later_masks, stack, s, nu, cand))
+                    i += 1
+                    v, clique = order[i], looped[i]
+                    later_masks = tuple([(w, allowed[w]) for w in later[i]])
+                    cand = allowed[v] & loops if clique else allowed[v]
+                    s, nu, stack = 0, full, []
                     break
             else:
-                s_x = assign[v] = s | low
-                rest = cand & nu_x if clique else cand
-                if rest:
-                    stack.append((s_x, nu_x, rest))
+                if stack:
+                    s, nu, cand, passed = stack.pop()
+                    continue
                 for w, mask in later_masks:
-                    allowed[w] = mask & nu_x
-                if i < last - 1:
-                    break
-                if i == last:
-                    if len(out) == element_limit:
-                        raise GuardExceeded("hom_elements", element_limit,
-                                            element_limit + 1)
-                    out.append(tuple(assign))
-                    walked.append(s_x)
-                    continue
-                mask = allowed[v_last] & last_filter
-                sets = batches.get(mask)
-                if sets is None and not looped[last] and (
-                        1 << mask.bit_count()) - 1 <= min(
-                        node_limit - nodes, element_limit - len(out)):
-                    sets = batches[mask] = []
-                    x = -mask & mask
-                    while x:
-                        sets.append(x)
-                        x = (x - mask) & mask
-                if (sets is not None and nodes + len(sets) <= node_limit
-                        and len(out) + len(sets) <= element_limit):
-                    nodes += len(sets)
-                    for x in sets:
-                        assign[v_last] = x
-                        out.append(tuple(assign))
-                    continue
-                # a new mask, or a batch past a guard: walk it, recording
-                # its sets; a batch past a guard trips during the walk
-                walked = batches[mask] = []
-                break
-        else:
-            if stack:
-                s, nu, cand = stack.pop()
-                nodes += cand.bit_count()
-                if nodes > node_limit:
-                    raise GuardExceeded("search_nodes", node_limit, nodes)
-                continue
-            for w, mask in later_masks:
-                allowed[w] = mask
-            if not frames:
-                break
-            i -= 1
-            v, clique, later_masks, stack, s, nu, cand = frames.pop()
-            continue
-        frames.append((v, clique, later_masks, stack, s, nu, cand))
-        i += 1
-        v, clique, later_masks, stack = level(i)
-        cand = 0
-    out.sort()
-    return HomPoset(g, h, tuple(out), guards)
+                    allowed[w] = mask
+                if not frames:
+                    out.sort()
+                    return HomPoset(g, h, tuple(out), guards)
+                i -= 1
+                v, clique, later_masks, stack, s, nu, cand = frames.pop()
+                passed = 0
+            break
 
 
 def induced_hom_action(hp: HomPoset,

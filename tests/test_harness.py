@@ -772,7 +772,8 @@ def test_cli_search_node_guard_from_config(tmp_path, capsys):
 
 
 def test_cli_hom_t23_k4_fits_a_small_search_node_guard(tmp_path, capsys):
-    # the connected vertex order needs 2,363 nodes; degree order needs 1.77 M
+    # the connected vertex order needs 2,255 nodes; degree order needed
+    # 1.77 M under the upward walk
     cfg = tmp_path / "guards.json"
     cfg.write_text(json.dumps({"search_nodes": 10_000}))
     assert main(["hom", "T(2,3)", "K4", "--config", str(cfg)]) == 0

@@ -19,7 +19,8 @@ from homlab.graphs import (Graph, _hom_search, bits, complete_graph,
                            cycle_graph,
                            exponential, exponential_vertex_maps,
                            is_isomorphic, looped_path, nu_mask, one_graph,
-                           product, reflexive_closure, reflexive_cycle)
+                           permute_mask, product, reflexive_closure,
+                           reflexive_cycle)
 from homlab.cli import main, parse_graph_id
 from homlab.harness import _diagonal_flip_shift
 from homlab.homology import poset_homology
@@ -259,15 +260,15 @@ def test_hom_poset_matches_subset_walk_on_registry_pairs(pair):
 
 # (search nodes, elements) of each pair, the emptiness search included
 NODE_TOTALS = {
-    "K2,T(2,3)": (54_076, 36_282),
-    "K2,S(1,2)": (526, 192),
-    "K2,K2xR10": (938, 240),
-    "C5,K4": (3_648, 2_160),
-    "K2xR6,K3": (21_913, 8_412),
-    "R6,K3^K2": (13_152, 8_412),
+    "K2,T(2,3)": (42_985, 36_282),
+    "K2,S(1,2)": (360, 192),
+    "K2,K2xR10": (484, 240),
+    "C5,K4": (3_614, 2_160),
+    "K2xR6,K3": (21_871, 8_412),
+    "R6,K3^K2": (13_110, 8_412),
     "K3,K5": (604, 390),
-    "T(1,3),K4": (2_637, 1_128),
-    "T(2,3),K4": (2_363, 96),
+    "T(1,3),K4": (2_579, 1_128),
+    "T(2,3),K4": (2_255, 96),
 }
 
 
@@ -299,40 +300,69 @@ def test_connected_order_ranks_placed_neighbours_then_degree_then_index():
 
 def test_hom_poset_last_vertex_trips_where_its_walk_would():
     # One vertex into K6: the emptiness search tries 1 node, then the
-    # vertex's first partial set counts its 6 candidates as nodes before
-    # any of its 63 sets is an element.  So with room for 2 elements the
-    # node guard trips first whenever it has room for fewer than 6 nodes,
-    # even though the element guard has less room than the batch.
+    # vertex's empty set counts its 6 candidates as nodes before any of its
+    # 63 sets is an element.  {0} is emitted with no candidates of its own,
+    # {1} is emitted and then tries {0}, the 8th node, before {0,1} would be
+    # the third element.  So with room for 2 elements the node guard trips
+    # first whenever it has room for fewer than 8 nodes, even though the
+    # element guard has less room than the batch.
     g, h = Graph.from_edges(1, []), complete_graph(6)
     for nodes, trip in [(0, ("search_nodes", 1))] + [
             (k, ("search_nodes", 7)) for k in range(1, 7)] + [
-            (7, ("hom_elements", 3)), (64, ("hom_elements", 3))]:
+            (7, ("search_nodes", 8)), (8, ("hom_elements", 3)),
+            (64, ("hom_elements", 3))]:
         with pytest.raises(GuardExceeded) as err:
             hom_poset(g, h, DEFAULT_GUARDS.scaled(search_nodes=nodes,
                                                   hom_elements=2))
         assert (err.value.guard, err.value.attempted) == trip
 
 
+def test_hom_poset_offers_no_failed_sibling_again():
+    # K2 into the star with centre 4 and leaves 0, 2, 3, beside the isolated
+    # vertex 1.  The emptiness search tries 0 for vertex 0, then 4 for
+    # vertex 1: 2 nodes.  Vertex 0's empty set tries 0..4 (7); 1 fails, as
+    # nu({1}) is empty.  Each passing set of vertex 0 emits vertex 1's sets
+    # as a batch, one node per set: {4} for a set of leaves, the 7 nonempty
+    # sets of leaves for {4}.  {0} emits (8) and has no lower candidate that
+    # passed.  {2} emits (9) and tries only 0, not the failed 1 (10); {0,2}
+    # emits (11).  {3} emits (12) and tries 0 and 2 (14); {0,3} emits (15),
+    # {2,3} emits (16) and tries 0 (17), and {0,2,3} emits (18).  {4} emits
+    # its batch (25) and tries 0, 2 and 3 (28), and each of {0,4}, {2,4} and
+    # {3,4} fails.  Offering 1 again would cost a node in each of {2}, {3},
+    # {2,3} and {4}: 32 in all.
+    g = complete_graph(2)
+    h = Graph.from_edges(5, [(0, 4), (2, 4), (3, 4)])
+    assert len(_walked_hom_elements(g, h, DEFAULT_GUARDS)) == \
+        hom_poset(g, h).m == 14
+    assert hom_poset(g, h, DEFAULT_GUARDS.scaled(search_nodes=28)).m == 14
+    with pytest.raises(GuardExceeded) as err:
+        hom_poset(g, h, DEFAULT_GUARDS.scaled(search_nodes=27))
+    assert (err.value.guard, err.value.attempted) == ("search_nodes", 28)
+
+
 def _walked_hom_elements(g, h, guards):
     """Hom(g,h) by walking every source vertex, the last one included, with
-    no memo: the reference for where each guard trips.
+    no memo, listed in the order the walk reaches them: the reference for
+    where each guard trips.
 
-    The same emptiness search, vertex order and pruning as `hom_poset`; a
-    partial set's candidates count as search nodes when it is popped, and
-    each set the last vertex reaches is one element.
+    The same emptiness search, vertex order and pruning as `hom_poset`.  A
+    set grows downward and tries its candidates in ascending order; a set
+    that passes is emitted or descended from, then tries as its own
+    candidates the lower ones that passed before it.  A set's candidates
+    count as search nodes when it starts to try them, and each set the last
+    vertex reaches is one element.
     """
     atom, nodes = _hom_search(g, h, guards.search_nodes, 0)
     if atom is None:
-        return ()
+        return []
     if g.n == 0:
-        return ((),)
+        return [()]
     order = _connected_order(g)
     pos = {v: i for i, v in enumerate(order)}
     full = (1 << h.n) - 1
     allowed, assign, out = [full] * g.n, [0] * g.n, []
 
     def walk(i):
-        nonlocal nodes
         if i == g.n:
             if len(out) == guards.hom_elements:
                 raise GuardExceeded("hom_elements", guards.hom_elements,
@@ -343,30 +373,30 @@ def _walked_hom_elements(g, h, guards):
         clique = g.adj[v] >> v & 1
         later = [w for w in bits(g.adj[v]) if pos[w] > i]
         entry = [allowed[w] for w in later]
-        stack = [(0, full, allowed[v] & (h.looped_mask if clique else full))]
-        while stack:
-            s, nu, cand = stack.pop()
+
+        def grow(s, nu, cand):
+            nonlocal nodes
             nodes += cand.bit_count()
             if nodes > guards.search_nodes:
                 raise GuardExceeded("search_nodes", guards.search_nodes, nodes)
+            passed = 0
             for x in bits(cand):
                 nu_x = nu & h.adj[x]
                 if not all(mask & nu_x for mask in entry):
                     continue
-                assign[v] = s | 1 << x
-                rest = cand >> x + 1 << x + 1
-                if clique:
-                    rest &= nu_x
-                if rest:
-                    stack.append((assign[v], nu_x, rest))
                 for w, mask in zip(later, entry):
                     allowed[w] = mask & nu_x
+                assign[v] = s | 1 << x
                 walk(i + 1)
+                grow(s | 1 << x, nu_x, passed & nu_x if clique else passed)
+                passed |= 1 << x
+
+        grow(0, full, allowed[v] & (h.looped_mask if clique else full))
         for w, mask in zip(later, entry):
             allowed[w] = mask
 
     walk(0)
-    return tuple(sorted(out))
+    return out
 
 
 @settings(deadline=None, max_examples=300)
@@ -386,7 +416,38 @@ def test_hom_poset_trips_where_the_walk_without_memo_would(g, h, nodes,
             return exc.guard, exc.attempted
 
     assert outcome(lambda *a: hom_poset(*a).elements) == \
-        outcome(_walked_hom_elements)
+        outcome(lambda *a: tuple(sorted(_walked_hom_elements(*a))))
+
+
+def _in_search_order(g):
+    """g with vertex v renamed to its place in `_connected_order(g)`."""
+    pos = [0] * g.n
+    for i, v in enumerate(_connected_order(g)):
+        pos[v] = i
+    adj = [0] * g.n
+    for v in range(g.n):
+        adj[pos[v]] = permute_mask(g.adj[v], pos)
+    return Graph(g.n, tuple(adj))
+
+
+@settings(deadline=None, max_examples=200)
+@given(looped_graphs(1, 4), looped_graphs(1, 6), st.booleans())
+@example(complete_graph(2), twisted_toroidal(1, 3).graph, False)
+@example(product(complete_graph(2), reflexive_cycle(4)), complete_graph(3),
+         False)
+def test_walk_emits_in_lexicographic_order_under_the_identity_order(g, h,
+                                                                     rename):
+    if rename:
+        g = _in_search_order(g)
+        assert _connected_order(g) == list(range(g.n))
+    try:
+        walked = _walked_hom_elements(
+            g, h, DEFAULT_GUARDS.scaled(hom_elements=5_000))
+    except GuardExceeded:
+        assume(False)
+    if _connected_order(g) == list(range(g.n)):
+        assert walked == sorted(walked)
+    assert tuple(sorted(walked)) == hom_poset(g, h).elements
 
 
 def test_hom_poset_raises_each_guard_at_one_site():
