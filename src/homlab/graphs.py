@@ -383,25 +383,30 @@ def odd_girth(g: Graph) -> int | float:
 
     A shortest odd closed walk is always an odd cycle, so this runs BFS on the
     bipartite double cover and takes min over v of the odd distance v -> v.
+    The BFS from v goes a layer at a time, on masks: the vertices reached at
+    each parity so far, and the frontier, the new vertices at distance d,
+    which have parity d mod 2.  The next frontier is the union of the
+    frontier's neighbourhoods minus what the other parity has reached; the
+    first odd frontier that holds v gives its odd distance, and a search
+    stops once its next layer could not beat the best found.
     """
     if g.looped_mask:
         return 1
+    adj = g.adj
     best = INFINITE
-    for s in range(g.n):
-        dist: dict[tuple[int, int], int] = {(s, 0): 0}
-        queue = deque([(s, 0)])
-        while queue:
-            v, par = queue.popleft()
-            d = dist[(v, par)]
-            if d + 1 >= best:
-                continue
-            for w in bits(g.adj[v]):
-                key = (w, par ^ 1)
-                if key not in dist:
-                    dist[key] = d + 1
-                    queue.append(key)
-        if (s, 1) in dist:
-            best = min(best, dist[(s, 1)])
+    for v in range(g.n):
+        frontier = 1 << v
+        reached = [frontier, 0]  # by parity of the distance from v
+        d = 0
+        while frontier and d + 1 < best:
+            d += 1
+            nxt = 0
+            for x in bits(frontier):
+                nxt |= adj[x]
+            frontier = nxt & ~reached[d & 1]
+            reached[d & 1] |= frontier
+            if frontier >> v & 1:  # v is reached at odd distance only
+                best = d
     return best
 
 

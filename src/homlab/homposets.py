@@ -15,9 +15,10 @@ loop-addition maps for fine target graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, repeat
+from operator import and_, invert, itemgetter, lshift, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .actions import (GraphAction, PosetAction, is_free,
@@ -80,10 +81,15 @@ class HomPoset:
     @cached_property
     def _packed(self) -> tuple[int, ...]:
         """Each element as one integer, vertex v's set shifted by v times
-        the target's vertex count, so pointwise containment is one test."""
+        the target's vertex count, so pointwise containment is one test.
+        Built a source vertex at a time: vertex v's column of sets, shifted,
+        is ORed into every element's integer at once."""
         w = self.target.n
-        return tuple(sum(mask << v * w for v, mask in enumerate(e))
-                     for e in self.elements)
+        packed = (0,) * self.m
+        for v, column in enumerate(zip(*self.elements)):
+            packed = tuple(map(or_, packed,
+                               map(lshift, column, repeat(v * w))))
+        return packed
 
     def leq(self, i: int, j: int) -> bool:
         packed = self._packed
@@ -399,8 +405,21 @@ def _uncurry_mask(beta: int, fibres: Sequence[Sequence[int]],
                  for fib in fibres)
 
 
+def _columns(rows: Iterable[Sequence], width: int) -> list[tuple]:
+    """The `width` columns of a table given by its rows.  A table with no
+    rows still has `width` columns, each (), which `zip(*rows)` would
+    drop."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _rows(columns: Sequence[Iterable], m: int) -> Iterator[tuple]:
+    """The m rows of a table given by its columns.  A table with no columns
+    still has m rows, each (), which `zip(*columns)` would drop."""
+    return zip(*columns) if columns else repeat((), m)
+
+
 def curry_elements(t: Graph, h: Graph, g: Graph,
-                   elements: Iterable[Sequence[int]]
+                   elements: Sequence[Sequence[int]]
                    ) -> Iterator[tuple[int, ...]]:
     """Hom(T x H, G) -> Hom(H, G^T), alpha -> beta with beta(y) = {f : f(s)
     in alpha(s,y) for every s}, for each alpha in `elements`.
@@ -408,30 +427,39 @@ def curry_elements(t: Graph, h: Graph, g: Graph,
     alpha is stored row by row, alpha(s,y) at s |V(H)| + y.  beta(y) reads
     alpha only through the column (alpha(s,y))_s, so a table local to the
     call maps each column to beta(y), filled by `_curry_column` the first
-    time the column is seen; an element then costs |V(H)| lookups.
+    time the column is seen.  The work goes a vertex y of H at a time, over
+    every element at once: the elements are transposed once, y's columns
+    are read off the positions s |V(H)| + y and mapped through the table,
+    and the elements' betas are those |V(H)| sequences zipped back.
     """
     nh = h.n
-    columns = [slice(y, None, nh) for y in range(nh)]
     beta_of = _Table(partial(_curry_column, fibres=_vertex_fibres(t, g),
                              full=(1 << g.n ** t.n) - 1))
-    for alpha in elements:
-        yield tuple(map(beta_of.__getitem__, map(alpha.__getitem__, columns)))
+    m = len(elements)
+    positions = _columns(elements, t.n * nh)
+    return _rows([map(beta_of.__getitem__, _rows(positions[y::nh], m))
+                  for y in range(nh)], m)
 
 
-def uncurry_elements(t: Graph, g: Graph, elements: Iterable[Sequence[int]]
+def uncurry_elements(t: Graph, g: Graph, elements: Sequence[Sequence[int]]
                      ) -> Iterator[tuple[int, ...]]:
     """Hom(H, G^T) -> Hom(T x H, G), beta -> alpha with alpha(s,y) =
     {f(s) : f in beta(y)}, for each beta in `elements`.
 
     The column (alpha(s,y))_s depends only on beta(y), so a table local to
     the call maps each beta(y) to its column, filled by `_uncurry_mask` the
-    first time it is seen; alpha is those columns read row by row.
+    first time it is seen.  The work goes a vertex y of H at a time, over
+    every element at once: the elements are transposed once, y's values
+    beta(y) are mapped through the table, position (s,y) reads entry s of
+    those columns, and the elements' alphas are the positions, s |V(H)| + y
+    in order, zipped back.
     """
     column_of = _Table(partial(_uncurry_mask, fibres=_vertex_fibres(t, g),
                                n=g.n))
-    for beta in elements:
-        yield tuple(chain.from_iterable(
-            zip(*map(column_of.__getitem__, beta))))
+    by_vertex = [list(map(column_of.__getitem__, values))
+                 for values in zip(*elements)]
+    return _rows([map(itemgetter(s), columns) for s in range(t.n)
+                  for columns in by_vertex], len(elements))
 
 
 @dataclass(frozen=True)
@@ -451,9 +479,12 @@ def adjunction_report(t: Graph, h: Graph, g: Graph,
     Hom(H, G^T), then check the round trips.
 
     Both directions go through column tables (`curry_elements`,
-    `uncurry_elements`), built afresh by each call.  Every order test
-    reads the element masks (`HomPoset.leq` and `HomPoset.is_up_closure`),
-    so neither Hom order is materialized.
+    `uncurry_elements`), built afresh by each call and read a vertex of H
+    at a time over all elements.  The round trip compares psi o phi with
+    the identity as one list, and phi o psi >= id is one pass of mask
+    tests over the packed elements (`HomPoset._packed`); the up-closure
+    test reads the element masks too (`HomPoset.is_up_closure`), so
+    neither Hom order is materialized.
     """
     expo = exponential(t, g, guards)
     hom_th = hom_poset(product(t, h), g, guards)
@@ -466,9 +497,11 @@ def adjunction_report(t: Graph, h: Graph, g: Graph,
                     uncurry_elements(t, g, hom_cur.elements)))
     if None in psi:
         raise ValueError("uncurried element is not a multihomomorphism")
-    roundtrip = all(psi[phi[i]] == i for i in range(hom_th.m))
-    closure = tuple(phi[j] for j in psi)
-    increasing = all(map(hom_cur.leq, range(hom_cur.m), closure))
+    roundtrip = list(map(psi.__getitem__, phi)) == list(range(hom_th.m))
+    closure = tuple(map(phi.__getitem__, psi))
+    packed = hom_cur._packed
+    increasing = not any(map(and_, packed,
+                             map(invert, map(packed.__getitem__, closure))))
     closure_ok = roundtrip and increasing and hom_cur.is_up_closure(closure)
     return AdjunctionReport(hom_th, hom_cur, phi, psi,
                             roundtrip, increasing, closure_ok)
@@ -478,32 +511,27 @@ def adjunction_report(t: Graph, h: Graph, g: Graph,
 # currying against atom graphs of posets
 
 
-def atoms_below(p: Poset, atoms: Sequence[int]
-                ) -> tuple[tuple[int, ...], ...]:
-    """For each element x of p, the positions in `atoms` of the atoms <= x."""
-    position = {a: k for k, a in enumerate(atoms)}
-    return tuple(tuple(position[a] for a in bits(p.below[x]) if a in position)
-                 for x in range(p.m))
+def _curried_columns(p: Poset, atoms: Sequence[int],
+                     columns: Sequence[Sequence[int]],
+                     single: dict[int, int]) -> list[tuple[int, ...]]:
+    """The curry Hom(P^1, G) -> Poset(P, Hom(1,G)), e -> (x -> union of e
+    over the atoms <= x), one column per element x of P: column x holds
+    phi(e)(x) for every element e, as a Hom(1,G) index.
 
-
-def poset_curry(below: Sequence[Sequence[int]], alpha: Sequence[int],
-                single: dict[int, int]) -> tuple[int, ...]:
-    """Hom(P^1, G) -> Poset(P, Hom(1,G)): x -> union of alpha over atoms <= x,
-    as Hom(1,G) indices.
-
-    `below` is `atoms_below(p, atoms)`, computed once per poset, and
-    `single` maps the mask of each element of Hom(1,G) to its index.
+    `columns[k]` holds the value of atoms[k] in every element, as a mask,
+    and `single` maps the mask of each element of Hom(1,G) to its index;
+    column x is the OR of the columns of the atoms <= x, looked up there.
     """
-    image = []
-    for ks in below:
-        mask = 0
-        for k in ks:
-            mask |= alpha[k]
-        j = single.get(mask)
-        if j is None:
+    out = []
+    for x in range(p.m):
+        unions = reduce(partial(map, or_),
+                        [col for a, col in zip(atoms, columns)
+                         if p.below[x] >> a & 1])
+        values = tuple(map(single.get, unions))
+        if None in values:
             raise ValueError("curried value is not a looped clique")
-        image.append(j)
-    return tuple(image)
+        out.append(values)
+    return out
 
 
 @dataclass(frozen=True)
@@ -546,59 +574,77 @@ def poset_adjunction_report(p: Poset, g: Graph,
 
     Values are Hom(1,G) indices throughout: an element of Hom(P^1,G) is
     keyed by the index of each atom's value (P^1 is reflexive, so each is a
-    looped clique).  psi(phi(e)) = e compares the restriction of phi(e) to
-    the atoms with e's key.  For the order test, the curried value
-    phi(e)(x) depends on a map f only through its restriction e to the
-    atoms, and phi(e) <= f means f(x) lies in the up-set of phi(e)(x) in
-    Hom(1,G) for every x.
+    looped clique).  The elements are read a column at a time, never an
+    element at a time: they are transposed once into one column per atom,
+    and `_curried_columns` builds one column of phi per element x of P
+    from the columns of the atoms below x.  psi(phi(e)) = e compares, per
+    atom, phi's column with the atom's column of keys.  Then each element
+    gets one check row, zipped from phi's columns: the up-sets in Hom(1,G)
+    of its values on the block prefix (built once per distinct value and
+    shared), then its values on the maximal elements r below.  A dict
+    from each element's key to its check row, zipped from the key columns
+    once phi's columns are dropped, is all the loop over the maps reads.
+    For the order test, the curried value phi(e)(x) depends on a map f
+    only through its restriction e to the atoms, and phi(e) <= f means
+    f(x) lies in the up-set of phi(e)(x) in Hom(1,G) for every x.
 
     The maps are read in the blocks of `posets._poset_map_blocks`: a
     prefix, which holds every atom, and a product of candidate sets, one
     per maximal non-minimal element r.  Per block, the restriction is
     looked up once (one outside Hom(P^1,G) raises ValueError), the prefix
-    values are tested once, by membership in up-sets built once per
-    distinct curried value and shared, and each factor is tested as one
-    mask: its candidates all pass iff they lie inside the up-set mask of
-    phi(e)(r).  A block counts the product of its factors' sizes as maps.
-    Every map is checked, and the result and `maps_checked` are those of
-    testing the maps one by one in the order of `enumerate_poset_maps`,
-    stopping at the first failure: `maps_checked` is then that map's
-    1-based position, and the guards trip where that loop's would.
+    values are tested once, by membership in the element's up-sets, and
+    the factors are tested together as masks: their candidates all pass
+    iff none meets the complement of the up-set mask of its phi(e)(r), and
+    only a block where one does is searched for its first failing map
+    (`_first_outside`).  A block counts the product of its factors' sizes
+    as maps.  Every map is checked, and the result and `maps_checked` are
+    those of testing the maps one by one in the order of
+    `enumerate_poset_maps`, stopping at the first failure: `maps_checked`
+    is then that map's 1-based position, and the guards trip where that
+    loop's would.
     """
     ag, atoms = atom_graph(p)
     hom_ag = hom_poset(ag, g, guards)
     hom_single = hom_poset(one_graph(), g, guards)
     single = {e[0]: v for v, e in enumerate(hom_single.elements)}
-    keys = []
-    for e in hom_ag.elements:
-        key = tuple(map(single.get, e))
-        if None in key:
-            raise ValueError("an atom's value is not a looped clique")
-        keys.append(key)
-    below = atoms_below(p, atoms)
-    curried = [poset_curry(below, e, single) for e in hom_ag.elements]
-    restrict = _restriction(atoms)
-    roundtrip = all(restrict(c) == key for c, key in zip(curried, keys))
+    m = hom_ag.m
+    columns = _columns(hom_ag.elements, len(atoms))
+    del hom_ag  # its element rows: the columns hold the same values
+    if not single.keys() >= set(chain.from_iterable(columns)):
+        raise ValueError("an atom's value is not a looped clique")
+    curried = _curried_columns(p, atoms, columns, single)
+    roundtrip = all(curried[a] == tuple(map(single.__getitem__, col))
+                    for a, col in zip(atoms, columns))
     tail, blocks = _poset_map_blocks(p, hom_single.poset, guards, (), ())
     ends = [r for r, _ in tail]
-    head = _restriction([x for x in range(p.m) if x not in ends])
-    floors = _restriction(ends)
+    starts = [x for x in range(p.m) if x not in ends]
     above = hom_single.poset.above
     up = {u: frozenset(bits(above[u]))
-          for u in set(chain.from_iterable(curried))}
-    allowed = [tuple(map(up.__getitem__, head(c))) for c in curried]
-    row = {key: j for j, key in enumerate(keys)}
+          for u in set(chain.from_iterable(curried[x] for x in starts))}
+    checks = list(_rows([map(up.__getitem__, curried[x]) for x in starts]
+                        + [curried[r] for r in ends], m))
+    del curried  # so phi's columns and the key rows are never all held
+    keys = _rows([map(single.__getitem__, col) for col in columns], m)
+    row = dict(zip(keys, checks))
+    del columns, checks
+    restrict, head = _restriction(atoms), _restriction(starts)
+    split = len(starts)
+    notabove = [~mask for mask in above]
     contains = frozenset.__contains__
     decreasing = True
     checked = 0
     for image, masks, within in blocks:
-        j = row.get(restrict(image))
-        if j is None:
+        check = row.get(restrict(image))
+        if check is None:
             raise ValueError("restriction to atoms escaped Hom(P^1,G)")
-        if all(map(contains, allowed[j], head(image))):
-            first = _first_outside(masks, floors(curried[j]), above)
-        else:
+        floors = check[split:]
+        # map stops at the shorter: the up-sets, which come first
+        if not all(map(contains, check, head(image))):
             first = 0
+        elif any(map(and_, masks, map(notabove.__getitem__, floors))):
+            first = _first_outside(masks, floors, above)
+        else:
+            first = None
         if first is not None and first < within:
             decreasing = False
             checked += first + 1

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homlab.cli import parse_graph_id
+from homlab.families import twisted_toroidal
 from homlab.graphs import (
     INFINITE,
     Graph,
@@ -323,6 +325,51 @@ def test_odd_girth():
     g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)])
     assert odd_girth(g) == 3
 
+
+
+def odd_girth_by_double_cover(g):
+    """The odd girth by BFS on the bipartite double cover, one (vertex,
+    parity) state at a time, from every vertex: the least odd distance
+    from (v,0) to (v,1), or 1 when g has a loop."""
+    if g.looped_mask:
+        return 1
+    best = INFINITE
+    for s in range(g.n):
+        dist = {(s, 0): 0}
+        queue = deque([(s, 0)])
+        while queue:
+            v, par = queue.popleft()
+            d = dist[(v, par)]
+            if d + 1 >= best:
+                continue
+            for w in bits(g.adj[v]):
+                key = (w, par ^ 1)
+                if key not in dist:
+                    dist[key] = d + 1
+                    queue.append(key)
+        if (s, 1) in dist:
+            best = min(best, dist[(s, 1)])
+    return best
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_graphs(9), _graphs(9, loops=False)))
+@example(Graph(0, ()))
+@example(Graph.from_edges(4, [(0, 1), (2, 2)]))  # looped, disconnected
+@example(Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                              (5, 6), (6, 7), (7, 5)]))  # C5 + C3 + a point
+@example(cycle_graph(8))  # bipartite
+@example(Graph.from_edges(6, [(u, v) for u in range(3)
+                              for v in range(3, 6)]))  # K3,3
+def test_odd_girth_matches_double_cover_bfs(g):
+    assert odd_girth(g) == odd_girth_by_double_cover(g)
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for k in (1, 2) for m in (2, 3, 5)])
+def test_odd_girth_matches_double_cover_bfs_on_twisted_toroidal(k, m):
+    """Every T(k,m) the tkm-invariants experiment builds."""
+    g = twisted_toroidal(k, m).graph
+    assert odd_girth(g) == odd_girth_by_double_cover(g)
 
 def test_graph_stats():
     s = graph_stats(cycle_graph(6))

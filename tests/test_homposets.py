@@ -4,7 +4,8 @@ structural comparison maps (currying, quotients, loop addition)."""
 import ast
 import itertools
 import random
-from functools import reduce
+import tracemalloc
+from functools import partial, reduce
 from operator import or_
 from pathlib import Path
 
@@ -26,14 +27,14 @@ from homlab.harness import _diagonal_flip_shift
 from homlab.homology import poset_homology
 from homlab import homposets
 from homlab.homposets import (HomPoset, _connected_order, adjunction_report,
-                              atoms_below,
                               curry_elements, hom_poset, induced_hom_action,
                               loop_addition_maps, multihom_violation,
-                              poset_adjunction_report, poset_curry,
-                              quotient_compare, rank_of, uncurry_elements)
+                              poset_adjunction_report, quotient_compare,
+                              rank_of, uncurry_elements)
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
-from homlab.posets import (Poset, PosetMap, atom_graph, enumerate_poset_maps,
-                           face_poset, is_closure_map, make_complex)
+from homlab.posets import (Poset, PosetMap, _Table, atom_graph,
+                           enumerate_poset_maps, face_poset, is_closure_map,
+                           make_complex)
 from test_actions import action_violation
 from test_posets import block_maps, small_posets
 
@@ -650,6 +651,164 @@ def test_seeded_column_table_defect_is_caught(monkeypatch, table):
     assert hit and not rep.roundtrip_identity
 
 
+# Per-element oracles for the column-at-a-time paths: the package reads
+# each table a column at a time over every element, these an element at a
+# time, through the same column tables.
+
+def curry_by_element(t, h, g, elements):
+    """`curry_elements` one alpha at a time: its columns (alpha(s,y))_s,
+    y = 0 .. |V(H)|-1, are slices of the row, each looked up in the table."""
+    nh = h.n
+    columns = [slice(y, None, nh) for y in range(nh)]
+    beta_of = _Table(partial(homposets._curry_column,
+                             fibres=homposets._vertex_fibres(t, g),
+                             full=(1 << g.n ** t.n) - 1))
+    for alpha in elements:
+        yield tuple(map(beta_of.__getitem__, map(alpha.__getitem__, columns)))
+
+
+def uncurry_by_element(t, g, elements):
+    """`uncurry_elements` one beta at a time: the columns of beta(y),
+    y = 0 .. |V(H)|-1, read row by row."""
+    column_of = _Table(partial(homposets._uncurry_mask,
+                               fibres=homposets._vertex_fibres(t, g), n=g.n))
+    for beta in elements:
+        yield tuple(itertools.chain.from_iterable(
+            zip(*map(column_of.__getitem__, beta))))
+
+
+def atoms_below(p, atoms):
+    """For each element x of p, the positions in `atoms` of the atoms <= x."""
+    position = {a: k for k, a in enumerate(atoms)}
+    return tuple(tuple(position[a] for a in bits(p.below[x]) if a in position)
+                 for x in range(p.m))
+
+
+def poset_curry(below, alpha, single):
+    """Hom(P^1, G) -> Poset(P, Hom(1,G)) on one element alpha: x -> union of
+    alpha over the atoms <= x, as Hom(1,G) indices; `below` is
+    `atoms_below(p, atoms)` and `single` maps Hom(1,G) masks to indices."""
+    image = []
+    for ks in below:
+        mask = 0
+        for k in ks:
+            mask |= alpha[k]
+        j = single.get(mask)
+        if j is None:
+            raise ValueError("curried value is not a looped clique")
+        image.append(j)
+    return tuple(image)
+
+
+def single_index(g):
+    """Hom(1,G) as a dict from each element's mask to its index."""
+    return {e[0]: v for v, e in enumerate(hom_poset(one_graph(), g).elements)}
+
+
+def curried_by_element(p, g):
+    """phi(e) for every element e of Hom(P^1,G), one element at a time."""
+    ag, atoms = atom_graph(p)
+    below, single = atoms_below(p, atoms), single_index(g)
+    return [poset_curry(below, e, single) for e in hom_poset(ag, g).elements]
+
+
+def curried_by_column(p, g):
+    """phi(e) for every element e of Hom(P^1,G), as rows of the columns
+    `homposets._curried_columns` builds."""
+    ag, atoms = atom_graph(p)
+    hom_ag = hom_poset(ag, g)
+    columns = homposets._columns(hom_ag.elements, len(atoms))
+    return list(homposets._rows(homposets._curried_columns(
+        p, atoms, columns, single_index(g)), hom_ag.m))
+
+
+def assert_graph_side_matches_oracles(t, h, g, elements):
+    """curry_elements on `elements` and uncurry_elements on their betas,
+    with each beta's last set also dropped to one vertex, against the
+    per-element oracles."""
+    curried = list(curry_elements(t, h, g, elements))
+    assert curried == list(curry_by_element(t, h, g, elements))
+    betas = curried + [beta[:-1] + (beta[-1] & -beta[-1],)
+                       for beta in curried if beta]
+    assert list(uncurry_elements(t, g, betas)) == \
+        list(uncurry_by_element(t, g, betas))
+
+
+@pytest.mark.parametrize("instance", ["K2xR6->K3", "K2xK2->K3"])
+def test_columnar_curry_matches_per_element_oracle_on_registry_instances(
+        registry_adjunction, instance):
+    """Both directions on the graph side's registry instance and on the
+    (K2, K2, K3) instance the closure-invariance check reads."""
+    if instance == "K2xR6->K3":
+        t, h, g = REGISTRY_ADJUNCTION
+        rep = registry_adjunction
+    else:
+        t, h, g = complete_graph(2), complete_graph(2), complete_graph(3)
+        rep = adjunction_report(t, h, g)
+    assert_graph_side_matches_oracles(t, h, g, rep.hom_product.elements)
+    assert list(uncurry_elements(t, g, rep.hom_curried.elements)) == \
+        list(uncurry_by_element(t, g, rep.hom_curried.elements))
+
+
+def test_columnar_poset_curry_matches_oracle_on_registry_instance():
+    """The poset side's registry instance, F(C6) against R6."""
+    p, r6 = cycle_face_poset(3).poset, reflexive_cycle(6)
+    curried = curried_by_column(p, r6)
+    assert len(curried) == 8412
+    assert curried == curried_by_element(p, r6)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_graphs(5), small_graphs(5), small_graphs(5))
+def test_columnar_curry_matches_per_element_oracle_on_small_graphs(t, h, g):
+    try:
+        hp = hom_poset(product(t, h), g, DEFAULT_GUARDS.scaled(
+            hom_elements=500, search_nodes=20_000))
+    except GuardExceeded:
+        assume(False)
+    assert_graph_side_matches_oracles(t, h, g, hp.elements)
+
+
+@settings(deadline=None, max_examples=80)
+@given(small_posets(5), looped_graphs(1, 5))
+def test_columnar_poset_curry_matches_per_element_oracle(p, g):
+    assert curried_by_column(p, g) == curried_by_element(p, g)
+
+
+def test_columnar_paths_keep_elements_of_length_zero():
+    """An element of length 0 is dropped by a transpose; each must still
+    give one result.  Hom(T x H, G) has one element, (), when T or H is
+    empty, and so has Hom(P^1, G) when P is."""
+    empty, k2, k3 = Graph(0, ()), complete_graph(2), complete_graph(3)
+    for t, h, curried in ((k2, empty, ()), (empty, empty, ()),
+                          (empty, k2, (1, 1))):  # G^T has one vertex
+        assert hom_poset(product(t, h), k3).elements == ((),)
+        assert list(curry_elements(t, h, k3, [(), ()])) == \
+            list(curry_by_element(t, h, k3, [(), ()])) == [curried] * 2
+        assert list(uncurry_elements(t, k3, [curried] * 2)) == \
+            list(uncurry_by_element(t, k3, [curried] * 2)) == [()] * 2
+    for g in (k3, reflexive_cycle(4)):
+        assert curried_by_column(Poset(0, ()), g) == \
+            curried_by_element(Poset(0, ()), g) == [()]
+    # no element at all: P has atoms but K3 has no looped clique
+    assert curried_by_column(Poset(2, (0b11, 0b10)), k3) == []
+
+
+def test_seeded_curry_defect_turns_increasing_false(monkeypatch):
+    """Every curried set of two or more members loses its lowest one.  The
+    sets stay multihomomorphisms, but phi o psi now lies below the identity
+    wherever an element has such a set, so phi o psi >= id fails."""
+    real = homposets._curry_column
+
+    def shrunk(key, **tables):
+        value = real(key, **tables)
+        return value & (value - 1) or value
+
+    monkeypatch.setattr(homposets, "_curry_column", shrunk)
+    rep = adjunction_report(complete_graph(2), complete_graph(2),
+                            complete_graph(3))
+    assert not rep.increasing and not rep.closure_ok
+
 def swap_comparable_pair(p, image):
     """image with its values at some i < j swapped, where they differ."""
     for i in range(p.m):
@@ -764,16 +923,16 @@ def per_map_poset_adjunction(p, g, guards=DEFAULT_GUARDS):
     Hom(1,G) is read in the order of `enumerate_poset_maps`, and the check
     stops at the first map f with phi(psi(f)) <= f false; maps_checked
     counts the maps read.  Hom posets and curried values come from
-    `homposets.hom_poset` and `homposets.poset_curry`, so a patched one is
-    seen here as by the report."""
+    `homposets.hom_poset` and `homposets._curried_columns`, so a patched
+    one is seen here as by the report."""
     ag, atoms = atom_graph(p)
     hom_ag = homposets.hom_poset(ag, g, guards)
     hom_single = homposets.hom_poset(one_graph(), g, guards)
     single = {e[0]: v for v, e in enumerate(hom_single.elements)}
     keys = [tuple(single[mask] for mask in e) for e in hom_ag.elements]
-    below = atoms_below(p, atoms)
-    curried = [homposets.poset_curry(below, e, single)
-               for e in hom_ag.elements]
+    curried = list(homposets._rows(homposets._curried_columns(
+        p, atoms, homposets._columns(hom_ag.elements, len(atoms)), single),
+        hom_ag.m))
     roundtrip = all(tuple(c[a] for a in atoms) == key
                     for c, key in zip(curried, keys))
     row = {key: j for j, key in enumerate(keys)}
@@ -874,28 +1033,32 @@ SEEDED_POSITIONS = [("F(C6)->R6", 6)] + [("F(square)->R4", x)
 
 
 def widen_curried_value(monkeypatch, x, pick=0):
-    """Patch `poset_curry` to widen the value at position x of the first
-    curried element that has a strictly wider looped clique there, to the
+    """Patch `_curried_columns` to widen, in column x, the value of the
+    first element that has a strictly wider looped clique there, to the
     pick-th such clique (cyclically), each time that element is curried.
     Returns [(its alpha, the wider mask)] once the element is found."""
-    real = homposets.poset_curry
+    real = homposets._curried_columns
     hit = []
 
-    def widened(below, alpha, single):
-        image = real(below, alpha, single)
-        if hit and hit[0][0] != alpha:
-            return image
-        narrow = next(m for m, v in single.items() if v == image[x])
-        wider = [(m, w) for m, w in single.items()
-                 if m != narrow and not narrow & ~m]
-        if not wider:
-            return image
-        m, w = wider[pick % len(wider)]
-        if not hit:
-            hit.append((alpha, m))
-        return image[:x] + (w,) + image[x + 1:]
+    def widened(p, atoms, columns, single):
+        curried = real(p, atoms, columns, single)
+        for i, alpha in enumerate(zip(*columns)):
+            if hit and hit[0][0] != alpha:
+                continue
+            narrow = next(m for m, v in single.items()
+                          if v == curried[x][i])
+            wider = [(m, w) for m, w in single.items()
+                     if m != narrow and not narrow & ~m]
+            if not wider:
+                continue
+            m, w = wider[pick % len(wider)]
+            if not hit:
+                hit.append((alpha, m))
+            curried[x] = curried[x][:i] + (w,) + curried[x][i + 1:]
+            break
+        return curried
 
-    monkeypatch.setattr(homposets, "poset_curry", widened)
+    monkeypatch.setattr(homposets, "_curried_columns", widened)
     return hit
 
 
@@ -920,9 +1083,10 @@ def shuffle_single(monkeypatch, seed):
 @pytest.mark.parametrize("case,x", SEEDED_POSITIONS)
 def test_seeded_poset_curry_defect_turns_decreasing_false(monkeypatch, case,
                                                           x):
-    """Add a vertex to one curried value at position x.  The first map
-    that restricts to that element and misses the vertex stops the check,
-    wherever x is; at an atom the round trip breaks too."""
+    """Add a vertex to one curried value in column x (one element x of
+    P).  The first map that restricts to that element and misses the
+    vertex stops the check, wherever x is; at an atom the round trip
+    breaks too."""
     p, g = {"F(C6)->R6": (cycle_face_poset(3).poset, reflexive_cycle(6)),
             "F(square)->R4": (face_poset(SQUARE), reflexive_cycle(4))}[case]
     hit = widen_curried_value(monkeypatch, x)
@@ -944,6 +1108,36 @@ def test_seeded_poset_curry_defect_turns_decreasing_false(monkeypatch, case,
     assert len(seen) - len(blocks[-1]) < rep.maps_checked <= len(seen)
     assert reported(p, g) == per_map_poset_adjunction(p, g)
 
+
+
+def traced_peak(run):
+    """The tracemalloc peak of run(), in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adjunction_reports_peak_no_higher_than_their_oracle_paths(
+        monkeypatch):
+    """On its registry instance, each report's transient tables stay
+    within the memory of the per-element path: the graph side against the
+    report with curry and uncurry patched to `curry_by_element` and
+    `uncurry_by_element`, the poset side against the map-by-map check,
+    which holds one row of curried values per element.  Each report runs
+    once untraced first, so both sides find the inputs' caches filled."""
+    p, r6 = cycle_face_poset(3).poset, reflexive_cycle(6)
+    poset_adjunction_report(p, r6)
+    poset = traced_peak(lambda: poset_adjunction_report(p, r6))
+    assert poset <= traced_peak(lambda: per_map_poset_adjunction(p, r6))
+    adjunction_report(*REGISTRY_ADJUNCTION)
+    graph = traced_peak(lambda: adjunction_report(*REGISTRY_ADJUNCTION))
+    monkeypatch.setattr(homposets, "curry_elements", curry_by_element)
+    monkeypatch.setattr(homposets, "uncurry_elements", uncurry_by_element)
+    assert graph <= traced_peak(
+        lambda: adjunction_report(*REGISTRY_ADJUNCTION))
 
 def test_poset_adjunction_refuses_bad_values(monkeypatch):
     p, g = face_poset(SQUARE), reflexive_cycle(4)
