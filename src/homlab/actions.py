@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .graphs import Graph, _blocks, bfs_dist, bits, permute_mask, quotient
+from .graphs import Graph, _blocks, bits, permute_mask, quotient
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, atom_graph, chain_poset, enumerate_poset_maps,
                      induced_subposet, map_poset)
@@ -211,12 +213,22 @@ def orbits(a: Action) -> tuple[tuple[int, ...], ...]:
 
 
 def is_d_discontinuous(a: GraphAction, d: int) -> bool:
-    """No vertex within graph distance d-1 of another point of its orbit."""
+    """No vertex within graph distance d-1 of another point of its orbit.
+    Each vertex's ball of radius d-1 grows a frontier mask at a time, and
+    stops once it meets the orbit or the frontier is empty."""
     if d < 1:
         raise ValueError("d must be >= 1")
+    adj = a.graph.adj
     for v in range(a.graph.n):
-        dist = bfs_dist(a.graph, 1 << v)
-        if any(dist[a.maps[i][v]] <= d - 1 for i in range(1, a.group.order)):
+        others = reduce(or_, (1 << mp[v] for mp in a.maps[1:]), 0)
+        ball = frontier = 1 << v
+        for _ in range(d - 1):
+            if not frontier or ball & others:
+                break
+            frontier = reduce(or_, map(adj.__getitem__, bits(frontier)))
+            frontier &= ~ball
+            ball |= frontier
+        if ball & others:
             return False
     return True
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
-from operator import and_, invert, itemgetter, lshift, or_
+from operator import and_, eq, invert, itemgetter, lshift, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .actions import (GraphAction, PosetAction, is_free,
@@ -95,44 +95,12 @@ class HomPoset:
         packed = self._packed
         return not packed[i] & ~packed[j]
 
-    def is_up_closure(self, image: Sequence[int]) -> bool:
-        """Whether element i -> image[i] is monotone, idempotent and has
-        image[i] >= i, read off the element masks.
-
-        Monotonicity is checked on lower-cover pairs: element i against i
-        with one target vertex dropped from one of its sets of size >= 2.
-        Hom(G,H) is closed under nonempty pointwise subsets, so these pairs
-        generate the order; a missing subset raises ValueError.
-        """
-        m, packed, w = self.m, self._packed, self.target.n
-        if len(image) != m or any(not 0 <= c < m for c in image):
-            raise ValueError("closure test requires an endomap")
-        where = {k: i for i, k in enumerate(packed)}
-        for i, e in enumerate(self.elements):
-            c = image[i]
-            up = packed[c]
-            if image[c] != c or packed[i] & ~up:
-                return False
-            for v, mask in enumerate(e):
-                if not mask & (mask - 1):
-                    continue
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    j = where.get(packed[i] ^ (low << v * w))
-                    if j is None:
-                        raise ValueError("a pointwise subset of an element "
-                                         "is missing from the poset")
-                    if packed[image[j]] & ~up:
-                        return False
-        return True
-
     @cached_property
     def poset(self) -> Poset:
         """The materialized poset (pointwise containment), guarded by
-        `poset_relation`.  `leq` and `is_up_closure` read the element masks
-        instead; this is for general poset machinery (chains, homology of
-        the order complex, poset actions)."""
+        `poset_relation`.  `leq` reads the element masks instead; this is
+        for general poset machinery (chains, homology of the order complex,
+        poset actions, `quotient_compare`'s order rows)."""
         return pointwise_poset(self.elements, _subset, self.guards)
 
 
@@ -428,16 +396,17 @@ def curry_elements(t: Graph, h: Graph, g: Graph,
     alpha only through the column (alpha(s,y))_s, so a table local to the
     call maps each column to beta(y), filled by `_curry_column` the first
     time the column is seen.  The work goes a vertex y of H at a time, over
-    every element at once: the elements are transposed once, y's columns
-    are read off the positions s |V(H)| + y and mapped through the table,
-    and the elements' betas are those |V(H)| sequences zipped back.
+    every element at once: y's columns are zipped from the positions
+    s |V(H)| + y, each read lazily off the elements, and mapped through the
+    table, and the elements' betas are those |V(H)| sequences zipped back.
     """
     nh = h.n
     beta_of = _Table(partial(_curry_column, fibres=_vertex_fibres(t, g),
                              full=(1 << g.n ** t.n) - 1))
     m = len(elements)
-    positions = _columns(elements, t.n * nh)
-    return _rows([map(beta_of.__getitem__, _rows(positions[y::nh], m))
+    return _rows([map(beta_of.__getitem__,
+                      _rows([map(itemgetter(s * nh + y), elements)
+                             for s in range(t.n)], m))
                   for y in range(nh)], m)
 
 
@@ -449,15 +418,17 @@ def uncurry_elements(t: Graph, g: Graph, elements: Sequence[Sequence[int]]
     The column (alpha(s,y))_s depends only on beta(y), so a table local to
     the call maps each beta(y) to its column, filled by `_uncurry_mask` the
     first time it is seen.  The work goes a vertex y of H at a time, over
-    every element at once: the elements are transposed once, y's values
-    beta(y) are mapped through the table, position (s,y) reads entry s of
-    those columns, and the elements' alphas are the positions, s |V(H)| + y
-    in order, zipped back.
+    every element at once: y's values beta(y), read lazily off the
+    elements, are mapped through the table, position (s,y) reads entry s
+    of those columns, and the elements' alphas are the positions,
+    s |V(H)| + y in order, zipped back.
     """
     column_of = _Table(partial(_uncurry_mask, fibres=_vertex_fibres(t, g),
                                n=g.n))
-    by_vertex = [list(map(column_of.__getitem__, values))
-                 for values in zip(*elements)]
+    width = len(elements[0]) if elements else 0
+    by_vertex = [list(map(column_of.__getitem__,
+                          map(itemgetter(y), elements)))
+                 for y in range(width)]
     return _rows([map(itemgetter(s), columns) for s in range(t.n)
                   for columns in by_vertex], len(elements))
 
@@ -481,10 +452,15 @@ def adjunction_report(t: Graph, h: Graph, g: Graph,
     Both directions go through column tables (`curry_elements`,
     `uncurry_elements`), built afresh by each call and read a vertex of H
     at a time over all elements.  The round trip compares psi o phi with
-    the identity as one list, and phi o psi >= id is one pass of mask
-    tests over the packed elements (`HomPoset._packed`); the up-closure
-    test reads the element masks too (`HomPoset.is_up_closure`), so
-    neither Hom order is materialized.
+    the identity as one list.  As both tables are column maps, phi o psi
+    sends beta to y -> F(beta(y)), F the uncurry table then the curry
+    table.  F is read off the rows of phi o psi, one entry per distinct
+    set S in Hom(H, G^T), and the closure is checked on F: increasing iff
+    S <= F(S), monotone iff F(S - x) <= F(S) for x in S, |S| >= 2 (those
+    S - x give the lower covers, which generate the order, as Hom is
+    closed under nonempty pointwise subsets; a missing one raises
+    ValueError), and idempotent as soon as psi o phi = id.  No Hom order
+    is materialized.
     """
     expo = exponential(t, g, guards)
     hom_th = hom_poset(product(t, h), g, guards)
@@ -498,11 +474,18 @@ def adjunction_report(t: Graph, h: Graph, g: Graph,
     if None in psi:
         raise ValueError("uncurried element is not a multihomomorphism")
     roundtrip = list(map(psi.__getitem__, phi)) == list(range(hom_th.m))
-    closure = tuple(map(phi.__getitem__, psi))
-    packed = hom_cur._packed
-    increasing = not any(map(and_, packed,
-                             map(invert, map(packed.__getitem__, closure))))
-    closure_ok = roundtrip and increasing and hom_cur.is_up_closure(closure)
+    rows = hom_cur.elements
+    up = dict(zip(chain.from_iterable(rows), chain.from_iterable(
+        map(rows.__getitem__, map(phi.__getitem__, psi)))))
+    increasing = not any(map(and_, up, map(invert, up.values())))
+    closure_ok = roundtrip and increasing
+    for s, u in up.items():
+        if not closure_ok:
+            break
+        lower = [up.get(s ^ 1 << x) for x in bits(s)] if s & (s - 1) else []
+        if None in lower:
+            raise ValueError("a pointwise subset of an element is missing")
+        closure_ok = not any(map(and_, lower, repeat(~u)))
     return AdjunctionReport(hom_th, hom_cur, phi, psi,
                             roundtrip, increasing, closure_ok)
 
@@ -717,7 +700,12 @@ class QuotientCompare:
 
 def quotient_compare(t: Graph, g: Graph, act: GraphAction,
                      guards: Guards = DEFAULT_GUARDS) -> QuotientCompare:
-    """Compare Hom(T,G)/action with Hom(T,G/action) element by element.
+    """Compare Hom(T,G)/action with Hom(T,G/action).
+
+    Each orbit goes to the projection of its first element.  A bijective
+    image is an isomorphism exactly when it carries each orbit's up-set in
+    the quotient onto its image's up-set in Hom(T,G/action), whose order,
+    as large as the quotient's, is built for this.
 
     The walk hypothesis is checked first: for every length l among the
     spanning-forest cycle lengths of T together with 4, no vertex v of G may
@@ -763,9 +751,9 @@ def quotient_compare(t: Graph, g: Graph, act: GraphAction,
             raise ValueError("projected element is not a multihomomorphism")
         image.append(j)
     bij = len(set(image)) == len(image) and len(image) == hom_q.m
-    iso = bij and all(quot.poset.leq(i, j) == hom_q.leq(image[i], image[j])
-                      for i in range(quot.poset.m)
-                      for j in range(quot.poset.m))
+    iso = bij and all(map(eq, map(permute_mask, quot.poset.above,
+                                  repeat(image)),
+                          map(hom_q.poset.above.__getitem__, image)))
     rank_preserved = all(
         rank_of(hom_s.elements[block[0]]) ==
         rank_of(hom_q.elements[image[bi]])

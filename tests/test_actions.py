@@ -265,6 +265,13 @@ def test_action_validation_messages():
         GraphAction(z2_group(), c6, (tuple(range(6)),))
 
 
+def discontinuous_by_bfs(a, d):
+    """The definition of d-discontinuity, read off a full BFS from every
+    vertex: the oracle for `is_d_discontinuous`."""
+    return all(graphs.bfs_dist(a.graph, 1 << v)[a.maps[i][v]] > d - 1
+               for v in range(a.graph.n) for i in range(1, a.group.order))
+
+
 def test_free_orbits_discontinuity():
     c6 = reflexive_cycle(6)
     antipodal = z2_action(c6, rotation(6, 3))
@@ -272,11 +279,39 @@ def test_free_orbits_discontinuity():
     assert is_free(antipodal) and not is_free(refl)
     assert orbits(antipodal) == ((0, 3), (1, 4), (2, 5))
     assert orbits(refl) == ((0,), (1, 5), (2, 4), (3,))
-    assert is_d_discontinuous(antipodal, 3)
-    assert not is_d_discontinuous(antipodal, 4)
-    assert not is_d_discontinuous(refl, 1)
-    hex_open = cycle_graph(6)
-    assert is_d_discontinuous(z2_action(hex_open, rotation(6, 3)), 3)
+    hex_open = z2_action(cycle_graph(6), rotation(6, 3))
+    for a, d, want in ((antipodal, 3, True), (antipodal, 4, False),
+                       (refl, 1, False), (hex_open, 3, True),
+                       (hex_open, 4, False)):
+        assert is_d_discontinuous(a, d) == discontinuous_by_bfs(a, d) == want
+    with pytest.raises(ValueError, match="d must be"):
+        is_d_discontinuous(antipodal, 0)
+
+
+@st.composite
+def z2_graph_actions(draw, max_n=8):
+    """A graph on at most `max_n` vertices with an involution of them that
+    is an automorphism (each drawn edge comes with its image).  It swaps
+    as many pairs as it can, or, half the time, any number of pairs, so it
+    may fix points; a fixed point is within distance 0 of its orbit."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    perm = list(range(n))
+    swaps = draw(st.sampled_from([n // 2, None]))
+    for k in range(draw(st.integers(0, n // 2)) if swaps is None else swaps):
+        u, v = order[2 * k], order[2 * k + 1]
+        perm[u], perm[v] = v, u
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    graph = Graph.from_edges(n, edges + [(perm[u], perm[v])
+                                         for u, v in edges])
+    return z2_action(graph, perm)
+
+
+@settings(deadline=None, max_examples=200)
+@given(z2_graph_actions(), st.integers(1, 6))
+def test_discontinuity_matches_the_bfs_definition(a, d):
+    assert is_d_discontinuous(a, d) == discontinuous_by_bfs(a, d)
 
 
 def test_twisted_product_prism_and_k4():
@@ -469,7 +504,7 @@ def test_transport_and_chain_discontinuity():
     g, atoms = atom_graph(fp)
     ga = atom_graph_action(g, atoms, act)
     assert action_violation(ga) is None
-    assert is_d_discontinuous(ga, 1)
+    assert is_d_discontinuous(ga, 1) and discontinuous_by_bfs(ga, 1)
     for k in range(3):
         assert check_chain_discontinuity(act, k)
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import ast
 import itertools
 import random
 import tracemalloc
+from dataclasses import replace
 from functools import partial, reduce
 from operator import or_
 from pathlib import Path
@@ -809,6 +810,51 @@ def test_seeded_curry_defect_turns_increasing_false(monkeypatch):
                             complete_graph(3))
     assert not rep.increasing and not rep.closure_ok
 
+
+def is_up_closure(hp, image):
+    """Whether element i -> image[i] of `hp` is monotone, idempotent and
+    has image[i] >= i, tested element by element on the packed element
+    masks: the oracle for the test `adjunction_report` makes on its table
+    of distinct values.
+
+    Monotonicity is checked on lower-cover pairs: element i against i with
+    one target vertex dropped from one of its sets of size >= 2.  Hom(G,H)
+    is closed under nonempty pointwise subsets, so these pairs generate
+    the order; a missing subset raises ValueError.
+    """
+    m, packed, w = hp.m, hp._packed, hp.target.n
+    if len(image) != m or any(not 0 <= c < m for c in image):
+        raise ValueError("closure test requires an endomap")
+    where = {k: i for i, k in enumerate(packed)}
+    for i, e in enumerate(hp.elements):
+        c = image[i]
+        up = packed[c]
+        if image[c] != c or packed[i] & ~up:
+            return False
+        for v, mask in enumerate(e):
+            if not mask & (mask - 1):
+                continue
+            for x in bits(mask):
+                j = where.get(packed[i] ^ (1 << x << v * w))
+                if j is None:
+                    raise ValueError("a pointwise subset of an element "
+                                     "is missing from the poset")
+                if packed[image[j]] & ~up:
+                    return False
+    return True
+
+
+def closure_of(rep):
+    """phi o psi of an adjunction report, as element indices."""
+    return tuple(rep.phi[j] for j in rep.psi)
+
+
+def closure_verdict_by_oracle(rep):
+    """`closure_ok` recomputed with the per-element oracle."""
+    return (rep.roundtrip_identity and rep.increasing
+            and is_up_closure(rep.hom_curried, closure_of(rep)))
+
+
 def swap_comparable_pair(p, image):
     """image with its values at some i < j swapped, where they differ."""
     for i in range(p.m):
@@ -823,12 +869,11 @@ def swap_comparable_pair(p, image):
 def test_cover_closure_check_matches_materialized_order(registry_adjunction):
     hp = registry_adjunction.hom_curried
     p = hp.poset
-    closure = tuple(registry_adjunction.phi[j]
-                    for j in registry_adjunction.psi)
-    assert hp.is_up_closure(closure)
+    closure = closure_of(registry_adjunction)
+    assert is_up_closure(hp, closure)
     assert is_closure_map(PosetMap(p, p, closure), "up")
     swapped = swap_comparable_pair(p, closure)
-    assert not hp.is_up_closure(swapped)
+    assert not is_up_closure(hp, swapped)
     assert not is_closure_map(PosetMap(p, p, swapped), "up")
     # increasing and idempotent, but not monotone: move an atom y to an
     # upper cover z of it while y's other upper cover x stays put
@@ -837,7 +882,7 @@ def test_cover_closure_check_matches_materialized_order(registry_adjunction):
     x, z = list(bits(p.covers[y]))[:2]
     moved = list(closure)
     moved[y] = z
-    assert not hp.is_up_closure(moved)
+    assert not is_up_closure(hp, moved)
     assert not is_closure_map(PosetMap(p, p, tuple(moved)), "up")
 
 
@@ -845,9 +890,68 @@ def test_cover_closure_check_refuses_a_poset_missing_a_subset():
     k2, k3 = complete_graph(2), complete_graph(3)
     hp = HomPoset(k2, k3, ((0b011, 0b100),))
     with pytest.raises(ValueError, match="subset"):
-        hp.is_up_closure((0,))
+        is_up_closure(hp, (0,))
     with pytest.raises(ValueError, match="endomap"):
-        hom_poset(k2, k3).is_up_closure((0,))
+        is_up_closure(hom_poset(k2, k3), (0,))
+
+
+def test_adjunction_report_refuses_a_poset_missing_a_subset(monkeypatch):
+    """Hom(K1, K3^K2), K1 one unlooped vertex, without the element whose
+    one set is the diagonal {(0,0), (1,1)}.  That set is no curried value,
+    so only the monotonicity test reads it, as a lower cover of
+    {(0,0), (0,1), (1,1)}."""
+    real = homposets.hom_poset
+    diagonal = 1 << 0 | 1 << 4
+
+    def without_diagonal(g, h, guards=DEFAULT_GUARDS):
+        hp = real(g, h, guards)
+        return replace(hp, elements=tuple(e for e in hp.elements
+                                          if e != (diagonal,)))
+
+    monkeypatch.setattr(homposets, "hom_poset", without_diagonal)
+    with pytest.raises(ValueError, match="subset"):
+        adjunction_report(complete_graph(2), Graph(1, (0,)),
+                          complete_graph(3))
+
+
+@pytest.mark.parametrize("instance", ["K2xR6->K3", "K2xK2->K3",
+                                      "K2xK1->K3"])
+def test_closure_verdict_matches_the_per_element_oracle(registry_adjunction,
+                                                        instance):
+    """The report's verdict, read off its table of distinct values,
+    against the cover test over every element; K1 is one unlooped vertex,
+    where phi o psi is far from the identity."""
+    if instance == "K2xR6->K3":
+        rep = registry_adjunction
+    else:
+        h = complete_graph(2) if instance == "K2xK2->K3" else Graph(1, (0,))
+        rep = adjunction_report(complete_graph(2), h, complete_graph(3))
+    assert rep.closure_ok and closure_verdict_by_oracle(rep)
+
+
+def test_seeded_defect_breaking_only_monotonicity_is_caught(monkeypatch):
+    """H is one unlooped vertex, so Hom(H, K3^K2) holds every nonempty set
+    S of maps K2 -> K3, and F(S) = curry(uncurry(S)) is the box
+    pi_0(S) x pi_1(S).  One uncurry table entry is widened: the diagonal
+    S = {(0,0), (1,1)} gets the column ({0,1,2}, {0,1}).  S is no curried
+    value, so the round trip never reads it, and F(S) is still a box
+    holding S, so F stays increasing and idempotent.  But S's upper cover
+    S + (0,1) has the box {0,1}^2, which misses (2,0) of F(S)."""
+    real = homposets._uncurry_mask
+    diagonal = 1 << 0 | 1 << 4  # (0,0) and (1,1) among the 9 maps
+
+    def widened(beta, **tables):
+        return (0b111, 0b011) if beta == diagonal else real(beta, **tables)
+
+    monkeypatch.setattr(homposets, "_uncurry_mask", widened)
+    rep = adjunction_report(complete_graph(2), Graph(1, (0,)),
+                            complete_graph(3))
+    closure = closure_of(rep)
+    assert all(closure[c] == c for c in closure)
+    assert rep.roundtrip_identity and rep.increasing
+    assert not rep.closure_ok and not closure_verdict_by_oracle(rep)
+    p = rep.hom_curried.poset
+    assert not is_closure_map(PosetMap(p, p, closure), "up")
 
 
 def test_adjunction_equivariance():
@@ -1225,12 +1329,74 @@ def test_poset_adjunction_matches_the_per_map_check(p, g, positions, pick,
             outcome(per_map_poset_adjunction, p, g, guards)
 
 
-def test_quotient_compare_prism():
-    k2 = complete_graph(2)
+def iso_by_pairs(rep):
+    """Whether the image is an order isomorphism, tested pair by pair with
+    `leq` on the quotient and on the packed masks of Hom(T, G/action): the
+    oracle for `quotient_compare`'s test on order rows."""
+    image, quot, hom_q = rep.image, rep.quotient.poset, rep.hom_quotient_target
+    bij = len(set(image)) == len(image) and len(image) == hom_q.m
+    return bij and all(quot.leq(i, j) == hom_q.leq(image[i], image[j])
+                       for i in range(quot.m) for j in range(quot.m))
+
+
+def prism_compare():
     g = product(complete_graph(2), reflexive_cycle(6))
     diag = z2_graph_action(g, tuple((1 - x // 6) * 6 + (x % 6 + 3) % 6
                                     for x in range(12)))
-    rep = quotient_compare(k2, g, diag)
+    return quotient_compare(complete_graph(2), g, diag)
+
+
+def trivial_group_compare():
+    k3 = complete_graph(3)
+    triv = GraphAction(make_group([(0,)]), k3, (tuple(range(3)),))
+    return quotient_compare(complete_graph(2), k3, triv)
+
+
+def violated_compare():
+    anti = z2_graph_action(reflexive_cycle(6), (3, 4, 5, 0, 1, 2))
+    return quotient_compare(complete_graph(2), reflexive_cycle(6), anti)
+
+
+def registry_compare(m):
+    g, act = _diagonal_flip_shift(m)
+    return quotient_compare(complete_graph(2), g, act)
+
+
+QUOTIENT_COMPARES = {"prism": prism_compare,
+                     "trivial group": trivial_group_compare,
+                     "violated hypothesis": violated_compare,
+                     **{f"m={m}": partial(registry_compare, m)
+                        for m in (3, 4, 5)}}
+
+
+@pytest.mark.parametrize("case", QUOTIENT_COMPARES)
+def test_row_iso_matches_the_pairwise_oracle(case):
+    rep = QUOTIENT_COMPARES[case]()
+    assert rep.iso == iso_by_pairs(rep)
+    assert rep.iso == (case != "violated hypothesis")
+
+
+def test_seeded_wrong_order_row_turns_iso_false(monkeypatch):
+    """The quotient's order loses one cover relation, so one row of it is
+    wrong; the bijection stays, and the row test and the oracle both see
+    the orders differ."""
+    real = homposets.quotient_poset_by_action
+
+    def one_row_wrong(pact):
+        quot = real(pact)
+        above = list(quot.poset.above)
+        i = next(i for i in range(quot.poset.m) if quot.poset.covers[i])
+        above[i] &= ~(quot.poset.covers[i] & -quot.poset.covers[i])
+        return replace(quot, poset=Poset(quot.poset.m, tuple(above)))
+
+    monkeypatch.setattr(homposets, "quotient_poset_by_action", one_row_wrong)
+    rep = registry_compare(3)
+    assert len(set(rep.image)) == rep.hom_quotient_target.m
+    assert not rep.iso and not iso_by_pairs(rep)
+
+
+def test_quotient_compare_prism():
+    rep = prism_compare()
     assert rep.cycle_lengths == (4,)
     assert rep.hypothesis_ok and rep.violation is None
     assert rep.free and rep.strongly_regular
@@ -1244,18 +1410,13 @@ def test_quotient_compare_prism():
 
 
 def test_quotient_compare_trivial_group():
-    k2, k3 = complete_graph(2), complete_graph(3)
-    triv = GraphAction(make_group([(0,)]), k3, (tuple(range(3)),))
-    rep = quotient_compare(k2, k3, triv)
+    rep = trivial_group_compare()
     assert rep.hypothesis_ok and rep.iso and rep.rank_preserved
     assert rep.image == tuple(range(rep.hom_source.m))
 
 
 def test_quotient_compare_violated_hypothesis():
-    k2 = complete_graph(2)
-    c6 = reflexive_cycle(6)
-    anti = z2_graph_action(c6, (3, 4, 5, 0, 1, 2))
-    rep = quotient_compare(k2, c6, anti)
+    rep = violated_compare()
     assert not rep.hypothesis_ok
     assert rep.violation is not None and rep.violation[2] in rep.cycle_lengths
     assert rep.warning is not None

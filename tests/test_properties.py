@@ -21,6 +21,7 @@ from homlab.posets import (PosetMap, atom_graph, chain_poset,
 from test_homology import (_sympy_invariants, assert_coreduction_exact,
                            assert_mask_rule, assert_simplicial_boundaries,
                            unreduced_homology, universal_coefficients_ok)
+from test_homposets import closure_of, closure_verdict_by_oracle, is_up_closure
 from test_posets import SQUARE, filter_all_maps, pointwise_leq
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -293,13 +294,15 @@ def test_adjunction_closure_preserves_homology(g):
     assert rep.roundtrip_identity
     assert rep.increasing
     assert rep.closure_ok
+    # the report's verdict, read off its table of distinct values, agrees
+    # with the per-element cover oracle, and that with the test on the
+    # materialized order
+    assert closure_verdict_by_oracle(rep)
     hp = rep.hom_curried
     p = hp.poset
     if p.m == 0:
         return
-    closure = tuple(rep.phi[j] for j in rep.psi)
-    # the cover-based check agrees with the one on the materialized order
-    assert hp.is_up_closure(closure)
+    closure = closure_of(rep)
     assert is_closure_map(PosetMap(p, p, closure), "up")
     pair = next(((i, j) for i in range(p.m)
                  for j in bits(p.above[i] & ~(1 << i))
@@ -308,7 +311,7 @@ def test_adjunction_closure_preserves_homology(g):
         i, j = pair
         broken = list(closure)
         broken[i], broken[j] = closure[j], closure[i]
-        assert not hp.is_up_closure(broken)
+        assert not is_up_closure(hp, broken)
         assert not is_closure_map(PosetMap(p, p, tuple(broken)), "up")
     sub, _ = closure_reduce(PosetMap(p, p, closure))
     assert poset_homology(sub) == poset_homology(p)
