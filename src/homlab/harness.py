@@ -23,9 +23,9 @@ one, every computation runs fresh.
 
 ``RunContext.hom_homology`` is the one path from two graphs to Hom
 homology for the registry and the CLI.  On a cache miss it enumerates
-Hom(g,h), builds and checks its cellular complex and coreduces it, then
-keeps only the coreduced counts and columns, keyed by source, target and
-guards.  A request for the other field of that pair then runs its own
+Hom(g,h), builds and checks its cellular complex and reduces it to its
+Morse complex, then keeps only that complex's counts and columns, keyed by
+source, target and guards.  A request for the other field of that pair then runs its own
 elimination on them and nothing else; each field's guards, such as
 ``snf_nonzeros`` over Z, still apply to it.  Nothing here reads the
 environment: guards, cache and report directory are all passed in.
@@ -250,12 +250,12 @@ def cached_poset_homology(p: Poset, field_name: str = "Z",
 
 @dataclass
 class RunContext:
-    """Guards plus cache handed to every experiment runner, and the
-    coreduced cellular complex of the last Hom pair it built."""
+    """Guards plus cache handed to every experiment runner, and the Morse
+    complex of the cellular complex of the last Hom pair it built."""
 
     guards: Guards = DEFAULT_GUARDS
     cache: Cache = field(default_factory=Cache)
-    # (source, target, guards, coreduced complex): a one-entry memo, keyed
+    # (source, target, guards, Morse complex): a one-entry memo, keyed
     # by the guards too because a caller may replace them
     _last_hom: Optional[tuple[Graph, Graph, Guards, Coreduced]] = field(
         default=None, init=False, repr=False, compare=False)
@@ -271,7 +271,7 @@ class RunContext:
     def hom_homology(self, g: Graph, h: Graph,
                      field_name: str = "Z") -> HomologyResult:
         """Cellular homology of Hom(g,h), cached by (source, target, field,
-        guards); a miss eliminates on the memo's coreduced complex when it
+        guards); a miss eliminates on the memo's Morse complex when it
         holds this pair under these guards."""
         key = hom_cache_key(g, h, field_name, self.guards)
         res = _load_homology(self.cache, key, field_name)
@@ -285,10 +285,11 @@ class RunContext:
         last = self._last_hom
         if last is not None and last[:3] == (g, h, self.guards):
             return last[3]
-        # the full complex is freed once coreduced; a GuardExceeded from
-        # the enumeration leaves the memo as it was
+        # the full complex is freed once reduced; a GuardExceeded from the
+        # enumeration or the reduction leaves the memo as it was
         reduced = _coreduce(chain_complex_of_hom(hom_poset(g, h,
-                                                           self.guards)))
+                                                           self.guards)),
+                            self.guards)
         self._last_hom = (g, h, self.guards, reduced)
         return reduced
 

@@ -17,27 +17,29 @@ boundary squares to zero reads those columns: for every column of degree
 >= 1, each row reached through its faces must be reached as often with +
 as with -.
 
-Homology comes in two steps.  Coreduction, which does not depend on the
-field, reads the columns and cofaces the build recorded (Mrozek-Batko,
-DCG 2009): it pairs the augmentation with a vertex and one vertex of each
-other component with a free summand of H~0, then repeatedly removes a cell
-that has exactly one face left together with that face.  The cells left
-carry the original boundary restricted to them, with the same homology
-over Z and GF(2), and `_coreduce` returns only their counts and (row,
-sign) columns, so one coreduced complex serves both fields and the full
-complex can be freed first.  Elimination, in `homology_integral` and
-`homology_gf2`, reads those columns without writing them.  On a Hom
-complex coreduction leaves a few percent of the cells, so elimination
-needs no fill-in ordering: integral computation sweeps the rows in turn,
-pivoting on any +-1 entry, until no row has one, and finishes any
-remainder with a dense Smith normal form; GF(2) uses bit-packed column
+Homology comes in two steps.  Morse coreduction, which does not depend on
+the field, reads the columns and cofaces the build recorded
+(Harker-Mischaikow-Mrozek-Nanda, FoCM 2014): it pairs the augmentation
+with a vertex and repeatedly removes a cell that has exactly one face left
+together with that face; when none is left it sets aside a cell of the
+lowest degree as critical and goes on.  The boundary of the critical cells
+is found by flowing each one's boundary down the gradient paths of the
+pairs, so `_coreduce` returns only their counts and integer (row,
+coefficient) columns, with the same homology over Z and GF(2): one Morse
+complex serves both fields, and the full complex can be freed first.
+Elimination, in `homology_integral` and `homology_gf2`, reads those columns
+without writing them.  On a Hom complex the Morse complex has a handful of
+cells, so integral homology is the dense Smith normal form of each
+boundary's nonzero rows and columns, and GF(2) uses bit-packed column
 elimination.  One body serves both fields.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .graphs import INFINITE
@@ -268,70 +270,6 @@ def smith_invariants(mat: Sequence[Sequence[int]]) -> list[int]:
     return res
 
 
-def _sparse_rank_divisors(columns: Sequence[Sequence[tuple[int, int]]],
-                          guards: Guards) -> tuple[int, list[int]]:
-    """Rank and elementary divisors of an integer matrix given by columns.
-
-    Unit-pivot elimination with no ordering: the rows are swept in turn,
-    each pivoting on any +-1 entry it holds, until a sweep finds none.
-    Whatever survives (entries all >= 2 in absolute value) goes through
-    the dense SNF, bounded by the snf_nonzeros guard.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for j, entries in enumerate(columns):
-        for i, v in entries:
-            if v:
-                rows.setdefault(i, {})[j] = v
-                cols.setdefault(j, set()).add(i)
-    rank = 0
-    swept = False
-    while not swept:
-        swept = True
-        for i in list(rows):
-            r = rows.get(i, {})
-            j = next((j for j, v in r.items() if v in (1, -1)), None)
-            if j is None:
-                continue
-            swept = False
-            piv = r[j]
-            del rows[i]
-            for jj in r:
-                cols[jj].discard(i)
-            for target in list(cols[j]):
-                tr = rows[target]
-                mult = tr[j] * piv
-                for jj, pv in r.items():
-                    nv = tr.get(jj, 0) - mult * pv
-                    if nv:
-                        if jj not in tr:
-                            cols[jj].add(target)
-                        tr[jj] = nv
-                    elif jj in tr:
-                        del tr[jj]
-                        cols[jj].discard(target)
-                if not tr:
-                    del rows[target]
-            del cols[j]
-            rank += 1
-    divisors = [1] * rank
-    nnz = sum(len(r) for r in rows.values())
-    if nnz:
-        if nnz > guards.snf_nonzeros:
-            raise GuardExceeded("snf_nonzeros", guards.snf_nonzeros, nnz)
-        row_ids = sorted(rows)
-        col_ids = sorted({j for r in rows.values() for j in r})
-        cpos = {j: k for k, j in enumerate(col_ids)}
-        dense = [[0] * len(col_ids) for _ in row_ids]
-        for k, i in enumerate(row_ids):
-            for j, v in rows[i].items():
-                dense[k][cpos[j]] = v
-        rest = smith_invariants(dense)
-        divisors += rest
-        rank += len(rest)
-    return rank, divisors
-
-
 # ---------------------------------------------------------------------------
 # homology results
 
@@ -430,92 +368,139 @@ def homology_from_json(data: dict, field_name: str) -> HomologyResult:
     return result
 
 
-# counts and boundary columns, as (row, sign) pairs, of a coreduced
-# augmented complex: all that elimination reads, over either field
+# counts and boundary columns, as (row, coefficient) pairs, of the Morse
+# complex of an augmented complex: all that elimination reads, over either
+# field
 Coreduced = tuple[list[int], list[list[list[tuple[int, int]]]]]
 
 
-def _coreduce(cc: ChainComplex) -> Coreduced:
-    """Counts and boundary columns, as (row, sign) pairs, of cc's augmented
-    complex after coreduction (Mrozek-Batko, DCG 2009); the empty complex
-    gives no counts.
+def _coreduce(cc: ChainComplex,
+              guards: Guards = DEFAULT_GUARDS) -> Coreduced:
+    """Counts and boundary columns, as (row, coefficient) pairs, of the
+    Morse complex of cc's augmented complex (Harker-Mischaikow-Mrozek-Nanda,
+    FoCM 2014); the empty complex gives no counts.
 
-    The augmentation is paired with vertex 0, and the lowest vertex of each
-    other component is a free summand of H~0, put last in degree 0: a chain
-    in a component nothing was removed from has a boundary whose
-    coefficients sum to 0, so it never hits that vertex.  Then, in FIFO
-    order, a cell with exactly one live face is removed together with that
-    face; every incidence of cc is +-1.  Each removed pair is an elementary
-    collapse of a unit entry, so the boundary of the cells left is the
-    original boundary restricted to them, over Z and GF(2) alike, with no
-    fill-in.  The columns and cofaces are the ones cc was built with.
+    Vertex 0 is paired with the augmentation.  Then, in FIFO order, a cell
+    with exactly one live face is removed with that face (Mrozek-Batko,
+    DCG 2009); when none is left, a cell of the lowest live degree, which
+    has no live face, is set aside as critical and removed.  A vertex set
+    aside so is the free summand of H~0 of its component.  When a pair
+    (a, b) goes, every other face of b went before, so the matching is
+    acyclic.  The boundary of a critical cell flows down the gradient
+    paths, latest-removed cell first: a lower half a of a pair (a, b) is
+    cancelled against the column of b, an upper half drops out and a
+    critical cell is kept.  Removal times must strictly decrease along
+    every path a flow follows, else ValueError, and each cancelled cell
+    counts against ``guards.search_nodes``.  No flow runs into a degree
+    with no critical cell.  The columns and cofaces are the ones cc was
+    built with, and every entry is +-1, so coefficients stay integers.
     """
     counts = cc.counts()
     if not counts:
         return [], []
     cols, cofaces = cc._columns, cc._cofaces
+    top = len(counts)
     live = [bytearray(b"\1") * n for n in counts]
     faces_left = [[0] * counts[0]] + [list(map(len, level))
                                       for level in cols[1:]]
+    # the removal time of each cell, the cell removed at each time, and for
+    # the lower half a of a pair (a, b), +-(b + 1) with the sign of a in b
+    when = [array("q", [0]) * n for n in counts]
+    order = array("q")
+    mate = [array("q", [0]) * n for n in counts]
+    # each critical cell, by degree, and its row in the Morse complex
+    critical: list[dict[int, int]] = [{} for _ in counts]
     queue: deque[tuple[int, int]] = deque()
 
     def remove(k: int, i: int) -> None:
         live[k][i] = 0
-        if k + 1 < len(counts):
+        when[k][i] = len(order)
+        order.append(i)
+        if k + 1 < top:
             up, up_live = faces_left[k + 1], live[k + 1]
             for j in cofaces[k][i]:
                 up[j] -= 1
                 if up[j] == 1 and up_live[j]:
                     queue.append((k + 1, j))
 
-    free, seen = -1, bytearray(counts[0])
-    for v in range(counts[0]):
-        if not seen[v]:  # the lowest vertex of a component: vertex 0 goes
-            remove(0, v)  # with the augmentation, the others are free
-            free += 1
-            todo = [v]
-            while todo:
-                u = todo.pop()
-                if not seen[u]:
-                    seen[u] = 1
-                    todo += [abs(e) - 1 for j in cofaces[0][u]
-                             for e in cols[1][j]]
-    while queue:
-        k, j = queue.popleft()
-        if not live[k][j] or faces_left[k][j] != 1:
-            continue
-        below = live[k - 1]
-        for e in cols[k][j]:
-            i = abs(e) - 1
-            if below[i]:
-                break
-        remove(k, j)
-        remove(k - 1, i)
-    left: list[int] = []
-    out: list[list[list[tuple[int, int]]]] = []
-    pos: list[int] = []
-    for k, alive in enumerate(live):
-        keep = [j for j, a in enumerate(alive) if a]
-        if k:
+    remove(0, 0)
+    d, at = 0, 0  # the lowest degree with a live cell, and where to look
+    while True:
+        while queue:
+            k, j = queue.popleft()
+            if not live[k][j] or faces_left[k][j] != 1:
+                continue
             below = live[k - 1]
-            out.append([[(pos[e - 1], 1) if e > 0 else (pos[-e - 1], -1)
-                         for e in cols[k][j] if below[abs(e) - 1]]
-                        for j in keep])
-        else:
-            out.append([[] for _ in keep])
-        pos = [0] * counts[k]
-        for new, j in enumerate(keep):
-            pos[j] = new
-        left.append(len(keep))
-    left[0] += free
-    out[0] += [[] for _ in range(free)]
-    return left, out
+            for e in cols[k][j]:
+                i = abs(e) - 1
+                if below[i]:
+                    break
+            mate[k - 1][i] = j + 1 if e > 0 else -j - 1
+            remove(k, j)
+            remove(k - 1, i)
+        at = live[d].find(1, at)
+        while at < 0 and d + 1 < top:
+            d += 1
+            at = live[d].find(1)
+        if at < 0:
+            break
+        critical[d][at] = len(critical[d])
+        remove(d, at)
+
+    out: list[list[list[tuple[int, int]]]] = [[[] for _ in critical[0]]]
+    limit, cancelled = guards.search_nodes, 0
+    for k in range(1, top):
+        pos = critical[k - 1]
+        if not pos:
+            out.append([[] for _ in critical[k]])
+            continue
+        times, mates, level = when[k - 1], mate[k - 1], cols[k]
+        flowed = []
+        for c in critical[k]:
+            coef = {}
+            heap = []
+            for e in level[c]:
+                i = e - 1 if e > 0 else -e - 1
+                coef[i] = 1 if e > 0 else -1
+                heap.append(-times[i])
+            heapify(heap)
+            last, col = when[k][c], []
+            while heap:
+                t = -heappop(heap)
+                if t >= last:
+                    raise ValueError("a gradient path does not decrease "
+                                     f"in removal time in degree {k - 1}")
+                last = t
+                i = order[t]
+                x = coef.pop(i)
+                if not x:
+                    continue
+                m = mates[i]
+                if m:
+                    cancelled += 1
+                    if cancelled > limit:
+                        raise GuardExceeded("search_nodes", limit, cancelled)
+                    # subtract x times the sign of a in b, times column b
+                    b, s = (m - 1, -x) if m > 0 else (-m - 1, x)
+                    for e in level[b]:
+                        r, v = (e - 1, s) if e > 0 else (-e - 1, -s)
+                        if r in coef:
+                            coef[r] += v
+                        elif r != i:
+                            coef[r] = v
+                            heappush(heap, -times[r])
+                elif i in pos:
+                    col.append((pos[i], x))
+            flowed.append(col)
+        out.append(flowed)
+    return list(map(len, critical)), out
 
 
 def _eliminate(reduced: Coreduced, field_name: str,
                guards: Guards) -> HomologyResult:
-    """Each boundary's rank over Z (with its elementary divisors) or over
-    GF(2), on a coreduced complex whose columns it only reads."""
+    """Each boundary's rank over GF(2), or over Z with its elementary
+    divisors, from the dense Smith normal form of its nonzero rows and
+    columns, on a Morse complex whose columns it only reads."""
     counts, cols = reduced
     if not counts:
         return HomologyResult(field_name, True, ())
@@ -523,11 +508,19 @@ def _eliminate(reduced: Coreduced, field_name: str,
     ranks = [0] * (dim + 2)
     divisors: list[list[int]] = [[] for _ in range(dim + 2)]
     for k in range(1, dim + 1):
-        if field_name == "Z":
-            ranks[k], divisors[k] = _sparse_rank_divisors(cols[k], guards)
-        else:
+        if field_name == "GF2":
             ranks[k] = gf2_rank(sum(1 << i for i, v in col if v % 2)
                                 for col in cols[k])
+            continue
+        nonzero = [col for col in cols[k] if col]
+        nnz = sum(map(len, nonzero))
+        if nnz > guards.snf_nonzeros:
+            raise GuardExceeded("snf_nonzeros", guards.snf_nonzeros, nnz)
+        entries = [dict(col) for col in nonzero]
+        rows = sorted({i for col in nonzero for i, _ in col})
+        divisors[k] = smith_invariants([[col.get(i, 0) for col in entries]
+                                        for i in rows])
+        ranks[k] = len(divisors[k])
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
     torsion = tuple(tuple(d for d in divisors[k + 1] if d > 1)
                     for k in range(dim + 1))
@@ -553,7 +546,7 @@ def coreduced_homology(reduced: Coreduced, field_name: str,
 
 def _chain_homology(cc: ChainComplex, field_name: str,
                     guards: Guards) -> HomologyResult:
-    return coreduced_homology(_coreduce(cc), field_name, guards)
+    return coreduced_homology(_coreduce(cc, guards), field_name, guards)
 
 
 def homology_of_complex(x: SimplicialComplex, field_name: str = "Z",

@@ -7,7 +7,7 @@ import inspect
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 import sympy
@@ -24,7 +24,6 @@ from homlab.homology import (
     ChainComplex,
     HomologyResult,
     _coreduce,
-    _sparse_rank_divisors,
     chain_complex,
     chain_complex_of_hom,
     chain_complex_of_poset,
@@ -75,29 +74,175 @@ def universal_coefficients_ok(z: HomologyResult, f2: HomologyResult) -> bool:
     return True
 
 
+def sparse_rank_divisors(columns, guards=DEFAULT_GUARDS):
+    """Rank and elementary divisors of an integer matrix given by columns
+    of (row, value) pairs.
+
+    The independent oracle for elimination over Z: unit-pivot elimination
+    with no ordering, the rows swept in turn, each pivoting on any +-1
+    entry it holds, until a sweep finds none.  Whatever survives (entries
+    all >= 2 in absolute value) goes through the dense SNF, bounded by the
+    snf_nonzeros guard.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for j, entries in enumerate(columns):
+        for i, v in entries:
+            if v:
+                rows.setdefault(i, {})[j] = v
+                cols.setdefault(j, set()).add(i)
+    rank = 0
+    swept = False
+    while not swept:
+        swept = True
+        for i in list(rows):
+            r = rows.get(i, {})
+            j = next((j for j, v in r.items() if v in (1, -1)), None)
+            if j is None:
+                continue
+            swept = False
+            piv = r[j]
+            del rows[i]
+            for jj in r:
+                cols[jj].discard(i)
+            for target in list(cols[j]):
+                tr = rows[target]
+                mult = tr[j] * piv
+                for jj, pv in r.items():
+                    nv = tr.get(jj, 0) - mult * pv
+                    if nv:
+                        if jj not in tr:
+                            cols[jj].add(target)
+                        tr[jj] = nv
+                    elif jj in tr:
+                        del tr[jj]
+                        cols[jj].discard(target)
+                if not tr:
+                    del rows[target]
+            del cols[j]
+            rank += 1
+    divisors = [1] * rank
+    nnz = sum(len(r) for r in rows.values())
+    if nnz:
+        if nnz > guards.snf_nonzeros:
+            raise GuardExceeded("snf_nonzeros", guards.snf_nonzeros, nnz)
+        row_ids = sorted(rows)
+        col_ids = sorted({j for r in rows.values() for j in r})
+        cpos = {j: k for k, j in enumerate(col_ids)}
+        dense = [[0] * len(col_ids) for _ in row_ids]
+        for k, i in enumerate(row_ids):
+            for j, v in rows[i].items():
+                dense[k][cpos[j]] = v
+        rest = smith_invariants(dense)
+        divisors += rest
+        rank += len(rest)
+    return rank, divisors
+
+
+def fifo_coreduce(cc: ChainComplex):
+    """Counts and boundary columns, as (row, sign) pairs, of cc's augmented
+    complex after coreduction that stops at the first stall (Mrozek-Batko,
+    DCG 2009).
+
+    The independent oracle for the Morse reduction: the augmentation is
+    paired with vertex 0, and the lowest vertex of each other component,
+    found by a walk over the edges, is a free summand of H~0 put last in
+    degree 0.  Then, in FIFO order, a cell with exactly one live face is
+    removed together with that face, until none is left; the cells still
+    live keep cc's boundary restricted to them.
+    """
+    counts = cc.counts()
+    if not counts:
+        return [], []
+    cols, cofaces = cc._columns, cc._cofaces
+    live = [bytearray(b"\1") * n for n in counts]
+    faces_left = [[0] * counts[0]] + [list(map(len, level))
+                                      for level in cols[1:]]
+    queue = deque()
+
+    def remove(k, i):
+        live[k][i] = 0
+        if k + 1 < len(counts):
+            up, up_live = faces_left[k + 1], live[k + 1]
+            for j in cofaces[k][i]:
+                up[j] -= 1
+                if up[j] == 1 and up_live[j]:
+                    queue.append((k + 1, j))
+
+    free, seen = -1, bytearray(counts[0])
+    for v in range(counts[0]):
+        if not seen[v]:  # the lowest vertex of a component: vertex 0 goes
+            remove(0, v)  # with the augmentation, the others are free
+            free += 1
+            todo = [v]
+            while todo:
+                u = todo.pop()
+                if not seen[u]:
+                    seen[u] = 1
+                    todo += [abs(e) - 1 for j in cofaces[0][u]
+                             for e in cols[1][j]]
+    while queue:
+        k, j = queue.popleft()
+        if not live[k][j] or faces_left[k][j] != 1:
+            continue
+        below = live[k - 1]
+        for e in cols[k][j]:
+            i = abs(e) - 1
+            if below[i]:
+                break
+        remove(k, j)
+        remove(k - 1, i)
+    left, out, pos = [], [], []
+    for k, alive in enumerate(live):
+        keep = [j for j, a in enumerate(alive) if a]
+        if k:
+            below = live[k - 1]
+            out.append([[(pos[e - 1], 1) if e > 0 else (pos[-e - 1], -1)
+                         for e in cols[k][j] if below[abs(e) - 1]]
+                        for j in keep])
+        else:
+            out.append([[] for _ in keep])
+        pos = [0] * counts[k]
+        for new, j in enumerate(keep):
+            pos[j] = new
+        left.append(len(keep))
+    left[0] += free
+    out[0] += [[] for _ in range(free)]
+    return left, out
+
+
+def swept_homology(reduced, field_name: str) -> HomologyResult:
+    """Reduced homology of a complex given as counts and columns of its
+    augmented complex past degree 0, by the unit-pivot sweep over Z or
+    ``gf2_rank`` over GF(2)."""
+    counts, cols = reduced
+    if not counts:
+        return HomologyResult(field_name, True, ())
+    dim = len(counts) - 1
+    ranks = [0] * (dim + 2)
+    divisors: list[list[int]] = [[] for _ in range(dim + 2)]
+    for k in range(1, dim + 1):
+        if field_name == "Z":
+            ranks[k], divisors[k] = sparse_rank_divisors(cols[k])
+        else:
+            ranks[k] = gf2_rank(sum(1 << i for i, v in col if v % 2)
+                                for col in cols[k])
+    betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
+    torsion = tuple(tuple(d for d in divisors[k + 1] if d > 1)
+                    for k in range(dim + 1))
+    return HomologyResult(field_name, False, betti, torsion)
+
+
 def unreduced_homology(cc: ChainComplex, field_name: str) -> HomologyResult:
     """Reduced homology by elimination on the full augmented complex.
 
     The independent oracle for coreduction: no cell is removed first.
     """
-    counts = cc.counts()
-    if not counts:
-        return HomologyResult(field_name, True, ())
-    dim = cc.dim
-    ranks = [0] * (dim + 2)
-    divisors: list[list[int]] = [[] for _ in range(dim + 2)]
-    ranks[0] = 1  # augmentation of a nonempty complex
-    for k in range(1, dim + 1):
-        if field_name == "Z":
-            ranks[k], divisors[k] = _sparse_rank_divisors(cc.boundary(k),
-                                                          DEFAULT_GUARDS)
-        else:
-            ranks[k] = gf2_rank(sum(1 << i for i, v in col if v % 2)
-                                for col in cc.boundary(k))
-    betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
-    torsion = tuple(tuple(d for d in divisors[k + 1] if d > 1)
-                    for k in range(dim + 1))
-    return HomologyResult(field_name, False, betti, torsion)
+    counts = list(cc.counts())
+    if counts:
+        counts[0] -= 1  # the rank of the augmentation of a nonempty complex
+    return swept_homology(
+        (counts, [cc.boundary(k) for k in range(cc.dim + 1)]), field_name)
 
 
 def simplicial_boundary(levels, k):
@@ -162,12 +307,17 @@ def assert_mask_rule(cc: ChainComplex) -> None:
 
 
 def assert_coreduction_exact(cc: ChainComplex) -> None:
-    """Coreduced homology equals the oracle's, over Z and GF(2), and no
-    degree gains cells."""
+    """Homology of the Morse complex equals both oracles', over Z and
+    GF(2): the stop-at-stall coreduction with the unit-pivot sweep, and
+    elimination on the full complex; no degree gains cells."""
     reduced = _coreduce(cc)
     assert all(a <= b for a, b in zip(reduced[0], cc.counts()))
-    assert homology_integral(reduced) == unreduced_homology(cc, "Z")
-    assert homology_gf2(reduced) == unreduced_homology(cc, "GF2")
+    fifo = fifo_coreduce(cc)
+    for field_name in ("Z", "GF2"):
+        got = homology_integral(reduced) if field_name == "Z" \
+            else homology_gf2(reduced)
+        assert got == swept_homology(fifo, field_name) \
+            == unreduced_homology(cc, field_name), field_name
 
 
 def test_gf2_rank():
@@ -339,12 +489,17 @@ def test_projective_plane_minimal():
 def test_minimal_rp2_boundary_has_two_torsion():
     # The minimal CW structure on RP^2: one cell in each of degrees 0, 1
     # and 2, with d e1 = 0 and d e2 = 2 e1.  No ChainComplex holds it, as
-    # every incidence there is +-1; elimination still meets such entries
-    # once unit pivots run out.
-    assert _sparse_rank_divisors([[]], DEFAULT_GUARDS) == (0, [])
-    assert _sparse_rank_divisors([[(0, 2)]], DEFAULT_GUARDS) == (1, [2])
+    # every incidence there is +-1, but a Morse complex can: the flow
+    # sums +-1 entries.
+    assert sparse_rank_divisors([[]]) == (0, [])
+    assert sparse_rank_divisors([[(0, 2)]]) == (1, [2])
     assert gf2_rank(sum(1 << i for i, v in col if v % 2)
                     for col in [[(0, 2)]]) == 0
+    minimal = [0, 1, 1], [[], [[]], [[(0, 2)]]]
+    assert homology_integral(minimal) == swept_homology(minimal, "Z") \
+        == HomologyResult("Z", False, (0, 0), ((), (2,)))
+    assert homology_gf2(minimal) == swept_homology(minimal, "GF2") \
+        == HomologyResult("GF2", False, (0, 1, 1))
 
 
 def test_coreduction_sets_aside_one_vertex_per_component():
@@ -436,12 +591,13 @@ def test_result_refuses_counts_no_computation_produces(args):
 
 
 def test_snf_guard():
-    # the simplex boundary reduces fully on unit pivots: no dense leftover
+    # the simplex boundary's Morse complex is one 2-cell with no boundary:
+    # no nonzero for the dense Smith form
     cc = chain_complex(simplex_boundary(3))
     assert homology_integral(_coreduce(cc),
                              DEFAULT_GUARDS.scaled(snf_nonzeros=0)) \
         .is_sphere(2)
-    # RP^2 has 2-torsion, so at least one non-unit entry must survive
+    # RP^2 has 2-torsion, so its Morse boundary has a nonzero entry
     ccr = _coreduce(chain_complex(_rp2()))
     with pytest.raises(GuardExceeded):
         homology_integral(ccr, DEFAULT_GUARDS.scaled(snf_nonzeros=0))
@@ -559,15 +715,21 @@ def test_cellular_path_reaches_past_the_order_guards():
 
 def test_coreduction_reaches_hom_c5_k5():
     # 45,540 cells: unreduced elimination took 7 s over GF(2) and 28 s
-    # over Z on a 2-core Xeon; coreduction leaves 3,017.  Babson-Kozlov: Hom(C5,K5) is
-    # 1-connected, and chi(K5) >= conn + 4 = 5 is tight.
+    # over Z on a 2-core Xeon; coreduction that stops at its first stall
+    # leaves 3,017, and the Morse complex one cell per generator.
+    # Babson-Kozlov: Hom(C5,K5) is 1-connected, and chi(K5) >= conn + 4 = 5
+    # is tight.
     cc = chain_complex_of_hom(hom_poset(cycle_graph(5), complete_graph(5)))
     assert sum(cc.counts()) == 45540
+    fifo = fifo_coreduce(cc)
+    assert sum(fifo[0]) == 3017
     reduced = _coreduce(cc)
-    assert sum(reduced[0]) == 3017
+    assert reduced[0] == [0, 0, 1, 1, 0, 1]
     z = homology_integral(reduced)
     assert z.betti == (0, 0, 1, 1, 0, 1) and not any(z.torsion)
     assert homology_gf2(reduced).betti == z.betti
+    assert swept_homology(fifo, "Z") == z
+    assert swept_homology(fifo, "GF2") == homology_gf2(reduced)
     assert homology_connectivity(z) + 4 == chromatic_number(complete_graph(5))
 
 
@@ -575,33 +737,96 @@ def test_coreduction_reaches_hom_c5_k5():
 # the build against the mask rule, and the shape of coreduction
 
 # The benchmark's Hom-homology instances (Hom(C5,K4) is taken over Z and
-# over GF(2)), with the cells coreduction leaves under identity labels.
+# over GF(2)), with the critical cells of the Morse reduction and the cells
+# the stop-at-stall oracle leaves, under identity labels.  Each Morse count
+# is one cell per generator and per torsion relation in its degree, so no
+# reduction leaves fewer.
 BENCHMARK_HOM_PAIRS = {
-    "K2,K6": (K2, complete_graph(6), [0, 0, 0, 0, 1]),
-    "C5,K4": (cycle_graph(5), complete_graph(4), [0, 92, 187, 96]),
-    "K3,K5": (K3, complete_graph(5), [0, 0, 29]),
-    "K2,K5": (K2, complete_graph(5), [0, 0, 0, 1]),
+    "K2,K6": (K2, complete_graph(6), [0, 0, 0, 0, 1], [0, 0, 0, 0, 1]),
+    "C5,K4": (cycle_graph(5), complete_graph(4), [0, 1, 1, 1],
+              [0, 92, 187, 96]),
+    "K3,K5": (K3, complete_graph(5), [0, 0, 29], [0, 0, 29]),
+    "K2,K5": (K2, complete_graph(5), [0, 0, 0, 1], [0, 0, 0, 1]),
 }
 
 
 @pytest.mark.parametrize("pair", sorted(BENCHMARK_HOM_PAIRS))
 def test_build_matches_the_mask_rule_on_the_benchmark_pairs(pair):
-    g, h, left = BENCHMARK_HOM_PAIRS[pair]
+    g, h, critical, left = BENCHMARK_HOM_PAIRS[pair]
     cc = chain_complex_of_hom(hom_poset(g, h))
     assert_mask_rule(cc)
-    assert _coreduce(cc)[0] == left
+    assert _coreduce(cc)[0] == critical
+    assert fifo_coreduce(cc)[0] == left
 
 
 @pytest.mark.parametrize("pair", sorted(BENCHMARK_HOM_PAIRS))
 def test_elimination_leaves_the_coreduced_columns_as_they_were(pair):
-    # both fields eliminate on one coreduced complex, so neither may write
-    # it; Hom(C5,K4) takes the Z sweep down to the dense Smith form
-    g, h, _ = BENCHMARK_HOM_PAIRS[pair]
+    # both fields eliminate on one Morse complex, so neither may write it;
+    # over Z, Hom(C5,K4)'s degree-2 boundary is the 1x1 matrix (2)
+    g, h, _, _ = BENCHMARK_HOM_PAIRS[pair]
     cc = chain_complex_of_hom(hom_poset(g, h))
     reduced = _coreduce(cc)
     first = homology_integral(reduced), homology_gf2(reduced)
     assert reduced == _coreduce(cc)
     assert (homology_integral(reduced), homology_gf2(reduced)) == first
+
+
+# Cells the flows of one reduction cancel, all critical cells together;
+# each counts against search_nodes.  The other benchmark pairs run no flow.
+FLOW_CANCELLATIONS = {"C5,K4": 390}
+
+
+@pytest.mark.parametrize("pair", sorted(BENCHMARK_HOM_PAIRS))
+def test_flow_work_trips_search_nodes_at_one_pinned_point(pair):
+    g, h, critical, _ = BENCHMARK_HOM_PAIRS[pair]
+    cc = chain_complex_of_hom(hom_poset(g, h))
+    nodes = FLOW_CANCELLATIONS.get(pair, 0)
+    assert _coreduce(cc, DEFAULT_GUARDS.scaled(search_nodes=nodes))[0] \
+        == critical
+    if nodes:
+        with pytest.raises(GuardExceeded) as err:
+            _coreduce(cc, DEFAULT_GUARDS.scaled(search_nodes=nodes - 1))
+        assert (err.value.guard, err.value.limit, err.value.attempted) == \
+            ("search_nodes", nodes - 1, nodes)
+
+
+def test_flow_refuses_a_path_that_climbs_in_removal_time():
+    # Every flow checks that removal times strictly decrease along the
+    # gradient paths it follows, so each test that reduces a complex
+    # checks it.  Listing a coface twice makes coreduction take a 2-cell
+    # of Hom(C5,K4) for one with a single live face while it has two; the
+    # face left live goes later, and the flow through that pair climbs.
+    cc = chain_complex_of_hom(hom_poset(cycle_graph(5), complete_graph(4)))
+    assert _coreduce(cc)[0] == [0, 1, 1, 1]
+    cofaces = cc._cofaces[1][45]
+    cofaces.append(cofaces[0])
+    with pytest.raises(ValueError, match="does not decrease in removal "
+                                         "time in degree 1"):
+        _coreduce(cc)
+
+
+def test_every_complex_verify_reduces_has_a_small_morse_complex(
+        monkeypatch, tmp_path, capsys):
+    # elimination runs on the Morse complex alone, so its size is the
+    # reach of the dense Smith form
+    sizes = []
+    reduce = homology._coreduce
+
+    def record(cc, guards=DEFAULT_GUARDS):
+        reduced = reduce(cc, guards)
+        sizes.append((sum(reduced[0]), sum(cc.counts())))
+        return reduced
+
+    monkeypatch.setattr(homology, "_coreduce", record)
+    monkeypatch.setattr(harness, "_coreduce", record)
+    monkeypatch.delenv("HOMLAB_CACHE_DIR", raising=False)
+    main(["verify", "--report-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert len(sizes) == 29
+    # the largest is twelve points, eleven of them free; the largest
+    # complex, Hom(K2,S(2,1)), leaves one 2-cell of 10,106 cells
+    assert max(sizes) == (11, 12)
+    assert max(sizes, key=lambda s: s[1]) == (1, 10106)
 
 
 def test_build_matches_the_mask_rule_on_every_verify_pair(monkeypatch,

@@ -32,6 +32,11 @@ named ``Class.method``).
 The eighth scan keeps every local variable to what is read: a name a
 function binds by plain assignment must be read somewhere in that function,
 a nested function, lambda or comprehension included.
+
+The ninth scan keeps the dependencies to what ``pyproject.toml`` declares:
+``src/homlab`` imports only the standard library and ``homlab``, and the
+tests also :data:`TEST_IMPORTS` and one another.  A package that happens to
+be installed, such as ``networkx``, is not a dependency.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import argparse
 import ast
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +66,9 @@ UNREAD = {
     "seedless": "documented as an interface-compatibility no-op: nothing "
                 "in homlab is random, so there is no seed to set",
 }
+
+# Third-party modules the tests may import besides the package's own.
+TEST_IMPORTS = {"pytest", "hypothesis", "sympy"}
 
 # Enumerators -> the positional index of their limit (a method's index
 # does not count ``self``).  The limit is a required int; the scan also
@@ -607,3 +616,49 @@ def test_scan_collects_args_reads():
                      "    return getattr(args, 'b', None)\n\n"
                      "def _other(args):\n    return args.c\n")
     assert args_reads(tree, "_cmd") == {"a", "b"}
+
+
+def foreign_imports(package: Path = PACKAGE,
+                    tests: Path = ROOT / "tests") -> list[str]:
+    """Imports, as ``file:line: module``, of a module that is neither in
+    the standard library nor ``homlab``, nor, in ``tests``, one of
+    :data:`TEST_IMPORTS` or a test module; an import inside a function
+    counts too, and a relative one stays in its package."""
+    own = {path.stem for path in tests.glob("*.py")}
+    out = []
+    for root, allowed in ((package, set()), (tests, TEST_IMPORTS | own)):
+        for path in sorted(root.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                out += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in
+                        sys.stdlib_module_names | {"homlab"} | allowed]
+    return out
+
+
+def test_only_declared_dependencies_are_imported():
+    assert foreign_imports() == []
+
+
+def test_scan_flags_an_undeclared_dependency(tmp_path):
+    package, tests = tmp_path / "homlab", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "core.py").write_text(
+        "import os.path\nimport networkx as nx\n"
+        "from . import graphs\nfrom homlab.limits import Guards\n"
+        "def solve():\n    import sympy\n    return sympy\n",
+        encoding="utf-8")
+    (tests / "test_core.py").write_text(
+        "from __future__ import annotations\nimport pytest, sympy\n"
+        "from hypothesis import given\nfrom test_other import helper\n"
+        "from networkx.algorithms import isomorphism\n", encoding="utf-8")
+    (tests / "test_other.py").write_text("import numpy\n", encoding="utf-8")
+    assert foreign_imports(package, tests) == [
+        "core.py:2: networkx", "core.py:6: sympy",
+        "test_core.py:5: networkx.algorithms", "test_other.py:1: numpy"]

@@ -8,11 +8,10 @@ from homlab.graphs import (Graph, bits, chromatic_number, complete_graph,
                            check_homomorphism, cycle_graph, exponential,
                            nu_mask, product, quotient)
 from homlab.harness import RunContext, _chromatic_brute
-from homlab.homology import (_sparse_rank_divisors, chain_complex,
-                             chain_complex_of_hom,
+from homlab.homology import (chain_complex, chain_complex_of_hom,
                              chain_complex_of_poset, hom_homology,
                              homology_connectivity, homology_of_complex,
-                             poset_homology, closure_reduce)
+                             poset_homology, closure_reduce, smith_invariants)
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
 from homlab.homposets import adjunction_report, hom_poset, rank_of
 from homlab.posets import (PosetMap, atom_graph, chain_poset,
@@ -20,7 +19,8 @@ from homlab.posets import (PosetMap, atom_graph, chain_poset,
                            is_closure_map, make_complex, pointwise_poset)
 from test_homology import (_sympy_invariants, assert_coreduction_exact,
                            assert_mask_rule, assert_simplicial_boundaries,
-                           unreduced_homology, universal_coefficients_ok)
+                           sparse_rank_divisors, unreduced_homology,
+                           universal_coefficients_ok)
 from test_homposets import closure_of, closure_verdict_by_oracle, is_up_closure
 from test_posets import SQUARE, filter_all_maps, pointwise_leq
 
@@ -169,12 +169,15 @@ def sparse_matrices(draw, max_n=8):
 @example([[2, 0], [0, 3]])  # no unit entry: all of it reaches the dense SNF
 @example([[1, 2, 0], [2, 1, 3], [0, 3, 2]])  # fill-in leaves a non-unit
 def test_sparse_elimination_matches_sympy_smith_form(rows):
+    # the dense Smith form is the package's one integral engine, and the
+    # sweep its oracle; both must agree with sympy
     columns = [[(i, row[j]) for i, row in enumerate(rows)]
                for j in range(len(rows[0]))]
-    rank, divisors = _sparse_rank_divisors(columns, DEFAULT_GUARDS)
+    rank, divisors = sparse_rank_divisors(columns)
     expect = _sympy_invariants(rows)
     assert rank == len(expect)
     assert sorted(divisors) == sorted(expect)
+    assert smith_invariants(rows) == expect
 
 
 @given(complexes())
