@@ -21,7 +21,8 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .graphs import Graph, _blocks, bits, permute_mask, quotient
+from .graphs import (Graph, _blocks, bits, neighbourhood_mask, permute_mask,
+                     quotient)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, atom_graph, chain_poset, enumerate_poset_maps,
                      induced_subposet, map_poset)
@@ -101,13 +102,13 @@ def make_group(generators: Sequence[Sequence[int]],
     return FiniteGroup(tuple(elements), table, inverse)
 
 
-def symmetric_group(n: int) -> FiniteGroup:
+def symmetric_group(n: int, guards: Guards = DEFAULT_GUARDS) -> FiniteGroup:
     if n == 1:
-        return make_group([(0,)])
+        return make_group([(0,)], guards)
     swap = list(range(n))
     swap[0], swap[1] = 1, 0
     cycle = [(i + 1) % n for i in range(n)]
-    return make_group([tuple(swap), tuple(cycle)])
+    return make_group([tuple(swap), tuple(cycle)], guards)
 
 
 def z2_group() -> FiniteGroup:
@@ -218,15 +219,13 @@ def is_d_discontinuous(a: GraphAction, d: int) -> bool:
     stops once it meets the orbit or the frontier is empty."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    adj = a.graph.adj
     for v in range(a.graph.n):
         others = reduce(or_, (1 << mp[v] for mp in a.maps[1:]), 0)
         ball = frontier = 1 << v
         for _ in range(d - 1):
             if not frontier or ball & others:
                 break
-            frontier = reduce(or_, map(adj.__getitem__, bits(frontier)))
-            frontier &= ~ball
+            frontier = neighbourhood_mask(a.graph, frontier) & ~ball
             ball |= frontier
         if ball & others:
             return False

@@ -390,7 +390,7 @@ def universality_graph(x: SimplicialComplex, n: int,
     """
     if n < 2:
         raise ValueError("universality construction needs n >= 2")
-    group = symmetric_group(n)
+    group = symmetric_group(n, guards)
     if isinstance(vertex_maps, str):
         if vertex_maps != "regular":
             raise ValueError(f"unknown action shorthand '{vertex_maps}'")

@@ -10,6 +10,10 @@ One exact search, `_hom_search` (DSATUR over target-vertex domains), serves
 every homomorphism question: `find_homomorphism`, `chromatic_number` (maps
 into K_k, from a greedy clique's size upwards) and the emptiness test of
 `homposets.hom_poset`.
+
+Graph walks grow a vertex set a layer at a time with `neighbourhood_mask`,
+here (odd girth, connectivity) and in `actions` and `homposets`; only
+`tree_cycle_lengths` runs a queue, since it needs a spanning forest.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "chromatic_number",
     "odd_girth",
     "graph_stats",
+    "neighbourhood_mask",
     "nu_mask",
     "is_fine",
     "is_isomorphic",
@@ -392,7 +397,6 @@ def odd_girth(g: Graph) -> int | float:
     """
     if g.looped_mask:
         return 1
-    adj = g.adj
     best = INFINITE
     for v in range(g.n):
         frontier = 1 << v
@@ -400,30 +404,43 @@ def odd_girth(g: Graph) -> int | float:
         d = 0
         while frontier and d + 1 < best:
             d += 1
-            nxt = 0
-            for x in bits(frontier):
-                nxt |= adj[x]
-            frontier = nxt & ~reached[d & 1]
+            frontier = neighbourhood_mask(g, frontier) & ~reached[d & 1]
             reached[d & 1] |= frontier
             if frontier >> v & 1:  # v is reached at odd distance only
                 best = d
     return best
 
 
-def bfs_dist(g: Graph, source_mask: int) -> list[int | float]:
-    """Edge distance from the nearest vertex of the mask; INFINITE if none."""
-    dist: list[int | float] = [INFINITE] * g.n
-    queue: deque[int] = deque()
-    for v in bits(source_mask):
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for w in bits(g.adj[v] & ~(1 << v)):
-            if dist[w] is INFINITE:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+def tree_cycle_lengths(t: Graph) -> tuple[int, ...]:
+    """Cycle lengths closed by the non-tree edges of a BFS spanning forest
+    (a loop closes a cycle of length 1).  The forest roots each component
+    at its lowest vertex and visits neighbours in index order."""
+    parent = [-1] * t.n
+    depth = [-1] * t.n
+    for root in range(t.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        dq = deque([root])
+        while dq:
+            u = dq.popleft()
+            for v in bits(t.adj[u]):
+                if depth[v] < 0:
+                    parent[v] = u
+                    depth[v] = depth[u] + 1
+                    dq.append(v)
+    lengths = set()
+    for u, v in t.edges():
+        if u == v:
+            lengths.add(1)
+        elif parent[u] != v and parent[v] != u:  # a non-tree edge
+            du, dv = u, v
+            while du != dv:
+                if depth[du] < depth[dv]:
+                    du, dv = dv, du
+                du = parent[du]
+            lengths.add(depth[u] + depth[v] - 2 * depth[du] + 1)
+    return tuple(sorted(lengths))
 
 
 @dataclass(frozen=True)
@@ -433,13 +450,26 @@ class GraphStats:
 
 
 def graph_stats(g: Graph) -> GraphStats:
-    """Max degree (loops add 1) and connectivity (one BFS from vertex 0)."""
+    """Max degree (loops add 1) and connectivity (vertex 0's component,
+    grown a neighbourhood at a time, is every vertex)."""
     maxdeg = max((g.degree(v) for v in range(g.n)), default=0)
-    return GraphStats(maxdeg, g.n == 0 or INFINITE not in bfs_dist(g, 1))
+    reached = frontier = 1 if g.n else 0
+    while frontier:
+        frontier = neighbourhood_mask(g, frontier) & ~reached
+        reached |= frontier
+    return GraphStats(maxdeg, reached == (1 << g.n) - 1)
 
 
 # ---------------------------------------------------------------------------
-# common neighbours and fineness
+# neighbourhoods and fineness
+
+def neighbourhood_mask(g: Graph, mask: int) -> int:
+    """Bitmask of vertices adjacent to something in ``mask``."""
+    out = 0
+    for v in bits(mask):
+        out |= g.adj[v]
+    return out
+
 
 def nu_mask(g: Graph, mask: int) -> int:
     """Bitmask of vertices adjacent to everything in ``mask`` (all if empty)."""

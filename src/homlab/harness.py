@@ -14,7 +14,9 @@ Hom homology (on the cellular complex of the Hom poset) and poset homology
 results can persist in a content-addressed cache: keys are SHA-256 digests
 of the canonical JSON of the inputs and the guards, an entry is the result
 alone, a header digest detects corruption, and a hit is refused unless it
-holds a result over the requested field.  A result under given guards is
+holds a result over the requested field.  ``Cache`` alone knows that entry
+format, and ``Cache.fetch`` is the one load-or-compute-and-store path that
+both cached homologies take.  A result under given guards is
 exact or a ``GuardExceeded``, so keying on the guards makes a warm call
 return or raise what the cold one does; a call under other guards misses
 and recomputes.  Hom posets are not cached: enumerating one is
@@ -125,12 +127,15 @@ def content_key(payload: dict) -> str:
 
 
 class Cache:
-    """Content-addressed JSON-lines store for homology results.
+    """Content-addressed store of homology results.
 
-    Every entry is one file ``<key>.jsonl``: a header line carrying the entry
-    kind and the SHA-256 of the body, then one JSON line per record.  A load
-    recomputes the body digest and raises :class:`CacheCorrupt` on mismatch,
-    so a tampered or truncated file can never masquerade as a result.
+    Every entry is one file ``<key>.jsonl``: a JSON header
+    ``{"kind":"homology","lines":1,"sha256":...}``, then the canonical JSON
+    of the result on one line.  The cache alone writes and reads that
+    format.  A load recomputes the body digest and raises
+    :class:`CacheCorrupt` on mismatch, so a tampered or truncated file can
+    never masquerade as a result, and refuses a body that is not exactly
+    the payload of a result over the requested field.
     ``Cache()``, with no directory, is the one spelling of "no cache": it
     stores nothing and counts no hits or misses, so one can be shared.
     """
@@ -149,14 +154,13 @@ class Cache:
             raise ValueError("cache has no directory configured")
         return self.directory / f"{key}.jsonl"
 
-    def store(self, key: str, kind: str, lines: Sequence[str]) -> None:
+    def store(self, key: str, result: HomologyResult) -> None:
         if not self.enabled:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        body = "".join(line + "\n" for line in lines)
+        body = canonical_json(result.to_json()) + "\n"
         header = canonical_json({
-            "kind": kind,
-            "lines": len(lines),
+            "kind": "homology", "lines": 1,
             "sha256": hashlib.sha256(body.encode()).hexdigest(),
         })
         target = self.path_for(key)
@@ -164,8 +168,9 @@ class Cache:
         tmp.write_text(header + "\n" + body, encoding="utf-8")
         tmp.replace(target)
 
-    def load(self, key: str, kind: str) -> Optional[list[str]]:
-        """Body lines of the entry, or None on a miss; corrupt entries raise."""
+    def load(self, key: str, field_name: str) -> Optional[HomologyResult]:
+        """The stored result over ``field_name``, or None on a miss;
+        corrupt entries raise."""
         if not self.enabled:
             return None
         path = self.path_for(key)
@@ -180,17 +185,31 @@ class Cache:
             raise CacheCorrupt(f"unreadable header in {path.name}") from exc
         if not sep or not isinstance(header, dict):
             raise CacheCorrupt(f"malformed cache entry {path.name}")
-        if header.get("kind") != kind:
+        if header.get("kind") != "homology":
             raise CacheCorrupt(
                 f"cache entry {path.name} holds "
-                f"'{header.get('kind')}', expected '{kind}'")
+                f"'{header.get('kind')}', expected 'homology'")
         if hashlib.sha256(body.encode()).hexdigest() != header.get("sha256"):
             raise CacheCorrupt(f"hash mismatch in cache entry {path.name}")
         lines = body.splitlines()
         if len(lines) != header.get("lines"):
             raise CacheCorrupt(f"line count mismatch in {path.name}")
         self.hits += 1
-        return lines
+        try:
+            (line,) = lines
+            return homology_from_json(json.loads(line), field_name)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheCorrupt(
+                f"malformed homology entry {key}: {exc!r}") from None
+
+    def fetch(self, key: str, field_name: str,
+              compute: Callable[[], HomologyResult]) -> HomologyResult:
+        """The stored result, or ``compute()``'s, stored on a miss."""
+        res = self.load(key, field_name)
+        if res is None:
+            res = compute()
+            self.store(key, res)
+        return res
 
 
 def hom_cache_key(g: Graph, h: Graph, field_name: str,
@@ -211,20 +230,6 @@ def cached_hom_poset(g: Graph, h: Graph,
     return hom_poset(g, h, guards)
 
 
-def _load_homology(cache: Cache, key: str,
-                   field_name: str) -> Optional[HomologyResult]:
-    """The cached result, or None on a miss."""
-    lines = cache.load(key, "homology")
-    if lines is None:
-        return None
-    try:
-        (line,) = lines
-        return homology_from_json(json.loads(line), field_name)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CacheCorrupt(
-            f"malformed homology entry {key}: {exc!r}") from None
-
-
 def homology_cache_key(p: Poset, field_name: str, guards: Guards) -> str:
     """Key of the entry holding the order-complex homology of p over a
     field, computed under ``guards``."""
@@ -237,12 +242,8 @@ def cached_poset_homology(p: Poset, field_name: str = "Z",
                           guards: Guards = DEFAULT_GUARDS,
                           cache: Cache = Cache()) -> HomologyResult:
     """Order-complex homology of p, cached by (poset, field, guards)."""
-    key = homology_cache_key(p, field_name, guards)
-    res = _load_homology(cache, key, field_name)
-    if res is None:
-        res = poset_homology(p, field_name, guards)
-        cache.store(key, "homology", [canonical_json(res.to_json())])
-    return res
+    return cache.fetch(homology_cache_key(p, field_name, guards), field_name,
+                       lambda: poset_homology(p, field_name, guards))
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +274,10 @@ class RunContext:
         """Cellular homology of Hom(g,h), cached by (source, target, field,
         guards); a miss eliminates on the memo's Morse complex when it
         holds this pair under these guards."""
-        key = hom_cache_key(g, h, field_name, self.guards)
-        res = _load_homology(self.cache, key, field_name)
-        if res is None:
-            res = coreduced_homology(self._coreduced_hom(g, h), field_name,
-                                     self.guards)
-            self.cache.store(key, "homology", [canonical_json(res.to_json())])
-        return res
+        return self.cache.fetch(
+            hom_cache_key(g, h, field_name, self.guards), field_name,
+            lambda: coreduced_homology(self._coreduced_hom(g, h), field_name,
+                                       self.guards))
 
     def _coreduced_hom(self, g: Graph, h: Graph) -> Coreduced:
         last = self._last_hom

@@ -500,7 +500,8 @@ def _eliminate(reduced: Coreduced, field_name: str,
                guards: Guards) -> HomologyResult:
     """Each boundary's rank over GF(2), or over Z with its elementary
     divisors, from the dense Smith normal form of its nonzero rows and
-    columns, on a Morse complex whose columns it only reads."""
+    columns, whose product ``snf_nonzeros`` bounds before the matrix is
+    built, on a Morse complex whose columns it only reads."""
     counts, cols = reduced
     if not counts:
         return HomologyResult(field_name, True, ())
@@ -513,11 +514,11 @@ def _eliminate(reduced: Coreduced, field_name: str,
                                 for col in cols[k])
             continue
         nonzero = [col for col in cols[k] if col]
-        nnz = sum(map(len, nonzero))
-        if nnz > guards.snf_nonzeros:
-            raise GuardExceeded("snf_nonzeros", guards.snf_nonzeros, nnz)
-        entries = [dict(col) for col in nonzero]
         rows = sorted({i for col in nonzero for i, _ in col})
+        size = len(rows) * len(nonzero)
+        if size > guards.snf_nonzeros:
+            raise GuardExceeded("snf_nonzeros", guards.snf_nonzeros, size)
+        entries = [dict(col) for col in nonzero]
         divisors[k] = smith_invariants([[col.get(i, 0) for col in entries]
                                         for i in rows])
         ranks[k] = len(divisors[k])

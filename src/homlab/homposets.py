@@ -25,8 +25,9 @@ from .actions import (GraphAction, PosetAction, is_free,
                       is_strongly_regular, orbit_of,
                       quotient_poset_by_action, PosetQuotient)
 from .graphs import (Graph, _hom_search, bits, exponential,
-                     exponential_vertex_maps, is_fine, nu_mask, one_graph,
-                     permute_mask, product, quotient, reflexive_closure)
+                     exponential_vertex_maps, is_fine, neighbourhood_mask,
+                     nu_mask, one_graph, permute_mask, product, quotient,
+                     reflexive_closure, tree_cycle_lengths)
 from .limits import DEFAULT_GUARDS, GuardExceeded, Guards
 from .posets import (Poset, PosetMap, _poset_map_blocks, _restriction,
                      _Table, atom_graph, chain_poset, iter_chains,
@@ -641,47 +642,6 @@ def poset_adjunction_report(p: Poset, g: Graph,
 # quotient comparison
 
 
-def _tree_cycle_lengths(t: Graph) -> tuple[int, ...]:
-    """Cycle lengths closed by the non-tree edges of a BFS spanning forest."""
-    from collections import deque
-    parent = [-1] * t.n
-    depth = [0] * t.n
-    seen = [False] * t.n
-    tree_adj = [set() for _ in range(t.n)]
-    for root in range(t.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        dq = deque([root])
-        while dq:
-            u = dq.popleft()
-            for v in bits(t.adj[u]):
-                if v == u:
-                    continue
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    tree_adj[u].add(v)
-                    tree_adj[v].add(u)
-                    dq.append(v)
-    lengths = set()
-    for u, v in t.edges():
-        if u == v:
-            lengths.add(1)
-            continue
-        if v in tree_adj[u]:
-            continue
-        du, dv = u, v
-        while du != dv:
-            if depth[du] < depth[dv]:
-                du, dv = dv, du
-            du = parent[du]
-        dist = depth[u] + depth[v] - 2 * depth[du]
-        lengths.add(dist + 1)
-    return tuple(sorted(lengths))
-
-
 @dataclass(frozen=True)
 class QuotientCompare:
     hypothesis_ok: bool
@@ -715,16 +675,13 @@ def quotient_compare(t: Graph, g: Graph, act: GraphAction,
     """
     if act.graph.adj != g.adj:
         raise ValueError("action lives on a different graph")
-    lengths = tuple(sorted(set(_tree_cycle_lengths(t)) | {4}))
+    lengths = tuple(sorted(set(tree_cycle_lengths(t)) | {4}))
     violation = None
     for ln in lengths:
         for v in range(g.n):
             frontier = 1 << v
             for _ in range(ln):
-                acc = 0
-                for x in bits(frontier):
-                    acc |= g.adj[x]
-                frontier = acc
+                frontier = neighbourhood_mask(g, frontier)
             for i in range(1, act.group.order):
                 if frontier >> act.maps[i][v] & 1:
                     violation = (v, i, ln)

@@ -34,7 +34,7 @@ class Guards:
     poset_map_elements: int = 400_000      # monotone maps enumerated
     group_order: int = 5_040               # closure of a generated permutation group
     fine_vertices: int = 20                # vertices for the 2^n fineness sweep
-    snf_nonzeros: int = 20_000             # nonzeros of a Morse boundary, dense Smith form
+    snf_nonzeros: int = 20_000             # rows x columns of a Morse boundary's dense Smith form
     complex_faces: int = 2_000_000         # faces of a simplicial complex
 
     def scaled(self, **kw: int) -> "Guards":

@@ -281,7 +281,7 @@ def maximal_chains(p: Poset, limit: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _containment_poset(members: list[tuple[int, ...]], payload=None) -> Poset:
+def _containment_poset(members: list[tuple[int, ...]]) -> Poset:
     """Poset of index-sorted tuples closed under one-element removal."""
     members = sorted(members, key=lambda t: (len(t), t))
     idx = {c: i for i, c in enumerate(members)}
@@ -297,7 +297,7 @@ def _containment_poset(members: list[tuple[int, ...]], payload=None) -> Poset:
         for j in up[i]:
             a |= above[j]
         above[i] = a
-    return Poset(m, tuple(above), tuple(members) if payload is None else payload)
+    return Poset(m, tuple(above), tuple(members))
 
 
 def chain_poset(p: Poset, guards: Guards = DEFAULT_GUARDS) -> Poset:

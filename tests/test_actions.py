@@ -5,9 +5,11 @@ axioms are checked against a test of every ordered pair of points
 (`closure_orbits`), the poset quotient against a transitive closure with
 merged classes (`closure_quotient`), the twisted product against the
 quotient of the whole product graph by its diagonal action
-(`product_quotient`)."""
+(`product_quotient`), and d-discontinuity against a queue-based BFS
+(`bfs_dist`)."""
 
 import itertools
+from collections import deque
 from types import SimpleNamespace
 from typing import Optional
 
@@ -27,7 +29,7 @@ from homlab.actions import (FiniteGroup, GraphAction, PosetAction,
                             twisted_product, z2_group)
 from homlab.families import cycle_face_poset
 from homlab import graphs
-from homlab.graphs import (Graph, bits, complete_graph,
+from homlab.graphs import (INFINITE, Graph, bits, complete_graph,
                            cycle_graph, is_isomorphic, product, quotient,
                            reflexive_cycle)
 from homlab.homology import poset_homology
@@ -265,10 +267,27 @@ def test_action_validation_messages():
         GraphAction(z2_group(), c6, (tuple(range(6)),))
 
 
+def bfs_dist(g: Graph, source_mask: int) -> list:
+    """Edge distance from the nearest vertex of the mask, INFINITE if none,
+    by a queue-based BFS one vertex at a time."""
+    dist = [INFINITE] * g.n
+    queue = deque()
+    for v in bits(source_mask):
+        dist[v] = 0
+        queue.append(v)
+    while queue:
+        v = queue.popleft()
+        for w in bits(g.adj[v] & ~(1 << v)):
+            if dist[w] is INFINITE:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
 def discontinuous_by_bfs(a, d):
     """The definition of d-discontinuity, read off a full BFS from every
     vertex: the oracle for `is_d_discontinuous`."""
-    return all(graphs.bfs_dist(a.graph, 1 << v)[a.maps[i][v]] > d - 1
+    return all(bfs_dist(a.graph, 1 << v)[a.maps[i][v]] > d - 1
                for v in range(a.graph.n) for i in range(1, a.group.order))
 
 

@@ -448,6 +448,19 @@ def test_universality_six_points():
     assert all(p.above[i] == 1 << i for i in range(p.m))
 
 
+def test_universality_builds_its_group_under_the_callers_guards():
+    """S_3 has 6 elements, so a group_order of 5 stops its closure, and
+    the trip names the caller's limit, not the default one."""
+    tight = DEFAULT_GUARDS.scaled(group_order=5)
+    with pytest.raises(GuardExceeded) as err:
+        universality_graph(SIX_POINTS, 3, "regular", tight)
+    assert (err.value.guard, err.value.limit, err.value.attempted) == \
+        ("group_order", 5, 6)
+    assert symmetric_group(3, tight.scaled(group_order=6)).order == 6
+    with pytest.raises(GuardExceeded, match="limit 5"):
+        symmetric_group(3, tight)
+
+
 def test_universality_rejections():
     pts = make_complex(6, [(i,) for i in range(6)])
     with pytest.raises(ValueError, match="n >= 2"):

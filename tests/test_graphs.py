@@ -38,6 +38,7 @@ from homlab.graphs import (
 )
 from homlab.harness import _chromatic_brute
 from homlab.limits import DEFAULT_GUARDS, GuardExceeded
+from test_actions import bfs_dist
 
 
 def _random_graph(rng: random.Random, n: int, p: float = 0.4, loops: float = 0.2) -> Graph:
@@ -379,6 +380,21 @@ def test_graph_stats():
     two = Graph.from_edges(4, [(0, 1), (2, 3)])
     s = graph_stats(two)
     assert not s.connected
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_graphs(8), _graphs(8, loops=False)))
+@example(Graph(0, ()))
+@example(Graph(1, (0,)))
+@example(Graph.from_edges(1, [(0, 0)]))
+@example(Graph.from_edges(3, [(0, 0), (1, 2)]))  # looped, two components
+@example(Graph.from_edges(4, [(0, 1), (1, 2), (2, 2)]))  # an isolated vertex
+@example(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 4)]))
+def test_connectivity_matches_the_bfs_oracle(g):
+    """Connected means a BFS from vertex 0 reaches every vertex; the empty
+    graph counts as connected."""
+    assert graph_stats(g).connected == (
+        g.n == 0 or INFINITE not in bfs_dist(g, 1))
 
 
 def test_common_neighbors():

@@ -1,6 +1,7 @@
 """Experiment harness: cache integrity, registry, reports, and the CLI."""
 
 import ast
+import hashlib
 import inspect
 import json
 from dataclasses import asdict
@@ -60,11 +61,50 @@ def test_guard_config_refuses_non_counts(value, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # cache
 
+def plant_entry(cache: Cache, key: str, lines, kind: str = "homology"):
+    """Write an entry in the on-disk format, independently of ``Cache``: a
+    header holding the kind, the body's line count and its SHA-256, then
+    one line per body line.  Planted entries pass the digest check, so only
+    the header's kind or the body's meaning can refuse them."""
+    body = "".join(line + "\n" for line in lines)
+    header = canonical_json({"kind": kind, "lines": len(lines),
+                             "sha256": hashlib.sha256(body.encode())
+                             .hexdigest()})
+    cache.directory.mkdir(parents=True, exist_ok=True)
+    cache.path_for(key).write_text(header + "\n" + body, encoding="utf-8")
+
+
+# The entry for Hom(K2,K3), a circle, over Z under the default guards, in
+# the exact bytes written since an entry holds the result alone.
+K2_K3_ENTRY = (
+    b'{"kind":"homology","lines":1,"sha256":"671637ca5daaf1112a0ea86bbc1cae6c'
+    b'9f31e319d509a75696a21d15d4b7ea90"}\n'
+    b'{"betti":[0,1],"dim":1,"empty":false,"field":"Z","torsion":[[],[]]}\n')
+
+
+def test_an_entry_in_the_established_bytes_is_a_hit(tmp_path):
+    g, h = complete_graph(2), complete_graph(3)
+    key = hom_cache_key(g, h, "Z", DEFAULT_GUARDS)
+    assert key == ("7dc4ba4943293b734ac22634890d10829c976883df408db959190"
+                   "5c8ba3913cf")
+    cache = Cache(tmp_path)
+    cache.path_for(key).write_bytes(K2_K3_ENTRY)
+    res = RunContext(cache=cache).hom_homology(g, h)
+    assert cache.hits == 1 and cache.misses == 0
+    assert res == hom_homology(hom_poset(g, h)) and res.is_sphere(1)
+    # the test-side writer and the cache write these same bytes
+    cache.path_for(key).unlink()
+    plant_entry(cache, key, [canonical_json(res.to_json())])
+    assert cache.path_for(key).read_bytes() == K2_K3_ENTRY
+    cache.store(key, res)
+    assert cache.path_for(key).read_bytes() == K2_K3_ENTRY
+
+
 def test_cache_disabled_without_directory(tmp_path, monkeypatch):
     monkeypatch.setenv("HOMLAB_CACHE_DIR", str(tmp_path))  # CLI-only setting
     cache = Cache()
     assert not cache.enabled
-    assert cache.load("deadbeef", "homology") is None
+    assert cache.load("deadbeef", "Z") is None
     run_experiment("csorba-square")
     assert list(tmp_path.iterdir()) == []
 
@@ -135,7 +175,7 @@ def test_cache_rejects_wrong_kind_and_garbage(tmp_path):
     g, h = complete_graph(2), complete_graph(3)
     cache = Cache(tmp_path)
     key = hom_cache_key(g, h, "Z", DEFAULT_GUARDS)
-    cache.store(key, "hom", ["[[0],[1]]"])  # the retired element kind
+    plant_entry(cache, key, ["[[0],[1]]"], "hom")  # the retired kind
     with pytest.raises(CacheCorrupt, match="expected 'homology'"):
         RunContext(cache=cache).hom_homology(g, h)
     cache.path_for(key).write_text("not json at all")
@@ -175,14 +215,14 @@ def test_a_homology_entry_holds_only_its_result(tmp_path):
     # them, is never read: the key now names a different kind
     old_key = content_key({"kind": "poset-chain-homology", "field": "Z",
                            "poset": poset_to_json(p)})
-    cache.store(old_key, "homology", ["24", canonical_json(fresh.to_json())])
+    plant_entry(cache, old_key, ["24", canonical_json(fresh.to_json())])
     assert cached_poset_homology(p, cache=cache) == fresh
     assert cache.hits == 0 and cache.misses == 1
     key = homology_cache_key(p, "Z", DEFAULT_GUARDS)
     assert key == content_key({"kind": "guarded-poset-homology",
                                "field": "Z", "guards": asdict(DEFAULT_GUARDS),
                                "poset": poset_to_json(p)})
-    assert cache.load(key, "homology") == [canonical_json(fresh.to_json())]
+    assert cache.load(key, "Z") == fresh
     # other guards key another entry, even where they allow the result
     loose = DEFAULT_GUARDS.scaled(chain_elements=24)
     assert homology_cache_key(p, "Z", loose) != key
@@ -221,10 +261,10 @@ def test_homology_cache_rejects_a_malformed_entry(tmp_path):
     cache = Cache(tmp_path)
     RunContext(cache=cache).hom_homology(g, h)
     key = hom_cache_key(g, h, "Z", DEFAULT_GUARDS)
-    (result,) = cache.load(key, "homology")
+    result = canonical_json(cache.load(key, "Z").to_json())
     # the old shape, element count first, and empty or doubled bodies
     for bad in (["12", result], [result, result], [], ["12"]):
-        cache.store(key, "homology", bad)
+        plant_entry(cache, key, bad)
         with pytest.raises(CacheCorrupt, match="malformed homology entry"):
             RunContext(cache=cache).hom_homology(g, h)
 
@@ -282,10 +322,10 @@ def test_homology_hit_is_checked_for_meaning(entry, change, tmp_path):
                   homology_cache_key(p, "Z", DEFAULT_GUARDS)),
     }[entry]
     assert load().is_sphere(2)
-    lines = cache.load(key, "homology")
-    data = {k: v for k, v in {**json.loads(lines[-1]), **change}.items()
+    data = {k: v for k, v in {**cache.load(key, "Z").to_json(),
+                              **change}.items()
             if v is not None}
-    cache.store(key, "homology", lines[:-1] + [canonical_json(data)])
+    plant_entry(cache, key, [canonical_json(data)])
     with pytest.raises(CacheCorrupt, match="malformed homology entry"):
         load()
 

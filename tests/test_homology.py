@@ -605,6 +605,24 @@ def test_snf_guard():
     assert h.torsion[1] == (2,)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_snf_guard_bounds_the_matrix_it_builds(k):
+    """k disjoint minimal RP^2s leave a k x k diagonal Morse boundary in
+    degree 2: k nonzeros, but a k^2-entry dense matrix, which is what the
+    guard bounds."""
+    facets = [[v + 6 * c for v in f] for c in range(k)
+              for f in _rp2().facets]
+    reduced = _coreduce(chain_complex(make_complex(6 * k, facets)))
+    counts, cols = reduced
+    assert counts[2] == k and sum(map(len, cols[2])) == k
+    with pytest.raises(GuardExceeded) as trip:
+        homology_integral(reduced, DEFAULT_GUARDS.scaled(snf_nonzeros=k))
+    assert trip.value.guard == "snf_nonzeros"
+    assert trip.value.attempted == k * k
+    h = homology_integral(reduced, DEFAULT_GUARDS.scaled(snf_nonzeros=k * k))
+    assert h.torsion[1] == (2,) * k
+
+
 def test_random_complex_euler_consistency():
     rng = random.Random(12)
     for _ in range(10):

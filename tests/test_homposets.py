@@ -22,7 +22,7 @@ from homlab.graphs import (Graph, _hom_search, bits, complete_graph,
                            exponential, exponential_vertex_maps,
                            is_isomorphic, looped_path, nu_mask, one_graph,
                            permute_mask, product, reflexive_closure,
-                           reflexive_cycle)
+                           reflexive_cycle, tree_cycle_lengths)
 from homlab.cli import main, parse_graph_id
 from homlab.harness import _diagonal_flip_shift
 from homlab.homology import poset_homology
@@ -1425,14 +1425,19 @@ def test_quotient_compare_violated_hypothesis():
 
 
 def test_tree_cycle_lengths():
-    from homlab.homposets import _tree_cycle_lengths
-    assert _tree_cycle_lengths(complete_graph(2)) == ()
-    assert _tree_cycle_lengths(complete_graph(3)) == (3,)
-    assert _tree_cycle_lengths(cycle_graph(5)) == (5,)
-    assert _tree_cycle_lengths(reflexive_cycle(4))[0] == 1  # loops
+    assert tree_cycle_lengths(complete_graph(2)) == ()
+    assert tree_cycle_lengths(complete_graph(3)) == (3,)
+    assert tree_cycle_lengths(cycle_graph(5)) == (5,)
+    assert tree_cycle_lengths(reflexive_cycle(4))[0] == 1  # loops
     two_triangles = Graph.from_edges(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert _tree_cycle_lengths(two_triangles) == (3,)
+    assert tree_cycle_lengths(two_triangles) == (3,)
+    # the lengths depend on the forest: a depth-first one would give
+    # (3, 4) on K4 and (4, 6) on the hexagon with a long chord
+    assert tree_cycle_lengths(complete_graph(4)) == (3,)
+    chorded = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]
+                               + [(0, 3)])
+    assert tree_cycle_lengths(chorded) == (4,)
 
 
 def test_loop_addition_c6():

@@ -1,9 +1,11 @@
-"""No module-level import goes unused, and no package name lacks a caller.
+"""No import goes unused, and no package name lacks a caller.
 
-Stdlib-only stand-in for a linter's unused-import rule.  An imported name
-counts as used when its module references it, lists it in ``__all__``, or
-when another scanned module imports it from there; ``from __future__``
-imports always count.
+Stdlib-only stand-in for a linter's unused-import rule.  A module-level
+imported name counts as used when its module references it, lists it in
+``__all__``, or when another scanned module imports it from there;
+``from __future__`` imports always count.  An import in a function body
+counts as used when that function reads the name, a function nested in it
+included.
 
 The second scan keeps the package's surface to what runs: every top-level
 definition in ``src/homlab`` must be reachable from the CLI, the experiment
@@ -117,6 +119,20 @@ def _referenced(tree: ast.Module) -> set[str]:
     return used
 
 
+def _unused_local_imports(tree: ast.Module):
+    """(line, bound name) per import in a function body that neither the
+    function nor a function nested in it reads."""
+    for _, func in _functions(tree.body):
+        read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)}
+        for node in _own_nodes(func.body):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        yield node.lineno, name
+
+
 def unused_imports(paths=SCANNED) -> list[str]:
     parsed = {_module_name(p): (p, ast.parse(p.read_text(encoding="utf-8")))
               for p in paths}
@@ -127,9 +143,11 @@ def unused_imports(paths=SCANNED) -> list[str]:
     out = []
     for mod, (path, tree) in parsed.items():
         used = _referenced(tree)
-        for name, _, line in imports[mod]:
-            if name not in used and (mod, name) not in reexported:
-                out.append(f"{path.name}:{line}: {name}")
+        found = [(line, name) for name, _, line in imports[mod]
+                 if name not in used and (mod, name) not in reexported]
+        found += _unused_local_imports(tree)
+        out += [f"{path.name}:{line}: {name}"
+                for line, name in sorted(found, key=lambda f: f[0])]
     return out
 
 
@@ -242,7 +260,7 @@ def unreached_names(package: Path = PACKAGE,
                   for name in names if (mod, name) not in reached)
 
 
-def test_no_unused_module_level_imports():
+def test_no_unused_imports():
     assert unused_imports() == []
 
 
@@ -255,6 +273,28 @@ def test_scan_flags_an_unused_import(tmp_path):
                       "print(sys.argv)\n", encoding="utf-8")
     assert unused_imports([sample]) == ["sample.py:2: os",
                                         "sample.py:4: parse"]
+
+
+def test_scan_flags_an_unused_import_in_a_function(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import os\n"
+                      "def load():\n"
+                      "    import json\n"
+                      "    from math import floor, ceil as up\n"
+                      "    def inner():\n"
+                      "        import re\n"
+                      "        return json.loads(os.sep)\n"
+                      "    return inner, up\n\n"
+                      "class Store:\n"
+                      "    def save(self):\n"
+                      "        from collections import deque\n"
+                      "        return [deque]\n\n"
+                      "def floor_of(x):\n"
+                      "    from pathlib import Path\n"
+                      "    return floor(x)\n", encoding="utf-8")
+    assert unused_imports([sample]) == ["sample.py:4: floor",
+                                        "sample.py:6: re",
+                                        "sample.py:16: Path"]
 
 
 def test_every_public_name_has_a_caller():
