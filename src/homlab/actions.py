@@ -159,11 +159,14 @@ def _check_action(g: FiniteGroup, rows: Sequence[int],
             raise ValueError(f"carrier map {i} is not a permutation")
     if maps[0] != tuple(range(n)):
         raise ValueError("identity acts nontrivially")
-    for i in range(g.order):
-        for j in range(g.order):
+    # the identity (element 0 of a FiniteGroup, table[0][j] == table[j][0]
+    # == j) acts trivially, so its pairs and its automorphism test hold
+    for i in range(1, g.order):
+        for j in range(1, g.order):
             if maps[g.mul(i, j)] != compose_perm(maps[i], maps[j]):
                 raise ValueError(f"compatibility fails at elements {i},{j}")
-    for i, p in enumerate(maps):
+    for i in range(1, g.order):
+        p = maps[i]
         if any(permute_mask(rows[u], p) != rows[p[u]] for u in range(n)):
             raise ValueError(f"element {i} is not an automorphism")
 

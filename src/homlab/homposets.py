@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
-from operator import and_, eq, invert, itemgetter, lshift, or_
+from operator import and_, eq, invert, itemgetter, lshift, ne, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .actions import (GraphAction, PosetAction, is_free,
@@ -53,10 +53,6 @@ def multihom_violation(g: Graph, h: Graph,
             if element[v] & ~h.adj[x]:
                 return f"edge ({u},{v}) not sent to complete adjacency"
     return None
-
-
-def _subset(a: int, b: int) -> bool:
-    return a & ~b == 0
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,7 @@ class HomPoset:
         `poset_relation`.  `leq` reads the element masks instead; this is
         for general poset machinery (chains, homology of the order complex,
         poset actions, `quotient_compare`'s order rows)."""
-        return pointwise_poset(self.elements, _subset, self.guards)
+        return pointwise_poset(self.elements, guards=self.guards)
 
 
 def _connected_order(g: Graph) -> list[int]:
@@ -161,8 +157,7 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     looped vertex, lie in nu(s | x)): s | x | y contains s | y, so it would
     fail wherever s | y failed, and a failed candidate is never offered
     again.  Any other order (K2 x R6's is 0, 6, 1, 7, ...) emits out of
-    lexicographic order, so the elements are still sorted at the end, one
-    path for both; on the sorted output the sort is one linear pass.
+    lexicographic order, and only then are the elements sorted at the end.
 
     Every vertex is walked the same way, the last one in the order
     included; each set the last vertex reaches is one element.  It has no
@@ -175,16 +170,23 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     mask seen again emits its recorded batch, an element per set, in place
     of the walk.
 
+    Below a middle depth d (0 < d < last) the walk depends only on the
+    feasible masks of the frontier, the unplaced vertices with a placed
+    neighbour.  The first walk below a frontier state records its slice of
+    the output and its search nodes; a later visit replays them, that slice
+    with the sets of order[:d] replaced by the current ones.  Hom(K2 x R6,
+    K3) descends into a middle depth 7,320 times, through 621 states.
+
     Every value that search tries and every candidate target vertex the
     enumeration tries is one search node, counted when a set starts to try
     its candidates (after the set itself is emitted or descended from);
     past `guards.search_nodes` that count raises
     GuardExceeded("search_nodes").  The last vertex's walk raises
     "hom_elements" before it emits element `guards.hom_elements` + 1.  An
-    emitted batch counts one node per set, as its walk would, and a batch
-    that would pass either guard is walked instead of emitted, so each
-    guard trips at its one site, with the same attempted count, as when no
-    batch is memoized.
+    emitted batch counts one node per set, as its walk would, and a replay
+    the nodes its walk cost.  A batch or a replay that would pass either
+    guard is walked instead, so each guard trips at its one site, with the
+    same attempted count, as when nothing is memoized.
     """
     node_limit = guards.search_nodes
     atom, nodes = _hom_search(g, h, node_limit, 0)
@@ -212,6 +214,25 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
     last_filter = loops if looped[last] else full
     batches: dict[int, list[int]] = {}  # last vertex's mask -> its sets
     walked: list[int] = []  # the sets the last vertex's walk has reached
+    # Middle depth d's frontier: the unplaced vertices with a placed
+    # neighbour (every other unplaced vertex has the full mask), and
+    # order[d] itself so that it is never empty.  Each depth gets (frontier
+    # getter, memo, element getter) on first use.  The memo maps the tuple
+    # of frontier masks to start | end << width | nodes << 2 width: the
+    # slice out[start:end] the first walk below that state appended, in the
+    # walk's order, and the search nodes it cost.  `records` holds (memo,
+    # key, start, nodes) for each middle depth being walked, stored when
+    # its frame pops.  The element getter reads order[:d]'s sets from
+    # tuple(assign) and the rest from a recorded element placed after it.
+    frontier, placed, reach = [], 0, 0
+    for v in order:
+        frontier.append(reach & ~placed | 1 << v)
+        placed |= 1 << v
+        reach |= g.adj[v]
+    memos: list = [None] * n
+    records: list[tuple] = []
+    width = element_limit.bit_length()
+    field_mask = (1 << width) - 1
 
     # The state: the i-th source vertex v in order, whether it is looped,
     # its later neighbours with their feasible masks on entry (restored on
@@ -278,6 +299,30 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
                         # recording its sets; a batch past a guard trips
                         # during the walk
                         walked = batches[mask] = []
+                    else:
+                        at = memos[i + 1]
+                        if at is None:
+                            at = memos[i + 1] = (
+                                itemgetter(*bits(frontier[i + 1])), {},
+                                itemgetter(*[u if pos[u] <= i else n + u
+                                             for u in range(n)]))
+                        key_of, memo, rebuild = at
+                        key = key_of(allowed)
+                        rec = memo.get(key)
+                        if rec is not None:
+                            start = rec & field_mask
+                            end = rec >> width & field_mask
+                            cost = rec >> 2 * width
+                            if (nodes + cost <= node_limit
+                                    and len(out) + end - start <= element_limit):
+                                # replay: the walk below this state, with
+                                # order[:i+1]'s sets replaced by assign's
+                                nodes += cost
+                                out.extend(map(rebuild, map(
+                                    tuple(assign).__add__,
+                                    map(out.__getitem__, range(start, end)))))
+                                break
+                        records.append((memo, key, len(out), nodes))
                     # descend: s_x's own subtree waits in the frame
                     frames.append((v, clique, later_masks, stack, s, nu, cand))
                     i += 1
@@ -293,8 +338,13 @@ def hom_poset(g: Graph, h: Graph, guards: Guards = DEFAULT_GUARDS) -> HomPoset:
                 for w, mask in later_masks:
                     allowed[w] = mask
                 if not frames:
-                    out.sort()
+                    if any(map(ne, order, range(n))):
+                        out.sort()
                     return HomPoset(g, h, tuple(out), guards)
+                if i < last:
+                    memo, key, start, before = records.pop()
+                    memo[key] = (start | len(out) << width
+                                 | nodes - before << 2 * width)
                 i -= 1
                 v, clique, later_masks, stack, s, nu, cand = frames.pop()
                 passed = 0

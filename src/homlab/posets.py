@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from operator import getitem, itemgetter
+from functools import cached_property, reduce
+from operator import and_, getitem, itemgetter, or_
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, bits
@@ -139,30 +139,37 @@ def from_leq_pairs(m: int, pairs: Sequence[tuple[int, int]],
     return Poset(m, tuple(rows), elements)  # a cycle fails antisymmetry
 
 
-def pointwise_poset(rows: Sequence[tuple], le: Callable[[Any, Any], Any],
+def pointwise_poset(rows: Sequence[tuple],
+                    below: Optional[Sequence[int]] = None,
                     guards: Guards = DEFAULT_GUARDS) -> Poset:
-    """Rows ordered coordinatewise: r <= s iff le(r[x], s[x]) for every x.
+    """Rows ordered coordinatewise by their values' masks: r <= s iff, for
+    every x, the mask of r[x] lies inside the mask of s[x].  A value is its
+    own mask, or, given `below`, value v stands for the mask below[v] of a
+    poset's down-set, as v <= w iff below[v] lies inside below[w].
 
-    `le` must be a partial order on each coordinate's values; the rows are
-    the payload, in the given order.  Per coordinate, the rows are grouped
-    by value and each value gets the mask of rows whose value lies above
-    it; a row's up-set is the AND of its values' masks.
+    The rows are the payload, in the given order.  Per coordinate, the rows
+    are grouped by mask, has[t] is the mask of rows whose mask holds t, and
+    a mask's up-set is the AND of has[t] over the t in it; a row's up-set
+    is the AND of its masks' up-sets.
     """
     m = len(rows)
     if m > guards.poset_relation:
         raise GuardExceeded("poset_relation", guards.poset_relation, m)
-    above = [(1 << m) - 1] * m
-    for x in range(len(rows[0]) if rows else 0):
+    full = (1 << m) - 1
+    above = [full] * m
+    for column in zip(*rows):
+        if below is not None:  # one-to-one: distinct values, distinct masks
+            column = tuple(map(below.__getitem__, column))
         holders: dict = {}
-        for j, r in enumerate(rows):
-            holders[r[x]] = holders.get(r[x], 0) | 1 << j
-        up = {a: 0 for a in holders}
-        for a in holders:
-            for b, mask in holders.items():
-                if le(a, b):
-                    up[a] |= mask
-        for i, r in enumerate(rows):
-            above[i] &= up[r[x]]
+        for j, a in enumerate(column):
+            holders[a] = holders.get(a, 0) | 1 << j
+        has: dict = {}
+        for a, rows_at in holders.items():
+            for t in bits(a):
+                has[t] = has.get(t, 0) | rows_at
+        up = {a: reduce(and_, map(has.__getitem__, bits(a)), full)
+              for a in holders}
+        above = list(map(and_, above, map(up.__getitem__, column)))
     return Poset(m, tuple(above), tuple(rows))
 
 
@@ -316,15 +323,18 @@ def face_poset(x: SimplicialComplex,
 
 
 def atom_graph(p: Poset) -> tuple[Graph, tuple[int, ...]]:
-    """The reflexive graph on minimal elements: adjacent iff a common upper bound."""
-    atoms = p.atoms
-    adj = [0] * len(atoms)
-    for i, a in enumerate(atoms):
-        for j, b in enumerate(atoms):
-            if p.above[a] & p.above[b]:
-                adj[i] |= 1 << j
+    """The reflexive graph on minimal elements: adjacent iff a common upper
+    bound.  Atom a's row is the atoms below some maximal w above a (every
+    upper bound lies below a maximal one), numbered in ascending order."""
+    atoms, below = p.atoms, p.below
+    rows = [reduce(or_, map(below.__getitem__,
+                            bits(p.above[a] & p.maximal_mask)))
+            & p.minimal_mask for a in atoms]
+    if p.minimal_mask != (1 << len(atoms)) - 1:  # atoms are not 0..k-1
+        index = {a: i for i, a in enumerate(atoms)}
+        rows = [sum(1 << index[b] for b in bits(r)) for r in rows]
     labels = tuple(str(p.element(a)) for a in atoms)
-    return Graph(len(atoms), tuple(adj), labels), atoms
+    return Graph(len(atoms), tuple(rows), labels), atoms
 
 
 def order_complex(p: Poset, guards: Guards = DEFAULT_GUARDS) -> SimplicialComplex:
@@ -671,7 +681,7 @@ def map_poset(maps: Iterable[tuple[int, ...]], q: Poset,
     before the rest of it is enumerated.
     """
     rows = sorted(itertools.islice(maps, guards.poset_relation + 1))
-    return pointwise_poset(rows, q.leq, guards)
+    return pointwise_poset(rows, q.below, guards)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,16 @@ def test_chain_atom_graph_is_the_comparability_graph(p):
 
 
 @given(posets())
+@example(from_leq_pairs(3, [(0, 1)]))          # atoms 0 and 2, not 0..1
+def test_atom_graph_matches_the_pairwise_upper_bound_rule(p):
+    ag, atoms = atom_graph(p)
+    assert atoms == p.atoms
+    assert ag.adj == tuple(
+        sum(1 << j for j, b in enumerate(atoms) if p.above[a] & p.above[b])
+        for a in atoms)
+
+
+@given(posets())
 def test_subdivision_preserves_homology(p):
     assert poset_homology(chain_poset(p)) == poset_homology(p)
 
@@ -283,7 +293,7 @@ def test_poset_map_lookahead_matches_the_brute_filter(p, q):
 @given(posets(max_n=4), posets(max_n=4))
 def test_pointwise_poset_matches_pointwise_leq(p, q):
     maps = list(enumerate_poset_maps(p, q))
-    mp = pointwise_poset(maps, q.leq)
+    mp = pointwise_poset(maps, q.below)
     assert list(mp.elements) == maps
     for i, f in enumerate(maps):
         for j, g in enumerate(maps):
